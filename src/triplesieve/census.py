@@ -4,6 +4,16 @@ The census grades exact form values: factor completely, count prime factors
 with multiplicity (Omega), and report membership in P_R = {at most R prime
 factors}.  Zeros and units are quarantined, never graded.
 
+Factorizations come from one array pass of trial division (see
+modular.factor_array), which certifies each of them by construction.  Only
+small pieces are factored: |c|, |d|, |d - c| and |d + c|, all below 1.5T,
+and z = c^2 + d^2 < T^2, whose prime factors are 2 or 1 mod 4 since
+gcd(c, d) = 1.  The rest follows from Omega being completely additive:
+x = (d - c)(d + c) and y = 2cd are graded from their pieces, and the area
+xy/12 and product xyz/60 from the multiset union of their coordinates'
+primes minus {2, 2, 3} or {2, 2, 3, 5} (12 | xy and 60 | xyz on coprime
+rows).  Each graded row's primes are multiplied back to |value|.
+
 The sieve sequence attaches to each integer n the mass
 
     a(n) = sum_{g, w} Upsilon_X(g) 1_{f(row(g w)) = n},     w in the hard
@@ -28,12 +38,11 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-import sympy
 
 from .gl2 import Form
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, enumerate_ball
 from .modular import beta as modular_beta
-from .modular import prime_factors
+from .modular import factor_array, factor_int, is_prime, prime_factors
 
 FACTOR_GUARANTEE = 10 ** 18
 _CHUNK_PAIRS = 4_000_000
@@ -59,13 +68,10 @@ def factorize(n: int) -> Factorization:
     if n == 0:
         raise ValueError("0 has no factorization")
     m = abs(n)
-    fac = sympy.factorint(m)
-    primes: List[int] = []
-    for p in sorted(fac):
-        primes.extend([p] * fac[p])
-    check = math.prod(primes) if primes else 1
-    assert check == m, "factorization does not multiply back"
-    return Factorization(n, tuple(primes), certified=m <= FACTOR_GUARANTEE)
+    primes = factor_int(m)
+    if math.prod(primes) != m:
+        raise ArithmeticError(f"factorization of {m} does not multiply back")
+    return Factorization(n, primes, certified=m <= FACTOR_GUARANTEE)
 
 
 @dataclass(frozen=True)
@@ -117,53 +123,102 @@ class CensusReport:
         }
 
 
+def _row_arrays(ball: OrbitBall) -> Tuple[np.ndarray, np.ndarray]:
+    """(c, d) of the distinct bottom rows, sorted by (c^2+d^2, c, d)."""
+    c = ball.rows[:, 2]
+    d = ball.rows[:, 3]
+    if len(c) and max(-int(c.min()), int(c.max()), -int(d.min()), int(d.max())) >= 1 << 31:
+        raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
+    order = np.lexsort((d, c, c * c + d * d))
+    c, d = c[order], d[order]
+    fresh = np.ones(len(c), dtype=bool)
+    fresh[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
+    return c[fresh], d[fresh]
+
+
 def ball_rows(ball: OrbitBall) -> List[Tuple[int, int]]:
     """Distinct bottom rows of the ball, sorted by (c^2+d^2, c, d)."""
-    seen = {(int(c), int(d)) for c, d in ball.rows[:, 2:4].tolist()}
-    return sorted(seen, key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
+    c, d = _row_arrays(ball)
+    return list(zip(c.tolist(), d.tolist()))
+
+
+def _factor_table(values: np.ndarray, sums_of_coprime_squares: bool = False) -> Dict[int, List[int]]:
+    """value -> sorted primes for each distinct positive entry of values."""
+    v = np.sort(values[values > 0])
+    fresh = np.ones(len(v), dtype=bool)
+    fresh[1:] = v[1:] != v[:-1]
+    uniq = v[fresh]
+    facs = factor_array(uniq, sums_of_coprime_squares)
+    return {n: list(fac) for n, fac in zip(uniq.tolist(), facs)}
+
+
+def _remove_primes(primes: List[int], divisor: Tuple[int, ...]) -> List[int]:
+    for p in divisor:
+        try:
+            primes.remove(p)
+        except ValueError:
+            raise ArithmeticError(f"{math.prod(divisor)} does not divide the form value") from None
+    return primes
 
 
 def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     """Grade every distinct orbit point of the ball; deterministic order."""
     if R < 1:
         raise ValueError("need R >= 1")
+    f = Form(f)
+    c, d = _row_arrays(ball)
+    if not (np.gcd(c, d) == 1).all():
+        raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
+    z = c * c + d * d
+    imprimitive = ((c & 1) & (d & 1)).astype(bool).tolist()
+    pieces = []
+    if f in (Form.X, Form.AREA, Form.PRODUCT):
+        pieces += [np.abs(d - c), np.abs(d + c)]
+    if f in (Form.Y, Form.AREA, Form.PRODUCT):
+        pieces += [np.abs(c), np.abs(d)]
+    small = _factor_table(np.concatenate(pieces)) if pieces else {}
+    hyp = _factor_table(z, sums_of_coprime_squares=True) if f in (Form.Z, Form.PRODUCT) else {}
+
     rows: List[CensusRow] = []
     hist: Dict[int, int] = {}
-    zeros = units = imprim = 0
+    zeros = units = 0
     max_abs = 0
-    for c, d in ball_rows(ball):
-        x = d * d - c * c
-        y = 2 * c * d
-        z = c * c + d * d
-        if f is Form.X:
+    for ci, di, zi, imp in zip(c.tolist(), d.tolist(), z.tolist(), imprimitive):
+        x = di * di - ci * ci
+        y = 2 * ci * di
+        if f is Form.Z:
+            value, primes = zi, hyp[zi]
+        elif f is Form.X:
             value = x
+            primes = sorted(small[abs(di - ci)] + small[abs(di + ci)]) if x else []
         elif f is Form.Y:
             value = y
-        elif f is Form.Z:
-            value = z
-        elif f is Form.AREA:
-            value = x * y // 12
+            primes = sorted([2] + small[abs(ci)] + small[abs(di)]) if y else []
+        elif x == 0 or y == 0:
+            value, primes = 0, []
         else:
-            value = x * y * z // 60
+            primes = small[abs(di - ci)] + small[abs(di + ci)] + [2] + small[abs(ci)] + small[abs(di)]
+            if f is Form.AREA:
+                value = x * y // 12
+                primes = _remove_primes(sorted(primes), (2, 2, 3))
+            else:
+                value = x * y * zi // 60
+                primes = _remove_primes(sorted(primes + hyp[zi]), (2, 2, 3, 5))
         n = abs(value)
-        imprimitive = (c % 2 == 1) and (d % 2 == 1)
-        if imprimitive:
-            imprim += 1
         if n == 0:
             zeros += 1
-            rows.append(CensusRow(c, d, f, value, 0, (), 0, "zero", imprimitive))
+            rows.append(CensusRow(ci, di, f, value, 0, (), 0, "zero", imp))
             continue
+        if math.prod(primes) != n:
+            raise ArithmeticError(f"factors of {n} at row {(ci, di)} do not multiply back")
         if n == 1:
             units += 1
-            rows.append(CensusRow(c, d, f, value, 1, (), 0, "unit", imprimitive))
+            rows.append(CensusRow(ci, di, f, value, 1, (), 0, "unit", imp))
             continue
-        fac = factorize(n)
-        om = fac.omega
+        om = len(primes)
         hist[om] = hist.get(om, 0) + 1
         max_abs = max(max_abs, n)
-        rows.append(
-            CensusRow(c, d, f, value, n, fac.primes, om, f"P{om}", imprimitive)
-        )
+        rows.append(CensusRow(ci, di, f, value, n, tuple(primes), om, f"P{om}", imp))
     return CensusReport(
         form=f,
         R=R,
@@ -173,7 +228,7 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
         omega_histogram=hist,
         zeros=zeros,
         units=units,
-        imprimitive_count=imprim,
+        imprimitive_count=sum(imprimitive),
         max_abs_value=max_abs,
     )
 
@@ -198,7 +253,7 @@ def two_path_counts(ball: OrbitBall, p: int) -> Tuple[int, int]:
     Equal for every odd prime p because no two coordinates vanish together
     on rows with coprime entries; false for composite moduli.
     """
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     c = ball.rows[:, 2] % p
     d = ball.rows[:, 3] % p
@@ -320,14 +375,17 @@ def _chunk_values(
         if zmax >= 4_000_000_000:  # |xy| <= zmax^2/2 must fit in int64
             return None
         xy = x * y
-        assert (xy % 12 == 0).all()
+        if not (xy % 12 == 0).all():
+            raise ArithmeticError("xy is not divisible by 12")
         return xy // 12
     if zmax > 5_500_000:  # |xyz|/60 <= zmax^3/24 must fit in int64
         return None
     xy = x * y
-    assert (xy % 12 == 0).all()
+    if not (xy % 12 == 0).all():
+        raise ArithmeticError("xy is not divisible by 12")
     t = (xy // 12) * z
-    assert (t % 5 == 0).all()
+    if not (t % 5 == 0).all():
+        raise ArithmeticError("xyz is not divisible by 60")
     return t // 5
 
 
@@ -343,10 +401,10 @@ def _python_value(c1: int, d1: int, form: Form) -> int:
         return z
     if form is Form.AREA:
         q, r = divmod(x * y, 12)
-        assert r == 0
-        return q
-    q, r = divmod(x * y * z, 60)
-    assert r == 0
+    else:
+        q, r = divmod(x * y * z, 60)
+    if r:
+        raise ArithmeticError(f"{form.value} value at row {(c1, d1)} is not an integer")
     return q
 
 
@@ -429,7 +487,8 @@ def build_sequence(
     seq = SieveSequence(
         X, Y, f, gens.label, den, ns, numerators, chi, len(rows) * m, m
     )
-    assert seq.total_mass() == chi, "mass accounting identity failed"
+    if seq.total_mass() != chi:
+        raise ArithmeticError("mass accounting identity failed")
     return seq
 
 

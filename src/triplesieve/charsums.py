@@ -17,7 +17,7 @@ evaluated on the row (c,d).w):
 Exponential sums never touch floating-point roots of unity: the (c,d) grid is
 grouped by m = ck+dl mod q, the resulting histogram is constant on classes
 {m : gcd(m,q) = g} (the weights are invariant under unit scaling of (c,d)
-because the forms are homogeneous; asserted at run time), and each class
+because the forms are homogeneous; checked at run time), and each class
 contributes its value times a Moebius number, via sum_{gcd(m,q)=g} e_q(-m) =
 mu(q/g).
 
@@ -46,7 +46,7 @@ import sympy
 
 from .gl2 import Form, UnimodularMatrix, row_after
 from .groups import OrbitBall
-from .modular import eta, predicted_density, prime_factors
+from .modular import eta, is_prime, predicted_density, prime_factors
 
 
 def rho(q: int) -> Fraction:
@@ -145,7 +145,7 @@ def count_zero_locus(f: Form, p: int, omega: UnimodularMatrix) -> int:
     """#{(c,d) mod p : f_omega(c,d) = 0}; equals 2p-1 in admissible cases
     (two lines through the origin)."""
     _require_odd_squarefree(p)
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _check_z_admissible(f, (p,))
     return _zero_count(f, p, omega)
@@ -199,20 +199,27 @@ def s2(
     val = Fraction(1)
     for p in primes:
         val *= _s2_prime(p, f, omega, omega2)
-    assert abs(val) <= 1, "trivial bound violated; arithmetic is corrupted"
+    if abs(val) > 1:
+        raise ArithmeticError("trivial bound violated; arithmetic is corrupted")
     return SumValue(val, q, form=f, omega=omega, omega_prime=omega2)
 
 
 def _collapse_histogram(qbar: int, hist: List[Fraction]) -> Fraction:
     """sum_m hist[m] e_qbar(-m), exactly, for histograms constant on the
-    classes {m : gcd(m, qbar) = g}; that constancy is asserted."""
+    classes {m : gcd(m, qbar) = g}; that constancy is checked.
+
+    The Moebius numbers come from sympy, so the result is a sympy Rational;
+    S4 and S5 have always returned that type and recorded output depends on
+    its repr.
+    """
     if qbar == 1:
         return hist[0]
     per_class: Dict[int, Fraction] = {}
     for m, v in enumerate(hist):
         g = math.gcd(m, qbar)
         if g in per_class:
-            assert per_class[g] == v, "histogram not constant on gcd classes"
+            if per_class[g] != v:
+                raise ArithmeticError("histogram not constant on gcd classes")
         else:
             per_class[g] = v
     total = Fraction(0)
@@ -232,7 +239,8 @@ def _s4_prime(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fract
     m = (c * k + d * l) % p
     n_m = np.bincount(m[zero].ravel(), minlength=p).tolist()
     cnt_m = np.bincount(m.ravel(), minlength=p).tolist()
-    assert all(c_ == p for c_ in cnt_m), "fibers of a nonzero linear form have size p"
+    if any(c_ != p for c_ in cnt_m):
+        raise ArithmeticError("fibers of a nonzero linear form must have size p")
     # the -rho part sums roots of unity over complete fibers and cancels;
     # the zero-locus part collapses by gcd classes
     hist = [Fraction(n) for n in n_m]
@@ -267,7 +275,7 @@ def s4_closed_form(
       * f = z with p = 3 mod 4 (zero locus = origin): 1/p^2.
     """
     _require_odd_squarefree(p)
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     k, l = k % p, l % p
     if k == 0 and l == 0:
@@ -332,7 +340,8 @@ def s5(
     val = Fraction(1)
     for p in primes:
         val *= _s5_prime(p, f, k, l, omega, omega2)
-    assert abs(val) <= 1, "trivial bound violated; arithmetic is corrupted"
+    if abs(val) > 1:
+        raise ArithmeticError("trivial bound violated; arithmetic is corrupted")
     return SumValue(val, q, form=f, k=k, l=l, omega=omega, omega_prime=omega2)
 
 
@@ -381,7 +390,8 @@ def s3_factorization_check(
     qt = math.gcd(q, q2)
     q1, q1p = q // qt, q2 // qt
     factor5 = s5(qt, f, k, l, omega, omega2)
-    assert abs(factor5.value) <= 1
+    if abs(factor5.value) > 1:
+        raise ArithmeticError("trivial bound violated; arithmetic is corrupted")
     product = s4(q1, f, k, l, omega).value * s4(q1p, f, k, l, omega2).value * factor5.value
     direct = s3_direct(q, q2, f, k, l, omega, omega2)
     return direct == product
@@ -395,7 +405,7 @@ def disjointness_check(p: int) -> bool:
     composite moduli: (c,d)=(1,2) has x=3, z=5, so xyz = 0 mod 15 while no
     single coordinate vanishes mod 15.
     """
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     for c in range(p):
         for d in range(p):

@@ -5,8 +5,8 @@ key=value config file, then flags) and serializes it into the output header,
 so identical configs give byte-identical output.  The --threads flag is an
 execution hint only; all emission paths are sequential and canonicalized.
 
-Exit codes: 0 pass, 2 identity falsified, 3 enumeration budget exceeded,
-4 bad input.
+Exit codes: 0 pass, 2 identity falsified (including a failed exactness
+check), 3 enumeration budget exceeded, 4 bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .census import a_q, build_sequence, census, census_csv
+from .census import a_q, ball_rows, build_sequence, census, census_csv
 from .charsums import _coord_grid, disjointness_check, rho, s1, s4, s4_closed_form
 from .constants import saturation_table, table_csv, table_text
 from .gl2 import Form
@@ -39,6 +39,7 @@ from .modular import (
     coset_table,
     eta,
     local_density,
+    primes_upto,
     strong_approx_check,
 )
 
@@ -106,7 +107,7 @@ def verify_suites(cfg: RunConfig) -> List[SuiteResult]:
     """
     gens = resolve_group(cfg.group)
     omegas = sorted(sample_words(gens, 20, cfg.seed), key=lambda g: g.entries())
-    primes = [p for p in range(3, cfg.p_max + 1) if all(p % r for r in range(2, p))]
+    primes = primes_upto(cfg.p_max)[1:]
     results: List[SuiteResult] = []
 
     ok, detail = True, ""
@@ -210,10 +211,7 @@ def cmd_constants(cfg: RunConfig) -> Tuple[str, int]:
 def cmd_orbit(cfg: RunConfig) -> Tuple[str, int]:
     gens = resolve_group(cfg.group)
     ball = enumerate_ball(gens, cfg.T)
-    seen = sorted(
-        {(int(c), int(d)) for c, d in ball.rows[:, 2:4].tolist()},
-        key=lambda r: (r[0] ** 2 + r[1] ** 2, r),
-    )
+    seen = ball_rows(ball)
     triples = [(c, d, d * d - c * c, 2 * c * d, c * c + d * d) for c, d in seen]
     if cfg.format == "json":
         payload = {
@@ -261,8 +259,8 @@ def cmd_density(cfg: RunConfig) -> Tuple[str, int]:
     floor = {Form.X: 3, Form.Y: 3, Form.Z: 3, Form.AREA: 5, Form.PRODUCT: 7}[f]
     rows = []
     all_match = True
-    for p in range(floor, cfg.p_max + 1):
-        if any(p % r == 0 for r in range(2, p)):
+    for p in primes_upto(cfg.p_max):
+        if p < floor:
             continue
         rep = local_density(f, p)
         all_match = all_match and rep.match
@@ -421,6 +419,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BallBudgetError as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
         return EXIT_BUDGET
+    except ArithmeticError as e:
+        sys.stderr.write(f"exactness check failed: {e}\n")
+        return EXIT_FALSIFIED
     except (ValueError, OSError) as e:
         sys.stderr.write(f"bad input: {e}\n")
         return EXIT_BAD_INPUT

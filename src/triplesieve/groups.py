@@ -443,7 +443,8 @@ def coset_counts(
     uniq, cnt = np.unique(key, return_counts=True)
     for k, v in zip(uniq.tolist(), cnt.tolist()):
         counts[(k // q, k % q)] += int(v)
-    assert sum(counts.values()) == n
+    if sum(counts.values()) != n:
+        raise ArithmeticError("coset counts do not partition the ball")
     return counts
 
 

@@ -22,9 +22,129 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Set, Tuple
 
-import sympy
+import numpy as np
 
 from .gl2 import Form, UnimodularMatrix, form_value
+
+# Trial division by the primes up to TABLE_LIMIT proves every factorization
+# of n < (TABLE_LIMIT + 1)^2 (about 1.1e12); only a cofactor beyond that
+# reach is handed to sympy.
+TABLE_LIMIT = 1 << 20
+# Cells of one (values x primes) divisibility grid: bounds the scratch memory.
+_CHUNK_CELLS = 1 << 16
+
+
+def _sieve(n: int) -> np.ndarray:
+    """Primality flags of 0..n, by the sieve of Eratosthenes."""
+    s = np.ones(n + 1, dtype=bool)
+    s[:2] = False
+    s[4::2] = False
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if s[p]:
+            s[p * p :: 2 * p] = False
+    return s
+
+
+@lru_cache(maxsize=None)
+def _prime_table(bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(primality flags of 0..2^bits, the primes up to 2^bits)."""
+    flags = _sieve(1 << bits)
+    return flags, np.flatnonzero(flags)
+
+
+def _table_upto(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The cached table covering n <= TABLE_LIMIT, in power-of-two sizes."""
+    return _prime_table(min(max(int(n).bit_length(), 10), TABLE_LIMIT.bit_length() - 1))
+
+
+def primes_upto(n: int) -> List[int]:
+    """All primes p <= n, ascending."""
+    if n > TABLE_LIMIT:
+        return np.flatnonzero(_sieve(n)).tolist()
+    primes = _table_upto(n)[1]
+    return primes[: np.searchsorted(primes, n, side="right")].tolist()
+
+
+def _factor_beyond_table(n: int) -> List[int]:
+    """Sorted prime factors of an n that trial division by the table cannot
+    certify; the only path that needs sympy."""
+    import sympy
+
+    fac = sympy.factorint(n)
+    return [p for p in sorted(fac) for _ in range(fac[p])]
+
+
+def factor_array(
+    values, sums_of_coprime_squares: bool = False
+) -> List[Tuple[int, ...]]:
+    """Sorted prime factors, with multiplicity, of each positive int64 value.
+
+    The values are sorted and cut into chunks; each chunk is tested against
+    every table prime p with p^2 <= its largest value in one (values x primes)
+    grid of at most about _CHUNK_CELLS cells, and each hit is divided out
+    exactly in Python.  A cofactor r > 1 left after all primes up
+    to b were divided out has no prime factor <= b, so it is prime when
+    r < (b + 1)^2, which trial division guarantees unless b is capped at
+    TABLE_LIMIT; only then is the cofactor factored by sympy.
+
+    sums_of_coprime_squares declares every value to be c^2 + d^2 with
+    gcd(c, d) = 1, whose prime factors are 2 or 1 mod 4, so only those
+    primes are tried.
+    """
+    vals = np.asarray(values, dtype=np.int64).ravel()
+    out: List[Tuple[int, ...]] = [()] * len(vals)
+    if not len(vals):
+        return out
+    if int(vals.min()) < 1:
+        raise ValueError("factor_array needs positive values")
+    order = np.argsort(vals, kind="stable")
+    svals = vals[order]
+    olist = order.tolist()
+    bound = min(math.isqrt(int(svals[-1])), TABLE_LIMIT)
+    primes = _table_upto(bound)[1]
+    primes = primes[: np.searchsorted(primes, bound, side="right")]
+    if sums_of_coprime_squares:
+        primes = primes[(primes == 2) | (primes % 4 == 1)]
+    step = max(1, _CHUNK_CELLS // max(1, len(primes)))
+    for start in range(0, len(svals), step):
+        chunk = svals[start : start + step]
+        b = min(math.isqrt(int(chunk[-1])), TABLE_LIMIT)
+        ps = primes[: np.searchsorted(primes, b, side="right")]
+        rest = chunk.tolist()
+        found: List[List[int]] = [[] for _ in rest]
+        if len(ps):
+            rows, cols = np.nonzero(chunk[:, None] % ps[None, :] == 0)
+            for i, p in zip(rows.tolist(), ps[cols].tolist()):
+                r = rest[i]
+                while r % p == 0:
+                    r //= p
+                    found[i].append(p)
+                rest[i] = r
+        reach = (b + 1) * (b + 1)
+        for i, r in enumerate(rest):
+            if r > 1:
+                if r < reach:
+                    found[i].append(r)
+                else:
+                    found[i].extend(_factor_beyond_table(r))
+            out[olist[start + i]] = tuple(found[i])
+    return out
+
+
+def factor_int(n: int) -> Tuple[int, ...]:
+    """Sorted prime factors of n >= 1 with multiplicity."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n < 1 << 63:
+        return factor_array([n])[0]
+    return tuple(_factor_beyond_table(n))
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality: a table lookup up to TABLE_LIMIT."""
+    if n <= TABLE_LIMIT:
+        return n >= 2 and bool(_table_upto(n)[0][n])
+    return factor_int(n) == (n,)
 
 
 @lru_cache(maxsize=None)
@@ -32,10 +152,10 @@ def _squarefree_factors(q: int) -> Tuple[int, ...]:
     """Sorted prime factors of q; raises if q is not squarefree or q < 1."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    fac = sympy.factorint(q)
-    if any(e > 1 for e in fac.values()):
+    primes = factor_int(q)
+    if len(set(primes)) < len(primes):
         raise ValueError(f"modulus {q} is not squarefree")
-    return tuple(sorted(fac))
+    return primes
 
 
 def is_squarefree(q: int) -> bool:
@@ -142,7 +262,7 @@ def project_group(gens, q: int) -> Set[ResidueElement]:
 
 def strong_approx_check(gens, p: int) -> bool:
     """True iff the projection mod prime p is all of SL(2,Z/pZ)."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return len(project_group(gens, p)) == p * (p * p - 1)
 
@@ -152,7 +272,7 @@ def bad_modulus_probe(gens, p_max: int) -> List[int]:
     bad = []
     if p_max >= 2:
         bad.append(2)
-    for p in sympy.primerange(3, p_max + 1):
+    for p in primes_upto(p_max)[1:]:
         if not strong_approx_check(gens, p):
             bad.append(p)
     return bad
@@ -220,7 +340,8 @@ def coset_table(q: int) -> CosetTable:
         reps = [(rc + (c,), rd + (d,)) for (rc, rd) in reps for (c, d) in per_prime[p]]
     rows = tuple((_crt(rc, q), _crt(rd, q)) for rc, rd in reps)
     index = math.prod(p + 1 for p in primes)
-    assert len(rows) == index and len(set(rows)) == index
+    if len(rows) != index or len(set(rows)) != index:
+        raise ArithmeticError(f"coset representatives mod {q} are not {index} distinct rows")
     return CosetTable(q, rows, index)
 
 
@@ -246,7 +367,7 @@ def predicted_density(f: Form, p: int) -> Fraction:
     any constituent coordinate does, and the constituent loci are disjoint on
     cosets, so their densities are sums.
     """
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     if f in (Form.X, Form.Y):
         return Fraction(2, p + 1)

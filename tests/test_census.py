@@ -1,12 +1,19 @@
 """Census grading, sieve sequence mass accounting, and divisibility probes."""
 
+import importlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triplesieve.cli as cli
 from triplesieve.census import (
     a_q,
     ball_rows,
@@ -27,9 +34,12 @@ from triplesieve.groups import (
     SmoothedWeight,
     enumerate_ball,
     modular_generators,
+    schottky_generators,
 )
 
 MOD = modular_generators()
+# the package re-exports the function census under the module's name
+census_mod = importlib.import_module("triplesieve.census")
 
 
 def test_factorize_examples():
@@ -293,3 +303,74 @@ def test_distribution_probe_trend_regression():
     assert float(ratios[0]) == pytest.approx(2.580e-4, rel=1e-3)
     assert float(ratios[1]) == pytest.approx(3.427e-5, rel=1e-3)
     assert float(ratios[2]) == pytest.approx(5.050e-6, rel=1e-3)
+
+
+def _oracle_census(ball, f):
+    """The census the slow way: per-row form values factored by sympy."""
+    rows = sorted({(int(c), int(d)) for c, d in ball.rows[:, 2:4].tolist()},
+                  key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
+    out, hist = [], {}
+    for c, d in rows:
+        value = form_value(f, c, d)
+        n = abs(value)
+        fac = sympy.factorint(n) if n > 1 else {}
+        primes = tuple(p for p in sorted(fac) for _ in range(fac[p]))
+        grade = "zero" if n == 0 else "unit" if n == 1 else f"P{len(primes)}"
+        if n > 1:
+            hist[len(primes)] = hist.get(len(primes), 0) + 1
+        out.append((c, d, value, n, primes, len(primes), grade, c % 2 == 1 and d % 2 == 1))
+    return out, hist
+
+
+@pytest.mark.parametrize("gens,T", [(MOD, 40.0), (schottky_generators(), 3.0e4)])
+@pytest.mark.parametrize("f", list(Form))
+def test_census_matches_sympy_oracle(gens, T, f):
+    ball = enumerate_ball(gens, T)
+    rep = census(ball, f, 3)
+    rows, hist = _oracle_census(ball, f)
+    assert [(r.c, r.d, r.value, r.n, r.factors, r.omega, r.grade, r.imprimitive)
+            for r in rep.rows] == rows
+    assert rep.omega_histogram == hist
+    assert [(r.c, r.d) for r in rep.rows] == ball_rows(ball)
+
+
+def test_census_raises_when_kernel_drops_a_factor(monkeypatch):
+    real = census_mod.factor_array
+
+    def lossy(values, *args):
+        facs = real(values, *args)
+        return [fac[:-1] if len(fac) > 1 else fac for fac in facs]
+
+    monkeypatch.setattr(census_mod, "factor_array", lossy)
+    ball = enumerate_ball(MOD, 12)
+    with pytest.raises(ArithmeticError, match="multiply back"):
+        census(ball, Form.Z, 2)
+    assert cli.main(["census", "--T", "12", "--format", "json"]) == cli.EXIT_FALSIFIED
+
+
+def test_exactness_check_survives_python_O():
+    script = (
+        "import importlib\n"
+        "from triplesieve.gl2 import Form\n"
+        "from triplesieve.groups import enumerate_ball, modular_generators\n"
+        "census = importlib.import_module('triplesieve.census')\n"
+        "real = census.factor_array\n"
+        "census.factor_array = lambda v, *a: [f[:-1] for f in real(v, *a)]\n"
+        "try:\n"
+        "    census.census(enumerate_ball(modular_generators(), 12), Form.Z, 2)\n"
+        "except ArithmeticError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(census_mod.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_row_extraction_refuses_rows_beyond_int64_squares():
+    ball = enumerate_ball(MOD, 3)
+    big = ball.rows.copy()
+    big[:, 2:4] *= 1 << 31
+    with pytest.raises(ValueError, match="2\\^31"):
+        ball_rows(type(ball)(T=ball.T, label=ball.label, rows=big, word_lengths=ball.word_lengths))

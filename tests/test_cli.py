@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import triplesieve.cli as cli
 from triplesieve.groups import BallBudgetError
@@ -156,3 +157,16 @@ def test_header_serializes_full_config():
     keys = {l.split(" = ")[0][2:] for l in header}
     assert {"subcommand", "group", "T", "X", "Y", "q", "p_max", "alpha",
             "kappa", "R", "f", "format", "seed", "threads"} <= keys
+
+
+def test_census_and_density_never_call_sympy(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sympy called on the census path")
+
+    for name in ("factorint", "isprime", "primerange", "mobius"):
+        monkeypatch.setattr(sympy, name, forbidden)
+    for f in ("x", "y", "z", "area", "product"):
+        assert run(["census", "--T", "20", "--f", f])[0] == 0
+        assert run(["census", "--group", "schottky", "--T", "3e4", "--f", f, "--format", "csv"])[0] == 0
+        assert run(["density", "--f", f, "--pmax", "31"])[0] == 0
+    assert run(["orbit", "--T", "20"])[0] == 0

@@ -1,20 +1,27 @@
 """Projection closures, coset tables, and local densities."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from triplesieve import modular
 from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix
 from triplesieve.groups import schottky_generators
 from triplesieve.modular import (
+    TABLE_LIMIT,
     ResidueElement,
     bad_modulus_probe,
     beta,
     coset_table,
     eta,
+    factor_array,
+    is_prime,
     local_density,
     predicted_density,
+    primes_upto,
     project_group,
     sl2_order,
     strong_approx_check,
@@ -156,3 +163,50 @@ def test_residue_element_validation():
     el = ResidueElement(5, 7, 1, -1, 0)
     assert (el.a, el.b, el.c, el.d) == (2, 1, 4, 0)
     assert el.mul(el.inverse()) == ResidueElement.identity(5)
+
+_TOP = primes_upto(TABLE_LIMIT)[-1]  # largest table prime
+# semiprimes just above the trial bound: only the sympy fallback can split them
+_ABOVE = [p for p in range(TABLE_LIMIT + 1, TABLE_LIMIT + 200) if sympy.isprime(p)][:4]
+_SPECIAL = [1, 2, _TOP, _TOP * _TOP, _TOP * _ABOVE[0]] + [1 << k for k in (1, 2, 31, 62)] + [
+    p * q for p in _ABOVE for q in _ABOVE
+]
+
+
+def _sympy_primes(n):
+    fac = sympy.factorint(n)
+    return tuple(p for p in sorted(fac) for _ in range(fac[p]))
+
+
+@given(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.integers(1, (1 << 63) - 1),
+                          st.integers(1, 10 ** 7)), min_size=1, max_size=12, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_factor_array_matches_sympy(values):
+    assert factor_array(values) == [_sympy_primes(v) for v in values]
+
+
+def test_factor_array_fallback_only_beyond_table(monkeypatch):
+    calls = []
+    real = modular._factor_beyond_table
+    monkeypatch.setattr(modular, "_factor_beyond_table", lambda n: calls.append(n) or real(n))
+    reach = (TABLE_LIMIT + 1) ** 2
+    assert factor_array([_TOP * _TOP, reach - 1]) == [(_TOP, _TOP), _sympy_primes(reach - 1)]
+    assert calls == []
+    semi = _ABOVE[0] * _ABOVE[1]
+    assert factor_array([6, semi]) == [(2, 3), (_ABOVE[0], _ABOVE[1])]
+    assert calls == [semi]
+
+
+def test_factor_array_sums_of_coprime_squares():
+    rows = [(c, d) for c in range(0, 60) for d in range(1, 60) if math.gcd(c, d) == 1]
+    zs = sorted({c * c + d * d for c, d in rows})
+    assert factor_array(zs, sums_of_coprime_squares=True) == [_sympy_primes(z) for z in zs]
+    with pytest.raises(ValueError):
+        factor_array([3, 0])
+
+
+def test_small_number_helpers_match_sympy():
+    assert primes_upto(1) == [] and primes_upto(2) == [2]
+    assert primes_upto(5000) == list(sympy.primerange(2, 5001))
+    assert primes_upto(TABLE_LIMIT + 100)[-4:] == list(sympy.primerange(TABLE_LIMIT - 100, TABLE_LIMIT + 101))[-4:]
+    for n in list(range(-3, 400)) + [_TOP, _TOP * _TOP, (1 << 61) - 1, 10 ** 20 + 39]:
+        assert is_prime(n) == bool(sympy.isprime(n)), n
