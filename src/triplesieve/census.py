@@ -26,6 +26,18 @@ holds to the last digit.  Since a(n) only sees g through its bottom row, the
 g-ball is first collapsed to row weights; the (row, w) product grid is then
 processed in chunks with 64-bit histogram accumulation, numerators split into
 high/low halves so no intermediate overflows.
+
+Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
+multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
+and xyz alone and flips the signs of x and y; so the omega ball is grouped
+into classes {W S^k} (for x and y only {W, -W}) carried as one
+representative and an integer multiplicity, exactly and for any generators.
+On the row side, r and r.S see the same values r.S.W when the omega ball
+is closed under W -> S.W, so when that holds and every row weighs what its
+rotation does, the four rotations of a row collapse to the one with c > 0,
+d >= 0 at four times the weight.  Both conditions are read off the computed
+balls.  The modular group folds 552 x 1476 pairs to 138 x 369 at X = Y = 16.
+pair_count and omega_ball_size still describe the unfolded grid.
 """
 
 from __future__ import annotations
@@ -296,7 +308,7 @@ class SieveSequence:
     ns: List[int]  # sorted distinct form values with positive mass
     numerators: List[int]  # aligned with ns; a(n) = numerators[i]/den
     chi: Fraction
-    pair_count: int
+    pair_count: int  # distinct weighted rows x |omega ball|, before folding
     omega_ball_size: int
 
     def support(self) -> List[int]:
@@ -343,6 +355,48 @@ def _row_weights(
             acc[key] = acc.get(key, 0) + n
     rows = sorted(acc, key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
     return rows, [acc[r] for r in rows], den
+
+
+def _half_turn(w: np.ndarray) -> np.ndarray:
+    """The one of +-W whose top row has a > 0, or a = 0 < b."""
+    flip = (w[:, 0] < 0) | ((w[:, 0] == 0) & (w[:, 1] < 0))
+    return np.where(flip[:, None], -w, w)
+
+
+def _omega_classes(omega_rows: np.ndarray, f: Form) -> Tuple[np.ndarray, np.ndarray]:
+    """(representatives, multiplicities) of the omega ball under W -> W.S.
+
+    W.S = [[b, -a], [d, -c]] turns every row (c1, d1) = r.W into (d1, -c1),
+    so x and y change sign and z, xy and xyz do not: the four rotations of
+    W share one value of z, area and product, and W, -W share every form.
+    A class is represented by its rotation with a > 0, b >= 0 (by +-W with
+    a > 0 or a = 0 < b for x and y) and counts its members in the ball."""
+    reps = _half_turn(omega_rows)
+    if f in (Form.Z, Form.AREA, Form.PRODUCT):
+        w_s = reps[:, [1, 0, 3, 2]] * np.array([1, -1, 1, -1])
+        turned = _half_turn(w_s)
+        off = (reps[:, 0] == 0) | (reps[:, 1] < 0)
+        reps = np.where(off[:, None], turned, reps)
+    return np.unique(reps, axis=0, return_counts=True)
+
+
+def _fold_rows(
+    rows: List[Tuple[int, int]], wnums: List[int], omega_rows: np.ndarray
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Rows and weights folded under r -> r.S = (d, -c) when certified.
+
+    If the omega ball is closed under W -> S.W, the rows r and r.S see the
+    same values r.S.W; if moreover every row weighs what its rotation does,
+    the four rotations of a row carry one histogram, and the one with c > 0,
+    d >= 0 stands for them with 4 times the weight.  Otherwise nothing folds."""
+    weight = dict(zip(rows, wnums))
+    if any(weight.get((d, -c)) != w for (c, d), w in weight.items()):
+        return rows, wnums
+    ball = set(map(tuple, omega_rows.tolist()))
+    if any((-c, -d, a, b) not in ball for a, b, c, d in ball):
+        return rows, wnums
+    folded = [(r, 4 * w) for r, w in zip(rows, wnums) if r[0] > 0 and r[1] >= 0]
+    return [r for r, _ in folded], [w for _, w in folded]
 
 
 def _chunk_values(
@@ -450,16 +504,17 @@ def build_sequence(
     if not rows or m == 0:
         return SieveSequence(X, Y, f, gens.label, 1, [], [], Fraction(0), 0, m)
 
-    wa = omega_ball.rows[:, 0].astype(np.int64)
-    wb = omega_ball.rows[:, 1].astype(np.int64)
-    wc = omega_ball.rows[:, 2].astype(np.int64)
-    wd = omega_ball.rows[:, 3].astype(np.int64)
+    pair_count = len(rows) * m
+    rows, wnums = _fold_rows(rows, wnums, omega_ball.rows)
+    reps, mult = _omega_classes(omega_ball.rows, f)
+    wa, wb, wc, wd = reps.T
     omega_list = None
 
-    max_w = max(wnums)
-    rows_per_chunk = max(1, _CHUNK_PAIRS // m)
-    chunk_pairs = rows_per_chunk * m
-    # accumulation overflow guards for the 31-bit split
+    max_w = max(wnums) * int(mult.max())
+    rows_per_chunk = max(1, _CHUNK_PAIRS // len(reps))
+    chunk_pairs = rows_per_chunk * len(reps)
+    # accumulation overflow guards for the 31-bit split, on the largest
+    # pair weight (row weight times class multiplicity)
     int64_ok = max_w < 1 << 62 and chunk_pairs * ((max_w >> 31) + 1) < 1 << 62
 
     acc: Dict[int, int] = {}
@@ -472,21 +527,19 @@ def build_sequence(
             rd = np.array([r[1] for r in chunk], dtype=np.int64)
             values = _chunk_values(rc, rd, wa, wb, wc, wd, f)
         if values is not None:
-            weights = np.repeat(np.array(wchunk, dtype=np.int64), m)
+            weights = np.outer(np.array(wchunk, dtype=np.int64), mult).ravel()
             _accumulate_chunk(acc, values, weights)
         else:
             if omega_list is None:
-                omega_list = omega_ball.rows.tolist()
+                omega_list = list(zip(reps.tolist(), mult.tolist()))
             for (c, d), w in zip(chunk, wchunk):
-                for a, b, cc, dd in omega_list:
+                for (a, b, cc, dd), mu in omega_list:
                     n = _python_value(c * a + d * cc, c * b + d * dd, f)
-                    acc[n] = acc.get(n, 0) + w
+                    acc[n] = acc.get(n, 0) + w * mu
 
     ns = sorted(acc)
     numerators = [acc[n] for n in ns]
-    seq = SieveSequence(
-        X, Y, f, gens.label, den, ns, numerators, chi, len(rows) * m, m
-    )
+    seq = SieveSequence(X, Y, f, gens.label, den, ns, numerators, chi, pair_count, m)
     if seq.total_mass() != chi:
         raise ArithmeticError("mass accounting identity failed")
     return seq

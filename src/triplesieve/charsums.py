@@ -57,16 +57,6 @@ def rho(q: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class LocalWeight:
-    q: int
-    value: Fraction
-
-
-def local_weight(q: int) -> LocalWeight:
-    return LocalWeight(q, rho(q))
-
-
 def xi(q: int, n: int) -> Fraction:
     """Xi(q; n) = prod_p (1_{p|n} - rho(p)); zero at q = 1 by convention."""
     if q == 1:

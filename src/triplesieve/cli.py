@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .census import a_q, ball_rows, build_sequence, census, census_csv
+from .census import _FORM_PRIME_FLOOR, a_q, ball_rows, build_sequence, census, census_csv
 from .charsums import _coord_grid, disjointness_check, rho, s1, s4, s4_closed_form
 from .constants import saturation_table, table_csv, table_text
 from .gl2 import Form
@@ -256,7 +256,7 @@ def cmd_census(cfg: RunConfig) -> Tuple[str, int]:
 
 def cmd_density(cfg: RunConfig) -> Tuple[str, int]:
     f = Form.parse(cfg.f)
-    floor = {Form.X: 3, Form.Y: 3, Form.Z: 3, Form.AREA: 5, Form.PRODUCT: 7}[f]
+    floor = _FORM_PRIME_FLOOR[f]
     rows = []
     all_match = True
     for p in primes_upto(cfg.p_max):

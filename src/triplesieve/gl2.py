@@ -25,7 +25,6 @@ All arithmetic in this module is exact (int / Fraction); no floats.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -82,11 +81,6 @@ class UnimodularMatrix:
 
     def __repr__(self) -> str:
         return f"UnimodularMatrix({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def multiply(g: UnimodularMatrix, h: UnimodularMatrix) -> UnimodularMatrix:
-    """Exact product g.h; determinant 1 is preserved automatically."""
-    return g @ h
 
 
 def sq_norm(g: UnimodularMatrix) -> int:
@@ -264,25 +258,6 @@ def form_value(f: Form, c: int, d: int) -> int:
     raise ValueError(f"unknown form {f!r}")
 
 
-def form_triple_value(f: Form, t: PythagoreanTriple) -> Fraction:
-    """Form value from a triple directly (x*y/12 etc.); rational in general."""
-    if f is Form.X:
-        return Fraction(t.x)
-    if f is Form.Y:
-        return Fraction(t.y)
-    if f is Form.Z:
-        return Fraction(t.z)
-    if f is Form.AREA:
-        return Fraction(t.x * t.y, 12)
-    if f is Form.PRODUCT:
-        return Fraction(t.x * t.y * t.z, 60)
-    raise ValueError(f"unknown form {f!r}")
-
-
 def row_after(c: int, d: int, omega: UnimodularMatrix) -> Tuple[int, int]:
     """Row-vector action (c, d) . omega."""
     return (c * omega.a + d * omega.c, c * omega.b + d * omega.d)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)

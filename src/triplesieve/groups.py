@@ -187,10 +187,6 @@ class OrbitBall:
         """Materialize as UnimodularMatrix objects (heavy for large balls)."""
         return [UnimodularMatrix(*row) for row in self.rows.tolist()]
 
-    @property
-    def elements(self) -> List[UnimodularMatrix]:
-        return self.matrices()
-
 
 def _letter_arrays(gs: GeneratorSet) -> List[Tuple[int, int, int, int]]:
     return [g.entries() for g in gs.letters()]
@@ -240,7 +236,13 @@ def enumerate_ball(
         return np.array(vals, dtype=object)
 
     letters = _letter_arrays(gens)
-    ident = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    # a candidate entry a*p + b*r is at most 2 * max_abs * letter_max in size
+    # and sq sums four squares of those: compute in Python ints unless both
+    # provably fit in int64
+    letter_max = max(abs(e) for h in letters for e in h)
+    bound = 2 * max_abs * letter_max
+    dtype = np.int64 if 4 * bound * bound < 1 << 63 else object
+    ident = np.array([[1, 0, 0, 1]], dtype=dtype)
     visited = set(pack(ident).tolist())
     collected = [ident]
     collected_wl = [np.zeros(1, dtype=np.int64)]
@@ -283,7 +285,10 @@ def enumerate_ball(
     wls = np.concatenate(collected_wl)
     sq = (rows * rows).sum(axis=1)
     keep = sq < ball_bound
-    rows, wls, sq = rows[keep], wls[keep], sq[keep]
+    # ball entries are below T; astype raises OverflowError if they do not fit
+    rows = rows[keep].astype(np.int64, copy=False)
+    wls = wls[keep]
+    sq = sq[keep].astype(np.int64, copy=False)
     order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], sq))
     return OrbitBall(T=float(T), label=gens.label, rows=rows[order], word_lengths=wls[order], _sq=sq[order])
 

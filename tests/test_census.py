@@ -27,7 +27,7 @@ from triplesieve.census import (
     primitivity_probe,
     two_path_counts,
 )
-from triplesieve.gl2 import Form, form_value
+from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix, form_value
 from triplesieve.groups import (
     BallBudgetError,
     GeneratorSet,
@@ -179,7 +179,10 @@ def test_primitivity_probe_modular():
 
 
 def brute_sequence(gens, X, Y, f):
-    """Definition-level oracle: loop every (g, w) pair with Fraction weights."""
+    """Definition-level oracle: loop every (g, w) pair with Fraction weights.
+
+    Returns the map n -> a(n), chi, and the unfolded pair count (distinct
+    weighted bottom rows times the omega ball size)."""
     w = SmoothedWeight(X)
     hi = (Fraction(11, 10) * Fraction(X)) ** 2
     t = 1.1 * float(X)
@@ -189,10 +192,12 @@ def brute_sequence(gens, X, Y, f):
     oball = enumerate_ball(gens, Y)
     acc = {}
     chi = Fraction(0)
+    rows = set()
     for g in gball.matrices():
         wt = w.weight_fraction(g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d)
         if wt == 0:
             continue
+        rows.add((g.c, g.d))
         for om in oball.matrices():
             prod_c = g.c * om.a + g.d * om.c
             prod_d = g.c * om.b + g.d * om.d
@@ -200,17 +205,57 @@ def brute_sequence(gens, X, Y, f):
             n = int(n)
             acc[n] = acc.get(n, Fraction(0)) + wt
             chi += wt
-    return acc, chi
+    return acc, chi, len(rows) * len(oball)
 
 
-@pytest.mark.parametrize("f", [Form.Z, Form.X, Form.AREA, Form.PRODUCT])
+S_ROT = UnimodularMatrix(0, -1, 1, 0)
+MINUS_I = UnimodularMatrix(-1, 0, 0, -1)
+# four symmetry types: rows and omega fold by {+-I, +-S} (modular, and <S, R>
+# found without the modular pruning), omega folds by +-I only (<-I, R^2, L^2>),
+# nothing folds (the free pair <R^2, L^2>)
+SEQUENCE_GROUPS = [
+    MOD,
+    GeneratorSet("sr", (S_ROT, GEN_R)),
+    GeneratorSet("gamma2", (MINUS_I, GEN_R @ GEN_R, GEN_L @ GEN_L)),
+    GeneratorSet("free", (GEN_R @ GEN_R, GEN_L @ GEN_L)),
+]
+
+
+@pytest.mark.parametrize("f", list(Form))
 def test_build_sequence_matches_bruteforce(f):
-    seq = build_sequence(MOD, 4, 4, f)
-    brute, chi = brute_sequence(MOD, 4, 4, f)
-    assert seq.chi == chi
-    assert dict(seq.items()) == brute
-    assert seq.total_mass() == chi
-    assert all(num > 0 for num in seq.numerators)
+    # X = 4.1 gives the weights a 322-bit denominator: the pure-Python path
+    for gens in SEQUENCE_GROUPS:
+        for X, Y in ((4, 4), (4.1, 4), (6, 5.5)):
+            seq = build_sequence(gens, X, Y, f)
+            brute, chi, pairs = brute_sequence(gens, X, Y, f)
+            assert seq.chi == chi
+            assert dict(seq.items()) == brute
+            assert seq.total_mass() == chi
+            assert all(num > 0 for num in seq.numerators)
+            assert seq.pair_count == pairs
+            assert seq.omega_ball_size == len(enumerate_ball(gens, Y))
+
+
+def test_build_sequence_fold_certificate():
+    """The row fold needs the omega ball closed under W -> S.W and rotation
+    invariant row weights, read off the computed balls."""
+    fold = census_mod._fold_rows
+    for gens, folds in zip(SEQUENCE_GROUPS, (True, True, False, False)):
+        gball = enumerate_ball(gens, 6.7)
+        rows, wnums, _ = census_mod._row_weights(gball, 6)
+        omega = enumerate_ball(gens, 6).rows
+        folded, fw = fold(rows, wnums, omega)
+        if folds:
+            assert 4 * len(folded) == len(rows) and sum(fw) == sum(wnums)
+        else:
+            assert (folded, fw) == (rows, wnums)
+    # a ball that is not closed under W -> S.W blocks the fold
+    gball = enumerate_ball(MOD, 6.7)
+    rows, wnums, _ = census_mod._row_weights(gball, 6)
+    omega = enumerate_ball(MOD, 6).rows
+    assert fold(rows, wnums, omega[1:]) == (rows, wnums)
+    # so does a row whose rotation weighs differently
+    assert fold(rows, [wnums[0] + 1] + wnums[1:], omega) == (rows, [wnums[0] + 1] + wnums[1:])
 
 
 def test_build_sequence_chi_identity_and_positivity():

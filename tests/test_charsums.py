@@ -10,7 +10,6 @@ from triplesieve.charsums import (
     coordinate_after,
     count_zero_locus,
     disjointness_check,
-    local_weight,
     orbit_divisibility_count,
     rho,
     s1,
@@ -34,7 +33,6 @@ def test_rho_and_xi_basics():
     assert rho(5) == Fraction(9, 25)
     assert rho(1) == 1
     assert rho(15) == rho(3) * rho(5)
-    assert local_weight(7).value == Fraction(13, 49)
     assert xi(5, 10) == Fraction(16, 25)
     assert xi(5, 7) == Fraction(-9, 25)
     assert xi(1, 42) == 0

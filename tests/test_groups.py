@@ -100,6 +100,18 @@ def test_budget_error_is_distinct():
     assert ei.value.discovered > 1000
 
 
+def test_large_letters_do_not_wrap_int64():
+    """Candidate products beyond int64 are computed with Python ints: with
+    letters of size N = 30000 the expansion region has about 40 nodes and the
+    ball at T = 10 is {I}; int64 products would wrap into false small norms
+    and flood the search past the budget."""
+    N = 30000
+    gens = GeneratorSet("h", (UnimodularMatrix(1, N, 0, 1), UnimodularMatrix(1, 0, N, 1)))
+    ball = enumerate_ball(gens, 10, element_cap=1000)
+    assert ball.rows.tolist() == [[1, 0, 0, 1]]
+    assert ball.rows.dtype == np.int64 and ball.sq_norms().tolist() == [2]
+
+
 def test_no_parabolic_certificates():
     assert schottky_generators().no_parabolic_certificate(8)
     assert not modular_generators().no_parabolic_certificate(1)  # R has trace 2
