@@ -24,8 +24,11 @@ denominator, so every a(n) is an integer numerator over that denominator and
 the accounting identity sum_n a(n) = chi = |ball_Y| * sum_g Upsilon_X(g)
 holds to the last digit.  Since a(n) only sees g through its bottom row, the
 g-ball is first collapsed to row weights; the (row, w) product grid is then
-processed in chunks with 64-bit histogram accumulation, numerators split into
-high/low halves so no intermediate overflows.
+processed in chunks: gl2.form_values evaluates each chunk (int64 under its
+proven bounds, Python ints otherwise), and a histogram accumulates the
+weights, in int64 with numerators split into high/low halves so no
+intermediate overflows, or as Python ints when the weights are too large
+for that.  Every form value in this module comes from gl2.form_values.
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -47,11 +50,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .gl2 import Form
+from .gl2 import Form, form_values
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, enumerate_ball
 from .modular import beta as modular_beta
 from .modular import factor_array, factor_int, is_prime, prime_factors
@@ -86,8 +89,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, primes, certified=m <= FACTOR_GUARANTEE)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One orbit point: bottom row, form value, factorization, grade."""
 
     c: int
@@ -181,7 +183,7 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     c, d = _row_arrays(ball)
     if not (np.gcd(c, d) == 1).all():
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
-    z = c * c + d * d
+    z = form_values(Form.Z, c, d)
     imprimitive = ((c & 1) & (d & 1)).astype(bool).tolist()
     pieces = []
     if f in (Form.X, Form.AREA, Form.PRODUCT):
@@ -195,32 +197,25 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     hist: Dict[int, int] = {}
     zeros = units = 0
     max_abs = 0
-    for ci, di, zi, imp in zip(c.tolist(), d.tolist(), z.tolist(), imprimitive):
-        x = di * di - ci * ci
-        y = 2 * ci * di
-        if f is Form.Z:
-            value, primes = zi, hyp[zi]
-        elif f is Form.X:
-            value = x
-            primes = sorted(small[abs(di - ci)] + small[abs(di + ci)]) if x else []
-        elif f is Form.Y:
-            value = y
-            primes = sorted([2] + small[abs(ci)] + small[abs(di)]) if y else []
-        elif x == 0 or y == 0:
-            value, primes = 0, []
-        else:
-            primes = small[abs(di - ci)] + small[abs(di + ci)] + [2] + small[abs(ci)] + small[abs(di)]
-            if f is Form.AREA:
-                value = x * y // 12
-                primes = _remove_primes(sorted(primes), (2, 2, 3))
-            else:
-                value = x * y * zi // 60
-                primes = _remove_primes(sorted(primes + hyp[zi]), (2, 2, 3, 5))
-        n = abs(value)
-        if n == 0:
+    values = z if f is Form.Z else form_values(f, c, d)
+    for ci, di, value, zi, imp in zip(c.tolist(), d.tolist(), values.tolist(), z.tolist(), imprimitive):
+        if value == 0:
             zeros += 1
             rows.append(CensusRow(ci, di, f, value, 0, (), 0, "zero", imp))
             continue
+        if f is Form.Z:
+            primes = hyp[zi]
+        elif f is Form.X:
+            primes = sorted(small[abs(di - ci)] + small[abs(di + ci)])
+        elif f is Form.Y:
+            primes = sorted([2] + small[abs(ci)] + small[abs(di)])
+        else:
+            primes = small[abs(di - ci)] + small[abs(di + ci)] + [2] + small[abs(ci)] + small[abs(di)]
+            if f is Form.AREA:
+                primes = _remove_primes(sorted(primes), (2, 2, 3))
+            else:
+                primes = _remove_primes(sorted(primes + hyp[zi]), (2, 2, 3, 5))
+        n = abs(value)
         if math.prod(primes) != n:
             raise ArithmeticError(f"factors of {n} at row {(ci, di)} do not multiply back")
         if n == 1:
@@ -269,9 +264,7 @@ def two_path_counts(ball: OrbitBall, p: int) -> Tuple[int, int]:
         raise ValueError(f"need an odd prime, got {p}")
     c = ball.rows[:, 2] % p
     d = ball.rows[:, 3] % p
-    x = (d * d - c * c) % p
-    y = (2 * c * d) % p
-    z = (c * c + d * d) % p
+    x, y, z = (form_values(g, c, d) % p for g in (Form.X, Form.Y, Form.Z))
     direct = int(((x * y % p) * z % p == 0).sum())
     split = int((x == 0).sum()) + int((y == 0).sum()) + int((z == 0).sum())
     return direct, split
@@ -279,20 +272,10 @@ def two_path_counts(ball: OrbitBall, p: int) -> Tuple[int, int]:
 
 def primitivity_probe(ball: OrbitBall, f: Form, q: int) -> bool:
     """True iff some orbit point of the ball has form value coprime to q."""
-    for c, d in ball_rows(ball):
-        x = d * d - c * c
-        y = 2 * c * d
-        z = c * c + d * d
-        value = {
-            Form.X: x,
-            Form.Y: y,
-            Form.Z: z,
-            Form.AREA: x * y // 12,
-            Form.PRODUCT: x * y * z // 60,
-        }[f]
-        if math.gcd(value, q) == 1:
-            return True
-    return False
+    values = form_values(f, *_row_arrays(ball))
+    if abs(q) >= 1 << 63:
+        values = values.astype(object)
+    return bool((np.gcd(values, q) == 1).any())
 
 
 @dataclass
@@ -399,80 +382,36 @@ def _fold_rows(
     return [r for r, _ in folded], [w for _, w in folded]
 
 
-def _chunk_values(
-    rc: np.ndarray,
-    rd: np.ndarray,
-    wa: np.ndarray,
-    wb: np.ndarray,
-    wc: np.ndarray,
-    wd: np.ndarray,
-    form: Form,
-) -> Optional[np.ndarray]:
-    """Form values over the (row x omega) grid, or None when the exact
-    computation does not provably fit in int64."""
+def _chunk_values(rc: np.ndarray, rd: np.ndarray, reps: np.ndarray, form: Form) -> np.ndarray:
+    """Form values over the (row x omega) grid, row-major.  The grid rows
+    (c1, d1) = (c a + d c', c b + d d') are formed in int64 only when
+    2 max(|c|, |d|) max|omega entry| < 2^63 bounds them, else as Python ints."""
+    row_max = max(int(np.abs(rc).max(initial=0)), int(np.abs(rd).max(initial=0)))
+    if 2 * row_max * int(np.abs(reps).max(initial=0)) >= 1 << 63:
+        rc, rd, reps = rc.astype(object), rd.astype(object), reps.astype(object)
+    wa, wb, wc, wd = reps.T
     c1 = (rc[:, None] * wa[None, :] + rd[:, None] * wc[None, :]).ravel()
     d1 = (rc[:, None] * wb[None, :] + rd[:, None] * wd[None, :]).ravel()
-    mx = max(int(np.abs(c1).max(initial=0)), int(np.abs(d1).max(initial=0)))
-    if mx >= 1 << 31:
-        return None
-    if form is Form.X:
-        return d1 * d1 - c1 * c1
-    if form is Form.Y:
-        return 2 * c1 * d1
-    if form is Form.Z:
-        return c1 * c1 + d1 * d1
-    z = c1 * c1 + d1 * d1
-    zmax = int(z.max(initial=0))
-    x = d1 * d1 - c1 * c1
-    y = 2 * c1 * d1
-    if form is Form.AREA:
-        if zmax >= 4_000_000_000:  # |xy| <= zmax^2/2 must fit in int64
-            return None
-        xy = x * y
-        if not (xy % 12 == 0).all():
-            raise ArithmeticError("xy is not divisible by 12")
-        return xy // 12
-    if zmax > 5_500_000:  # |xyz|/60 <= zmax^3/24 must fit in int64
-        return None
-    xy = x * y
-    if not (xy % 12 == 0).all():
-        raise ArithmeticError("xy is not divisible by 12")
-    t = (xy // 12) * z
-    if not (t % 5 == 0).all():
-        raise ArithmeticError("xyz is not divisible by 60")
-    return t // 5
-
-
-def _python_value(c1: int, d1: int, form: Form) -> int:
-    x = d1 * d1 - c1 * c1
-    y = 2 * c1 * d1
-    z = c1 * c1 + d1 * d1
-    if form is Form.X:
-        return x
-    if form is Form.Y:
-        return y
-    if form is Form.Z:
-        return z
-    if form is Form.AREA:
-        q, r = divmod(x * y, 12)
-    else:
-        q, r = divmod(x * y * z, 60)
-    if r:
-        raise ArithmeticError(f"{form.value} value at row {(c1, d1)} is not an integer")
-    return q
+    return form_values(form, c1, d1)
 
 
 def _accumulate_chunk(acc: Dict[int, int], values: np.ndarray, weights: np.ndarray) -> None:
-    """acc[n] += weight, exactly, via a 31-bit split so int64 never overflows:
-    per-bin low sums are < chunk_pairs * 2^31 and high sums are bounded by
+    """acc[n] += weight, exactly.  Object weights are summed as Python ints;
+    int64 weights via a 31-bit split so int64 never overflows: per-bin low
+    sums are < chunk_pairs * 2^31 and high sums are bounded by
     chunk_pairs * (max_weight >> 31 + 1), both checked by the caller."""
     uniq, inv = np.unique(values, return_inverse=True)
-    hi = np.zeros(len(uniq), dtype=np.int64)
-    lo = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(hi, inv, weights >> 31)
-    np.add.at(lo, inv, weights & _MASK31)
-    for n, h, l in zip(uniq.tolist(), hi.tolist(), lo.tolist()):
-        w = (h << 31) + l
+    if weights.dtype == object:
+        sums = np.zeros(len(uniq), dtype=object)
+        np.add.at(sums, inv, weights)
+        totals = sums.tolist()
+    else:
+        hi = np.zeros(len(uniq), dtype=np.int64)
+        lo = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(hi, inv, weights >> 31)
+        np.add.at(lo, inv, weights & _MASK31)
+        totals = [(h << 31) + l for h, l in zip(hi.tolist(), lo.tolist())]
+    for n, w in zip(uniq.tolist(), totals):
         acc[n] = acc.get(n, 0) + w
 
 
@@ -507,8 +446,6 @@ def build_sequence(
     pair_count = len(rows) * m
     rows, wnums = _fold_rows(rows, wnums, omega_ball.rows)
     reps, mult = _omega_classes(omega_ball.rows, f)
-    wa, wb, wc, wd = reps.T
-    omega_list = None
 
     max_w = max(wnums) * int(mult.max())
     rows_per_chunk = max(1, _CHUNK_PAIRS // len(reps))
@@ -516,26 +453,14 @@ def build_sequence(
     # accumulation overflow guards for the 31-bit split, on the largest
     # pair weight (row weight times class multiplicity)
     int64_ok = max_w < 1 << 62 and chunk_pairs * ((max_w >> 31) + 1) < 1 << 62
+    wdtype = np.int64 if int64_ok else object
 
     acc: Dict[int, int] = {}
     for start in range(0, len(rows), rows_per_chunk):
-        chunk = rows[start : start + rows_per_chunk]
-        wchunk = wnums[start : start + rows_per_chunk]
-        values = None
-        if int64_ok:
-            rc = np.array([r[0] for r in chunk], dtype=np.int64)
-            rd = np.array([r[1] for r in chunk], dtype=np.int64)
-            values = _chunk_values(rc, rd, wa, wb, wc, wd, f)
-        if values is not None:
-            weights = np.outer(np.array(wchunk, dtype=np.int64), mult).ravel()
-            _accumulate_chunk(acc, values, weights)
-        else:
-            if omega_list is None:
-                omega_list = list(zip(reps.tolist(), mult.tolist()))
-            for (c, d), w in zip(chunk, wchunk):
-                for (a, b, cc, dd), mu in omega_list:
-                    n = _python_value(c * a + d * cc, c * b + d * dd, f)
-                    acc[n] = acc.get(n, 0) + w * mu
+        chunk = np.array(rows[start : start + rows_per_chunk], dtype=np.int64)
+        values = _chunk_values(chunk[:, 0], chunk[:, 1], reps, f)
+        wchunk = np.array(wnums[start : start + rows_per_chunk], dtype=wdtype)
+        _accumulate_chunk(acc, values, np.outer(wchunk, mult).ravel())
 
     ns = sorted(acc)
     numerators = [acc[n] for n in ns]

@@ -36,6 +36,7 @@ union of two lines (always for f in {x,y}; for f = z exactly when p = 1 mod
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import sympy
 
-from .gl2 import Form, UnimodularMatrix, row_after
+from .gl2 import Form, UnimodularMatrix, form_value, form_values, row_after
 from .groups import OrbitBall
 from .modular import eta, is_prime, predicted_density, prime_factors
 
@@ -80,17 +81,20 @@ class SumValue:
     omega_prime: Optional[UnimodularMatrix] = None
 
 
+_COORDINATE_FORMS = (Form.X, Form.Y, Form.Z)
+
+
+def _require_coordinate_form(f: Form) -> None:
+    if f not in _COORDINATE_FORMS:
+        raise ValueError(f"character sums take the quadratic coordinate forms, not {f}")
+
+
 def coordinate_after(f: Form, c: int, d: int, omega: UnimodularMatrix) -> int:
     """f evaluated on the row (c,d).omega, with f((0,0)) = 0 (the sums
     include the zero row; the orbit parametrization never does)."""
+    _require_coordinate_form(f)
     cc, dd = row_after(c, d, omega)
-    if f is Form.X:
-        return dd * dd - cc * cc
-    if f is Form.Y:
-        return 2 * cc * dd
-    if f is Form.Z:
-        return cc * cc + dd * dd
-    raise ValueError(f"character sums take the quadratic coordinate forms, not {f}")
+    return form_value(f, cc, dd) if cc or dd else 0
 
 
 def _require_odd_squarefree(q: int) -> Tuple[int, ...]:
@@ -109,26 +113,22 @@ def _check_z_admissible(f: Form, primes) -> None:
             )
 
 
-def _coord_grid(f: Form, p: int, omega: UnimodularMatrix) -> np.ndarray:
-    """(p, p) array of f_omega(c, d) mod p over the full residue grid."""
+@functools.lru_cache(maxsize=256)
+def _zero_grid(f: Form, p: int, omega: UnimodularMatrix) -> np.ndarray:
+    """Read-only (p, p) mask of f_omega(c, d) = 0 mod p over the residue
+    grid; cached because S4 and S5 ask for the same grid at every twist."""
+    _require_coordinate_form(f)
     c = np.arange(p, dtype=np.int64)[:, None]
     d = np.arange(p, dtype=np.int64)[None, :]
-    a, b, cc, dd = omega.entries()
-    cr = (c * a + d * cc) % p
-    dr = (c * b + d * dd) % p
-    if f is Form.X:
-        v = dr * dr - cr * cr
-    elif f is Form.Y:
-        v = 2 * cr * dr
-    elif f is Form.Z:
-        v = cr * cr + dr * dr
-    else:
-        raise ValueError(f"character sums take the quadratic coordinate forms, not {f}")
-    return v % p
+    # entries reduced first, so every product stays below p^2 whatever omega is
+    a, b, cc, dd = (e % p for e in omega.entries())
+    zero = form_values(f, (c * a + d * cc) % p, (c * b + d * dd) % p) % p == 0
+    zero.flags.writeable = False
+    return zero
 
 
 def _zero_count(f: Form, p: int, omega: UnimodularMatrix) -> int:
-    return int((_coord_grid(f, p, omega) == 0).sum())
+    return int(_zero_grid(f, p, omega).sum())
 
 
 def count_zero_locus(f: Form, p: int, omega: UnimodularMatrix) -> int:
@@ -162,8 +162,8 @@ def s1(q: int, f: Form, omega: UnimodularMatrix) -> SumValue:
 def _s2_prime(
     p: int, f: Form, omega: UnimodularMatrix, omega2: UnimodularMatrix
 ) -> Fraction:
-    g1 = _coord_grid(f, p, omega) == 0
-    g2 = _coord_grid(f, p, omega2) == 0
+    g1 = _zero_grid(f, p, omega)
+    g2 = _zero_grid(f, p, omega2)
     n11 = int((g1 & g2).sum())
     n10 = int((g1 & ~g2).sum())
     n01 = int((~g1 & g2).sum())
@@ -223,7 +223,7 @@ def _s4_prime(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fract
     k, l = k % p, l % p
     if k == 0 and l == 0:
         return _s1_prime(p, f, omega)
-    zero = _coord_grid(f, p, omega) == 0
+    zero = _zero_grid(f, p, omega)
     c = np.arange(p, dtype=np.int64)[:, None]
     d = np.arange(p, dtype=np.int64)[None, :]
     m = (c * k + d * l) % p
@@ -291,8 +291,8 @@ def _s5_prime(
     omega2: UnimodularMatrix,
 ) -> Fraction:
     k, l = k % p, l % p
-    z1 = _coord_grid(f, p, omega) == 0
-    z2 = _coord_grid(f, p, omega2) == 0
+    z1 = _zero_grid(f, p, omega)
+    z2 = _zero_grid(f, p, omega2)
     c = np.arange(p, dtype=np.int64)[:, None]
     d = np.arange(p, dtype=np.int64)[None, :]
     m = ((c * k + d * l) % p).ravel()
@@ -353,16 +353,23 @@ def s3_direct(
         # the defining sum is Xi(1;.)^2 = 0, but the product form's empty-
         # modulus conventions give 1; the identity starts at real moduli
         raise ValueError("S3 needs max(q, q') > 1")
+    _require_coordinate_form(f)
+    # exact values on the unreduced rows (c, d).omega: the reference shares
+    # no residue reduction with the S4, S5 side it is compared against
+    cells = [(c, d) for c in range(qbar) for d in range(qbar)]
+    v1, v2 = (
+        form_values(f, *np.array([row_after(c, d, om) for c, d in cells], dtype=object).T).tolist()
+        for om in (omega, omega2)
+    )
     hist = [Fraction(0)] * qbar
-    for c in range(qbar):
-        for d in range(qbar):
-            w = xi(q, coordinate_after(f, c, d, omega))
-            if w == 0:
-                continue
-            w2 = xi(q2, coordinate_after(f, c, d, omega2))
-            if w2 == 0:
-                continue
-            hist[(c * k + d * l) % qbar] += w * w2
+    for (c, d), a, b in zip(cells, v1, v2):
+        w = xi(q, a)
+        if w == 0:
+            continue
+        w2 = xi(q2, b)
+        if w2 == 0:
+            continue
+        hist[(c * k + d * l) % qbar] += w * w2
     return _collapse_histogram(qbar, hist) / (qbar * qbar)
 
 
@@ -397,16 +404,11 @@ def disjointness_check(p: int) -> bool:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    for c in range(p):
-        for d in range(p):
-            if c == 0 and d == 0:
-                continue
-            x = (d * d - c * c) % p
-            y = (2 * c * d) % p
-            z = (c * c + d * d) % p
-            if (x == 0) + (y == 0) + (z == 0) > 1:
-                return False
-    return True
+    c = np.arange(p, dtype=np.int64)[:, None]
+    d = np.arange(p, dtype=np.int64)[None, :]
+    vanishing = sum(form_values(f, c, d) % p == 0 for f in (Form.X, Form.Y, Form.Z))
+    vanishing[0, 0] = 0
+    return bool((vanishing <= 1).all())
 
 
 def orbit_divisibility_count(
@@ -427,9 +429,7 @@ def orbit_divisibility_count(
     main = Fraction(d_q * n, eta(q))
     c = ball.rows[:, 2] % q
     d = ball.rows[:, 3] % q
-    x = (d * d - c * c) % q
-    y = (2 * c * d) % q
-    z = (c * c + d * d) % q
+    x, y, z = (form_values(g, c, d) % q for g in (Form.X, Form.Y, Form.Z))
     if f is Form.X:
         van = x == 0
     elif f is Form.Y:

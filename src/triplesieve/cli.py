@@ -2,8 +2,7 @@
 
 Every run resolves a full RunConfig (builtin defaults, then an optional flat
 key=value config file, then flags) and serializes it into the output header,
-so identical configs give byte-identical output.  The --threads flag is an
-execution hint only; all emission paths are sequential and canonicalized.
+so identical configs give byte-identical output.
 
 Exit codes: 0 pass, 2 identity falsified (including a failed exactness
 check), 3 enumeration budget exceeded, 4 bad input.
@@ -20,10 +19,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .census import _FORM_PRIME_FLOOR, a_q, ball_rows, build_sequence, census, census_csv
-from .charsums import _coord_grid, disjointness_check, rho, s1, s4, s4_closed_form
+from .census import _FORM_PRIME_FLOOR, _row_arrays, a_q, build_sequence, census, census_csv
+from .charsums import _zero_grid, disjointness_check, rho, s1, s4, s4_closed_form
 from .constants import saturation_table, table_csv, table_text
-from .gl2 import Form
+from .gl2 import Form, form_values
 from .groups import (
     BallBudgetError,
     GeneratorSet,
@@ -58,13 +57,10 @@ class RunConfig:
     Y: float = 12.0
     q: int = 5
     p_max: int = 97
-    alpha: float = 0.15
-    kappa: int = 4
     R: int = 4
     f: str = "z"
     format: str = "text"
     seed: int = 1
-    threads: int = 1
 
     def header_lines(self) -> List[str]:
         out = []
@@ -116,7 +112,7 @@ def verify_suites(cfg: RunConfig) -> List[SuiteResult]:
             if f is Form.Z and p % 4 == 3:
                 continue
             for om in omegas:
-                n0 = int((_coord_grid(f, p, om) == 0).sum())
+                n0 = int(_zero_grid(f, p, om).sum())
                 via_rho = Fraction(n0, p * p) - rho(p)
                 if via_rho != 0 or s1(p, f, om).value != 0:
                     ok, detail = False, f"p={p} f={f.value}"
@@ -211,13 +207,14 @@ def cmd_constants(cfg: RunConfig) -> Tuple[str, int]:
 def cmd_orbit(cfg: RunConfig) -> Tuple[str, int]:
     gens = resolve_group(cfg.group)
     ball = enumerate_ball(gens, cfg.T)
-    seen = ball_rows(ball)
-    triples = [(c, d, d * d - c * c, 2 * c * d, c * c + d * d) for c, d in seen]
+    c, d = _row_arrays(ball)
+    x, y, z = (form_values(f, c, d).tolist() for f in (Form.X, Form.Y, Form.Z))
+    triples = list(zip(c.tolist(), d.tolist(), x, y, z))
     if cfg.format == "json":
         payload = {
             "provenance": "enumerate_ball",
             "elements": len(ball),
-            "distinct_rows": len(seen),
+            "distinct_rows": len(triples),
             "rows": [
                 {"c": c, "d": d, "x": x, "y": y, "z": z} for c, d, x, y, z in triples
             ],
@@ -227,7 +224,7 @@ def cmd_orbit(cfg: RunConfig) -> Tuple[str, int]:
         lines = ["c,d,x,y,z"] + [f"{c},{d},{x},{y},{z}" for c, d, x, y, z in triples]
         return _emit_text(cfg, "\n".join(lines) + "\n"), EXIT_PASS
     body = (
-        f"elements = {len(ball)}\ndistinct_rows = {len(seen)}\n"
+        f"elements = {len(ball)}\ndistinct_rows = {len(triples)}\n"
         f"max_sq_norm = {int(ball.sq_norms().max(initial=0))}\n"
     )
     return _emit_text(cfg, body), EXIT_PASS
@@ -375,8 +372,7 @@ def read_config_file(path: str) -> Dict[str, str]:
 
 _FIELD_TYPES = {
     "group": str, "T": float, "X": float, "Y": float, "q": int, "p_max": int,
-    "alpha": float, "kappa": int, "R": int, "f": str, "format": str,
-    "seed": int, "threads": int,
+    "R": int, "f": str, "format": str, "seed": int,
 }
 
 
@@ -390,13 +386,10 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
     parser.add_argument("--Y", type=float)
     parser.add_argument("--q", type=int)
     parser.add_argument("--pmax", dest="p_max", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--kappa", type=int)
     parser.add_argument("--R", type=int)
     parser.add_argument("--f")
     parser.add_argument("--format", choices=["text", "csv", "json"])
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
     ns = parser.parse_args(argv)
     file_values = read_config_file(ns.config) if ns.config else {}
     resolved: Dict[str, object] = {"subcommand": ns.subcommand}

@@ -19,7 +19,16 @@ Three integer-valued forms are evaluated on rows:
 The divisions are exact for all integer (c, d); this is checked by an
 exhaustive residue computation in the test suite.
 
-All arithmetic in this module is exact (int / Fraction); no floats.
+form_values is the one array evaluation of x, y, z, area and product; every
+other module calls it (or the scalar form_value).  It computes in int64 only
+when a bound proves every intermediate fits: max(|c|, |d|) < 2^31, so that
+c^2 + d^2 < 2^63, and further z < 4 * 10^9 for the area (|xy| <= z^2 / 2) and
+z <= 5.5 * 10^6 for the product (|xy/12 * z| <= z^3 / 24).  Otherwise it
+computes on Python ints in an object array.  The bounds are read off the
+rows (one min/max pass).
+
+All arithmetic in this module is exact (int / Fraction / int64 under a
+proven bound); no floats.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from typing import Iterable, Tuple
+
+import numpy as np
 
 
 class UnimodularMatrix:
@@ -256,6 +267,53 @@ def form_value(f: Form, c: int, d: int) -> int:
             raise ValueError(f"xyz = {num} not divisible by 60 at row {(c, d)}")
         return q
     raise ValueError(f"unknown form {f!r}")
+
+
+_ROW_BOUND = 1 << 31  # |c|, |d| below this keep c^2 + d^2 inside int64
+_Z_MAX = {
+    Form.AREA: 3_999_999_999,  # keeps |xy| <= z^2/2 inside int64
+    Form.PRODUCT: 5_500_000,  # keeps |xy/12 * z| <= z^3/24 inside int64
+}
+
+
+def form_values(f: Form, c, d) -> np.ndarray:
+    """Exact values of the form on the rows (c, d), elementwise.
+
+    c and d are integer arrays of one shape (zero rows give 0).  The result
+    is int64 when the bounds in the module docstring prove that nothing
+    overflows, and otherwise an object array of Python ints.  A failed
+    division by 12 or 60 raises ArithmeticError.
+    """
+    c, d = np.asarray(c), np.asarray(d)
+    exact = c.dtype == object or d.dtype == object
+    if not exact:
+        ends = (c.min(initial=0), c.max(initial=0), d.min(initial=0), d.max(initial=0))
+        row_max = max(abs(int(e)) for e in ends)
+        exact = row_max >= _ROW_BOUND
+    if exact:
+        c, d = c.astype(object), d.astype(object)
+    else:
+        c, d = c.astype(np.int64, copy=False), d.astype(np.int64, copy=False)
+    if f is Form.X:
+        return d * d - c * c
+    if f is Form.Y:
+        return 2 * c * d
+    z = c * c + d * d
+    if f is Form.Z:
+        return z
+    if f not in _Z_MAX:
+        raise ValueError(f"unknown form {f!r}")
+    if not exact and 2 * row_max ** 2 > _Z_MAX[f] and int(z.max(initial=0)) > _Z_MAX[f]:
+        c, d, z = c.astype(object), d.astype(object), z.astype(object)
+    area = _divide((d * d - c * c) * (2 * c * d), 12)
+    return area if f is Form.AREA else _divide(area * z, 5)
+
+
+def _divide(num: np.ndarray, k: int) -> np.ndarray:
+    """num // k, which must be exact; a remainder means corrupted arithmetic."""
+    if not (num % k == 0).all():
+        raise ArithmeticError(f"form numerator is not divisible by {k}")
+    return num // k
 
 
 def row_after(c: int, d: int, omega: UnimodularMatrix) -> Tuple[int, int]:

@@ -296,28 +296,13 @@ def enumerate_ball(
 @dataclass(frozen=True)
 class SmoothedWeight:
     """Cubic smoothstep cutoff: 1 below 0.9T, 0 above 1.1T, 3u^2-2u^3 between
-    (u measured on squared norms, so integer inputs stay exact in the
-    Fraction variant)."""
+    (u measured on squared norms, so integer inputs stay exact).  The one
+    formula is weight_fraction; weight is its float."""
 
     T: float
 
-    @property
-    def inner(self) -> float:
-        return 0.9 * self.T
-
-    @property
-    def outer(self) -> float:
-        return 1.1 * self.T
-
     def weight(self, s) -> float:
-        lo = self.inner * self.inner
-        hi = self.outer * self.outer
-        if s <= lo:
-            return 1.0
-        if s >= hi:
-            return 0.0
-        u = (hi - s) / (hi - lo)
-        return u * u * (3 - 2 * u)
+        return float(self.weight_fraction(s))
 
     def weight_fraction(self, s: int) -> Fraction:
         t = Fraction(self.T)
@@ -342,12 +327,15 @@ def smoothed_sum(ball: OrbitBall, T: float) -> float:
         raise ValueError(
             f"ball complete only to {ball.T}; smoothing at T={T} needs 1.1*T"
         )
+    # exact sum: weight 1 up to (0.9T)^2, weight_fraction per distinct
+    # squared norm in the annulus, 0 from (1.1T)^2 on
     w = SmoothedWeight(T)
-    s = ball.sq_norms().astype(np.float64)
-    lo = w.inner * w.inner
-    hi = w.outer * w.outer
-    u = np.clip((hi - s) / (hi - lo), 0.0, 1.0)
-    return float((u * u * (3 - 2 * u)).sum())
+    t2 = Fraction(T) ** 2
+    lo, hi = math.floor(Fraction(81, 100) * t2), math.ceil(Fraction(121, 100) * t2)
+    s = ball.sq_norms()
+    norms, counts = np.unique(s[(s > lo) & (s < hi)], return_counts=True)
+    annulus = sum(n * w.weight_fraction(v) for v, n in zip(norms.tolist(), counts.tolist()))
+    return float(int((s <= lo).sum()) + annulus)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .gl2 import Form, UnimodularMatrix, form_value
+from .gl2 import Form, UnimodularMatrix, form_values
 
 # Trial division by the primes up to TABLE_LIMIT proves every factorization
 # of n < (TABLE_LIMIT + 1)^2 (about 1.1e12); only a cofactor beyond that
@@ -392,7 +392,8 @@ def local_density(f: Form, p: int) -> DensityReport:
     """
     predicted = predicted_density(f, p)  # validates p as well
     table = coset_table(p)
-    count = sum(1 for (c, d) in table.reps if form_value(f, c, d) % p == 0)
+    c, d = np.array(table.reps, dtype=np.int64).T
+    count = int((form_values(f, c, d) % p == 0).sum())
     measured = Fraction(count, table.index)
     return DensityReport(f, p, measured, predicted, measured == predicted)
 

@@ -219,21 +219,29 @@ SEQUENCE_GROUPS = [
     GeneratorSet("gamma2", (MINUS_I, GEN_R @ GEN_R, GEN_L @ GEN_L)),
     GeneratorSet("free", (GEN_R @ GEN_R, GEN_L @ GEN_L)),
 ]
+LARGE_LETTERS = GeneratorSet("n2400", (UnimodularMatrix(1, 2400, 0, 1), UnimodularMatrix(1, 0, 2400, 1)))
 
 
 @pytest.mark.parametrize("f", list(Form))
 def test_build_sequence_matches_bruteforce(f):
-    # X = 4.1 gives the weights a 322-bit denominator: the pure-Python path
-    for gens in SEQUENCE_GROUPS:
-        for X, Y in ((4, 4), (4.1, 4), (6, 5.5)):
-            seq = build_sequence(gens, X, Y, f)
-            brute, chi, pairs = brute_sequence(gens, X, Y, f)
-            assert seq.chi == chi
-            assert dict(seq.items()) == brute
-            assert seq.total_mass() == chi
-            assert all(num > 0 for num in seq.numerators)
-            assert seq.pair_count == pairs
-            assert seq.omega_ball_size == len(enumerate_ball(gens, Y))
+    # X = 4.1 gives the weights a 322-bit denominator: Python-int weights
+    cases = [(gens, X, Y) for gens in SEQUENCE_GROUPS for X, Y in ((4, 4), (4.1, 4), (6, 5.5))]
+    if f is Form.PRODUCT:
+        # the omega row (2400, 1) has z = 5,760,001, above the int64 product
+        # bound: the grid values are Python ints
+        cases.append((LARGE_LETTERS, 4, 2401))
+    for gens, X, Y in cases:
+        seq = build_sequence(gens, X, Y, f)
+        brute, chi, pairs = brute_sequence(gens, X, Y, f)
+        assert seq.chi == chi
+        assert dict(seq.items()) == brute
+        assert seq.total_mass() == chi
+        assert all(num > 0 for num in seq.numerators)
+        assert seq.pair_count == pairs
+        assert seq.omega_ball_size == len(enumerate_ball(gens, Y))
+    if f is Form.PRODUCT:
+        assert (seq.ns, seq.numerators, seq.den) == (
+            [-2654207999999920, 0, 2654207999999920], [1, 3, 1], 1)
 
 
 def test_build_sequence_fold_certificate():

@@ -165,6 +165,21 @@ def test_s3_factorization_mixed_moduli():
         assert s3_factorization_check(15, 35, Form.X, k, l, w1, w2)
 
 
+def test_sums_exact_for_huge_omega_entries():
+    # 10^18 times a residue leaves int64, and 3 * 10^19 is past it already
+    big = (UnimodularMatrix(1, 10**18, 0, 1), UnimodularMatrix(1, 0, 3 * 10**19, 1))
+    p, k, l = 7, 2, 3
+    for f in (Form.X, Form.Y, Form.Z):
+        by_m = [Fraction(0)] * p
+        for c in range(p):
+            for d in range(p):
+                by_m[(c * k + d * l) % p] += (xi(p, coordinate_after(f, c, d, big[0]))
+                                              * xi(p, coordinate_after(f, c, d, big[1])))
+        want = (by_m[0] - by_m[1]) / (p * p)
+        assert s3_direct(p, p, f, k, l, *big) == want == s5(p, f, k, l, *big).value
+        assert s4(p, f, k, l, big[0]).value == brute_s4_fractions(p, f, k, l, big[0])
+
+
 def test_s3_degenerate_rejected():
     with pytest.raises(ValueError):
         s3_direct(1, 1, Form.X, 0, 0, I2, I2)

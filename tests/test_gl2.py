@@ -1,10 +1,13 @@
 """Exact-arithmetic checks for the 2x2 layer, the spin cover, and the forms."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import triplesieve.gl2 as gl2
 from triplesieve.gl2 import (
     GEN_L,
     GEN_R,
@@ -14,6 +17,7 @@ from triplesieve.gl2 import (
     RationalMatrix3,
     UnimodularMatrix,
     form_value,
+    form_values,
     row_after,
     spin,
     sq_norm,
@@ -130,6 +134,84 @@ def test_divisibility_exact_on_a_grid():
                 continue
             form_value(Form.AREA, c, d)
             form_value(Form.PRODUCT, c, d)
+
+
+# the int64 / Python-int switches of form_values: max(|c|, |d|) < 2^31, and
+# z = c^2 + d^2 below 4 * 10^9 (area) or at most 5.5 * 10^6 (product)
+ROW_EDGE = 2 ** 31
+AREA_Z_EDGE = 4_000_000_000
+PRODUCT_Z_EDGE = 5_500_000
+
+
+def signed(pair):
+    (c, d), sc, sd = pair
+    return (-c if sc else c, -d if sd else d)
+
+
+def rows_with_z_near(z):
+    return st.tuples(
+        st.tuples(st.integers(0, 2000), st.integers(-3, 3)).map(
+            lambda t: (t[0], math.isqrt(z - t[0] * t[0]) + t[1])),
+        st.booleans(), st.booleans()).map(signed)
+
+
+# the sums of two squares next to each z switch: 3,999,999,997 and
+# 5,499,997 stay int64, 4,000,000,000 and 5,500,004 do not
+Z_EDGE_ROWS = [(2674, 63189), (2400, 63200), (229, 2334), (1040, 2102)]
+
+edge_rows = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.just((0, 0)),
+    st.tuples(st.sampled_from(Z_EDGE_ROWS), st.booleans(), st.booleans()).map(signed),
+    st.tuples(st.tuples(st.integers(ROW_EDGE - 3, ROW_EDGE + 2), st.integers(0, ROW_EDGE + 2)),
+              st.booleans(), st.booleans()).map(signed),
+    st.tuples(st.tuples(st.integers(0, 99), st.integers(ROW_EDGE - 3, ROW_EDGE + 2)),
+              st.booleans(), st.booleans()).map(signed),
+    rows_with_z_near(AREA_Z_EDGE),
+    rows_with_z_near(PRODUCT_Z_EDGE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_rows, min_size=1, max_size=5))
+def test_form_values_matches_form_value(rows):
+    c = np.array([r[0] for r in rows], dtype=np.int64)
+    d = np.array([r[1] for r in rows], dtype=np.int64)
+    row_max = max(max(abs(a), abs(b)) for a, b in rows)
+    z_max = max(a * a + b * b for a, b in rows)
+    for f in Form:
+        want = [form_value(f, a, b) if (a, b) != (0, 0) else 0 for a, b in rows]
+        fits = row_max < ROW_EDGE and {
+            Form.AREA: z_max < AREA_Z_EDGE, Form.PRODUCT: z_max <= PRODUCT_Z_EDGE}.get(f, True)
+        got = form_values(f, c, d)
+        assert got.tolist() == want
+        assert got.dtype == (np.int64 if fits else object)
+        # a 2-D shape changes nothing
+        grid = form_values(f, c[:, None], d[:, None])
+        assert grid.shape == (len(rows), 1) and grid.ravel().tolist() == want
+        assert grid.dtype == got.dtype
+        # Python-int input stays exact
+        assert form_values(f, c.astype(object), d.astype(object)).tolist() == want
+
+
+def test_form_values_empty_and_zero_rows():
+    empty = np.zeros((0, 3), dtype=np.int64)
+    for f in Form:
+        assert form_values(f, empty, empty).shape == (0, 3)
+        assert form_values(f, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)).tolist() == [0] * 4
+
+
+def test_form_values_inexact_division_raises(monkeypatch):
+    # a corrupted numerator at either division step must raise, on both paths
+    divide = gl2._divide
+    for k in (12, 5):
+        monkeypatch.setattr(gl2, "_divide", lambda num, j, k=k: divide(num + (j == k), j))
+        for c, d in (([1, 2], [2, 3]), ([ROW_EDGE], [1])):
+            with pytest.raises(ArithmeticError):
+                form_values(Form.PRODUCT, np.array(c), np.array(d))
+            if k == 12:
+                with pytest.raises(ArithmeticError):
+                    form_values(Form.AREA, np.array(c), np.array(d))
 
 
 def test_form_metadata():
