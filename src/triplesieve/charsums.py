@@ -198,7 +198,8 @@ def _collapse_histogram(qbar: int, hist: List[Fraction]) -> Fraction:
     """sum_m hist[m] e_qbar(-m), exactly, for histograms constant on the
     classes {m : gcd(m, qbar) = g}; that constancy is checked.
 
-    The Moebius numbers come from sympy, so the result is a sympy Rational;
+    qbar is squarefree, so mu(qbar/g) = (-1)^(number of its primes).  The
+    sum is accumulated in Fractions and converted once to a sympy Rational:
     S4 and S5 have always returned that type and recorded output depends on
     its repr.
     """
@@ -214,8 +215,8 @@ def _collapse_histogram(qbar: int, hist: List[Fraction]) -> Fraction:
             per_class[g] = v
     total = Fraction(0)
     for g, v in per_class.items():
-        total += v * sympy.mobius(qbar // g)
-    return total
+        total += v * (-1) ** len(prime_factors(qbar // g))
+    return sympy.Rational(total.numerator, total.denominator)
 
 
 def _s4_prime(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fraction:

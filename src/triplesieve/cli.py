@@ -392,6 +392,9 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
     parser.add_argument("--seed", type=int)
     ns = parser.parse_args(argv)
     file_values = read_config_file(ns.config) if ns.config else {}
+    unknown = sorted(set(file_values) - set(_FIELD_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     resolved: Dict[str, object] = {"subcommand": ns.subcommand}
     for name, typ in _FIELD_TYPES.items():
         flag = getattr(ns, name)

@@ -13,6 +13,17 @@ sq_norm(g) stays below an expansion bound:
     reaches each ball element through intermediates no larger than
     max(its own norm, 3).
 
+Deduplication is layer-local.  The letters include their inverses, so the
+Cayley graph induced on the expansion region is undirected and a candidate
+made from layer k lies in layer k - 1, in layer k, or is new.  Each layer
+therefore runs one stable sort over the keys of layers k - 1 and k followed
+by the candidate keys and keeps the candidates that head a run of equal
+keys.  Keys pack the entries (a, b, c, d), shifted to be nonnegative, into
+one uint64 word when four fields fit, else into as few words as hold whole
+fields (two on the int64 path, whose entries stay below 2^31), else are the
+Python-int columns themselves.  A finished ball sorts on (sq_norm, entries)
+packed the same way.
+
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: smoothed counts (cubic smoothstep on
 the annulus 0.9T..1.1T), growth-exponent fits (count ~ C T^(2 delta)), partial
@@ -188,18 +199,39 @@ class OrbitBall:
         return [UnimodularMatrix(*row) for row in self.rows.tolist()]
 
 
-def _letter_arrays(gs: GeneratorSet) -> List[Tuple[int, int, int, int]]:
-    return [g.entries() for g in gs.letters()]
+def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
+    """Order-preserving sort keys, most significant first, of the lead
+    (column, bits) fields and then the entries of rows with e^2 < bound,
+    shifted to be nonnegative: the fields packed whole, in order, into as
+    few uint64 words as hold them, or the columns themselves when an entry
+    needs more than 64 bits."""
+    off = math.isqrt(int(bound)) + 1
+    bits = (2 * off).bit_length()
+    fields = [*lead, *((rows[:, i] + off, bits) for i in range(4))]
+    if bits > 64:
+        return [col for col, _ in fields]
+    words: List[np.ndarray] = []
+    used = 64
+    for col, width in fields:
+        if used + width > 64:
+            words.append(col.astype(np.uint64))
+            used = width
+        else:
+            words[-1] = (words[-1] << np.uint64(width)) | col.astype(np.uint64)
+            used += width
+    return words
 
 
-def _pack_uint64(rows: np.ndarray, width: int, offset: int) -> np.ndarray:
-    u = (rows + offset).astype(np.uint64)
-    return (
-        (u[:, 0] << np.uint64(3 * width))
-        | (u[:, 1] << np.uint64(2 * width))
-        | (u[:, 2] << np.uint64(width))
-        | u[:, 3]
-    )
+def _fresh(prev, cur, cand) -> np.ndarray:
+    """Positions in cand, in key order, of the first occurrence of each key
+    that is in neither prev nor cur (lists of key columns): after one stable
+    sort of the concatenation, the candidates that head a run of equal keys."""
+    n_old = len(prev[0]) + len(cur[0])
+    keys = [np.concatenate(cols) for cols in zip(prev, cur, cand)]
+    order = np.lexsort(keys[::-1])
+    ranked = [k[order] for k in keys]
+    head = np.concatenate(([True], np.any([r[1:] != r[:-1] for r in ranked], axis=0)))
+    return order[head & (order >= n_old)] - n_old
 
 
 def enumerate_ball(
@@ -213,83 +245,46 @@ def enumerate_ball(
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     ball_bound = float(T) * float(T)
-    sbar = gens.max_letter_sq_norm()
     if gens.monotone_cap:
         expand_bound = max(ball_bound, 4.0)
     else:
-        expand_bound = ball_bound * sbar
-    # entries of every retained node satisfy e^2 < expand_bound, so packing
-    # into fixed-width fields is exact; fall back to Python ints if 4 fields
-    # do not fit in 64 bits
-    max_abs = math.isqrt(int(expand_bound)) + 1
-    width = (2 * max_abs + 1).bit_length()
-    use_uint64 = 4 * width <= 64
-
-    def pack(rows: np.ndarray) -> np.ndarray:
-        if use_uint64:
-            return _pack_uint64(rows, width, max_abs)
-        shift = 1 << width
-        vals = [
-            ((a + max_abs) * shift**3 + (b + max_abs) * shift**2 + (c + max_abs) * shift + (d + max_abs))
-            for a, b, c, d in rows.tolist()
-        ]
-        return np.array(vals, dtype=object)
-
-    letters = _letter_arrays(gens)
-    # a candidate entry a*p + b*r is at most 2 * max_abs * letter_max in size
+        expand_bound = ball_bound * gens.max_letter_sq_norm()
+    letters = [h.entries() for h in gens.letters()]
+    # every retained node has entries e with e^2 < expand_bound, so a
+    # candidate entry a*p + b*r is at most 2 * max_abs * letter_max in size
     # and sq sums four squares of those: compute in Python ints unless both
     # provably fit in int64
+    max_abs = math.isqrt(int(expand_bound)) + 1
     letter_max = max(abs(e) for h in letters for e in h)
     bound = 2 * max_abs * letter_max
     dtype = np.int64 if 4 * bound * bound < 1 << 63 else object
-    ident = np.array([[1, 0, 0, 1]], dtype=dtype)
-    visited = set(pack(ident).tolist())
-    collected = [ident]
-    collected_wl = [np.zeros(1, dtype=np.int64)]
-    frontier = ident
-    wl = 0
+    letters = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
+    collected = [np.array([[1, 0, 0, 1]], dtype=dtype)]
+    cur_keys = _row_keys(collected[0], expand_bound)
+    prev_keys = [k[:0] for k in cur_keys]
     total = 1
-    while len(frontier):
-        wl += 1
-        a, b, c, d = (frontier[:, i] for i in range(4))
-        chunks = []
-        for (p, q, r, s) in letters:
-            chunks.append(
-                np.stack(
-                    [a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s],
-                    axis=1,
-                )
-            )
-        cands = np.concatenate(chunks, axis=0)
-        sq = (cands * cands).sum(axis=1)
-        cands = cands[sq < expand_bound]
-        if not len(cands):
-            break
-        keys = pack(cands)
-        uniq, uidx = np.unique(keys, return_index=True)
-        fresh = np.fromiter(
-            (k not in visited for k in uniq.tolist()), dtype=bool, count=len(uniq)
-        )
-        new_rows = cands[uidx[fresh]]
-        if not len(new_rows):
-            break
-        visited.update(uniq[fresh].tolist())
-        total += len(new_rows)
+    while len(collected[-1]):
+        cands = (collected[-1].reshape(-1, 1, 2, 2) @ letters).reshape(-1, 4)
+        cands = cands[np.einsum("ij,ij->i", cands, cands) < expand_bound]
+        keys = _row_keys(cands, expand_bound)
+        pick = _fresh(prev_keys, cur_keys, keys)
+        total += len(pick)
         if total > element_cap:
             raise BallBudgetError(T, total, element_cap)
-        collected.append(new_rows)
-        collected_wl.append(np.full(len(new_rows), wl, dtype=np.int64))
-        frontier = new_rows
+        collected.append(cands[pick])
+        prev_keys, cur_keys = cur_keys, [k[pick] for k in keys]
 
     rows = np.concatenate(collected, axis=0)
-    wls = np.concatenate(collected_wl)
-    sq = (rows * rows).sum(axis=1)
+    # the word length of an element is the index of its layer
+    wls = np.repeat(np.arange(len(collected), dtype=np.int64), [len(c) for c in collected])
+    sq = np.einsum("ij,ij->i", rows, rows)
     keep = sq < ball_bound
     # ball entries are below T; astype raises OverflowError if they do not fit
     rows = rows[keep].astype(np.int64, copy=False)
     wls = wls[keep]
     sq = sq[keep].astype(np.int64, copy=False)
-    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0], sq))
+    keys = _row_keys(rows, ball_bound, lead=[(sq, int(ball_bound).bit_length())])
+    order = np.lexsort(keys[::-1])
     return OrbitBall(T=float(T), label=gens.label, rows=rows[order], word_lengths=wls[order], _sq=sq[order])
 
 

@@ -215,3 +215,92 @@ def test_s_sums_reject_even_or_squarefull_moduli():
         s4(9, Form.X, 1, 1, I2)
     with pytest.raises(ValueError):
         s1(7, Form.Z, I2)  # z needs p = 1 mod 4
+
+
+# (sum, form, k, l, modulus, type name, repr) recorded before the Moebius
+# numbers came from the prime table: the values, their types (Fraction on
+# the untwisted S4 path, sympy Rational or Zero after the gcd-class collapse)
+# and their reprs, which recorded benchmark output hashes, must not move.
+PINNED_SUM_REPRS = """
+s4 x 0 0 3 Fraction Fraction(0, 1)
+s5 x 0 0 3 Rational 20/81
+s4 x 0 0 5 Fraction Fraction(0, 1)
+s5 x 0 0 5 Rational 44/625
+s4 x 0 0 7 Fraction Fraction(0, 1)
+s5 x 0 0 7 Rational -120/2401
+s4 x 0 0 15 Fraction Fraction(0, 1)
+s5 x 0 0 15 Rational 176/10125
+s3 x 0 0 3,5 Zero 0
+s3 x 0 0 5,5 Rational 44/625
+s3 x 0 0 3,7 Zero 0
+s4 x 1 2 3 Rational -1/9
+s5 x 1 2 3 Rational 1/81
+s4 x 1 2 5 Rational -1/25
+s5 x 1 2 5 Rational 18/625
+s4 x 1 2 7 Rational -1/49
+s5 x 1 2 7 Rational 75/2401
+s4 x 1 2 15 Rational 1/225
+s5 x 1 2 15 Rational 2/5625
+s3 x 1 2 3,5 Rational 1/225
+s3 x 1 2 5,5 Rational 18/625
+s3 x 1 2 3,7 Rational 1/441
+s4 y 0 0 3 Fraction Fraction(0, 1)
+s5 y 0 0 3 Rational 20/81
+s4 y 0 0 5 Fraction Fraction(0, 1)
+s5 y 0 0 5 Rational 44/625
+s4 y 0 0 7 Fraction Fraction(0, 1)
+s5 y 0 0 7 Rational 174/2401
+s4 y 0 0 15 Fraction Fraction(0, 1)
+s5 y 0 0 15 Rational 176/10125
+s3 y 0 0 3,5 Zero 0
+s3 y 0 0 5,5 Rational 44/625
+s3 y 0 0 3,7 Zero 0
+s4 y 1 2 3 Rational 2/9
+s5 y 1 2 3 Rational -2/81
+s4 y 1 2 5 Rational 4/25
+s5 y 1 2 5 Rational 53/625
+s4 y 1 2 7 Rational 6/49
+s5 y 1 2 7 Rational 187/2401
+s4 y 1 2 15 Rational 8/225
+s5 y 1 2 15 Rational -106/50625
+s3 y 1 2 3,5 Rational 8/225
+s3 y 1 2 5,5 Rational 53/625
+s3 y 1 2 3,7 Rational 4/147
+s4 z 0 0 3 Fraction Fraction(-4, 9)
+s5 z 0 0 3 Rational 8/27
+s4 z 0 0 5 Fraction Fraction(0, 1)
+s5 z 0 0 5 Rational -56/625
+s4 z 0 0 7 Fraction Fraction(-12, 49)
+s5 z 0 0 7 Rational 192/2401
+s4 z 0 0 15 Fraction Fraction(0, 1)
+s5 z 0 0 15 Rational -448/16875
+s3 z 0 0 3,5 Zero 0
+s3 z 0 0 5,5 Rational -56/625
+s3 z 0 0 3,7 Rational 16/147
+s4 z 1 2 3 Rational 1/9
+s5 z 1 2 3 Rational -1/81
+s4 z 1 2 5 Rational -1/25
+s5 z 1 2 5 Rational 43/625
+s4 z 1 2 7 Rational 1/49
+s5 z 1 2 7 Rational 23/2401
+s4 z 1 2 15 Rational -1/225
+s5 z 1 2 15 Rational -43/50625
+s3 z 1 2 3,5 Rational -1/225
+s3 z 1 2 5,5 Rational 43/625
+s3 z 1 2 3,7 Rational 1/441
+"""
+
+
+def test_sum_types_and_reprs_are_pinned():
+    om1, om2 = OMEGAS[1], OMEGAS[2]
+    for line in PINNED_SUM_REPRS.strip().splitlines():
+        name, f, k, l, q, type_name, expected = line.split(" ", 6)
+        f, k, l = Form(f), int(k), int(l)
+        qs = [int(v) for v in q.split(",")]
+        if name == "s3":
+            value = s3_direct(*qs, f, k, l, om1, om2)
+        elif name == "s4":
+            value = s4(qs[0], f, k, l, om1).value
+        else:
+            value = s5(qs[0], f, k, l, om1, om2).value
+        assert (type(value).__name__, repr(value)) == (type_name, expected), line

@@ -72,6 +72,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert run(["census", "--config", str(bad)])[0] == 4
 
 
+@pytest.mark.parametrize("key", ["Tt", "alpha", "kappa", "threads", "subcommand"])
+def test_config_file_unknown_key_rejected(tmp_path, capsys, key):
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text(f"T = 10\n{key} = 10\n")
+    assert run(["orbit", "--config", str(cfgfile)]) == (4, "")
+    assert f"unknown config key(s): {key}" in capsys.readouterr().err
+
+
 def test_constants_json_provenance():
     code, out = run(["constants", "--format", "json"])
     assert code == 0

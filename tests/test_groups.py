@@ -1,9 +1,11 @@
 """Ball enumeration, growth fits, smoothing, and coset equidistribution."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triplesieve.gl2 import GEN_L, GEN_R, UnimodularMatrix, sq_norm
 from triplesieve.groups import (
@@ -11,6 +13,7 @@ from triplesieve.groups import (
     GeneratorSet,
     GrowthEstimate,
     SmoothedWeight,
+    _row_keys,
     coset_counts,
     enumerate_ball,
     estimate_delta,
@@ -110,6 +113,103 @@ def test_large_letters_do_not_wrap_int64():
     ball = enumerate_ball(gens, 10, element_cap=1000)
     assert ball.rows.tolist() == [[1, 0, 0, 1]]
     assert ball.rows.dtype == np.int64 and ball.sq_norms().tolist() == [2]
+
+
+def reference_ball(gens, T):
+    """Independent enumerator: breadth-first search with a Python set of
+    UnimodularMatrix over the same expansion region as enumerate_ball.
+    Returns (rows, word lengths) in canonical (sq_norm, entries) order."""
+    ball_bound = float(T) * float(T)
+    if gens.monotone_cap:
+        expand_bound = max(ball_bound, 4.0)
+    else:
+        expand_bound = ball_bound * gens.max_letter_sq_norm()
+    letters = gens.letters()
+    dist = {UnimodularMatrix.identity(): 0}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in letters:
+                w = g @ h
+                if sq_norm(w) < expand_bound and w not in dist:
+                    dist[w] = dist[g] + 1
+                    nxt.append(w)
+        frontier = nxt
+    found = sorted((sq_norm(g), g.entries(), n) for g, n in dist.items() if sq_norm(g) < ball_bound)
+    return [list(e) for _, e, _ in found], [n for _, _, n in found]
+
+
+WORD_LETTERS = [GEN_R, GEN_L, UnimodularMatrix(0, -1, 1, 0), UnimodularMatrix(-1, 0, 0, -1)]
+short_words = st.lists(st.sampled_from(WORD_LETTERS), min_size=1, max_size=3).map(
+    lambda w: reduce(UnimodularMatrix.__matmul__, w)
+)
+
+
+def big_letters(N, with_rl):
+    """<[[1,N],[0,1]], [[1,0],[N,1]]>, optionally with RL, whose powers give
+    the ball more than the identity."""
+    gens = (UnimodularMatrix(1, N, 0, 1), UnimodularMatrix(1, 0, N, 1))
+    return GeneratorSet("h", gens + ((GEN_R @ GEN_L,) if with_rl else ()))
+
+
+ball_cases = st.one_of(
+    # short words in R, L, S and -I: finite, parabolic and lattice subgroups
+    st.tuples(
+        st.lists(short_words, min_size=1, max_size=3).map(lambda g: GeneratorSet("w", tuple(g))),
+        st.floats(1, 6),
+    ),
+    st.tuples(st.just(modular_generators()), st.floats(1, 25)),
+    # one packed word below T ~ 4779, two words above
+    st.tuples(st.just(schottky_generators()), st.sampled_from([60, 4700, 4800])),
+    # N = 3000 stays on int64 (one word, two at T = 30); larger N run on
+    # Python ints with two words (30000), four words (10**9) and, for 10**18
+    # at T >= 10, fields wider than a word
+    st.tuples(
+        st.builds(big_letters, st.sampled_from([3000, 30000, 10**9, 10**18]), st.booleans()),
+        st.sampled_from([4, 10, 30]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_cases)
+def test_enumerate_ball_matches_set_bfs(case):
+    gens, T = case
+    ball = enumerate_ball(gens, T)
+    rows, word_lengths = reference_ball(gens, T)
+    assert ball.rows.dtype == np.int64
+    assert ball.rows.tolist() == rows
+    assert ball.word_lengths.tolist() == word_lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 140).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(*[st.integers(-math.isqrt(2**k - 1), math.isqrt(2**k - 1))] * 4), min_size=1, max_size=20),
+)))
+def test_row_keys_sort_like_tuples(case):
+    """Sort keys of every form, from one packed word to Python-int columns,
+    order rows as tuples do and tell distinct rows apart."""
+    k, rows = case
+    arr = np.array(rows, dtype=np.int64 if k < 60 else object)
+    keys = _row_keys(arr, float(2**k))
+    order = np.lexsort(keys[::-1]).tolist()
+    assert [rows[i] for i in order] == sorted(rows)
+    packed = list(zip(*(key[order].tolist() for key in keys)))
+    assert all((p == q) == (rows[i] == rows[j]) for p, q, i, j in zip(packed, packed[1:], order, order[1:]))
+
+
+@pytest.mark.parametrize(
+    "gens, T, cap, discovered",
+    [(modular_generators(), 100, 1000, 1132), (schottky_generators(), 1e6, 5000, 13121)],
+)
+def test_budget_error_discovered_count(gens, T, cap, discovered):
+    """The count a capped enumeration reports: every distinct element found
+    up to and including the layer that crossed the cap."""
+    with pytest.raises(BallBudgetError) as ei:
+        enumerate_ball(gens, T, element_cap=cap)
+    assert ei.value.discovered == discovered
 
 
 def test_no_parabolic_certificates():
