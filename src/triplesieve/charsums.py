@@ -14,6 +14,14 @@ evaluated on the row (c,d).w):
     S5(q; f, k, l; w, w')  = q^-2 sum Xi(q; f_w) Xi(q; f_{w'}) e_q(-ck-dl)
     S3(q,q'; f, k, l; ...) = qbar^-2 sum_{c,d mod qbar} Xi(q; f_w) Xi(q'; f_{w'}) e_qbar(-ck-dl)
 
+The twisted sums are computed on integer numerators over fixed
+denominators: p^2 S4 and p^6 S5 at a prime p (p^2 Xi(p; n) is p^2 - (2p-1)
+or -(2p-1), so the S5 cell weights are (p-1)^4, -(2p-1)(p-1)^2 and
+(2p-1)^2), and q^2 q'^2 qbar^2 S3.  A public sum multiplies its local
+numerators as integers and converts the result once: S4 and S5 to a sympy
+Rational (S4 stays a Fraction when the twist is 0 at every prime), S3 to a
+sympy Rational, as recorded output has always had them.
+
 Exponential sums never touch floating-point roots of unity: the (c,d) grid is
 grouped by m = ck+dl mod q, the resulting histogram is constant on classes
 {m : gcd(m,q) = g} (the weights are invariant under unit scaling of (c,d)
@@ -40,14 +48,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import sympy
 
 from .gl2 import Form, UnimodularMatrix, form_value, form_values, row_after
-from .groups import OrbitBall
-from .modular import eta, is_prime, predicted_density, prime_factors
+from .modular import is_prime, prime_factors
 
 
 def rho(q: int) -> Fraction:
@@ -104,6 +111,12 @@ def _require_odd_squarefree(q: int) -> Tuple[int, ...]:
     return ps
 
 
+def _require_odd_prime(p: int) -> None:
+    _require_odd_squarefree(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def _check_z_admissible(f: Form, primes) -> None:
     if f is Form.Z:
         bad = [p for p in primes if p % 4 == 3]
@@ -134,9 +147,7 @@ def _zero_count(f: Form, p: int, omega: UnimodularMatrix) -> int:
 def count_zero_locus(f: Form, p: int, omega: UnimodularMatrix) -> int:
     """#{(c,d) mod p : f_omega(c,d) = 0}; equals 2p-1 in admissible cases
     (two lines through the origin)."""
-    _require_odd_squarefree(p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_odd_prime(p)
     _check_z_admissible(f, (p,))
     return _zero_count(f, p, omega)
 
@@ -194,48 +205,71 @@ def s2(
     return SumValue(val, q, form=f, omega=omega, omega_prime=omega2)
 
 
-def _collapse_histogram(qbar: int, hist: List[Fraction]) -> Fraction:
-    """sum_m hist[m] e_qbar(-m), exactly, for histograms constant on the
-    classes {m : gcd(m, qbar) = g}; that constancy is checked.
+def _collapse_histogram(qbar: int, hist: np.ndarray):
+    """sum_m hist[..., m] e_qbar(-m), exactly, for integer histograms (int64
+    or object dtype, m on the last axis) constant on the classes
+    {m : gcd(m, qbar) = g}; that constancy is checked.
 
-    qbar is squarefree, so mu(qbar/g) = (-1)^(number of its primes).  The
-    sum is accumulated in Fractions and converted once to a sympy Rational:
-    S4 and S5 have always returned that type and recorded output depends on
-    its repr.
+    qbar is squarefree, so each class contributes its value times
+    mu(qbar/g) = (-1)^(number of primes of qbar/g).  The result is an
+    integer (an integer array for a stack of histograms): the numerator of
+    the sum over the denominator the caller scaled its cell weights by.
+    At a prime it is hist[..., 0] - hist[..., 1].
     """
-    if qbar == 1:
-        return hist[0]
-    per_class: Dict[int, Fraction] = {}
-    for m, v in enumerate(hist):
-        g = math.gcd(m, qbar)
-        if g in per_class:
-            if per_class[g] != v:
-                raise ArithmeticError("histogram not constant on gcd classes")
-        else:
-            per_class[g] = v
-    total = Fraction(0)
-    for g, v in per_class.items():
-        total += v * (-1) ** len(prime_factors(qbar // g))
-    return sympy.Rational(total.numerator, total.denominator)
+    g = np.gcd(np.arange(qbar), qbar)
+    total = 0
+    for d in set(g.tolist()):
+        cls = hist[..., g == d]
+        if (cls != cls[..., :1]).any():
+            raise ArithmeticError("histogram not constant on gcd classes")
+        total = total + cls[..., 0] * (-1) ** len(prime_factors(qbar // d))
+    return total
 
 
-def _s4_prime(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fraction:
-    """Exact S4 at an odd prime by grid histogram + geometric-sum collapse."""
-    k, l = k % p, l % p
-    if k == 0 and l == 0:
-        return _s1_prime(p, f, omega)
-    zero = _zero_grid(f, p, omega)
-    c = np.arange(p, dtype=np.int64)[:, None]
-    d = np.arange(p, dtype=np.int64)[None, :]
-    m = (c * k + d * l) % p
-    n_m = np.bincount(m[zero].ravel(), minlength=p).tolist()
-    cnt_m = np.bincount(m.ravel(), minlength=p).tolist()
-    if any(c_ != p for c_ in cnt_m):
+@functools.lru_cache(maxsize=256)
+def _fibres_checked(p: int) -> np.ndarray:
+    """(p, p) mask of the twists (k, l) mod p whose fibre sizes have been
+    counted; filled in by _check_fibres, so each twist is counted once."""
+    return np.zeros((p, p), dtype=bool)
+
+
+def _check_fibres(p: int, k: np.ndarray, l: np.ndarray) -> None:
+    """Count, over the full residue grid, the fibres of m = ck + dl for every
+    nonzero twist among the reduced (k, l) not counted before; each must
+    have size p, which is what cancels the -rho part of S4."""
+    seen = _fibres_checked(p)
+    new = ~seen[k, l] & ((k != 0) | (l != 0))
+    if not new.any():
+        return
+    todo = np.zeros((p, p), dtype=bool)
+    todo[k[new], l[new]] = True
+    tk, tl = np.nonzero(todo)
+    c, d = (a.ravel() for a in np.indices((p, p)))
+    m = (tk[:, None] * c + tl[:, None] * d) % p
+    counts = np.bincount((np.arange(len(tk))[:, None] * p + m).ravel(), minlength=len(tk) * p)
+    if (counts != p).any():
         raise ArithmeticError("fibers of a nonzero linear form must have size p")
-    # the -rho part sums roots of unity over complete fibers and cancels;
-    # the zero-locus part collapses by gcd classes
-    hist = [Fraction(n) for n in n_m]
-    return _collapse_histogram(p, hist) / (p * p)
+    seen[tk, tl] = True
+
+
+def s4_numerators(p: int, f: Form, k, l, omega: UnimodularMatrix) -> np.ndarray:
+    """The integers N = p^2 S4(p; f, k, l; omega) at an odd prime p, for twist
+    arrays k, l broadcast against each other (scalars give a 0-d array).
+
+    One bincount over (twist, m = ck + dl mod p) on the zero-locus cells of
+    the cached grid, collapsed by gcd classes.  The -rho part of Xi sums
+    roots of unity over complete fibres and cancels, except at the twist
+    (0, 0), where it is -p^2 rho(p) = -(2p - 1) and S4 is S1.
+    """
+    k, l = np.broadcast_arrays(np.asarray(k) % p, np.asarray(l) % p)
+    shape = k.shape
+    k, l = k.astype(np.int64).ravel(), l.astype(np.int64).ravel()
+    _check_fibres(p, k, l)
+    zc, zd = np.nonzero(_zero_grid(f, p, omega))
+    m = (k[:, None] * zc + l[:, None] * zd) % p
+    hist = np.bincount((np.arange(k.size)[:, None] * p + m).ravel(), minlength=k.size * p)
+    n = _collapse_histogram(p, hist.reshape(k.size, p)) - (2 * p - 1) * ((k == 0) & (l == 0))
+    return n.reshape(shape)
 
 
 def s4(q: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> SumValue:
@@ -248,10 +282,29 @@ def s4(q: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> SumValue:
     primes = _require_odd_squarefree(q)
     if q == 1:
         return SumValue(Fraction(1), 1, form=f, k=k, l=l, omega=omega)
-    val = Fraction(1)
+    num, twisted = 1, False
     for p in primes:
-        val *= _s4_prime(p, f, k, l, omega)
+        num *= int(s4_numerators(p, f, k, l, omega))
+        twisted = twisted or k % p != 0 or l % p != 0
+    # an untwisted S4 is a product of S1 values, which have always been Fractions
+    val = sympy.Rational(num, q * q) if twisted else Fraction(num, q * q)
     return SumValue(val, q, form=f, k=k, l=l, omega=omega)
+
+
+def s4_closed_form_numerators(p: int, f: Form, k, l, omega: UnimodularMatrix) -> np.ndarray:
+    """p^2 times the piecewise closed form of S4 at an odd prime, for twist
+    arrays k, l broadcast against each other (see s4_closed_form)."""
+    _require_coordinate_form(f)
+    k, l = np.broadcast_arrays(np.asarray(k) % p, np.asarray(l) % p)
+    k, l = k.astype(np.int64), l.astype(np.int64)
+    if f is Form.Z and p % 4 == 3:
+        n = np.ones(k.shape, dtype=np.int64)
+    else:
+        # f_omega on the dual rows v = (l, -k), entries reduced as in _zero_grid
+        a, b, c, d = (e % p for e in omega.entries())
+        dual = form_values(f, (l * a + (p - k) * c) % p, (l * b + (p - k) * d) % p)
+        n = np.where(dual % p == 0, p - 1, -1)
+    return np.where((k == 0) & (l == 0), _zero_count(f, p, omega) - (2 * p - 1), n)
 
 
 def s4_closed_form(
@@ -265,17 +318,8 @@ def s4_closed_form(
         (p-1)/p^2 if f_omega(v) = 0 mod p, else -1/p^2;
       * f = z with p = 3 mod 4 (zero locus = origin): 1/p^2.
     """
-    _require_odd_squarefree(p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    k, l = k % p, l % p
-    if k == 0 and l == 0:
-        return _s1_prime(p, f, omega)
-    if f is Form.Z and p % 4 == 3:
-        return Fraction(1, p * p)
-    if coordinate_after(f, l, -k, omega) % p == 0:
-        return Fraction(p - 1, p * p)
-    return Fraction(-1, p * p)
+    _require_odd_prime(p)
+    return Fraction(int(s4_closed_form_numerators(p, f, k, l, omega)), p * p)
 
 
 def s4_bound(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fraction:
@@ -283,37 +327,25 @@ def s4_bound(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fracti
     return Fraction(math.gcd(coordinate_after(f, l, -k, omega), p), p * p)
 
 
-def _s5_prime(
+def _s5_numerator(
     p: int,
     f: Form,
     k: int,
     l: int,
     omega: UnimodularMatrix,
     omega2: UnimodularMatrix,
-) -> Fraction:
+) -> int:
+    """p^6 S5 at an odd prime: cells weighted by p^4 Xi(p; f_w) Xi(p; f_w'),
+    one bincount over (zero pattern, m), collapsed by gcd classes."""
     k, l = k % p, l % p
-    z1 = _zero_grid(f, p, omega)
-    z2 = _zero_grid(f, p, omega2)
-    c = np.arange(p, dtype=np.int64)[:, None]
-    d = np.arange(p, dtype=np.int64)[None, :]
-    m = ((c * k + d * l) % p).ravel()
-    r = rho(p)
-    one = Fraction(1)
-    w = {
-        (True, True): (one - r) ** 2,
-        (True, False): (one - r) * (-r),
-        (False, True): (one - r) * (-r),
-        (False, False): r * r,
-    }
-    hist = [Fraction(0)] * p
-    z1f, z2f = z1.ravel(), z2.ravel()
-    for key, weight in w.items():
-        mask = (z1f == key[0]) & (z2f == key[1])
-        counts = np.bincount(m[mask], minlength=p)
-        for mm, cnt in enumerate(counts.tolist()):
-            if cnt:
-                hist[mm] += weight * cnt
-    return _collapse_histogram(p, hist) / (p * p)
+    z1 = _zero_grid(f, p, omega).ravel().astype(np.int64)
+    z2 = _zero_grid(f, p, omega2).ravel().astype(np.int64)
+    c, d = (a.ravel() for a in np.indices((p, p)))
+    m = (c * k + d * l) % p
+    counts = np.bincount((2 * z1 + z2) * p + m, minlength=4 * p).reshape(4, p)
+    on, off = (p - 1) ** 2, 1 - 2 * p  # p^2 Xi(p; n) for p | n and p not | n
+    weights = np.array([off * off, off * on, on * off, on * on], dtype=object)
+    return int(_collapse_histogram(p, weights @ counts.astype(object)))
 
 
 def s5(
@@ -328,12 +360,22 @@ def s5(
     primes = _require_odd_squarefree(q)
     if q == 1:
         return SumValue(Fraction(1), 1, form=f, k=k, l=l, omega=omega, omega_prime=omega2)
-    val = Fraction(1)
+    num = 1
     for p in primes:
-        val *= _s5_prime(p, f, k, l, omega, omega2)
-    if abs(val) > 1:
+        num *= _s5_numerator(p, f, k, l, omega, omega2)
+    den = q**6
+    if abs(num) > den:
         raise ArithmeticError("trivial bound violated; arithmetic is corrupted")
-    return SumValue(val, q, form=f, k=k, l=l, omega=omega, omega_prime=omega2)
+    return SumValue(sympy.Rational(num, den), q, form=f, k=k, l=l, omega=omega, omega_prime=omega2)
+
+
+def _scaled_xi(q: int, v: np.ndarray, dtype) -> np.ndarray:
+    """q^2 Xi(q; v) = prod_{p | q} (p^2 [p | v] - (2p - 1)) elementwise, and
+    0 at q = 1."""
+    out = np.full(v.shape, int(q > 1), dtype=dtype)
+    for p in prime_factors(q):
+        out = out * np.where(v % p == 0, (p - 1) ** 2, 1 - 2 * p).astype(dtype)
+    return out
 
 
 def s3_direct(
@@ -345,8 +387,9 @@ def s3_direct(
     omega: UnimodularMatrix,
     omega2: UnimodularMatrix,
 ) -> Fraction:
-    """S3 straight from its definition: an O(qbar^2) grid sum collapsed by
-    gcd classes (exact)."""
+    """S3 straight from its definition: an O(qbar^2) grid sum of the integer
+    cell weights q^2 Xi(q; f_w) q'^2 Xi(q'; f_w'), collapsed by gcd classes
+    and divided once by q^2 q'^2 qbar^2 (exact)."""
     _require_odd_squarefree(q)
     _require_odd_squarefree(q2)
     qbar = math.lcm(q, q2)
@@ -355,23 +398,23 @@ def s3_direct(
         # modulus conventions give 1; the identity starts at real moduli
         raise ValueError("S3 needs max(q, q') > 1")
     _require_coordinate_form(f)
+    den = (q * q2 * qbar) ** 2
+    # rows have entries below r = qbar * (sum of |omega entries|), form
+    # values below 2 r^2, cell weights below q^2 q'^2 and every histogram
+    # entry and class sum below den; int64 only when all of that fits
+    r = qbar * sum(abs(e) for om in (omega, omega2) for e in om.entries())
+    dtype = np.int64 if max(2 * r * r, den) < 1 << 63 else object
+    c, d = (a.ravel() for a in np.indices((qbar, qbar)))
     # exact values on the unreduced rows (c, d).omega: the reference shares
     # no residue reduction with the S4, S5 side it is compared against
-    cells = [(c, d) for c in range(qbar) for d in range(qbar)]
-    v1, v2 = (
-        form_values(f, *np.array([row_after(c, d, om) for c, d in cells], dtype=object).T).tolist()
-        for om in (omega, omega2)
-    )
-    hist = [Fraction(0)] * qbar
-    for (c, d), a, b in zip(cells, v1, v2):
-        w = xi(q, a)
-        if w == 0:
-            continue
-        w2 = xi(q2, b)
-        if w2 == 0:
-            continue
-        hist[(c * k + d * l) % qbar] += w * w2
-    return _collapse_histogram(qbar, hist) / (qbar * qbar)
+    cx, dx = c.astype(dtype), d.astype(dtype)
+    weight = np.ones(c.shape, dtype=dtype)
+    for qq, om in ((q, omega), (q2, omega2)):
+        v = form_values(f, cx * om.a + dx * om.c, cx * om.b + dx * om.d)
+        weight = weight * _scaled_xi(qq, v, dtype)
+    hist = np.zeros(qbar, dtype=dtype)
+    np.add.at(hist, (c * (k % qbar) + d * (l % qbar)) % qbar, weight)
+    return sympy.Rational(int(_collapse_histogram(qbar, hist)), den)
 
 
 def s3_factorization_check(
@@ -410,40 +453,3 @@ def disjointness_check(p: int) -> bool:
     vanishing = sum(form_values(f, c, d) % p == 0 for f in (Form.X, Form.Y, Form.Z))
     vanishing[0, 0] = 0
     return bool((vanishing <= 1).all())
-
-
-def orbit_divisibility_count(
-    ball: OrbitBall, f: Form, q: int
-) -> Tuple[int, Fraction, float]:
-    """(count, predicted main term, ratio) for #{rows in the ball : q | f}.
-
-    The prediction is d(q) |ball| / eta(q) with d(q) the number of vanishing
-    cosets; report-only, no bound asserted.
-    """
-    primes = _require_odd_squarefree(q)
-    n = len(ball)
-    if q == 1:
-        return n, Fraction(n), 1.0
-    d_q = 1
-    for p in primes:
-        d_q *= int(predicted_density(f, p) * (p + 1))
-    main = Fraction(d_q * n, eta(q))
-    c = ball.rows[:, 2] % q
-    d = ball.rows[:, 3] % q
-    x, y, z = (form_values(g, c, d) % q for g in (Form.X, Form.Y, Form.Z))
-    if f is Form.X:
-        van = x == 0
-    elif f is Form.Y:
-        van = y == 0
-    elif f is Form.Z:
-        van = z == 0
-    elif f is Form.AREA:
-        van = (x * y) % q == 0
-    else:
-        van = (x * y % q) * z % q == 0
-    count = int(van.sum())
-    if main > 0:
-        ratio = float(Fraction(count) / main)
-    else:
-        ratio = 0.0 if count == 0 else math.inf
-    return count, main, ratio

@@ -139,9 +139,15 @@ def _beta(kappa: int) -> float:
 def m_dhr(alpha: float, kappa: int, zeta) -> float:
     """The saturation bound (1/a)(1 + z - z/b) - 1 + (k+z) log(b/z) - k + zk/b."""
     b = _beta(kappa)
-    z = np.asarray(zeta, dtype=float)
-    if np.any(z <= 0) or np.any(z >= b):
-        raise ValueError(f"need 0 < zeta < {b}")
+    if isinstance(zeta, float):
+        # the golden-section loop's one-point calls: no array round trip
+        z = float(zeta)
+        if z <= 0 or z >= b:
+            raise ValueError(f"need 0 < zeta < {b}")
+    else:
+        z = np.asarray(zeta, dtype=float)
+        if np.any(z <= 0) or np.any(z >= b):
+            raise ValueError(f"need 0 < zeta < {b}")
     val = (1.0 / alpha) * (1 + z - z / b) - 1 + (kappa + z) * np.log(b / z) - kappa + z * kappa / b
     return float(val) if np.isscalar(zeta) or val.ndim == 0 else val
 

@@ -1,16 +1,18 @@
 """Exactness checks for rho, Xi, and the S-sums, against brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from triplesieve.charsums import (
     coordinate_after,
     count_zero_locus,
     disjointness_check,
-    orbit_divisibility_count,
     rho,
     s1,
     s2,
@@ -19,14 +21,18 @@ from triplesieve.charsums import (
     s4,
     s4_bound,
     s4_closed_form,
+    s4_numerators,
     s5,
     xi,
 )
 from triplesieve.gl2 import Form, UnimodularMatrix
-from triplesieve.groups import enumerate_ball, modular_generators, sample_words
+from triplesieve.groups import modular_generators, sample_words
+from triplesieve.modular import is_squarefree, prime_factors
 
 I2 = UnimodularMatrix.identity()
 OMEGAS = sample_words(modular_generators(), 8, seed=20260816)
+# 10^18 times a residue leaves int64, and 3 * 10^19 is past it already
+BIG = (UnimodularMatrix(1, 10**18, 0, 1), UnimodularMatrix(1, 0, 3 * 10**19, 1))
 
 
 def test_rho_and_xi_basics():
@@ -105,6 +111,19 @@ def test_s4_matches_definition_oracle(p, f):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_s4_table_matches_definition_oracle(p):
+    k, l = np.indices((p, p))
+    for f in (Form.X, Form.Y, Form.Z):
+        for w in (OMEGAS[0], BIG[0]):
+            table = s4_numerators(p, f, k, l, w)
+            assert table.shape == (p, p)
+            for kk in range(p):
+                for ll in range(p):
+                    want = brute_s4_fractions(p, f, kk, ll, w)
+                    assert Fraction(int(table[kk, ll]), p * p) == want, (f, kk, ll)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_s4_closed_form_xy(p):
     for f in (Form.X, Form.Y):
         for w in OMEGAS[:5]:
@@ -165,19 +184,67 @@ def test_s3_factorization_mixed_moduli():
         assert s3_factorization_check(15, 35, Form.X, k, l, w1, w2)
 
 
+def s3_per_cell_oracle(q, q2, f, k, l, omega, omega2):
+    """S3 cell by cell in Fractions: Xi products on the exact rows, summed by
+    m = ck + dl mod qbar, collapsed by gcd classes with mu(qbar/g), and
+    converted once to a sympy Rational before the division by qbar^2."""
+    qbar = math.lcm(q, q2)
+    hist = [Fraction(0)] * qbar
+    for c in range(qbar):
+        for d in range(qbar):
+            w = xi(q, coordinate_after(f, c, d, omega)) * xi(q2, coordinate_after(f, c, d, omega2))
+            hist[(c * k + d * l) % qbar] += w
+    per_class = {}
+    for m, v in enumerate(hist):
+        per_class.setdefault(math.gcd(m, qbar), set()).add(v)
+    assert all(len(values) == 1 for values in per_class.values())
+    total = Fraction(0)
+    for g, values in per_class.items():
+        total += values.pop() * (-1) ** len(prime_factors(qbar // g))
+    return sympy.Rational(total.numerator, total.denominator) / (qbar * qbar)
+
+
+ODD_SQUAREFREE = [q for q in range(1, 46, 2) if is_squarefree(q)]
+S3_MODULI = [(q, q2) for q in ODD_SQUAREFREE for q2 in ODD_SQUAREFREE if 1 < math.lcm(q, q2) <= 45]
+
+
+def _admissible_forms(q, q2):
+    z_ok = all(p % 4 == 1 for p in prime_factors(q) + prime_factors(q2))
+    return [Form.X, Form.Y] + ([Form.Z] if z_ok else [])
+
+
+@st.composite
+def s3_cases(draw):
+    q, q2 = draw(st.sampled_from(S3_MODULI))
+    f = draw(st.sampled_from(_admissible_forms(q, q2)))
+    k, l = draw(st.integers(-10**6, 10**6)), draw(st.integers(-10**6, 10**6))
+    omega, omega2 = draw(st.sampled_from([tuple(OMEGAS[i:i + 2]) for i in range(0, 8, 2)] + [BIG]))
+    return q, q2, f, k, l, omega, omega2
+
+
+@settings(max_examples=30, deadline=None)
+@given(s3_cases())
+@example((7, 7, Form.X, 2, 3, *BIG))
+@example((35, 5, Form.Y, 11, -4, *BIG))
+@example((13, 39, Form.X, 0, 0, OMEGAS[0], OMEGAS[1]))
+@example((1, 41, Form.Z, 5, 8, OMEGAS[2], OMEGAS[3]))
+def test_s3_direct_matches_per_cell_oracle(case):
+    got = s3_direct(*case)
+    want = s3_per_cell_oracle(*case)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
 def test_sums_exact_for_huge_omega_entries():
-    # 10^18 times a residue leaves int64, and 3 * 10^19 is past it already
-    big = (UnimodularMatrix(1, 10**18, 0, 1), UnimodularMatrix(1, 0, 3 * 10**19, 1))
     p, k, l = 7, 2, 3
     for f in (Form.X, Form.Y, Form.Z):
         by_m = [Fraction(0)] * p
         for c in range(p):
             for d in range(p):
-                by_m[(c * k + d * l) % p] += (xi(p, coordinate_after(f, c, d, big[0]))
-                                              * xi(p, coordinate_after(f, c, d, big[1])))
+                by_m[(c * k + d * l) % p] += (xi(p, coordinate_after(f, c, d, BIG[0]))
+                                              * xi(p, coordinate_after(f, c, d, BIG[1])))
         want = (by_m[0] - by_m[1]) / (p * p)
-        assert s3_direct(p, p, f, k, l, *big) == want == s5(p, f, k, l, *big).value
-        assert s4(p, f, k, l, big[0]).value == brute_s4_fractions(p, f, k, l, big[0])
+        assert s3_direct(p, p, f, k, l, *BIG) == want == s5(p, f, k, l, *BIG).value
+        assert s4(p, f, k, l, BIG[0]).value == brute_s4_fractions(p, f, k, l, BIG[0])
 
 
 def test_s3_degenerate_rejected():
@@ -193,19 +260,6 @@ def test_disjointness_small_and_exhaustive():
         assert disjointness_check(p)
     with pytest.raises(ValueError):
         disjointness_check(2)
-
-
-def test_orbit_divisibility_counts():
-    ball = enumerate_ball(modular_generators(), 30)
-    n = len(ball)
-    count, main, ratio = orbit_divisibility_count(ball, Form.Z, 1)
-    assert count == n and main == n and ratio == 1.0
-    count, main, ratio = orbit_divisibility_count(ball, Form.Z, 5)
-    assert main == Fraction(2 * n, 6)
-    assert 0.5 <= ratio <= 2.0  # pinned regression band
-    # z is never 0 mod a 3-mod-4 prime on the orbit
-    count, main, ratio = orbit_divisibility_count(ball, Form.Z, 7)
-    assert count == 0 and main == 0 and ratio == 0.0
 
 
 def test_s_sums_reject_even_or_squarefull_moduli():

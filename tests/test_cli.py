@@ -9,7 +9,8 @@ import pytest
 import sympy
 
 import triplesieve.cli as cli
-from triplesieve.groups import BallBudgetError
+from triplesieve.gl2 import Form
+from triplesieve.groups import BallBudgetError, modular_generators, sample_words
 
 
 def run(argv):
@@ -36,6 +37,28 @@ def test_verify_mutant_rho_detected(monkeypatch):
     code, out = run(["verify", "--pmax", "13"])
     assert code == 2
     assert "FAIL weighted-zero-count-vanishes" in out
+
+
+def test_verify_corrupted_twisted_sum_detected(monkeypatch):
+    # one wrong numerator per listed cell; the report names the last wrong
+    # cell in (p, f, omega, k, l) order, as a scan over single twists would
+    omegas = sorted(sample_words(modular_generators(), 20, 1), key=lambda g: g.entries())[:5]
+    flips = {(13, Form.Y, omegas[0]): [(12, 12), (4, 4)],
+             (13, Form.Y, omegas[4]): [(1, 2), (0, 5)],
+             (11, Form.X, omegas[2]): [(3, 3)]}
+    real = cli.s4_numerators
+
+    def corrupted(p, f, k, l, omega):
+        n = real(p, f, k, l, omega).copy()
+        for cell in flips.get((p, f, omega), ()):
+            n[cell] += 1
+        return n
+
+    monkeypatch.setattr(cli, "s4_numerators", corrupted)
+    code, out = run(["verify", "--pmax", "13"])
+    assert code == 2
+    assert "FAIL twisted-sum-closed-form (p=13 f=y k=1 l=2)" in out
+    assert out.count("PASS") == 4
 
 
 def test_exit_code_bad_input():
