@@ -113,24 +113,31 @@ def verify_suites(cfg: RunConfig) -> List[SuiteResult]:
     primes = primes_upto(cfg.p_max)[1:]
     results: List[SuiteResult] = []
 
+    closed_primes, closed_omegas = [p for p in primes if p <= 31], omegas[:5]
+
     ok, detail = True, ""
-    for p in primes:
-        for f in (Form.X, Form.Y, Form.Z):
-            if f is Form.Z and p % 4 == 3:
-                continue
-            for om in omegas:
-                n0 = int(_zero_grid(f, p, om).sum())
-                via_rho = Fraction(n0, p * p) - rho(p)
-                if via_rho != 0 or s1(p, f, om).value != 0:
-                    ok, detail = False, f"p={p} f={f.value}"
-                    break
+    cases = [(p, f, om) for p in primes for f in (Form.X, Form.Y, Form.Z)
+             if not (f is Form.Z and p % 4 == 3) for om in omegas]
+    # the closed-form suite reads the x and y grids of closed_primes and
+    # closed_omegas again: visit them last, so the grid cache still holds them
+    def reread(case):
+        return case[0] in closed_primes and case[1] is not Form.Z and case[2] in closed_omegas
+
+    failed = set()
+    for p, f, om in sorted(cases, key=reread):
+        n0 = int(_zero_grid(f, p, om).sum())
+        if Fraction(n0, p * p) - rho(p) != 0 or s1(p, f, om).value != 0:
+            failed.add((p, f))
+    for p, f, _ in cases:
+        if (p, f) in failed:
+            ok, detail = False, f"p={p} f={f.value}"
     results.append(("weighted-zero-count-vanishes", ok, detail or f"odd p <= {cfg.p_max}, 20 omegas, 3 forms"))
 
     ok, detail = True, ""
-    for p in [p for p in primes if p <= 31]:
+    for p in closed_primes:
         k, l = np.indices((p, p))
         for f in (Form.X, Form.Y):
-            for om in omegas[:5]:
+            for om in closed_omegas:
                 wrong = s4_numerators(p, f, k, l, om) != s4_closed_form_numerators(p, f, k, l, om)
                 wrong[0, 0] = False
                 if wrong.any():

@@ -11,7 +11,20 @@ sq_norm(g) stays below an expansion bound:
     (Lagrange-Gauss) gives every matrix outside the norm-2 core a one-step
     norm-decreasing right multiplication, so reversing the reduction chain
     reaches each ball element through intermediates no larger than
-    max(its own norm, 3).
+    max(its own norm, 3);
+  * generator sets whose letters carry a ping-pong certificate
+    (_ping_pong_certificate) skip the search altogether and walk the tree of
+    reduced words (no letter followed by its inverse), pruned at T^2 itself,
+    with no deduplication.  The certificate is a closed slope interval K_h
+    per letter h, checked exactly in Fractions: the K_h are disjoint, hold
+    h's rows, and K_g.h lies in K_h for g != h^-1.  Then the rows of a
+    reduced word ending in h have slopes in K_h, so no nontrivial reduced
+    word is +-I and distinct reduced words are distinct elements (Tits'
+    ping-pong).  The certificate also checks |r.h|^2 >= |r|^2 for rows r with
+    slope in K_g, g != h^-1, so sq_norm never decreases along a reduced word:
+    every prefix of a ball element lies in the ball, which makes pruning at
+    T^2 complete, and the reduced length, the unique geodesic, is the
+    breadth-first layer.  Parabolic letters, -I and S are never certified.
 
 Deduplication is layer-local.  The letters include their inverses, so the
 Cayley graph induced on the expansion region is undirected and a candidate
@@ -36,6 +49,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,7 +184,9 @@ class OrbitBall:
     sq_norm, then entries); word_lengths[i] is the word length at first
     breadth-first discovery, i.e. the geodesic length among paths staying
     inside the expansion region (checked against unpruned search on small
-    balls in the tests).
+    balls in the tests).  On the reduced-word tree of a certified free set
+    it is the reduced-word length, which is the geodesic and equals that
+    breadth-first layer.
     """
 
     T: float
@@ -234,30 +250,139 @@ def _fresh(prev, cur, cand) -> np.ndarray:
     return order[head & (order >= n_old)] - n_old
 
 
-def enumerate_ball(
-    gens: GeneratorSet, T: float, element_cap: int = 10_000_000
-) -> OrbitBall:
-    """Breadth-first, deduplicated, complete enumeration of B_T.
+# Ping-pong certificate search: hull rounds before widening, and the widening
+# as a fraction of each interval's length.
+_CERT_ROUNDS = 4
+_CERT_WIDEN = Fraction(1, 64)
 
-    Raises BallBudgetError when more than element_cap nodes are discovered;
-    a returned ball is always complete.
-    """
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
-    ball_bound = float(T) * float(T)
+Entries = Tuple[int, int, int, int]
+Interval = Tuple[Fraction, Fraction]
+
+
+def _inverse_index(letters: Tuple[Entries, ...]) -> List[int]:
+    """Position of each letter's inverse (letters() adjoins every inverse)."""
+    return [letters.index((d, -b, -c, a)) for a, b, c, d in letters]
+
+
+def _row_slopes(h: Entries) -> Optional[Tuple[Fraction, Fraction]]:
+    """Slopes y/x of the rows (x, y) of h, or None when a row has x = 0."""
+    a, b, c, d = h
+    if a == 0 or c == 0:
+        return None
+    return Fraction(b, a), Fraction(d, c)
+
+
+def _slope_image(h: Entries, K: Interval) -> Optional[Interval]:
+    """The interval K.h of slopes s of (1, s).h for s in K, or None when the
+    pole -a/c of that Moebius map lies in K (the image then contains slope
+    infinity); off the pole the map is monotone, so the image is the hull of
+    the endpoint images."""
+    a, b, c, d = h
+    lo, hi = K
+    if c and lo <= Fraction(-a, c) <= hi:
+        return None
+    u, v = ((b + s * d) / (a + s * c) for s in K)
+    return min(u, v), max(u, v)
+
+
+def _norm_gain_nonnegative(h: Entries, K: Interval) -> bool:
+    """Q_h(1, s) = |(1, s).h|^2 - (1 + s^2) >= 0 for every s in K, exactly:
+    at both endpoints and, for a convex Q, at its vertex when inside K."""
+    a, b, c, d = h
+    A, B, C = c * c + d * d - 1, 2 * (a * c + b * d), a * a + b * b - 1
+    lo, hi = K
+    points = [lo, hi]
+    if A > 0 and lo < Fraction(-B, 2 * A) < hi:
+        points.append(Fraction(-B, 2 * A))
+    return all(A * s * s + B * s + C >= 0 for s in points)
+
+
+def _certificate_holds(letters: Tuple[Entries, ...], K: Sequence[Interval]) -> bool:
+    """Exact check of a ping-pong certificate with monotone norms: closed
+    slope intervals K[j], one per letter, that are pairwise disjoint, hold
+    their letter's rows, and for every letter g other than h^-1 satisfy:
+    h's pole lies outside K[g], K[g].h lies in K[h], and Q_h >= 0 on K[g].
+
+    Then by induction on length the rows of a reduced word ending in h have
+    nonzero first entry and slope in K[h], so no nontrivial reduced word is
+    +-I (whose row (0, +-1) has slope infinity) and distinct reduced words
+    are distinct elements; and sq_norm(w.h) >= sq_norm(w) for every reduced
+    word w.h, since each row r = x(1, s) of w gains x^2 Q_h(1, s)."""
+    inv = _inverse_index(letters)
+    bounds = sorted(K)
+    if any(lo > hi for lo, hi in K) or any(p[1] >= q[0] for p, q in zip(bounds, bounds[1:])):
+        return False
+    for j, h in enumerate(letters):
+        slopes = _row_slopes(h)
+        if slopes is None or not all(K[j][0] <= s <= K[j][1] for s in slopes):
+            return False
+        for i, Kg in enumerate(K):
+            if i == inv[j]:
+                continue
+            image = _slope_image(h, Kg)
+            if image is None or image[0] < K[j][0] or image[1] > K[j][1]:
+                return False
+            if not _norm_gain_nonnegative(h, Kg):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _ping_pong_certificate(letters: Tuple[Entries, ...]) -> Optional[Tuple[Interval, ...]]:
+    """Slope intervals passing _certificate_holds, or None (cached either way).
+
+    Each K[h] starts as the hull of h's row slopes and takes _CERT_ROUNDS
+    rounds of K[h] <- hull(K[h], K[g].h for g != h^-1), then is widened by
+    _CERT_WIDEN of its length on each side so that the contracting images
+    land strictly inside.  An interval that would hold slope infinity ends
+    the search; letters with a = 0 or c = 0, such as R, L, S and -I, fail at
+    once.  No parabolic letter passes the check: h and h^-1 would map their
+    disjoint intervals into themselves, so both would hold h's only fixed
+    slope."""
+    inv = _inverse_index(letters)
+    K: List[Interval] = []
+    for h in letters:
+        slopes = _row_slopes(h)
+        if slopes is None:
+            return None
+        K.append((min(slopes), max(slopes)))
+    for _ in range(_CERT_ROUNDS):
+        grown = []
+        for j, h in enumerate(letters):
+            lo, hi = K[j]
+            for i, Kg in enumerate(K):
+                if i == inv[j]:
+                    continue
+                image = _slope_image(h, Kg)
+                if image is None:
+                    return None
+                lo, hi = min(lo, image[0]), max(hi, image[1])
+            grown.append((lo, hi))
+        K = grown
+    K = [(lo - (hi - lo) * _CERT_WIDEN, hi + (hi - lo) * _CERT_WIDEN) for lo, hi in K]
+    return tuple(K) if _certificate_holds(letters, K) else None
+
+
+def _entry_dtype(letters: Sequence[Entries], region_bound: float):
+    """int64 when products of region nodes (entries e with e^2 < region_bound)
+    by letters, and their sq_norms, provably fit; else Python ints (object).
+
+    A candidate entry a*p + b*r is at most 2 * max_abs * letter_max in size
+    and its sq_norm sums four squares of those."""
+    max_abs = math.isqrt(int(region_bound)) + 1
+    letter_max = max(abs(e) for h in letters for e in h)
+    bound = 2 * max_abs * letter_max
+    return np.int64 if 4 * bound * bound < 1 << 63 else object
+
+
+def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: int) -> List[np.ndarray]:
+    """Layers of the breadth-first search over the expansion region."""
     if gens.monotone_cap:
         expand_bound = max(ball_bound, 4.0)
     else:
         expand_bound = ball_bound * gens.max_letter_sq_norm()
     letters = [h.entries() for h in gens.letters()]
-    # every retained node has entries e with e^2 < expand_bound, so a
-    # candidate entry a*p + b*r is at most 2 * max_abs * letter_max in size
-    # and sq sums four squares of those: compute in Python ints unless both
-    # provably fit in int64
-    max_abs = math.isqrt(int(expand_bound)) + 1
-    letter_max = max(abs(e) for h in letters for e in h)
-    bound = 2 * max_abs * letter_max
-    dtype = np.int64 if 4 * bound * bound < 1 << 63 else object
+    dtype = _entry_dtype(letters, expand_bound)
     letters = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
     collected = [np.array([[1, 0, 0, 1]], dtype=dtype)]
     cur_keys = _row_keys(collected[0], expand_bound)
@@ -273,6 +398,61 @@ def enumerate_ball(
             raise BallBudgetError(T, total, element_cap)
         collected.append(cands[pick])
         prev_keys, cur_keys = cur_keys, [k[pick] for k in keys]
+    return collected
+
+
+def _tree_layers(
+    letters: Tuple[Entries, ...], ball_bound: float, element_cap: int
+) -> Optional[List[np.ndarray]]:
+    """Layers of the reduced-word tree pruned at ball_bound, or None once
+    more than element_cap elements are found.
+
+    Sound only for letters with a _ping_pong_certificate: reduced words are
+    then distinct elements (no dedup) and norms never decrease along them,
+    so every prefix of a ball element is in the ball."""
+    dtype = _entry_dtype(letters, ball_bound)
+    mats = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
+    m = len(letters)
+    # follows[j, i]: letter i may come after last letter j; row m is the root
+    follows = np.ones((m + 1, m), dtype=bool)
+    follows[np.arange(m), _inverse_index(letters)] = False
+    frontier = np.array([[1, 0, 0, 1]], dtype=dtype)
+    last = np.array([m])
+    collected = [frontier]
+    total = 1
+    while len(frontier):
+        reduced = follows[last].ravel()
+        kids = (frontier.reshape(-1, 1, 2, 2) @ mats).reshape(-1, 4)[reduced]
+        kid_last = np.tile(np.arange(m), len(last))[reduced]
+        inside = np.einsum("ij,ij->i", kids, kids) < ball_bound
+        frontier, last = kids[inside], kid_last[inside]
+        total += len(frontier)
+        if total > element_cap:
+            return None
+        collected.append(frontier)
+    return collected
+
+
+def enumerate_ball(
+    gens: GeneratorSet, T: float, element_cap: int = 10_000_000
+) -> OrbitBall:
+    """Complete, deduplicated enumeration of B_T: on the reduced-word tree
+    when the letters carry a ping-pong certificate, else breadth-first.
+
+    Raises BallBudgetError when more than element_cap nodes are discovered;
+    a returned ball is always complete.  A tree that passes the cap hands
+    over to the breadth-first search, whose region holds the ball, so the
+    error and its count are the search's.
+    """
+    if T < 1:
+        raise ValueError(f"need T >= 1, got {T}")
+    ball_bound = float(T) * float(T)
+    letters = tuple(h.entries() for h in gens.letters())
+    collected = None
+    if _ping_pong_certificate(letters) is not None:
+        collected = _tree_layers(letters, ball_bound, element_cap)
+    if collected is None:
+        collected = _bfs_layers(gens, T, ball_bound, element_cap)
 
     rows = np.concatenate(collected, axis=0)
     # the word length of an element is the index of its layer

@@ -264,6 +264,13 @@ def strong_approx_check(gens, p: int) -> bool:
     """True iff the projection mod prime p is all of SL(2,Z/pZ)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _surjective(tuple(g.entries() for g in _generator_matrices(gens)), p)
+
+
+@lru_cache(maxsize=None)
+def _surjective(entries: Tuple[Tuple[int, int, int, int], ...], p: int) -> bool:
+    """strong_approx_check for a prime p, cached per (generator entries, p)."""
+    gens = [UnimodularMatrix(*e) for e in entries]
     return len(project_group(gens, p)) == p * (p * p - 1)
 
 

@@ -3,14 +3,16 @@
 import contextlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
 import triplesieve.cli as cli
+from triplesieve import charsums, modular
 from triplesieve.gl2 import Form
-from triplesieve.groups import BallBudgetError, modular_generators, sample_words
+from triplesieve.groups import BallBudgetError, coset_counts, enumerate_ball, modular_generators, sample_words
 
 
 def run(argv):
@@ -198,3 +200,37 @@ def test_census_and_density_never_call_sympy(monkeypatch):
         assert run(["census", "--group", "schottky", "--T", "3e4", "--f", f, "--format", "csv"])[0] == 0
         assert run(["density", "--f", f, "--pmax", "31"])[0] == 0
     assert run(["orbit", "--T", "20"])[0] == 0
+
+
+def test_surjectivity_is_computed_once_per_generators_and_prime(monkeypatch):
+    """coset_counts and verify share one projection per (generators, p);
+    the prime check still raises ahead of the cache."""
+    calls = Counter()
+    real = modular.project_group
+
+    def spy(gens, q):
+        calls[(tuple(g.entries() for g in gens), q)] += 1
+        return real(gens, q)
+
+    monkeypatch.setattr(modular, "project_group", spy)
+    modular._surjective.cache_clear()
+    mg = modular_generators()
+    ball = enumerate_ball(mg, 20)
+    for _ in range(3):
+        coset_counts(mg, 20, 105, ball=ball)
+        assert run(["verify", "--pmax", "7"])[0] == 0
+    entries = tuple(g.entries() for g in mg.gens)
+    assert calls == Counter({(entries, p): 1 for p in (3, 5, 7, 11, 13)})
+    with pytest.raises(ValueError):
+        modular.strong_approx_check(mg, 15)
+
+
+def test_verify_builds_each_zero_grid_once():
+    """Default verify asks for every (p, f, omega) residue grid it needs
+    exactly once from the grid cache: the closed-form suite's grids are
+    still cached when it runs."""
+    primes = modular.primes_upto(97)[1:]
+    distinct = 20 * (2 * len(primes) + sum(p % 4 == 1 for p in primes))
+    charsums._zero_grid.cache_clear()
+    assert run(["verify"])[0] == 0
+    assert charsums._zero_grid.cache_info().misses == distinct == 1180

@@ -1,12 +1,14 @@
 """Ball enumeration, growth fits, smoothing, and coset equidistribution."""
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triplesieve import groups
 from triplesieve.gl2 import GEN_L, GEN_R, UnimodularMatrix, sq_norm
 from triplesieve.groups import (
     BallBudgetError,
@@ -229,6 +231,135 @@ def test_schottky_ball_equals_reduced_word_enumeration():
     # depth 6 suffices: the quietest length-6 word is already far outside
     assert min(sq_norm(g) for g, l in dist.items() if l == 6) > T * T * 47
     assert ball == by_words
+
+
+def letter_entries(gens):
+    return tuple(h.entries() for h in gens.letters())
+
+
+def conjugate(gens, c):
+    return GeneratorSet("conj", tuple(c.inverse() @ g @ c for g in gens.gens))
+
+
+S_MAT = UnimodularMatrix(0, -1, 1, 0)
+CONJUGATORS = [
+    u @ v if left else v @ u
+    for u in (UnimodularMatrix.identity(), S_MAT)
+    for v in (UnimodularMatrix.identity(), GEN_R, GEN_L, GEN_R.inverse(), GEN_L.inverse(),
+              GEN_R @ GEN_L.inverse(), GEN_L @ GEN_R.inverse(),
+              GEN_R.inverse() @ GEN_L, GEN_L.inverse() @ GEN_R)
+    for left in (True, False)
+]
+
+
+def two_power_words(first, second):
+    """first^a second^b for exponents a, b in 2..4: hyperbolic."""
+    return st.tuples(st.integers(2, 4), st.integers(2, 4)).map(
+        lambda e: reduce(UnimodularMatrix.__matmul__, [first] * e[0] + [second] * e[1])
+    )
+
+
+rl_words, lr_words = two_power_words(GEN_R, GEN_L), two_power_words(GEN_L, GEN_R)
+certified_cases = st.tuples(
+    st.one_of(
+        # conjugates of the Schottky pair by short words
+        st.sampled_from(CONJUGATORS).map(lambda c: conjugate(schottky_generators(), c)),
+        # words R^a L^b and L^c R^d, as a pair or alone
+        st.one_of(st.tuples(rl_words, lr_words), st.tuples(rl_words), st.tuples(lr_words)).map(
+            lambda g: GeneratorSet("words", g)
+        ),
+    ),
+    st.floats(1, 2000),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(certified_cases)
+def test_certified_tree_matches_set_bfs(case):
+    """The reduced-word tree returns the breadth-first ball exactly, word
+    lengths included, on generator sets that carry a certificate."""
+    gens, T = case
+    assert groups._ping_pong_certificate(letter_entries(gens)) is not None
+    ball = enumerate_ball(gens, T)
+    rows, word_lengths = reference_ball(gens, T)
+    assert ball.rows.dtype == np.int64 and ball.word_lengths.dtype == np.int64
+    assert ball.rows.tolist() == rows
+    assert ball.word_lengths.tolist() == word_lengths
+
+
+def test_schottky_certificate_is_tight_under_moved_endpoints():
+    """The Schottky certificate passes the checker, and moving any one
+    endpoint inward by a quarter of its interval is rejected: the unwidened
+    hull is spanned by rows of reduced words, which every valid interval
+    must hold."""
+    letters = letter_entries(schottky_generators())
+    K = groups._ping_pong_certificate(letters)
+    assert K is not None and groups._certificate_holds(letters, K)
+    for j, (lo, hi) in enumerate(K):
+        step = (hi - lo) / 4
+        for moved in ((lo + step, hi), (lo, hi - step)):
+            shrunk = list(K)
+            shrunk[j] = moved
+            assert not groups._certificate_holds(letters, shrunk)
+
+
+def test_norm_gain_check_reaches_the_vertex():
+    """Q for RL is s^2 + 6s + 4: nonnegative at -6 and 0 but -5 at its
+    vertex -3, so only the vertex rejects [-6, 0]."""
+    assert not groups._norm_gain_nonnegative((2, 1, 1, 1), (Fraction(-6), Fraction(0)))
+    assert groups._norm_gain_nonnegative((2, 1, 1, 1), (Fraction(0), Fraction(1)))
+
+
+def test_tree_counts_only_ball_elements():
+    """Without dedup the tree finds each element once: a cap equal to the
+    ball size succeeds, while the breadth-first search, whose region is 3.8
+    times the ball, would pass it."""
+    sg = schottky_generators()
+    assert len(enumerate_ball(sg, 1e6, element_cap=14269)) == 14269
+    with pytest.raises(BallBudgetError) as ei:
+        enumerate_ball(sg, 1e6, element_cap=14268)
+    assert ei.value.discovered > 14268
+
+
+@pytest.mark.parametrize(
+    "gens, T",
+    [
+        (modular_generators(), 12),
+        (GeneratorSet("r2l2", (GEN_R @ GEN_R, GEN_L @ GEN_L)), 40),
+        (big_letters(3, False), 60),
+        (big_letters(5, True), 60),
+        (GeneratorSet("minus", schottky_generators().gens + (UnimodularMatrix(-1, 0, 0, -1),)), 300),
+        (GeneratorSet("rot", schottky_generators().gens + (S_MAT,)), 300),
+        # ping-pong holds but norms drop along some reduced words: the tree
+        # pruned at T^2 would miss 2 of the 37 elements
+        (conjugate(schottky_generators(), GEN_R @ GEN_R), 300),
+    ],
+)
+def test_uncertified_sets_keep_the_bfs(gens, T, monkeypatch):
+    """Parabolic letters, -I, S and letters whose norms can drop get no
+    certificate, never reach the tree, and their balls stay the
+    breadth-first ones."""
+    assert groups._ping_pong_certificate(letter_entries(gens)) is None
+
+    def no_tree(*args):
+        raise AssertionError("uncertified set reached the reduced-word tree")
+
+    monkeypatch.setattr(groups, "_tree_layers", no_tree)
+    ball = enumerate_ball(gens, T)
+    rows, word_lengths = reference_ball(gens, T)
+    assert ball.rows.tolist() == rows
+    assert ball.word_lengths.tolist() == word_lengths
+
+
+def test_schottky_tree_equals_bfs_at_1e7(monkeypatch):
+    sg = schottky_generators()
+    tree = enumerate_ball(sg, 1e7)
+    monkeypatch.setattr(groups, "_ping_pong_certificate", lambda letters: None)
+    bfs = enumerate_ball(sg, 1e7)
+    assert len(tree) == 70089
+    assert tree.rows.dtype == bfs.rows.dtype == np.int64
+    assert np.array_equal(tree.rows, bfs.rows)
+    assert np.array_equal(tree.word_lengths, bfs.word_lengths)
 
 
 def test_smoothed_sum_sandwich():
