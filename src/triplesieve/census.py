@@ -46,7 +46,6 @@ pair_count and omega_ball_size still describe the unfolded grid.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +56,7 @@ import numpy as np
 from .gl2 import Form, form_values
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, enumerate_ball
 from .modular import beta as modular_beta
-from .modular import factor_array, factor_int, is_prime, prime_factors
+from .modular import FORM_PRIME_FLOOR, factor_array, factor_int, is_prime, prime_factors
 
 FACTOR_GUARANTEE = 10 ** 18
 _CHUNK_PAIRS = 4_000_000
@@ -250,10 +249,6 @@ def census_csv(report: CensusReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def census_summary_json(report: CensusReport) -> str:
-    return json.dumps(report.summary(), sort_keys=True, indent=2) + "\n"
-
-
 def two_path_counts(ball: OrbitBall, p: int) -> Tuple[int, int]:
     """(#rows with xyz = 0 mod p, sum of the three per-coordinate counts).
 
@@ -268,14 +263,6 @@ def two_path_counts(ball: OrbitBall, p: int) -> Tuple[int, int]:
     direct = int(((x * y % p) * z % p == 0).sum())
     split = int((x == 0).sum()) + int((y == 0).sum()) + int((z == 0).sum())
     return direct, split
-
-
-def primitivity_probe(ball: OrbitBall, f: Form, q: int) -> bool:
-    """True iff some orbit point of the ball has form value coprime to q."""
-    values = form_values(f, *_row_arrays(ball))
-    if abs(q) >= 1 << 63:
-        values = values.astype(object)
-    return bool((np.gcd(values, q) == 1).any())
 
 
 @dataclass
@@ -470,15 +457,6 @@ def build_sequence(
     return seq
 
 
-_FORM_PRIME_FLOOR = {
-    Form.X: 3,
-    Form.Y: 3,
-    Form.Z: 3,
-    Form.AREA: 5,
-    Form.PRODUCT: 7,
-}
-
-
 def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(|A_q|, beta(q) * chi, remainder), all exact.
 
@@ -503,7 +481,7 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
 
 def good_moduli(form: Form, bound: float) -> List[int]:
     """Odd squarefree q in (1, bound) whose primes all admit local densities."""
-    floor = _FORM_PRIME_FLOOR[Form(form)]
+    floor = FORM_PRIME_FLOOR[Form(form)]
     out = []
     for q in range(3, math.ceil(bound)):
         if q % 2 == 0 or q >= bound:

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .census import _FORM_PRIME_FLOOR, _row_arrays, a_q, build_sequence, census, census_csv
+from .census import _row_arrays, a_q, build_sequence, census, census_csv
 from .charsums import (
     _zero_grid,
     disjointness_check,
@@ -41,6 +41,7 @@ from .groups import (
     schottky_generators,
 )
 from .modular import (
+    FORM_PRIME_FLOOR,
     bad_modulus_probe,
     coset_table,
     eta,
@@ -268,7 +269,7 @@ def cmd_census(cfg: RunConfig) -> Tuple[str, int]:
 
 def cmd_density(cfg: RunConfig) -> Tuple[str, int]:
     f = Form.parse(cfg.f)
-    floor = _FORM_PRIME_FLOOR[f]
+    floor = FORM_PRIME_FLOOR[f]
     rows = []
     all_match = True
     for p in primes_upto(cfg.p_max):

@@ -38,9 +38,9 @@ Python-int columns themselves.  A finished ball sorts on (sq_norm, entries)
 packed the same way.
 
 Element budget violations raise BallBudgetError rather than returning a
-truncated ball.  On top of the balls: smoothed counts (cubic smoothstep on
-the annulus 0.9T..1.1T), growth-exponent fits (count ~ C T^(2 delta)), partial
-Poincare sums, and per-coset counts mod q.
+truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
+on the annulus 0.9T..1.1T), growth-exponent fits (count ~ C T^(2 delta)), and
+per-coset counts mod q.
 """
 
 from __future__ import annotations
@@ -101,28 +101,6 @@ class GeneratorSet:
     def max_letter_sq_norm(self) -> int:
         return max(sq_norm(h) for h in self.letters())
 
-    def no_parabolic_certificate(self, max_word_length: int = 8) -> bool:
-        """True iff every nonidentity word of length <= max_word_length has
-        |trace| != 2.  (The identity is skipped; a lattice generator like R
-        fails immediately at length 1.)"""
-        ident = UnimodularMatrix.identity()
-        letters = self.letters()
-        seen = {ident}
-        frontier = [ident]
-        for _ in range(max_word_length):
-            nxt = []
-            for g in frontier:
-                for h in letters:
-                    w = g @ h
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    if abs(w.trace()) == 2:
-                        return False
-                    nxt.append(w)
-            frontier = nxt
-        return True
-
 
 def modular_generators() -> GeneratorSet:
     """The elementary pair generating all of SL(2,Z) (a lattice; has parabolics)."""
@@ -132,8 +110,8 @@ def modular_generators() -> GeneratorSet:
 def schottky_generators() -> GeneratorSet:
     """A purely hyperbolic pair: squares of the two trace-3 products of R and L.
 
-    Both generators have trace 7 and sq_norm 47; the pair passes the
-    no-parabolic certificate at word length 8 (checked in tests).
+    Both generators have trace 7 and sq_norm 47; the pair carries a ping-pong
+    certificate, so it is free and has no parabolic element (checked in tests).
     """
     a = (GEN_R @ GEN_L) @ (GEN_R @ GEN_L)
     b = (GEN_L @ GEN_R) @ (GEN_L @ GEN_R)
@@ -163,12 +141,6 @@ def parse_generator_text(text: str) -> GeneratorSet:
     if not gens:
         raise ValueError("no generators in input")
     return GeneratorSet(label, tuple(gens))
-
-
-def generator_text(gs: GeneratorSet) -> str:
-    lines = [f"# {gs.label}"]
-    lines += [f"{g.a} {g.b} {g.c} {g.d}" for g in gs.gens]
-    return "\n".join(lines) + "\n"
 
 
 def load_generator_file(path) -> GeneratorSet:
@@ -492,27 +464,6 @@ class SmoothedWeight:
         return u * u * (3 - 2 * u)
 
 
-def smoothed_sum(ball: OrbitBall, T: float) -> float:
-    """Sum of the smoothed indicator at parameter T over a ball complete to 1.1T.
-
-    Always sandwiched between the hard counts at 0.9T and 1.1T.
-    """
-    # exact rational comparison; 1.1*T in floats can round above the true edge
-    if Fraction(ball.T) < Fraction(11, 10) * Fraction(T):
-        raise ValueError(
-            f"ball complete only to {ball.T}; smoothing at T={T} needs 1.1*T"
-        )
-    # exact sum: weight 1 up to (0.9T)^2, weight_fraction per distinct
-    # squared norm in the annulus, 0 from (1.1T)^2 on
-    w = SmoothedWeight(T)
-    t2 = Fraction(T) ** 2
-    lo, hi = math.floor(Fraction(81, 100) * t2), math.ceil(Fraction(121, 100) * t2)
-    s = ball.sq_norms()
-    norms, counts = np.unique(s[(s > lo) & (s < hi)], return_counts=True)
-    annulus = sum(n * w.weight_fraction(v) for v, n in zip(norms.tolist(), counts.tolist()))
-    return float(int((s <= lo).sum()) + annulus)
-
-
 @dataclass(frozen=True)
 class GrowthEstimate:
     """Fitted growth exponent: count(T) ~ C T^(2 delta_hat)."""
@@ -556,16 +507,6 @@ def estimate_delta(
     )
 
 
-def poincare_partial(gens: GeneratorSet, s: float, T: float) -> float:
-    """Partial Poincare sum over the ball: sum of sq_norm(g)^(-s)."""
-    if s <= 0:
-        raise ValueError("need s > 0")
-    ball = enumerate_ball(gens, T)
-    if not len(ball):
-        return 0.0
-    return float((ball.sq_norms().astype(np.float64) ** (-float(s))).sum())
-
-
 def coset_counts(
     gens: GeneratorSet, T: float, q: int, ball: Optional[OrbitBall] = None
 ) -> Dict[Tuple[int, int], int]:
@@ -590,22 +531,7 @@ def coset_counts(
     for p in modular.prime_factors(q):
         if not modular.strong_approx_check(gens, p):
             raise ValueError(f"projection not surjective mod {p}; bad modulus overlap")
-    # vectorized label per prime, glued by CRT
-    lc = np.zeros(len(c_all), dtype=np.int64)
-    ld = np.zeros(len(c_all), dtype=np.int64)
-    mod_so_far = 1
-    for p in modular.prime_factors(q):
-        cp = c_all % p
-        dp = d_all % p
-        inv = np.array([0] + [pow(i, -1, p) for i in range(1, p)], dtype=np.int64)
-        zero = cp == 0
-        rep_c = np.where(zero, 0, 1)
-        rep_d = np.where(zero, 1, (inv[cp] * dp) % p)
-        # CRT: extend (lc, ld) mod mod_so_far by (rep_c, rep_d) mod p
-        minv = pow(mod_so_far, -1, p)
-        lc = lc + mod_so_far * (((rep_c - lc) * minv) % p)
-        ld = ld + mod_so_far * (((rep_d - ld) * minv) % p)
-        mod_so_far *= p
+    lc, ld = modular.coset_labels(q, c_all, d_all)
     counts = {rep: 0 for rep in table.reps}
     key = lc * q + ld
     uniq, cnt = np.unique(key, return_counts=True)

@@ -1,14 +1,19 @@
 """Reduction mod q: group projections, surjectivity probes, coset tables, densities.
 
 For a squarefree modulus q the projection pi_q : SL(2,Z) -> SL(2,Z/qZ) is
-computed by breadth-first closure of the generator images.  A subgroup has
-full image at a prime p exactly when the closure reaches p(p^2-1) elements;
-primes where this fails (together with 2, which is always excluded) form the
-empirical bad-modulus set.
+computed by breadth-first closure of the images of the generators and their
+inverses, each element packed into one int64 code ((a q + b) q + c) q + d
+and deduplicated layer by layer.  A subgroup has full image at a prime p
+exactly when the closure reaches p(p^2-1) elements; primes where this fails
+(together with 2, which is always excluded) form the empirical bad-modulus
+set.
 
 Cosets of the row-stabilizer subgroup {g : (0,1).g = a.(0,1) mod q, a a unit}
 are labeled by the projectivized bottom row (c:d) in P^1(Z/pZ) per prime,
-glued by CRT; the index is eta(q) = prod_{p|q} (p+1).
+glued by CRT; the index is eta(q) = prod_{p|q} (p+1).  One array kernel,
+coset_labels, computes the labels for CosetTable.label_of_row and
+groups.coset_counts, and its CRT step also builds coset_table's
+representatives.
 
 Local densities count, among the p+1 coset representatives, those whose row
 makes a chosen coordinate form vanish mod p.  Exact rationals throughout.
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,6 +37,14 @@ from .gl2 import Form, UnimodularMatrix, form_values
 TABLE_LIMIT = 1 << 20
 # Cells of one (values x primes) divisibility grid: bounds the scratch memory.
 _CHUNK_CELLS = 1 << 16
+# project_group packs four residues mod q into one int64 code, so q^4 < 2^63.
+_CODE_LIMIT = 1 << 15
+# Coset labels multiply residues mod q in int64, so q^2 < 2^63.
+_LABEL_LIMIT = 1 << 31
+
+# Smallest prime at which each form has a local density: the fixed
+# denominators 12 of the area and 60 of the product must be invertible.
+FORM_PRIME_FLOOR = {Form.X: 3, Form.Y: 3, Form.Z: 3, Form.AREA: 5, Form.PRODUCT: 7}
 
 
 def _sieve(n: int) -> np.ndarray:
@@ -148,8 +161,8 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _squarefree_factors(q: int) -> Tuple[int, ...]:
-    """Sorted prime factors of q; raises if q is not squarefree or q < 1."""
+def prime_factors(q: int) -> Tuple[int, ...]:
+    """Sorted prime factors of a squarefree q >= 1; raises ValueError otherwise."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     primes = factor_int(q)
@@ -160,73 +173,18 @@ def _squarefree_factors(q: int) -> Tuple[int, ...]:
 
 def is_squarefree(q: int) -> bool:
     try:
-        _squarefree_factors(q)
+        prime_factors(q)
     except ValueError:
         return False
     return True
 
 
-def prime_factors(q: int) -> Tuple[int, ...]:
-    """Sorted prime factors of a squarefree modulus (raises otherwise)."""
-    return _squarefree_factors(q)
-
-
 def sl2_order(q: int) -> int:
     """|SL(2,Z/qZ)| for squarefree q: prod p(p^2-1)."""
     out = 1
-    for p in _squarefree_factors(q):
+    for p in prime_factors(q):
         out *= p * (p * p - 1)
     return out
-
-
-class ResidueElement:
-    """An element of SL(2,Z/qZ) for squarefree q, entries reduced to [0,q)."""
-
-    __slots__ = ("q", "a", "b", "c", "d")
-
-    def __init__(self, q: int, a: int, b: int, c: int, d: int):
-        _squarefree_factors(q)
-        a, b, c, d = a % q, b % q, c % q, d % q
-        if (a * d - b * c) % q != 1 % q:
-            raise ValueError(f"determinant must be 1 mod {q}")
-        self.q, self.a, self.b, self.c, self.d = q, a, b, c, d
-
-    @classmethod
-    def from_matrix(cls, g: UnimodularMatrix, q: int) -> "ResidueElement":
-        return cls(q, g.a, g.b, g.c, g.d)
-
-    @classmethod
-    def identity(cls, q: int) -> "ResidueElement":
-        return cls(q, 1, 0, 0, 1)
-
-    def mul(self, other: "ResidueElement") -> "ResidueElement":
-        if self.q != other.q:
-            raise ValueError("modulus mismatch")
-        q = self.q
-        return ResidueElement(
-            q,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "ResidueElement":
-        return ResidueElement(self.q, self.d, -self.b, -self.c, self.a)
-
-    def key(self) -> Tuple[int, int, int, int, int]:
-        return (self.q, self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return f"ResidueElement(q={self.q}, {self.a}, {self.b}, {self.c}, {self.d})"
 
 
 def _generator_matrices(gens) -> List[UnimodularMatrix]:
@@ -237,27 +195,36 @@ def _generator_matrices(gens) -> List[UnimodularMatrix]:
     return mats
 
 
-def project_group(gens, q: int) -> Set[ResidueElement]:
-    """Breadth-first closure of the projected generators in SL(2,Z/qZ).
+def project_group(gens, q: int) -> np.ndarray:
+    """The image of the generated subgroup in SL(2,Z/qZ) for squarefree q.
 
-    The closure under right multiplication by generator images starting from
-    the identity is the generated subgroup (finite group, so the monoid
-    closure already contains inverses).
+    Returns its elements as (a, b, c, d) rows of int64 residues in [0, q),
+    sorted lexicographically, so len() is the order of the image.  The
+    closure runs breadth-first over the images of the generators and their
+    inverses, carried as codes ((a q + b) q + c) q + d, which are below
+    q^4 < 2^63 for q < 2^15.  The letters are symmetric, so a product of a
+    layer-k element and a letter is in layer k - 1, in layer k, or new.
     """
-    mats = _generator_matrices(gens)
-    imgs = list({ResidueElement.from_matrix(g, q) for g in mats})
-    seen = {ResidueElement.identity(q)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in imgs:
-                prod = el.mul(g)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+    if q >= _CODE_LIMIT:
+        raise ValueError(f"modulus {q} too large for packed residue codes (need q < {_CODE_LIMIT})")
+    prime_factors(q)  # refuses a non-squarefree q
+    entries = [g.entries() for g in _generator_matrices(gens)]
+    entries += [(d, -b, -c, a) for a, b, c, d in entries]
+    letters = np.array([[e % q for e in h] for h in entries], dtype=np.int64).reshape(-1, 2, 2)
+    weights = np.array([q**3, q**2, q, 1], dtype=np.int64)
+    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64) % q
+    prev = np.zeros(0, dtype=np.int64)
+    cur = frontier @ weights
+    layers = [cur]
+    while len(frontier):
+        cand = np.sort((frontier.reshape(-1, 1, 2, 2) @ letters).reshape(-1, 4) % q @ weights)
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+        new = cand[~np.isin(cand, np.concatenate((prev, cur)), assume_unique=True, kind="sort")]
+        prev, cur = cur, new
+        layers.append(new)
+        frontier = (new[:, None] // weights) % q
+    codes = np.sort(np.concatenate(layers))
+    return (codes[:, None] // weights) % q
 
 
 def strong_approx_check(gens, p: int) -> bool:
@@ -285,6 +252,53 @@ def bad_modulus_probe(gens, p_max: int) -> List[int]:
     return bad
 
 
+def _label_primes(q: int) -> Tuple[int, ...]:
+    """prime_factors(q) for a modulus whose residue products fit int64."""
+    if q >= _LABEL_LIMIT:
+        raise ValueError(f"modulus {q} too large for int64 coset labels (need q < {_LABEL_LIMIT})")
+    return prime_factors(q)
+
+
+def _crt_step(x, mod: int, r, p: int):
+    """The residues mod mod * p that are x mod mod and r mod p, for a prime
+    p coprime to mod; every product stays below (mod * p)^2."""
+    return x + mod * ((r - x) * pow(mod, -1, p) % p)
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """Table of inverses mod prime p (entry 0 is 0), built once per prime."""
+    return np.array([0] + [pow(i, -1, p) for i in range(1, p)], dtype=np.int64)
+
+
+def coset_labels(q: int, c, d) -> Tuple[np.ndarray, np.ndarray]:
+    """Coset labels (lc, ld) of the bottom rows (c, d), as int64 arrays.
+
+    Per prime p | q the label is the projective class of the row mod p:
+    (0, 1) when p | c, else (1, d c^-1 mod p); the per-prime labels are
+    glued by CRT, and q = 1 labels every row (0, 1).  Rows vanishing mod
+    some p | q are not rows of SL(2,Z/qZ) elements and are rejected.
+    """
+    primes = _label_primes(q)
+    c = np.asarray(c, dtype=np.int64)
+    d = np.asarray(d, dtype=np.int64)
+    if q == 1:
+        return np.zeros_like(c), np.ones_like(d)
+    lc = ld = 0
+    mod = 1
+    for p in primes:
+        cp, dp = c % p, d % p
+        zero = cp == 0
+        vanish = np.flatnonzero(zero & (dp == 0))
+        if len(vanish):
+            i = vanish[0]
+            raise ValueError(f"row {(int(c[i]), int(d[i]))} vanishes mod {p}")
+        lc = _crt_step(lc, mod, np.where(zero, 0, 1), p)
+        ld = _crt_step(ld, mod, np.where(zero, 1, _inverses(p)[cp] * dp % p), p)
+        mod *= p
+    return lc, ld
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Representatives (as bottom rows mod q) of the row-stabilizer cosets."""
@@ -294,58 +308,33 @@ class CosetTable:
     index: int
 
     def label_of_row(self, c: int, d: int) -> Tuple[int, int]:
-        """Canonical representative of the projective class of (c, d) mod q.
-
-        Per prime p | q the class is (0,1) when p | c, else (1, d/c); the
-        per-prime labels are glued by CRT.  Rows vanishing mod some p | q
-        are not rows of SL(2,Z/qZ) elements and are rejected.
-        """
-        residues_c, residues_d = [], []
-        for p in _squarefree_factors(self.q):
-            cp, dp = c % p, d % p
-            if cp == 0:
-                if dp == 0:
-                    raise ValueError(f"row {(c, d)} vanishes mod {p}")
-                residues_c.append(0)
-                residues_d.append(1)
-            else:
-                residues_c.append(1)
-                residues_d.append(dp * pow(cp, -1, p) % p)
-        return (_crt(residues_c, self.q), _crt(residues_d, self.q))
-
-    def label_of(self, g) -> Tuple[int, int]:
-        """Coset label of a matrix-like object with bottom row (c, d)."""
-        return self.label_of_row(g.c, g.d)
-
-
-def _crt(residues: Sequence[int], q: int) -> int:
-    primes = _squarefree_factors(q)
-    x, mod = 0, 1
-    for p, r in zip(primes, residues):
-        # x := x + mod * t with t chosen so x = r (mod p)
-        t = ((r - x) * pow(mod, -1, p)) % p
-        x += mod * t
-        mod *= p
-    return x % q
+        """Canonical representative of the projective class of (c, d) mod q
+        (see coset_labels); any integers, reduced mod q first."""
+        lc, ld = coset_labels(self.q, [c % self.q], [d % self.q])
+        return int(lc[0]), int(ld[0])
 
 
 @lru_cache(maxsize=None)
 def coset_table(q: int) -> CosetTable:
     """Row-stabilizer coset representatives for squarefree q.
 
-    For a prime p the representatives are (0,1) and (1,d) for d mod p; for
-    composite squarefree q every CRT combination of per-prime representatives,
-    giving index eta(q) = prod (p+1).
+    For a prime p the representatives are (0,1) and (1,d) for d mod p, in
+    that order; for composite squarefree q every CRT combination of
+    per-prime representatives, the first prime most significant, giving
+    index eta(q) = prod (p+1).  reps holds Python ints.
     """
-    primes = _squarefree_factors(q)
+    primes = _label_primes(q)
     if q == 1:
         return CosetTable(1, ((0, 1),), 1)
-    per_prime = {p: [(0, 1)] + [(1, d) for d in range(p)] for p in primes}
-    # build the CRT product iteratively, keeping a deterministic order
-    reps = [((), ())]  # (residues of c, residues of d) per prime so far
-    for p in primes:
-        reps = [(rc + (c,), rd + (d,)) for (rc, rd) in reps for (c, d) in per_prime[p]]
-    rows = tuple((_crt(rc, q), _crt(rd, q)) for rc, rd in reps)
+    # per prime, representative j is (0, 1) for j = 0, else (1, j - 1)
+    js = np.indices([p + 1 for p in primes]).reshape(len(primes), -1)
+    c = d = 0
+    mod = 1
+    for p, j in zip(primes, js):
+        c = _crt_step(c, mod, np.where(j == 0, 0, 1), p)
+        d = _crt_step(d, mod, np.where(j == 0, 1, j - 1), p)
+        mod *= p
+    rows = tuple(zip(c.tolist(), d.tolist()))
     index = math.prod(p + 1 for p in primes)
     if len(rows) != index or len(set(rows)) != index:
         raise ArithmeticError(f"coset representatives mod {q} are not {index} distinct rows")
@@ -354,7 +343,7 @@ def coset_table(q: int) -> CosetTable:
 
 def eta(q: int) -> int:
     """Coset index prod_{p|q}(p+1) for squarefree q."""
-    return math.prod(p + 1 for p in _squarefree_factors(q))
+    return math.prod(p + 1 for p in prime_factors(q))
 
 
 @dataclass(frozen=True)
@@ -381,11 +370,11 @@ def predicted_density(f: Form, p: int) -> Fraction:
     if f is Form.Z:
         return Fraction(2, p + 1) if p % 4 == 1 else Fraction(0)
     if f is Form.AREA:
-        if p < 5:
+        if p < FORM_PRIME_FLOOR[f]:
             raise ValueError("density of the quartic form needs p coprime to 12")
         return Fraction(4, p + 1)
     if f is Form.PRODUCT:
-        if p < 7:
+        if p < FORM_PRIME_FLOOR[f]:
             raise ValueError("density of the sextic form needs p coprime to 60")
         return Fraction(6 if p % 4 == 1 else 4, p + 1)
     raise ValueError(f"unknown form {f!r}")
@@ -408,6 +397,6 @@ def local_density(f: Form, p: int) -> DensityReport:
 def beta(f: Form, q: int) -> Fraction:
     """Multiplicative density over squarefree q: prod of predicted_density(f, p)."""
     out = Fraction(1)
-    for p in _squarefree_factors(q):
+    for p in prime_factors(q):
         out *= predicted_density(f, p)
     return out

@@ -20,11 +20,9 @@ from triplesieve.census import (
     build_sequence,
     census,
     census_csv,
-    census_summary_json,
     distribution_probe,
     factorize,
     good_moduli,
-    primitivity_probe,
     two_path_counts,
 )
 from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix, form_value
@@ -123,9 +121,6 @@ def test_census_csv_and_json_deterministic():
     row5 = next(l for l in lines if l.startswith("1,2,"))
     assert row5 == "1,2,z,5,5,1,P1,0"
     assert census_csv(census(ball, Form.Z, 2)) == text
-    js = census_summary_json(rep)
-    assert census_summary_json(census(ball, Form.Z, 2)) == js
-    assert '"almost_prime_counts"' in js
 
 
 def test_census_imprimitive_flag_and_parity():
@@ -169,13 +164,6 @@ def test_two_path_fails_for_composite_modulus():
     x, y, z = d * d - c * c, 2 * c * d, c * c + d * d
     assert x * y * z % 15 == 0
     assert (x % 15 == 0) + (y % 15 == 0) + (z % 15 == 0) == 0
-
-
-def test_primitivity_probe_modular():
-    ball = enumerate_ball(MOD, 20)
-    for f in Form:
-        for q in (3, 5, 7, 25, 101):
-            assert primitivity_probe(ball, f, q)
 
 
 def brute_sequence(gens, X, Y, f):

@@ -1,6 +1,7 @@
 """Ball enumeration, growth fits, smoothing, and coset equidistribution."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplesieve import groups
+from triplesieve import groups, modular
 from triplesieve.gl2 import GEN_L, GEN_R, UnimodularMatrix, sq_norm
 from triplesieve.groups import (
     BallBudgetError,
@@ -19,12 +20,9 @@ from triplesieve.groups import (
     coset_counts,
     enumerate_ball,
     estimate_delta,
-    generator_text,
     modular_generators,
     parse_generator_text,
-    poincare_partial,
     schottky_generators,
-    smoothed_sum,
     word_ball,
 )
 
@@ -215,8 +213,8 @@ def test_budget_error_discovered_count(gens, T, cap, discovered):
 
 
 def test_no_parabolic_certificates():
-    assert schottky_generators().no_parabolic_certificate(8)
-    assert not modular_generators().no_parabolic_certificate(1)  # R has trace 2
+    assert groups._ping_pong_certificate(letter_entries(schottky_generators())) is not None
+    assert groups._ping_pong_certificate(letter_entries(modular_generators())) is None
     assert all(sq_norm(g) == 47 and g.trace() == 7 for g in schottky_generators().gens)
 
 
@@ -362,15 +360,6 @@ def test_schottky_tree_equals_bfs_at_1e7(monkeypatch):
     assert np.array_equal(tree.word_lengths, bfs.word_lengths)
 
 
-def test_smoothed_sum_sandwich():
-    mg = modular_generators()
-    ball = enumerate_ball(mg, 55)
-    s = smoothed_sum(ball, 50)
-    assert ball.count_below(45) <= s <= ball.count_below(55)
-    with pytest.raises(ValueError):
-        smoothed_sum(ball, 51)  # needs completeness to 1.1*51
-
-
 def test_smoothed_weight_shape():
     w = SmoothedWeight(10.0)
     assert w.weight(80) == 1.0  # below (0.9*10)^2 = 81
@@ -380,15 +369,6 @@ def test_smoothed_weight_shape():
     assert all(a >= b for a, b in zip(mid, mid[1:]))  # monotone nonincreasing
     assert w.weight_fraction(101) == w.weight_fraction(101)
     assert abs(float(w.weight_fraction(101)) - w.weight(101)) < 1e-12
-
-
-def test_smoothed_doubling_tracks_growth():
-    mg = modular_generators()
-    ball = enumerate_ball(mg, 240)
-    s1 = smoothed_sum(ball, 100)
-    s2 = smoothed_sum(ball, 200)
-    # lattice growth T^2: doubling should roughly quadruple
-    assert 2 ** 1.8 <= s2 / s1 <= 2 ** 2.2
 
 
 def test_estimate_delta_modular_lattice():
@@ -415,24 +395,6 @@ def test_estimate_delta_grid_validation():
         GrowthEstimate(1.5, 0.0, ((1.0, 1), (2.0, 2), (3.0, 3), (4.0, 4)))
 
 
-def test_poincare_partial_behavior():
-    mg = modular_generators()
-    assert poincare_partial(mg, 2.0, 1) == 0.0
-    v1 = poincare_partial(mg, 1.5, 30)
-    v2 = poincare_partial(mg, 1.5, 60)
-    assert 0 < v1 <= v2
-    # large s: dominated by the four norm-2 elements
-    big = poincare_partial(mg, 40.0, 10)
-    assert abs(big - 4 * 2 ** -40.0) < 1e-13
-    # flattening above the abscissa, not below
-    above = [poincare_partial(mg, 1.3, T) for T in (50, 100, 200, 400)]
-    below = [poincare_partial(mg, 0.7, T) for T in (50, 100, 200, 400)]
-    d_above = np.diff(above)
-    d_below = np.diff(below)
-    assert all(d_above[i + 1] < d_above[i] for i in range(len(d_above) - 1))
-    assert all(d_below[i + 1] > d_below[i] for i in range(len(d_below) - 1))
-
-
 def test_coset_counts_partition_and_equidistribution():
     mg = modular_generators()
     ball = enumerate_ball(mg, 200)
@@ -442,6 +404,24 @@ def test_coset_counts_partition_and_equidistribution():
     for v in counts.values():
         assert abs(v / len(ball) - 0.25) < 0.10
     assert coset_counts(mg, 50, 1) == {(0, 1): enumerate_ball(mg, 50).count_below(50)}
+
+
+def test_coset_counts_labels_match_label_of_row():
+    """coset_counts' array labels agree with the scalar label_of_row on every
+    row of the ball, and the counts are their tally in table order."""
+    mg = modular_generators()
+    ball = enumerate_ball(mg, 200)
+    c, d = ball.rows[:, 2], ball.rows[:, 3]
+    for q in (3, 105):
+        table = modular.coset_table(q)
+        residues = list(zip((c % q).tolist(), (d % q).tolist()))
+        by_residue = {r: table.label_of_row(*r) for r in set(residues)}
+        labels = [by_residue[r] for r in residues]
+        lc, ld = modular.coset_labels(q, c, d)
+        assert list(zip(lc.tolist(), ld.tolist())) == labels
+        tally = Counter(labels)
+        counts = coset_counts(mg, 200, q, ball=ball)
+        assert list(counts.items()) == [(rep, tally[rep]) for rep in table.reps]
 
 
 def test_coset_counts_rejects_bad_moduli():
@@ -454,11 +434,6 @@ def test_coset_counts_rejects_bad_moduli():
 
 
 def test_generator_text_roundtrip(tmp_path):
-    gs = schottky_generators()
-    text = generator_text(gs)
-    back = parse_generator_text(text)
-    assert back.label == gs.label
-    assert back.gens == gs.gens
     p = tmp_path / "gens.txt"
     p.write_text("# label: custom\n1 1 0 1\n1 0 1 1\n")
     from triplesieve.groups import load_generator_file

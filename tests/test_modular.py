@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -12,15 +13,17 @@ from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix
 from triplesieve.groups import schottky_generators
 from triplesieve.modular import (
     TABLE_LIMIT,
-    ResidueElement,
     bad_modulus_probe,
     beta,
+    coset_labels,
     coset_table,
     eta,
     factor_array,
     is_prime,
+    is_squarefree,
     local_density,
     predicted_density,
+    prime_factors,
     primes_upto,
     project_group,
     sl2_order,
@@ -30,6 +33,55 @@ from triplesieve.modular import (
 MOD_GENS = [GEN_R, GEN_L]
 # both congruent to the identity mod 3 (and mod 2 for the second)
 I_MOD3_GENS = [UnimodularMatrix(1, 3, 0, 1), UnimodularMatrix(1, 0, 3, 1)]
+
+
+def crt_oracle(residues, primes):
+    """Scalar CRT: the x mod prod(primes) with x = residues[i] mod primes[i]."""
+    x, mod = 0, 1
+    for p, r in zip(primes, residues):
+        x += mod * ((r - x) * pow(mod, -1, p) % p)
+        mod *= p
+    return x
+
+
+def coset_reps_oracle(q):
+    """Every CRT combination of the per-prime reps (0,1), (1,0), ..., (1,p-1),
+    the first prime most significant."""
+    if q == 1:
+        return ((0, 1),)
+    primes = prime_factors(q)
+    reps = [((), ())]
+    for p in primes:
+        per_prime = [(0, 1)] + [(1, d) for d in range(p)]
+        reps = [(rc + (c,), rd + (d,)) for rc, rd in reps for c, d in per_prime]
+    return tuple((crt_oracle(rc, primes), crt_oracle(rd, primes)) for rc, rd in reps)
+
+
+def label_oracle(q, c, d):
+    """Scalar coset label: per prime (0,1) when p | c, else (1, d/c), by CRT."""
+    if q == 1:
+        return (0, 1)
+    primes = prime_factors(q)
+    per_prime = [(0, 1) if c % p == 0 else (1, d * pow(c, -1, p) % p) for p in primes]
+    return tuple(crt_oracle(part, primes) for part in zip(*per_prime))
+
+
+def closure_oracle(gens, q):
+    """Tuple-set closure of the generator images mod q under right
+    multiplication, starting from the identity."""
+    imgs = {tuple(e % q for e in g.entries()) for g in gens}
+    ident = (1 % q, 0, 0, 1 % q)
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for a, b, c, d in frontier:
+            for e, f, g, h in imgs:
+                prod = ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
 
 
 def test_projection_full_at_5():
@@ -60,6 +112,36 @@ def test_bad_modulus_probe_schottky():
     assert not strong_approx_check(gens, 7)
 
 
+@pytest.mark.parametrize("gens", [MOD_GENS, list(schottky_generators().gens), I_MOD3_GENS])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 15])
+def test_projection_matches_closure_oracle(gens, q):
+    rows = project_group(gens, q)
+    assert rows.dtype == np.int64 and rows.shape[1] == 4
+    assert rows.tolist() == sorted(map(list, closure_oracle(gens, q)))
+
+
+def test_modulus_limits():
+    for build in (lambda q: project_group(MOD_GENS, q), coset_table, lambda q: coset_labels(q, [1], [0])):
+        with pytest.raises(ValueError, match="squarefree"):
+            build(9)
+    with pytest.raises(ValueError, match="packed residue codes"):
+        project_group(MOD_GENS, 1 << 15)
+    assert len(project_group(MOD_GENS, 1)) == 1
+    for build in (coset_table, lambda q: coset_labels(q, [1], [0])):
+        with pytest.raises(ValueError, match="int64"):
+            build(1 << 31)
+    with pytest.raises(ValueError, match="vanishes mod 5"):
+        coset_labels(15, [1, 10], [2, 5])
+
+
+def test_coset_table_matches_crt_oracle():
+    for q in range(1, 211):
+        if is_squarefree(q):
+            reps = coset_table(q).reps
+            assert reps == coset_reps_oracle(q)
+            assert all(type(e) is int for rep in reps for e in rep)
+
+
 def test_projection_size_multiplicative_over_good_primes():
     s3 = len(project_group(MOD_GENS, 3))
     s5 = len(project_group(MOD_GENS, 5))
@@ -88,9 +170,10 @@ def test_representatives_partition_the_full_group(p):
     and the fibers all have the same size p(p^2-1)/(p+1) = p(p-1)."""
     table = coset_table(p)
     counts = {rep: 0 for rep in table.reps}
-    for el in project_group(MOD_GENS, p):
-        counts[table.label_of(el)] += 1
-    assert len(project_group(MOD_GENS, p)) == sl2_order(p)
+    rows = project_group(MOD_GENS, p)
+    for label in zip(*(x.tolist() for x in coset_labels(p, rows[:, 2], rows[:, 3]))):
+        counts[label] += 1
+    assert len(rows) == sl2_order(p)
     assert set(counts.values()) == {p * (p - 1)}
 
 
@@ -115,7 +198,7 @@ def test_label_is_crt_compatible():
             assert (lc % 5, ld % 5) == t5.label_of_row(c % 5, d % 5)
 
 
-squarefree_q = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35, 105])
+squarefree_q = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35, 105])
 
 
 @given(squarefree_q, st.integers(0, 200), st.integers(0, 200))
@@ -127,6 +210,8 @@ def test_label_idempotent(q, c, d):
         return  # row vanishes mod some p | q
     assert table.label_of_row(*lab) == lab
     assert lab in table.reps
+    assert lab == label_oracle(q, c, d)
+    assert table.label_of_row(c + 10**30 * q, d - 10**30 * q) == lab
 
 
 def test_densities_match_predictions_small():
@@ -154,15 +239,6 @@ def test_beta_multiplicative():
     assert beta(Form.Z, 21) == 0  # 7 = 3 mod 4 kills it
     assert beta(Form.X, 1) == 1
 
-
-def test_residue_element_validation():
-    with pytest.raises(ValueError):
-        ResidueElement(5, 1, 0, 0, 2)  # det 2
-    with pytest.raises(ValueError):
-        ResidueElement(9, 1, 0, 0, 1)  # not squarefree
-    el = ResidueElement(5, 7, 1, -1, 0)
-    assert (el.a, el.b, el.c, el.d) == (2, 1, 4, 0)
-    assert el.mul(el.inverse()) == ResidueElement.identity(5)
 
 _TOP = primes_upto(TABLE_LIMIT)[-1]  # largest table prime
 # semiprimes just above the trial bound: only the sympy fallback can split them
