@@ -56,7 +56,7 @@ import numpy as np
 from .gl2 import Form, form_values
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, enumerate_ball
 from .modular import beta as modular_beta
-from .modular import FORM_PRIME_FLOOR, factor_array, factor_int, is_prime, prime_factors
+from .modular import FORM_PRIME_FLOOR, factor_array, factor_int, prime_factors, require_odd_prime
 
 FACTOR_GUARANTEE = 10 ** 18
 _CHUNK_PAIRS = 4_000_000
@@ -255,8 +255,7 @@ def two_path_counts(ball: OrbitBall, p: int) -> Tuple[int, int]:
     Equal for every odd prime p because no two coordinates vanish together
     on rows with coprime entries; false for composite moduli.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+    require_odd_prime(p)
     c = ball.rows[:, 2] % p
     d = ball.rows[:, 3] % p
     x, y, z = (form_values(g, c, d) % p for g in (Form.X, Form.Y, Form.Z))

@@ -14,13 +14,14 @@ evaluated on the row (c,d).w):
     S5(q; f, k, l; w, w')  = q^-2 sum Xi(q; f_w) Xi(q; f_{w'}) e_q(-ck-dl)
     S3(q,q'; f, k, l; ...) = qbar^-2 sum_{c,d mod qbar} Xi(q; f_w) Xi(q'; f_{w'}) e_qbar(-ck-dl)
 
-The twisted sums are computed on integer numerators over fixed
-denominators: p^2 S4 and p^6 S5 at a prime p (p^2 Xi(p; n) is p^2 - (2p-1)
-or -(2p-1), so the S5 cell weights are (p-1)^4, -(2p-1)(p-1)^2 and
-(2p-1)^2), and q^2 q'^2 qbar^2 S3.  A public sum multiplies its local
-numerators as integers and converts the result once: S4 and S5 to a sympy
-Rational (S4 stays a Fraction when the twist is 0 at every prime), S3 to a
-sympy Rational, as recorded output has always had them.
+The twisted sums, and S2 as S5 at the zero twist, are computed on integer
+numerators over fixed denominators: p^2 S4 and p^6 S5 at a prime p (p^2
+Xi(p; n) is p^2 - (2p-1) or -(2p-1), so the S5 cell weights are (p-1)^4,
+-(2p-1)(p-1)^2 and (2p-1)^2), and q^2 q'^2 qbar^2 S3.  A public sum
+multiplies its local numerators as integers and converts the result once:
+S4 and S5 to a sympy Rational (S4 stays a Fraction when the twist is 0 at
+every prime), S3 to a sympy Rational, as recorded output has always had
+them; S2 stays a product of per-prime Fractions.
 
 Exponential sums never touch floating-point roots of unity: the (c,d) grid is
 grouped by m = ck+dl mod q, the resulting histogram is constant on classes
@@ -54,7 +55,7 @@ import numpy as np
 import sympy
 
 from .gl2 import Form, UnimodularMatrix, form_value, form_values, row_after
-from .modular import is_prime, prime_factors
+from .modular import prime_factors, require_odd_prime
 
 
 def rho(q: int) -> Fraction:
@@ -111,12 +112,6 @@ def _require_odd_squarefree(q: int) -> Tuple[int, ...]:
     return ps
 
 
-def _require_odd_prime(p: int) -> None:
-    _require_odd_squarefree(p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def _check_z_admissible(f: Form, primes) -> None:
     if f is Form.Z:
         bad = [p for p in primes if p % 4 == 3]
@@ -147,7 +142,7 @@ def _zero_count(f: Form, p: int, omega: UnimodularMatrix) -> int:
 def count_zero_locus(f: Form, p: int, omega: UnimodularMatrix) -> int:
     """#{(c,d) mod p : f_omega(c,d) = 0}; equals 2p-1 in admissible cases
     (two lines through the origin)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     _check_z_admissible(f, (p,))
     return _zero_count(f, p, omega)
 
@@ -173,20 +168,8 @@ def s1(q: int, f: Form, omega: UnimodularMatrix) -> SumValue:
 def _s2_prime(
     p: int, f: Form, omega: UnimodularMatrix, omega2: UnimodularMatrix
 ) -> Fraction:
-    g1 = _zero_grid(f, p, omega)
-    g2 = _zero_grid(f, p, omega2)
-    n11 = int((g1 & g2).sum())
-    n10 = int((g1 & ~g2).sum())
-    n01 = int((~g1 & g2).sum())
-    n00 = p * p - n11 - n10 - n01
-    r = rho(p)
-    one = Fraction(1)
-    val = (
-        n11 * (one - r) ** 2
-        + (n10 + n01) * (one - r) * (-r)
-        + n00 * r * r
-    )
-    return val / (p * p)
+    """S2 at a prime: S5 untwisted, (k, l) = (0, 0)."""
+    return Fraction(_s5_numerator(p, f, 0, 0, omega, omega2), p**6)
 
 
 def s2(
@@ -318,7 +301,7 @@ def s4_closed_form(
         (p-1)/p^2 if f_omega(v) = 0 mod p, else -1/p^2;
       * f = z with p = 3 mod 4 (zero locus = origin): 1/p^2.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     return Fraction(int(s4_closed_form_numerators(p, f, k, l, omega)), p * p)
 
 
@@ -446,8 +429,7 @@ def disjointness_check(p: int) -> bool:
     composite moduli: (c,d)=(1,2) has x=3, z=5, so xyz = 0 mod 15 while no
     single coordinate vanishes mod 15.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+    require_odd_prime(p)
     c = np.arange(p, dtype=np.int64)[:, None]
     d = np.arange(p, dtype=np.int64)[None, :]
     vanishing = sum(form_values(f, c, d) % p == 0 for f in (Form.X, Form.Y, Form.Z))

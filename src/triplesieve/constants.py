@@ -15,7 +15,6 @@ pinned literature values; nothing here solves the underlying sieve systems.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -40,8 +39,6 @@ class SieveSpec:
     x: float
     alpha0: float
     theta: float = THETA_DEFAULT
-    form: Optional[Form] = None
-    beta_kappa: Optional[float] = None
 
     def __post_init__(self):
         if self.kappa not in (1, 4, 5):
@@ -249,12 +246,3 @@ def table_csv(rows=None) -> str:
         lines.append(f"{r.form.value},{r.R},{r.alpha:.7f},{r.delta0:.9f}")
     return "\n".join(lines) + "\n"
 
-
-def table_json(rows=None) -> str:
-    rows = saturation_table() if rows is None else rows
-    payload = [
-        {"form": r.form.value, "R": r.R, "alpha": round(r.alpha, 7),
-         "delta0": round(r.delta0, 9)}
-        for r in rows
-    ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -67,9 +67,6 @@ class UnimodularMatrix:
     def inverse(self) -> "UnimodularMatrix":
         return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
 
-    def transpose(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.a, self.c, self.b, self.d)
-
     def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         return UnimodularMatrix(
             self.a * other.a + self.b * other.c,

@@ -7,11 +7,12 @@ sq_norm(g) stays below an expansion bound:
   * generic generator sets use T^2 * max_h sq_norm(h): by submultiplicativity
     sq_norm(g h) >= sq_norm(g) / sq_norm(h^-1), every child of a node beyond
     that bound lies outside the ball;
-  * the full modular pair {R, L} only needs max(T^2, 4): column reduction
-    (Lagrange-Gauss) gives every matrix outside the norm-2 core a one-step
-    norm-decreasing right multiplication, so reversing the reduction chain
-    reaches each ball element through intermediates no larger than
-    max(its own norm, 3);
+  * letters that are exactly R^+-1 and L^+-1 only need max(T^2, 4): column
+    reduction (Lagrange-Gauss) gives every matrix outside the norm-2 core a
+    one-step norm-decreasing right multiplication by one of them, so
+    reversing the reduction chain reaches each ball element through
+    intermediates no larger than max(its own norm, 3); a larger letter set
+    keeps the generic bound, whose paths give it other word lengths;
   * generator sets whose letters carry a ping-pong certificate
     (_ping_pong_certificate) skip the search altogether and walk the tree of
     reduced words (no letter followed by its inverse), pruned at T^2 itself,
@@ -74,20 +75,23 @@ class BallBudgetError(RuntimeError):
 class GeneratorSet:
     """Generators of a subgroup; inverses are adjoined automatically.
 
-    monotone_cap marks sets for which ball search may expand inside the target
-    ball only (plus the norm-4 core floor); valid when every group element is
-    reachable from the core through norms never exceeding its own, as column
-    reduction proves for the modular pair.
+    monotone_cap, derived from the letters, selects the column-reduction
+    search region of enumerate_ball (see the module docstring).
     """
 
     label: str
     gens: Tuple[UnimodularMatrix, ...]
-    monotone_cap: bool = False
 
     def __post_init__(self):
         if not self.gens:
             raise ValueError("need at least one generator")
         object.__setattr__(self, "gens", tuple(self.gens))
+
+    @property
+    def monotone_cap(self) -> bool:
+        """True exactly when the letters are R, R^-1, L and L^-1."""
+        letters = {h.entries() for h in self.letters()}
+        return letters == {(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1)}
 
     def letters(self) -> List[UnimodularMatrix]:
         """Generators plus inverses, deduplicated, in a stable order."""
@@ -104,7 +108,7 @@ class GeneratorSet:
 
 def modular_generators() -> GeneratorSet:
     """The elementary pair generating all of SL(2,Z) (a lattice; has parabolics)."""
-    return GeneratorSet("modular", (GEN_R, GEN_L), monotone_cap=True)
+    return GeneratorSet("modular", (GEN_R, GEN_L))
 
 
 def schottky_generators() -> GeneratorSet:

@@ -6,7 +6,9 @@ inverses, each element packed into one int64 code ((a q + b) q + c) q + d
 and deduplicated layer by layer.  A subgroup has full image at a prime p
 exactly when the closure reaches p(p^2-1) elements; primes where this fails
 (together with 2, which is always excluded) form the empirical bad-modulus
-set.
+set.  Before its size is read, each projection is checked without the
+closure loop (identity present, distinct rows of determinant 1, closed under
+every letter); a failure raises ArithmeticError.
 
 Cosets of the row-stabilizer subgroup {g : (0,1).g = a.(0,1) mod q, a a unit}
 are labeled by the projectivized bottom row (c:d) in P^1(Z/pZ) per prime,
@@ -59,22 +61,17 @@ def _sieve(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _prime_table(bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(primality flags of 0..2^bits, the primes up to 2^bits)."""
-    flags = _sieve(1 << bits)
+def _prime_table() -> Tuple[np.ndarray, np.ndarray]:
+    """(primality flags of 0..TABLE_LIMIT, the primes up to TABLE_LIMIT)."""
+    flags = _sieve(TABLE_LIMIT)
     return flags, np.flatnonzero(flags)
-
-
-def _table_upto(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The cached table covering n <= TABLE_LIMIT, in power-of-two sizes."""
-    return _prime_table(min(max(int(n).bit_length(), 10), TABLE_LIMIT.bit_length() - 1))
 
 
 def primes_upto(n: int) -> List[int]:
     """All primes p <= n, ascending."""
     if n > TABLE_LIMIT:
         return np.flatnonzero(_sieve(n)).tolist()
-    primes = _table_upto(n)[1]
+    primes = _prime_table()[1]
     return primes[: np.searchsorted(primes, n, side="right")].tolist()
 
 
@@ -114,7 +111,7 @@ def factor_array(
     svals = vals[order]
     olist = order.tolist()
     bound = min(math.isqrt(int(svals[-1])), TABLE_LIMIT)
-    primes = _table_upto(bound)[1]
+    primes = _prime_table()[1]
     primes = primes[: np.searchsorted(primes, bound, side="right")]
     if sums_of_coprime_squares:
         primes = primes[(primes == 2) | (primes % 4 == 1)]
@@ -156,8 +153,14 @@ def factor_int(n: int) -> Tuple[int, ...]:
 def is_prime(n: int) -> bool:
     """Deterministic primality: a table lookup up to TABLE_LIMIT."""
     if n <= TABLE_LIMIT:
-        return n >= 2 and bool(_table_upto(n)[0][n])
+        return n >= 2 and bool(_prime_table()[0][n])
     return factor_int(n) == (n,)
+
+
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
 
 
 @lru_cache(maxsize=None)
@@ -195,6 +198,13 @@ def _generator_matrices(gens) -> List[UnimodularMatrix]:
     return mats
 
 
+def _letter_residues(gens, q: int) -> np.ndarray:
+    """The generators and their inverses mod q, as (m, 2, 2) int64 residues."""
+    entries = [g.entries() for g in _generator_matrices(gens)]
+    entries += [(d, -b, -c, a) for a, b, c, d in entries]
+    return np.array([[e % q for e in h] for h in entries], dtype=np.int64).reshape(-1, 2, 2)
+
+
 def project_group(gens, q: int) -> np.ndarray:
     """The image of the generated subgroup in SL(2,Z/qZ) for squarefree q.
 
@@ -208,9 +218,7 @@ def project_group(gens, q: int) -> np.ndarray:
     if q >= _CODE_LIMIT:
         raise ValueError(f"modulus {q} too large for packed residue codes (need q < {_CODE_LIMIT})")
     prime_factors(q)  # refuses a non-squarefree q
-    entries = [g.entries() for g in _generator_matrices(gens)]
-    entries += [(d, -b, -c, a) for a, b, c, d in entries]
-    letters = np.array([[e % q for e in h] for h in entries], dtype=np.int64).reshape(-1, 2, 2)
+    letters = _letter_residues(gens, q)
     weights = np.array([q**3, q**2, q, 1], dtype=np.int64)
     frontier = np.array([[1, 0, 0, 1]], dtype=np.int64) % q
     prev = np.zeros(0, dtype=np.int64)
@@ -228,7 +236,8 @@ def project_group(gens, q: int) -> np.ndarray:
 
 
 def strong_approx_check(gens, p: int) -> bool:
-    """True iff the projection mod prime p is all of SL(2,Z/pZ)."""
+    """True iff the projection mod prime p is all of SL(2,Z/pZ); raises
+    ArithmeticError when the projection fails its closure check."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _surjective(tuple(g.entries() for g in _generator_matrices(gens)), p)
@@ -238,7 +247,29 @@ def strong_approx_check(gens, p: int) -> bool:
 def _surjective(entries: Tuple[Tuple[int, int, int, int], ...], p: int) -> bool:
     """strong_approx_check for a prime p, cached per (generator entries, p)."""
     gens = [UnimodularMatrix(*e) for e in entries]
-    return len(project_group(gens, p)) == p * (p * p - 1)
+    rows = project_group(gens, p)
+    if not _image_is_closed(rows, gens, p):
+        raise ArithmeticError(f"projection mod {p} is not a closed set of SL(2) residues")
+    return len(rows) == p * (p * p - 1)
+
+
+def _image_is_closed(rows: np.ndarray, gens, q: int) -> bool:
+    """Check a projection without its closure loop: rows holds I, is sorted
+    and distinct, has entries in [0, q) and determinant 1 mod q, and is
+    closed under right multiplication by every generator and inverse."""
+    weights = np.array([q**3, q**2, q, 1], dtype=np.int64)
+    codes = rows @ weights
+    a, b, c, d = rows.T
+    if not (((rows >= 0) & (rows < q)).all() and (np.diff(codes) > 0).all()
+            and ((a * d - b * c) % q == 1 % q).all()
+            and (codes == np.array([1, 0, 0, 1]) % q @ weights).any()):
+        return False
+    for h in _letter_residues(gens, q):
+        wanted = (rows.reshape(-1, 2, 2) @ h).reshape(-1, 4) % q @ weights
+        at = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
+        if (codes[at] != wanted).any():
+            return False
+    return True
 
 
 def bad_modulus_probe(gens, p_max: int) -> List[int]:
@@ -363,8 +394,7 @@ def predicted_density(f: Form, p: int) -> Fraction:
     any constituent coordinate does, and the constituent loci are disjoint on
     cosets, so their densities are sums.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
+    require_odd_prime(p)
     if f in (Form.X, Form.Y):
         return Fraction(2, p + 1)
     if f is Form.Z:

@@ -273,7 +273,7 @@ def test_build_sequence_empty_balls():
 
 
 def test_build_sequence_generator_order_irrelevant():
-    swapped = GeneratorSet("modular", tuple(reversed(MOD.gens)), monotone_cap=True)
+    swapped = GeneratorSet("modular", tuple(reversed(MOD.gens)))
     a = build_sequence(MOD, 6, 6, Form.Y)
     b = build_sequence(swapped, 6, 6, Form.Y)
     assert a.ns == b.ns

@@ -84,6 +84,19 @@ def test_s2_value_and_multiplicativity():
     assert abs(s2(35, Form.Y, OMEGAS[0], OMEGAS[1]).value) <= 1
 
 
+@pytest.mark.parametrize("p, f", [(3, Form.X), (5, Form.Z), (7, Form.Y), (13, Form.Z)])
+def test_s2_matches_definition_oracle(p, f):
+    """S2 at a prime, read off the untwisted S5 numerator, equals the
+    per-cell Fraction sum of its definition and stays a Fraction."""
+    for w, w2 in [(I2, I2), (OMEGAS[0], OMEGAS[1]), (OMEGAS[2], OMEGAS[5])]:
+        want = sum(
+            xi(p, coordinate_after(f, c, d, w)) * xi(p, coordinate_after(f, c, d, w2))
+            for c in range(p) for d in range(p)
+        ) / (p * p)
+        got = s2(p, f, w, w2).value
+        assert type(got) is Fraction and got == want
+
+
 def brute_s4_fractions(p, f, k, l, omega):
     """Definition-level oracle: group the grid by m = ck+dl and collapse the
     unit-root sum with sum_{m != 0} e_p(-m) = -1 (no histogram shortcuts)."""

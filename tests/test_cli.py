@@ -225,6 +225,21 @@ def test_surjectivity_is_computed_once_per_generators_and_prime(monkeypatch):
         modular.strong_approx_check(mg, 15)
 
 
+def test_verify_detects_a_dropped_projection_row(monkeypatch):
+    """With one row dropped from every projection, the probe and the
+    surjectivity check still agree (both see the short image), so only the
+    closure check on the image can fail verify."""
+    real = modular.project_group
+    monkeypatch.setattr(modular, "project_group", lambda gens, q: real(gens, q)[1:])
+    modular._surjective.cache_clear()
+    try:
+        code, out = run(["verify", "--pmax", "13"])
+    finally:
+        modular._surjective.cache_clear()
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_builds_each_zero_grid_once():
     """Default verify asks for every (p, f, omega) residue grid it needs
     exactly once from the grid cache: the closed-form suite's grids are

@@ -19,7 +19,6 @@ from triplesieve.constants import (
     saturation_table,
     search_exponent_system,
     table_csv,
-    table_json,
     table_text,
 )
 from triplesieve.gl2 import Form
@@ -214,8 +213,4 @@ def test_saturation_table_values_and_formats():
     csv = table_csv(rows)
     assert csv.splitlines()[0] == "form,R,alpha,delta0"
     assert csv.splitlines()[1].startswith("z,4,0.2566718,")
-    import json
-
-    parsed = json.loads(table_json(rows))
-    assert [p["R"] for p in parsed] == [4, 18, 26]
     assert table_csv(saturation_table()) == csv

@@ -76,8 +76,8 @@ def test_ball_invariants():
 
 
 def test_generator_order_does_not_change_the_set():
-    g1 = GeneratorSet("fwd", (GEN_R, GEN_L), monotone_cap=True)
-    g2 = GeneratorSet("rev", (GEN_L, GEN_R), monotone_cap=True)
+    g1 = GeneratorSet("fwd", (GEN_R, GEN_L))
+    g2 = GeneratorSet("rev", (GEN_L, GEN_R))
     b1 = enumerate_ball(g1, 12)
     b2 = enumerate_ball(g2, 12)
     assert b1.rows.tolist() == b2.rows.tolist()
@@ -347,6 +347,35 @@ def test_uncertified_sets_keep_the_bfs(gens, T, monkeypatch):
     rows, word_lengths = reference_ball(gens, T)
     assert ball.rows.tolist() == rows
     assert ball.word_lengths.tolist() == word_lengths
+
+
+def test_search_region_comes_from_the_letters(tmp_path, monkeypatch):
+    """Only the letter set R^+-1, L^+-1 gets the column-reduction region,
+    whatever the order, the signs or the source of the generators; no caller
+    can set it."""
+    path = tmp_path / "rl.txt"
+    path.write_text("1 1 0 1\n1 0 1 1\n")
+    from_file = groups.load_generator_file(path)
+    for gens in (GeneratorSet("rl", (GEN_R, GEN_L)), GeneratorSet("lr", (GEN_L, GEN_R)),
+                 GeneratorSet("ril", (GEN_R.inverse(), GEN_L)), from_file):
+        assert gens.monotone_cap
+    for gens in (GeneratorSet("rls", (GEN_R, GEN_L, S_MAT)),
+                 GeneratorSet("r2l2", (GEN_R @ GEN_R, GEN_L @ GEN_L)), schottky_generators()):
+        assert not gens.monotone_cap
+    with pytest.raises(TypeError):
+        GeneratorSet("rl", (GEN_R, GEN_L), monotone_cap=True)
+    ball, mod = enumerate_ball(from_file, 60), enumerate_ball(modular_generators(), 60)
+    assert np.array_equal(ball.rows, mod.rows) and np.array_equal(ball.word_lengths, mod.word_lengths)
+
+    # the Schottky conjugate by R^2 runs the breadth-first search; the
+    # column-reduction region would miss one of its 27 elements at T = 200
+    conj = conjugate(schottky_generators(), GEN_R @ GEN_R)
+    ball = enumerate_ball(conj, 200)
+    rows, word_lengths = reference_ball(conj, 200)
+    assert len(ball) == 27
+    assert ball.rows.tolist() == rows and ball.word_lengths.tolist() == word_lengths
+    monkeypatch.setattr(GeneratorSet, "monotone_cap", property(lambda self: True))
+    assert len(enumerate_ball(conj, 200)) == 26
 
 
 def test_schottky_tree_equals_bfs_at_1e7(monkeypatch):

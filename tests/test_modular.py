@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from triplesieve import modular
 from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix
-from triplesieve.groups import schottky_generators
+from triplesieve.census import two_path_counts
+from triplesieve.charsums import count_zero_locus, disjointness_check, s4_closed_form
+from triplesieve.groups import enumerate_ball, modular_generators, schottky_generators
 from triplesieve.modular import (
     TABLE_LIMIT,
     bad_modulus_probe,
@@ -118,6 +120,42 @@ def test_projection_matches_closure_oracle(gens, q):
     rows = project_group(gens, q)
     assert rows.dtype == np.int64 and rows.shape[1] == 4
     assert rows.tolist() == sorted(map(list, closure_oracle(gens, q)))
+
+
+@pytest.mark.parametrize("gens", [MOD_GENS, list(schottky_generators().gens), I_MOD3_GENS])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_image_check_rejects_corrupted_projections(gens, p):
+    """The closure check passes every true projection and fails it with one
+    row dropped, a row duplicated, a row moved off determinant 1, or the
+    identity replaced by a row outside [0, p)."""
+    rows = project_group(gens, p)
+    assert modular._image_is_closed(rows, gens, p)
+    ident = int(np.flatnonzero((rows == [1, 0, 0, 1]).all(axis=1))[0])
+    off = rows.copy()
+    off[ident] = [1, 0, 0, 1 + p]
+    wrong_det = rows.copy()
+    wrong_det[-1, 3] = (wrong_det[-1, 3] + 1) % p
+    for bad in (np.delete(rows, len(rows) // 2, axis=0), np.insert(rows, 0, rows[0], axis=0), wrong_det, off):
+        assert not modular._image_is_closed(bad, gens, p)
+
+
+def test_odd_prime_checks_share_one_helper():
+    """Every entry point that needs an odd prime rejects 2, 1 and
+    composites with the same ValueError."""
+    ball = enumerate_ball(modular_generators(), 5)
+    entry_points = [
+        modular.require_odd_prime,
+        lambda p: predicted_density(Form.X, p),
+        lambda p: two_path_counts(ball, p),
+        disjointness_check,
+        lambda p: count_zero_locus(Form.X, p, UnimodularMatrix.identity()),
+        lambda p: s4_closed_form(p, Form.X, 1, 0, UnimodularMatrix.identity()),
+    ]
+    for check in entry_points:
+        check(3)
+        for p in (2, 1, 0, -3, 15):
+            with pytest.raises(ValueError, match="need an odd prime"):
+                check(p)
 
 
 def test_modulus_limits():
