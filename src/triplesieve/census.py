@@ -12,7 +12,18 @@ gcd(c, d) = 1.  The rest follows from Omega being completely additive:
 x = (d - c)(d + c) and y = 2cd are graded from their pieces, and the area
 xy/12 and product xyz/60 from the multiset union of their coordinates'
 primes minus {2, 2, 3} or {2, 2, 3, 5} (12 | xy and 60 | xyz on coprime
-rows).  Each graded row's primes are multiplied back to |value|.
+rows).
+
+The factors, Omega and grade of a row depend on n = |value| alone, so the
+rows are grouped by n with one np.unique and each distinct n > 1 is graded
+once, on its first row.  The pieces of those rows are deduplicated and
+factored, kept as flat arrays, and each value's primes are merged by one
+lexsort on (value, prime); the area and product drop {2, 2, 3} or
+{2, 2, 3, 5} by rank within runs of equal primes, and a value that lacks
+them raises ArithmeticError.  The primes of each distinct n are multiplied
+back to n in exact integers, again raising ArithmeticError on a mismatch,
+and reach the rows through the inverse index; census_csv likewise formats
+each distinct n once.
 
 The sieve sequence attaches to each integer n the mass
 
@@ -47,8 +58,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -155,97 +169,137 @@ def ball_rows(ball: OrbitBall) -> List[Tuple[int, int]]:
     return list(zip(c.tolist(), d.tolist()))
 
 
-def _factor_table(values: np.ndarray, sums_of_coprime_squares: bool = False) -> Dict[int, List[int]]:
-    """value -> sorted primes for each distinct positive entry of values."""
-    v = np.sort(values[values > 0])
-    fresh = np.ones(len(v), dtype=bool)
-    fresh[1:] = v[1:] != v[:-1]
-    uniq = v[fresh]
+# Primes that xy and xyz carry beyond the area xy/12 and the product xyz/60.
+_DENOMINATOR_PRIMES = {Form.AREA: {2: 2, 3: 1}, Form.PRODUCT: {2: 2, 3: 1, 5: 1}}
+
+
+def _piece_primes(
+    pieces: List[np.ndarray], sums_of_coprime_squares: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, prime): the primes, with multiplicity, of every entry of the
+    equally long positive arrays in pieces, owner being the entry's index.
+
+    Each distinct entry is factored once by factor_array; the factorizations
+    are kept as flat arrays (lengths, offsets, primes) and gathered back."""
+    values = np.concatenate(pieces)
+    s = np.sort(values)
+    head = np.ones(len(s), dtype=bool)
+    head[1:] = s[1:] != s[:-1]
+    uniq = s[head]
     facs = factor_array(uniq, sums_of_coprime_squares)
-    return {n: list(fac) for n, fac in zip(uniq.tolist(), facs)}
+    lengths = np.array([len(fac) for fac in facs], dtype=np.int64)
+    primes = np.fromiter(chain.from_iterable(facs), dtype=np.int64, count=int(lengths.sum()))
+    offsets = np.cumsum(lengths) - lengths
+    at = np.searchsorted(uniq, values)
+    count = lengths[at]
+    owner = np.repeat(np.tile(np.arange(len(pieces[0])), len(pieces)), count)
+    gather = np.repeat(offsets[at] - (np.cumsum(count) - count), count) + np.arange(len(owner))
+    return owner, primes[gather]
 
 
-def _remove_primes(primes: List[int], divisor: Tuple[int, ...]) -> List[int]:
-    for p in divisor:
-        try:
-            primes.remove(p)
-        except ValueError:
-            raise ArithmeticError(f"{math.prod(divisor)} does not divide the form value") from None
-    return primes
+def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: List[int]) -> List[Tuple[int, ...]]:
+    """Sorted primes of each |form value| ns[k] > 1, graded once on its
+    representative row (rc[k], rd[k]) from the factored pieces.
+
+    The primes of all values are merged by one lexsort on (value, prime); the
+    area and product then drop {2, 2, 3} or {2, 2, 3, 5} by rank within each
+    run of equal primes.  A value whose primes lack them, or do not multiply
+    back to it in exact integers, raises ArithmeticError."""
+    small, parts = [], []
+    if f in (Form.X, Form.AREA, Form.PRODUCT):
+        small += [np.abs(rd - rc), np.abs(rd + rc)]
+    if f in (Form.Y, Form.AREA, Form.PRODUCT):
+        small += [np.abs(rc), np.abs(rd)]
+        parts.append((np.arange(len(ns)), np.full(len(ns), 2, dtype=np.int64)))  # y = 2cd
+    if small:
+        parts.append(_piece_primes(small))
+    if f in (Form.Z, Form.PRODUCT):
+        parts.append(_piece_primes([form_values(Form.Z, rc, rd)], sums_of_coprime_squares=True))
+    owner, prime = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((prime, owner))
+    owner, prime = owner[order], prime[order]
+    if f in _DENOMINATOR_PRIMES:
+        pos = np.arange(len(owner))
+        fresh = np.ones(len(owner), dtype=bool)
+        fresh[1:] = (owner[1:] != owner[:-1]) | (prime[1:] != prime[:-1])
+        rank = pos - np.maximum.accumulate(np.where(fresh, pos, 0))
+        drop = np.zeros(len(owner), dtype=bool)
+        for p, k in _DENOMINATOR_PRIMES[f].items():
+            drop |= (prime == p) & (rank < k)
+        dropped = np.bincount(owner[drop], minlength=len(ns))
+        need = sum(_DENOMINATOR_PRIMES[f].values())
+        if (dropped != need).any():
+            k = int(np.flatnonzero(dropped != need)[0])
+            divisor = math.prod(p ** e for p, e in _DENOMINATOR_PRIMES[f].items())
+            row = (int(rc[k]), int(rd[k]))
+            raise ArithmeticError(f"{divisor} does not divide the coordinate product at row {row}")
+        owner, prime = owner[~drop], prime[~drop]
+    ends = np.cumsum(np.bincount(owner, minlength=len(ns))).tolist()
+    plist = prime.tolist()
+    out = [tuple(plist[a:b]) for a, b in zip([0] + ends, ends)]
+    for k, (n, fac) in enumerate(zip(ns, out)):
+        if math.prod(fac) != n:
+            row = (int(rc[k]), int(rd[k]))
+            raise ArithmeticError(f"factors of {n} at row {row} do not multiply back")
+    return out
 
 
 def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
-    """Grade every distinct orbit point of the ball; deterministic order."""
+    """Grade every distinct orbit point of the ball; deterministic order.
+
+    Rows sharing |value| share its factors, Omega and grade, so each distinct
+    |value| is graded once and reaches its rows through the inverse index."""
     if R < 1:
         raise ValueError("need R >= 1")
     f = Form(f)
     c, d = _row_arrays(ball)
     if not (np.gcd(c, d) == 1).all():
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
-    z = form_values(Form.Z, c, d)
-    imprimitive = ((c & 1) & (d & 1)).astype(bool).tolist()
-    pieces = []
-    if f in (Form.X, Form.AREA, Form.PRODUCT):
-        pieces += [np.abs(d - c), np.abs(d + c)]
-    if f in (Form.Y, Form.AREA, Form.PRODUCT):
-        pieces += [np.abs(c), np.abs(d)]
-    small = _factor_table(np.concatenate(pieces)) if pieces else {}
-    hyp = _factor_table(z, sums_of_coprime_squares=True) if f in (Form.Z, Form.PRODUCT) else {}
-
-    rows: List[CensusRow] = []
-    hist: Dict[int, int] = {}
-    zeros = units = 0
-    max_abs = 0
-    values = z if f is Form.Z else form_values(f, c, d)
-    for ci, di, value, zi, imp in zip(c.tolist(), d.tolist(), values.tolist(), z.tolist(), imprimitive):
-        if value == 0:
-            zeros += 1
-            rows.append(CensusRow(ci, di, f, value, 0, (), 0, "zero", imp))
-            continue
-        if f is Form.Z:
-            primes = hyp[zi]
-        elif f is Form.X:
-            primes = sorted(small[abs(di - ci)] + small[abs(di + ci)])
-        elif f is Form.Y:
-            primes = sorted([2] + small[abs(ci)] + small[abs(di)])
-        else:
-            primes = small[abs(di - ci)] + small[abs(di + ci)] + [2] + small[abs(ci)] + small[abs(di)]
-            if f is Form.AREA:
-                primes = _remove_primes(sorted(primes), (2, 2, 3))
-            else:
-                primes = _remove_primes(sorted(primes + hyp[zi]), (2, 2, 3, 5))
-        n = abs(value)
-        if math.prod(primes) != n:
-            raise ArithmeticError(f"factors of {n} at row {(ci, di)} do not multiply back")
-        if n == 1:
-            units += 1
-            rows.append(CensusRow(ci, di, f, value, 1, (), 0, "unit", imp))
-            continue
-        om = len(primes)
-        hist[om] = hist.get(om, 0) + 1
-        max_abs = max(max_abs, n)
-        rows.append(CensusRow(ci, di, f, value, n, tuple(primes), om, f"P{om}", imp))
+    values = form_values(f, c, d)
+    imprimitive = (c & d & 1).astype(bool)
+    ns, first, inv = np.unique(np.abs(values), return_index=True, return_inverse=True)
+    ns = ns.tolist()
+    lo = sum(1 for n in ns[:2] if n <= 1)  # zero and unit come first
+    reps = first[lo:]
+    facs = _grade_values(f, c[reps], d[reps], ns[lo:]) if len(reps) else []
+    tails = [(n, (), 0, "zero" if n == 0 else "unit") for n in ns[:lo]]
+    tails += [(n, fac, len(fac), f"P{len(fac)}") for n, fac in zip(ns[lo:], facs)]
+    rows = tuple(
+        CensusRow(ci, di, f, value, n, fac, om, grade, imp)
+        for ci, di, value, (n, fac, om, grade), imp in zip(
+            c.tolist(), d.tolist(), values.tolist(), map(tails.__getitem__, inv.tolist()),
+            imprimitive.tolist(),
+        )
+    )
+    size = np.bincount(inv, minlength=len(ns)).tolist()
+    ungraded = dict(zip(ns[:lo], size[:lo]))
+    omegas = np.array([len(fac) for fac in facs], dtype=np.int64)
+    # keys in order of first appearance among the graded rows
+    hist = Counter(omegas[inv[inv >= lo] - lo].tolist())
     return CensusReport(
         form=f,
         R=R,
         label=ball.label,
         T=ball.T,
-        rows=tuple(rows),
-        omega_histogram=hist,
-        zeros=zeros,
-        units=units,
-        imprimitive_count=sum(imprimitive),
-        max_abs_value=max_abs,
+        rows=rows,
+        omega_histogram=dict(hist),
+        zeros=ungraded.get(0, 0),
+        units=ungraded.get(1, 0),
+        imprimitive_count=int(imprimitive.sum()),
+        max_abs_value=ns[-1] if len(ns) > lo else 0,
     )
 
 
 def census_csv(report: CensusReport) -> str:
-    lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
+    """One line per row; the form,n,factors,omega,grade tail is formatted
+    once per distinct |value|."""
+    tails: Dict[int, str] = {}
     for r in report.rows:
-        factors = "·".join(str(p) for p in r.factors)
-        lines.append(
-            f"{r.c},{r.d},{r.form.value},{r.n},{factors},{r.omega},{r.grade},{int(r.imprimitive)}"
-        )
+        if r.n not in tails:
+            factors = "·".join(map(str, r.factors))
+            tails[r.n] = f"{r.form.value},{r.n},{factors},{r.omega},{r.grade}"
+    lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
+    lines += [f"{r.c},{r.d},{tails[r.n]},{r.imprimitive:d}" for r in report.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -296,12 +350,17 @@ class SieveSequence:
     def total_mass(self) -> Fraction:
         return Fraction(sum(self.numerators), self.den)
 
-    def _ns_array(self) -> Optional[np.ndarray]:
-        if not self.ns:
-            return np.array([], dtype=np.int64)
-        if min(self.ns) < -(2 ** 62) or max(self.ns) > 2 ** 62:
+    @cached_property
+    def _arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """(ns, numerators) as arrays, built once per sequence: ns in int64,
+        or None when the support reaches beyond 2^62; numerators in int64
+        when their absolute total fits, so no partial sum can overflow, and
+        as Python ints otherwise."""
+        if self.ns and (min(self.ns) < -(2 ** 62) or max(self.ns) > 2 ** 62):
             return None
-        return np.array(self.ns, dtype=np.int64)
+        wide = sum(map(abs, self.numerators)) >= 1 << 63
+        numerators = np.array(self.numerators, dtype=object if wide else np.int64)
+        return np.array(self.ns, dtype=np.int64), numerators
 
 
 def _row_weights(
@@ -466,13 +525,11 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
     if q == 1:
         return seq.chi, seq.chi, Fraction(0)
     b = modular_beta(seq.form, q)  # rejects even, non-squarefree, small p
-    tot = 0
-    arr = seq._ns_array()
-    if arr is not None and len(arr):
-        for i in np.flatnonzero(arr % q == 0).tolist():
-            tot += seq.numerators[i]
-    else:
+    if seq._arrays is None:
         tot = sum(num for n, num in zip(seq.ns, seq.numerators) if n % q == 0)
+    else:
+        ns, numerators = seq._arrays
+        tot = int(numerators[ns % q == 0].sum())
     mass = Fraction(tot, seq.den)
     main = b * seq.chi
     return mass, main, mass - main

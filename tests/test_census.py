@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import triplesieve.cli as cli
 from triplesieve.census import (
+    SieveSequence,
     a_q,
     ball_rows,
     build_sequence,
@@ -303,6 +305,29 @@ def test_a_q_trivial_and_parity_vanishing():
             a_q(seq, bad)
 
 
+def test_a_q_matches_bruteforce_sum():
+    def brute(seq, q):
+        return sum((a for n, a in seq.items() if n % q == 0), Fraction(0))
+
+    for f, qs in ((Form.Z, (3, 5, 13, 65, 85)), (Form.AREA, (5, 7, 11, 35, 77))):
+        seq = build_sequence(MOD, 10, 10, f)
+        assert seq._arrays[0].dtype == seq._arrays[1].dtype == np.int64
+        for q in qs:
+            mass, main, r = a_q(seq, q)
+            assert mass == brute(seq, q) and r == mass - main
+    # a support beyond 2^62 takes the list path; numerators whose total
+    # passes 2^63 are summed as Python ints
+    big = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 2 ** 62 + 5, 3 * 2 ** 62 + 15],
+                        [1, 2, 3, 4], Fraction(10, 7), 4, 1)
+    wide = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 21, 25],
+                         [2 ** 62, 2 ** 62, 2 ** 62, 3], Fraction(3 * 2 ** 62 + 3, 7), 4, 1)
+    assert big._arrays is None and wide._arrays[1].dtype == object
+    for seq in (big, wide):
+        for q in (3, 5, 7, 15, 21):
+            assert a_q(seq, q)[0] == brute(seq, q)
+    assert a_q(wide, 5)[0] == Fraction(2 ** 63 + 3, 7)
+
+
 def test_area_two_path_decomposition_at_primes():
     seq_area = build_sequence(MOD, 10, 10, Form.AREA)
     seq_x = build_sequence(MOD, 10, 10, Form.X)
@@ -363,6 +388,13 @@ def _oracle_census(ball, f):
     return out, hist
 
 
+def _oracle_csv(rows, f):
+    lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
+    for c, d, _, n, primes, omega, grade, imp in rows:
+        lines.append(f"{c},{d},{f.value},{n},{'·'.join(map(str, primes))},{omega},{grade},{int(imp)}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("gens,T", [(MOD, 40.0), (schottky_generators(), 3.0e4)])
 @pytest.mark.parametrize("f", list(Form))
 def test_census_matches_sympy_oracle(gens, T, f):
@@ -372,7 +404,43 @@ def test_census_matches_sympy_oracle(gens, T, f):
     assert [(r.c, r.d, r.value, r.n, r.factors, r.omega, r.grade, r.imprimitive)
             for r in rep.rows] == rows
     assert rep.omega_histogram == hist
+    assert list(rep.omega_histogram) == list(hist)  # first-appearance order
     assert [(r.c, r.d) for r in rep.rows] == ball_rows(ball)
+    assert census_csv(rep).encode() == _oracle_csv(rows, f).encode()
+
+
+@pytest.mark.parametrize("f", list(Form))
+def test_census_edge_balls_empty_and_ungraded(f):
+    empty = census(enumerate_ball(MOD, 1), f, 3)
+    assert empty.rows == () and empty.omega_histogram == {}
+    assert census_csv(empty) == "c,d,form,n,factors,omega,grade,imprimitive_flag\n"
+    ball = enumerate_ball(MOD, 1.5)  # +-I and +-S: rows (+-1, 0), (0, +-1)
+    rep = census(ball, f, 3)
+    rows, hist = _oracle_census(ball, f)
+    assert len(rows) == 4 and hist == {}
+    assert [(r.c, r.d, r.value, r.n, r.factors, r.omega, r.grade, r.imprimitive)
+            for r in rep.rows] == rows
+    assert census_csv(rep) == _oracle_csv(rows, f)
+    zeros = 4 if f in (Form.Y, Form.AREA, Form.PRODUCT) else 0
+    for report, n, z in ((empty, 0, 0), (rep, 4, zeros)):
+        assert report.summary() == {
+            "form": f.value, "label": ball.label, "T": report.T, "R": 3, "rows": n,
+            "zeros": z, "units": n - z, "imprimitive": 0, "max_abs_value": 0,
+            "omega_histogram": {}, "almost_prime_counts": {"le_1": 0, "le_2": 0, "le_3": 0},
+        }
+
+
+@pytest.mark.parametrize("f", [Form.AREA, Form.PRODUCT])
+def test_census_raises_when_the_denominator_primes_are_missing(monkeypatch, f):
+    real = census_mod.factor_array
+
+    def no_threes(values, *args):
+        return [tuple(p for p in fac if p != 3) for fac in real(values, *args)]
+
+    monkeypatch.setattr(census_mod, "factor_array", no_threes)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        census(enumerate_ball(MOD, 12), f, 2)
+    assert cli.main(["census", "--T", "12", "--f", f.value]) == cli.EXIT_FALSIFIED
 
 
 def test_census_raises_when_kernel_drops_a_factor(monkeypatch):
