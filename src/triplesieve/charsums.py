@@ -18,10 +18,10 @@ The twisted sums, and S2 as S5 at the zero twist, are computed on integer
 numerators over fixed denominators: p^2 S4 and p^6 S5 at a prime p (p^2
 Xi(p; n) is p^2 - (2p-1) or -(2p-1), so the S5 cell weights are (p-1)^4,
 -(2p-1)(p-1)^2 and (2p-1)^2), and q^2 q'^2 qbar^2 S3.  A public sum
-multiplies its local numerators as integers and converts the result once:
-S4 and S5 to a sympy Rational (S4 stays a Fraction when the twist is 0 at
-every prime), S3 to a sympy Rational, as recorded output has always had
-them; S2 stays a product of per-prime Fractions.
+multiplies its local numerators as integers and converts the result once
+to a Fraction.  Twisted S4, S5 and S3 are Fractions whose repr is their str
+(20/81, -1/9, 0), the repr recorded output has always had for them; an
+untwisted S4 and S2 are plain Fractions.
 
 Exponential sums never touch floating-point roots of unity: the (c,d) grid is
 grouped by m = ck+dl mod q, the resulting histogram is constant on classes
@@ -52,10 +52,16 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
-import sympy
 
 from .gl2 import Form, UnimodularMatrix, form_value, form_values, row_after
 from .modular import prime_factors, require_odd_prime
+
+
+class _Rational(Fraction):
+    """A Fraction whose repr is its str, as recorded output hashes it."""
+
+    __slots__ = ()
+    __repr__ = Fraction.__str__
 
 
 def rho(q: int) -> Fraction:
@@ -269,8 +275,8 @@ def s4(q: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> SumValue:
     for p in primes:
         num *= int(s4_numerators(p, f, k, l, omega))
         twisted = twisted or k % p != 0 or l % p != 0
-    # an untwisted S4 is a product of S1 values, which have always been Fractions
-    val = sympy.Rational(num, q * q) if twisted else Fraction(num, q * q)
+    # an untwisted S4 is a product of S1 values, whose repr has always been Fraction's
+    val = _Rational(num, q * q) if twisted else Fraction(num, q * q)
     return SumValue(val, q, form=f, k=k, l=l, omega=omega)
 
 
@@ -349,7 +355,7 @@ def s5(
     den = q**6
     if abs(num) > den:
         raise ArithmeticError("trivial bound violated; arithmetic is corrupted")
-    return SumValue(sympy.Rational(num, den), q, form=f, k=k, l=l, omega=omega, omega_prime=omega2)
+    return SumValue(_Rational(num, den), q, form=f, k=k, l=l, omega=omega, omega_prime=omega2)
 
 
 def _scaled_xi(q: int, v: np.ndarray, dtype) -> np.ndarray:
@@ -397,7 +403,7 @@ def s3_direct(
         weight = weight * _scaled_xi(qq, v, dtype)
     hist = np.zeros(qbar, dtype=dtype)
     np.add.at(hist, (c * (k % qbar) + d * (l % qbar)) % qbar, weight)
-    return sympy.Rational(int(_collapse_histogram(qbar, hist)), den)
+    return _Rational(int(_collapse_histogram(qbar, hist)), den)
 
 
 def s3_factorization_check(

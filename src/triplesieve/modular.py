@@ -35,8 +35,20 @@ from .gl2 import Form, UnimodularMatrix, form_values
 
 # Trial division by the primes up to TABLE_LIMIT proves every factorization
 # of n < (TABLE_LIMIT + 1)^2 (about 1.1e12); only a cofactor beyond that
-# reach is handed to sympy.
+# reach goes to _factor_beyond_table (Miller-Rabin and Pollard-Brent).
 TABLE_LIMIT = 1 << 20
+_TABLE_REACH = (TABLE_LIMIT + 1) ** 2
+# Miller-Rabin with the prime bases 2..37 proves primality below
+# psi_12 = _MR_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 2017); a larger probable prime is never certified.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+# Pollard-Brent gives up (raising) past this cycle length, or after this many
+# constants c that each closed a cycle with gcd = n.  A composite below 2^63
+# with no table prime factor has a prime factor below 2^32, which the walk
+# finds in about 2^16 steps.
+_RHO_STEPS = 1 << 22
+_RHO_CONSTANTS = 16
 # Cells of one (values x primes) divisibility grid: bounds the scratch memory.
 _CHUNK_CELLS = 1 << 16
 # project_group packs four residues mod q into one int64 code, so q^4 < 2^63.
@@ -75,13 +87,116 @@ def primes_upto(n: int) -> List[int]:
     return primes[: np.searchsorted(primes, n, side="right")].tolist()
 
 
-def _factor_beyond_table(n: int) -> List[int]:
-    """Sorted prime factors of an n that trial division by the table cannot
-    certify; the only path that needs sympy."""
-    import sympy
+def _table_divisors(n: int) -> List[int]:
+    """The table primes p <= sqrt(n) that divide n >= 1: one vectorized
+    remainder pass per 32-bit limb of n, so any Python int works and every
+    intermediate stays below 2^53."""
+    primes = _prime_table()[1]
+    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+    r = np.zeros(len(primes), dtype=np.int64)
+    for shift in range((n.bit_length() - 1) // 32 * 32, -1, -32):
+        r = ((r << 32) + ((n >> shift) & 0xFFFFFFFF)) % primes
+    return primes[r == 0].tolist()
 
-    fac = sympy.factorint(n)
-    return [p for p in sorted(fac) for _ in range(fac[p])]
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on n >= 2 with the bases 2..37.  False proves n
+    composite; True proves n prime when n < _MR_LIMIT."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _certified_prime(n: int) -> bool:
+    """Primality of n >= 2 proven by Miller-Rabin; raises ArithmeticError on
+    a probable prime at or above _MR_LIMIT, where the test proves nothing."""
+    if not _strong_probable_prime(n):
+        return False
+    if n >= _MR_LIMIT:
+        raise ArithmeticError(f"cannot certify {n} prime: Miller-Rabin with bases 2..37 "
+                              f"is proven only below {_MR_LIMIT}")
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of an odd composite n, by Brent's variant of Pollard's
+    rho (BIT 1980): the walk y -> y^2 + c mod n, differences multiplied in
+    batches before each gcd, and a step-by-step replay of a batch whose gcd
+    is n.  A replay that still ends at n retries with the next constant c."""
+    for c in range(1, _RHO_CONSTANTS + 1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if r > _RHO_STEPS:
+                raise ArithmeticError(
+                    f"Pollard-Brent found no factor of {n} within cycle length {_RHO_STEPS}")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"Pollard-Brent found no factor of {n} with {_RHO_CONSTANTS} constants")
+
+
+def _factor_beyond_table(n: int) -> List[int]:
+    """Sorted prime factors, with multiplicity, of any n >= 1, certified.
+
+    Unless Miller-Rabin proves n prime outright, trial division by the table
+    primes up to sqrt(n), then, on what is left, Miller-Rabin to tell primes
+    from composites and Pollard-Brent to split the composites.  Every factor
+    returned is proven prime by Miller-Rabin and their product is checked
+    against n; a piece that cannot be proven prime or split raises
+    ArithmeticError, so no answer is uncertified.
+    """
+    # a proven prime, the usual cofactor from factor_array, skips the trial
+    # division that factor_array has already done
+    if n >= _TABLE_REACH and _certified_prime(n):
+        return [n]
+    primes, rest = [], n
+    for p in _table_divisors(n):
+        while rest % p == 0:
+            rest //= p
+            primes.append(p)
+    # every piece divides rest, which has no prime factor <= min(sqrt(n),
+    # TABLE_LIMIT); below _TABLE_REACH that makes it prime
+    pieces = [rest] if rest > 1 else []
+    while pieces:
+        m = pieces.pop()
+        if m < _TABLE_REACH or _certified_prime(m):
+            primes.append(m)
+        else:
+            d = _pollard_brent(m)
+            pieces += [d, m // d]
+    primes.sort()
+    if math.prod(primes) != n or not all(map(_certified_prime, set(primes))):
+        raise ArithmeticError(f"factorization {primes} of {n} failed its certificate")
+    return primes
 
 
 def factor_array(
@@ -95,7 +210,7 @@ def factor_array(
     exactly in Python.  A cofactor r > 1 left after all primes up
     to b were divided out has no prime factor <= b, so it is prime when
     r < (b + 1)^2, which trial division guarantees unless b is capped at
-    TABLE_LIMIT; only then is the cofactor factored by sympy.
+    TABLE_LIMIT; only then is the cofactor factored by _factor_beyond_table.
 
     sums_of_coprime_squares declares every value to be c^2 + d^2 with
     gcd(c, d) = 1, whose prime factors are 2 or 1 mod 4, so only those
@@ -151,10 +266,14 @@ def factor_int(n: int) -> Tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: a table lookup up to TABLE_LIMIT."""
+    """Deterministic primality: a table lookup up to TABLE_LIMIT, beyond it
+    trial division by the table primes up to sqrt(n), then Miller-Rabin.
+    Raises ArithmeticError for a probable prime it cannot certify
+    (n >= _MR_LIMIT with no table prime factor)."""
     if n <= TABLE_LIMIT:
         return n >= 2 and bool(_prime_table()[0][n])
-    return factor_int(n) == (n,)
+    n = int(n)  # the Miller-Rabin powers need Python ints, not int64
+    return not _table_divisors(n) and (n < _TABLE_REACH or _certified_prime(n))
 
 
 def require_odd_prime(p: int) -> None:

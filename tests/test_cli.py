@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -200,6 +204,38 @@ def test_census_and_density_never_call_sympy(monkeypatch):
         assert run(["census", "--group", "schottky", "--T", "3e4", "--f", f, "--format", "csv"])[0] == 0
         assert run(["density", "--f", f, "--pmax", "31"])[0] == 0
     assert run(["orbit", "--T", "20"])[0] == 0
+
+
+NO_SYMPY_RUNS = [
+    ["census", "--T", "60", "--f", "z"],
+    ["census", "--group", "schottky", "--T", "1e5", "--f", "z"],
+    ["verify"],
+    ["adq", "--X", "16", "--Y", "16"],
+    ["constants"],
+    ["density", "--f", "z", "--pmax", "97"],
+    ["delta", "--T", "100"],
+]
+
+
+def test_cli_paths_import_no_sympy():
+    """Importing the package loads no sympy, and each CLI path exits 0 in a
+    process where sympy cannot be imported, printing the bytes it prints
+    here, where the tests have imported sympy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def python(script, *args):
+        return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    proc = python("import sys, triplesieve, triplesieve.cli; assert 'sympy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+    script = ("import sys; sys.modules['sympy'] = None\n"
+              "from triplesieve.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    for argv in NO_SYMPY_RUNS:
+        proc = python(script, *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout == run(argv)[1], argv
 
 
 def test_surjectivity_is_computed_once_per_generators_and_prime(monkeypatch):

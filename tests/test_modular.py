@@ -1,5 +1,6 @@
 """Projection closures, coset tables, and local densities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from triplesieve.modular import (
     coset_table,
     eta,
     factor_array,
+    factor_int,
     is_prime,
     is_squarefree,
     local_density,
@@ -279,7 +281,7 @@ def test_beta_multiplicative():
 
 
 _TOP = primes_upto(TABLE_LIMIT)[-1]  # largest table prime
-# semiprimes just above the trial bound: only the sympy fallback can split them
+# semiprimes just above the trial bound: only the fallback can split them
 _ABOVE = [p for p in range(TABLE_LIMIT + 1, TABLE_LIMIT + 200) if sympy.isprime(p)][:4]
 _SPECIAL = [1, 2, _TOP, _TOP * _TOP, _TOP * _ABOVE[0]] + [1 << k for k in (1, 2, 31, 62)] + [
     p * q for p in _ABOVE for q in _ABOVE
@@ -308,6 +310,47 @@ def test_factor_array_fallback_only_beyond_table(monkeypatch):
     semi = _ABOVE[0] * _ABOVE[1]
     assert factor_array([6, semi]) == [(2, 3), (_ABOVE[0], _ABOVE[1])]
     assert calls == [semi]
+
+
+def test_factor_beyond_table_matches_sympy():
+    """Semiprimes, squares, cubes and three-prime products of primes just
+    above the table, all below 2^63."""
+    cases = [p * q for p, q in itertools.combinations_with_replacement(_ABOVE, 2)]
+    cases += [p**3 for p in _ABOVE] + [math.prod(c) for c in itertools.combinations(_ABOVE, 3)]
+    assert max(cases) < 1 << 63
+    for n in cases:
+        assert modular._factor_beyond_table(n) == list(_sympy_primes(n)), n
+        assert factor_array([n]) == [factor_int(n)] == [_sympy_primes(n)], n
+
+
+@given(st.lists(st.integers((1 << 20) + 1, (1 << 31) - 2).map(sympy.nextprime), min_size=2, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_factor_beyond_table_sweep(primes):
+    n = math.prod(primes)
+    assert modular._factor_beyond_table(n) == sorted(primes) == list(_sympy_primes(n))
+    assert factor_int(n) == tuple(sorted(primes))
+
+
+def test_miller_rabin_and_pollard_brent():
+    # strong pseudoprimes to the bases 2..7 and 2..23; the bases up to 37 expose them
+    for n in (3215031751, 3825123056546413051):
+        assert not sympy.isprime(n) and not modular._strong_probable_prime(n)
+        assert not is_prime(n)
+    # psi_12 passes all twelve bases, so it is past what Miller-Rabin proves
+    psi12 = 318665857834031151167461
+    assert not sympy.isprime(psi12) and modular._strong_probable_prime(psi12)
+    for call in (lambda: is_prime(psi12), lambda: factor_int(3 * psi12),
+                 lambda: factor_int((1 << 127) - 1)):
+        with pytest.raises(ArithmeticError):
+            call()
+    assert factor_int((1 << 64) + 1) == (274177, 67280421310721)
+    big, m61 = sympy.nextprime(1 << 64), (1 << 61) - 1
+    assert factor_int(big) == (big,) and factor_int(3**5 * m61) == (3,) * 5 + (m61,)
+    # small odd composites often close a cycle at gcd = n, which needs a retry
+    for n in range(9, 5000, 2):
+        if not sympy.isprime(n):
+            d = modular._pollard_brent(n)
+            assert 1 < d < n and n % d == 0, n
 
 
 def test_factor_array_sums_of_coprime_squares():
