@@ -14,13 +14,14 @@ xy/12 and product xyz/60 from the multiset union of their coordinates'
 primes minus {2, 2, 3} or {2, 2, 3, 5} (12 | xy and 60 | xyz on coprime
 rows).
 
-The factors, Omega and grade of a row depend on n = |value| alone, so the
-rows are grouped by n with one np.unique and each distinct n > 1 is graded
-once, on its first row.  The pieces of those rows are deduplicated and
-factored, kept as flat arrays, and each value's primes are merged by one
-lexsort on (value, prime); the area and product drop {2, 2, 3} or
-{2, 2, 3, 5} by rank within runs of equal primes, and a value that lacks
-them raises ArithmeticError.  The primes of each distinct n are multiplied
+The rows are the ball's distinct bottom rows from the one kernel
+OrbitBall.distinct_rows.  The factors, Omega and grade of a row depend on
+n = |value| alone, so the rows are grouped by n with one np.unique and each
+distinct n > 1 is graded once, on its first row.  The pieces of those rows
+are deduplicated and factored, kept as flat arrays, and each value's primes
+are merged by one lexsort on (value, prime); the area and product drop
+{2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes, and a value
+that lacks them raises ArithmeticError.  The primes of each distinct n are multiplied
 back to n in exact integers, again raising ArithmeticError on a mismatch,
 and reach the rows through the inverse index; census_csv likewise formats
 each distinct n once.
@@ -34,12 +35,13 @@ computed exactly: the smoothed weights are rationals with a common
 denominator, so every a(n) is an integer numerator over that denominator and
 the accounting identity sum_n a(n) = chi = |ball_Y| * sum_g Upsilon_X(g)
 holds to the last digit.  Since a(n) only sees g through its bottom row, the
-g-ball is first collapsed to row weights; the (row, w) product grid is then
-processed in chunks: gl2.form_values evaluates each chunk (int64 under its
-proven bounds, Python ints otherwise), and a histogram accumulates the
-weights, in int64 with numerators split into high/low halves so no
-intermediate overflows, or as Python ints when the weights are too large
-for that.  Every form value in this module comes from gl2.form_values.
+g-ball is first collapsed to weights on the same kernel's rows, summed
+through its inverse index; the (row, w) product grid is then processed in
+chunks: gl2.form_values evaluates each chunk (int64 under its proven
+bounds, Python ints otherwise), and a histogram accumulates the weights,
+in int64 with numerators split into high/low halves so no intermediate
+overflows, or as Python ints when the weights are too large for that.
+Every form value in this module comes from gl2.form_values.
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -150,25 +152,6 @@ class CensusReport:
         }
 
 
-def _row_arrays(ball: OrbitBall) -> Tuple[np.ndarray, np.ndarray]:
-    """(c, d) of the distinct bottom rows, sorted by (c^2+d^2, c, d)."""
-    c = ball.rows[:, 2]
-    d = ball.rows[:, 3]
-    if len(c) and max(-int(c.min()), int(c.max()), -int(d.min()), int(d.max())) >= 1 << 31:
-        raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
-    order = np.lexsort((d, c, c * c + d * d))
-    c, d = c[order], d[order]
-    fresh = np.ones(len(c), dtype=bool)
-    fresh[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
-    return c[fresh], d[fresh]
-
-
-def ball_rows(ball: OrbitBall) -> List[Tuple[int, int]]:
-    """Distinct bottom rows of the ball, sorted by (c^2+d^2, c, d)."""
-    c, d = _row_arrays(ball)
-    return list(zip(c.tolist(), d.tolist()))
-
-
 # Primes that xy and xyz carry beyond the area xy/12 and the product xyz/60.
 _DENOMINATOR_PRIMES = {Form.AREA: {2: 2, 3: 1}, Form.PRODUCT: {2: 2, 3: 1, 5: 1}}
 
@@ -252,7 +235,7 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     if R < 1:
         raise ValueError("need R >= 1")
     f = Form(f)
-    c, d = _row_arrays(ball)
+    c, d, _ = ball.distinct_rows()
     if not (np.gcd(c, d) == 1).all():
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
     values = form_values(f, c, d)
@@ -351,38 +334,31 @@ class SieveSequence:
         return Fraction(sum(self.numerators), self.den)
 
     @cached_property
-    def _arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(ns, numerators) as arrays, built once per sequence: ns in int64,
-        or None when the support reaches beyond 2^62; numerators in int64
-        when their absolute total fits, so no partial sum can overflow, and
-        as Python ints otherwise."""
-        if self.ns and (min(self.ns) < -(2 ** 62) or max(self.ns) > 2 ** 62):
-            return None
+        or as Python ints when the support reaches beyond 2^62; numerators in
+        int64 when their absolute total fits, so no partial sum can overflow,
+        and as Python ints otherwise."""
+        far = bool(self.ns) and (min(self.ns) < -(2 ** 62) or max(self.ns) > 2 ** 62)
         wide = sum(map(abs, self.numerators)) >= 1 << 63
-        numerators = np.array(self.numerators, dtype=object if wide else np.int64)
-        return np.array(self.ns, dtype=np.int64), numerators
+        return (np.array(self.ns, dtype=object if far else np.int64),
+                np.array(self.numerators, dtype=object if wide else np.int64))
 
 
-def _row_weights(
-    gamma_ball: OrbitBall, X: float
-) -> Tuple[List[Tuple[int, int]], List[int], int]:
-    """Collapse the gamma-ball to (bottom row, integer weight numerator) with
-    a common denominator; rows with zero total weight are dropped."""
+def _row_weights(gamma_ball: OrbitBall, X: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Collapse the gamma-ball to its distinct rows (c, d) with integer weight
+    numerators (Python ints) over a common denominator, one weight_fraction
+    per distinct sq_norm; rows with zero total weight are dropped."""
     w = SmoothedWeight(X)
-    sq = gamma_ball.sq_norms()
-    distinct = sorted({int(s) for s in sq.tolist()})
-    fracs = {s: w.weight_fraction(s) for s in distinct}
-    den = math.lcm(*(fr.denominator for fr in fracs.values())) if distinct else 1
-    num_of = {s: int(fr * den) for s, fr in fracs.items()}
-    acc: Dict[Tuple[int, int], int] = {}
-    bottom = gamma_ball.rows[:, 2:4].tolist()
-    for (c, d), s in zip(bottom, sq.tolist()):
-        n = num_of[int(s)]
-        if n:
-            key = (int(c), int(d))
-            acc[key] = acc.get(key, 0) + n
-    rows = sorted(acc, key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
-    return rows, [acc[r] for r in rows], den
+    norms, at = np.unique(gamma_ball.sq_norms(), return_inverse=True)
+    fracs = [w.weight_fraction(s) for s in norms.tolist()]
+    den = math.lcm(*(fr.denominator for fr in fracs))
+    nums = np.array([fr.numerator * (den // fr.denominator) for fr in fracs], dtype=object)
+    c, d, inverse = gamma_ball.distinct_rows()
+    wnums = np.zeros(len(c), dtype=object)
+    np.add.at(wnums, inverse, nums[at])
+    keep = wnums != 0
+    return c[keep], d[keep], wnums[keep], den
 
 
 def _half_turn(w: np.ndarray) -> np.ndarray:
@@ -409,22 +385,25 @@ def _omega_classes(omega_rows: np.ndarray, f: Form) -> Tuple[np.ndarray, np.ndar
 
 
 def _fold_rows(
-    rows: List[Tuple[int, int]], wnums: List[int], omega_rows: np.ndarray
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Rows and weights folded under r -> r.S = (d, -c) when certified.
+    c: np.ndarray, d: np.ndarray, wnums: np.ndarray, omega_rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows and weights folded under r -> r.S = (d, -c) when certified.
 
     If the omega ball is closed under W -> S.W, the rows r and r.S see the
     same values r.S.W; if moreover every row weighs what its rotation does,
     the four rotations of a row carry one histogram, and the one with c > 0,
-    d >= 0 stands for them with 4 times the weight.  Otherwise nothing folds."""
-    weight = dict(zip(rows, wnums))
-    if any(weight.get((d, -c)) != w for (c, d), w in weight.items()):
-        return rows, wnums
-    ball = set(map(tuple, omega_rows.tolist()))
-    if any((-c, -d, a, b) not in ball for a, b, c, d in ball):
-        return rows, wnums
-    folded = [(r, 4 * w) for r, w in zip(rows, wnums) if r[0] > 0 and r[1] >= 0]
-    return [r for r, _ in folded], [w for _, w in folded]
+    d >= 0 stands for them with 4 times the weight.  Otherwise nothing folds.
+    Each closure compares a set with its image, both sorted."""
+    here, turned = np.lexsort((d, c)), np.lexsort((-c, d))
+    if not ((c[here] == d[turned]).all() and (d[here] == -c[turned]).all()
+            and (wnums[here] == wnums[turned]).all()):
+        return c, d, wnums
+    s_w = omega_rows[:, [2, 3, 0, 1]] * np.array([-1, -1, 1, 1])
+    ball, image = (w[np.lexsort(w.T[::-1])] for w in (omega_rows, s_w))
+    if not (ball == image).all():
+        return c, d, wnums
+    keep = (c > 0) & (d >= 0)
+    return c[keep], d[keep], 4 * wnums[keep]
 
 
 def _chunk_values(rc: np.ndarray, rd: np.ndarray, reps: np.ndarray, form: Form) -> np.ndarray:
@@ -470,8 +449,9 @@ def build_sequence(
     """Exact smoothed sieve sequence a(n) for the form f on the orbit of gens.
 
     The g-weight is the cubic smoothstep at scale X (support inside norm
-    1.1X); the inner sum ranges over the hard ball of radius Y.  Generator
-    order does not affect the result.
+    1.1X); the inner sum ranges over the hard ball of radius Y.  Weights sit
+    on the g-ball's rows from OrbitBall.distinct_rows, the rows census
+    grades.  Generator order does not affect the result.
     """
     if X < 1 or Y < 1:
         raise ValueError("need X >= 1 and Y >= 1")
@@ -483,29 +463,28 @@ def build_sequence(
     gamma_ball = enumerate_ball(gens, t, element_cap=element_cap)
     omega_ball = enumerate_ball(gens, Y, element_cap=element_cap)
     m = len(omega_ball)
-    rows, wnums, den = _row_weights(gamma_ball, X)
-    chi = Fraction(sum(wnums) * m, den)
-    if not rows or m == 0:
+    c, d, wnums, den = _row_weights(gamma_ball, X)
+    chi = Fraction(int(wnums.sum()) * m, den)
+    if not len(c) or m == 0:
         return SieveSequence(X, Y, f, gens.label, 1, [], [], Fraction(0), 0, m)
 
-    pair_count = len(rows) * m
-    rows, wnums = _fold_rows(rows, wnums, omega_ball.rows)
+    pair_count = len(c) * m
+    c, d, wnums = _fold_rows(c, d, wnums, omega_ball.rows)
     reps, mult = _omega_classes(omega_ball.rows, f)
 
-    max_w = max(wnums) * int(mult.max())
+    max_w = int(wnums.max()) * int(mult.max())
     rows_per_chunk = max(1, _CHUNK_PAIRS // len(reps))
     chunk_pairs = rows_per_chunk * len(reps)
     # accumulation overflow guards for the 31-bit split, on the largest
     # pair weight (row weight times class multiplicity)
     int64_ok = max_w < 1 << 62 and chunk_pairs * ((max_w >> 31) + 1) < 1 << 62
-    wdtype = np.int64 if int64_ok else object
+    wnums = wnums.astype(np.int64 if int64_ok else object)
 
     acc: Dict[int, int] = {}
-    for start in range(0, len(rows), rows_per_chunk):
-        chunk = np.array(rows[start : start + rows_per_chunk], dtype=np.int64)
-        values = _chunk_values(chunk[:, 0], chunk[:, 1], reps, f)
-        wchunk = np.array(wnums[start : start + rows_per_chunk], dtype=wdtype)
-        _accumulate_chunk(acc, values, np.outer(wchunk, mult).ravel())
+    for start in range(0, len(c), rows_per_chunk):
+        part = slice(start, start + rows_per_chunk)
+        values = _chunk_values(c[part], d[part], reps, f)
+        _accumulate_chunk(acc, values, np.outer(wnums[part], mult).ravel())
 
     ns = sorted(acc)
     numerators = [acc[n] for n in ns]
@@ -525,11 +504,8 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
     if q == 1:
         return seq.chi, seq.chi, Fraction(0)
     b = modular_beta(seq.form, q)  # rejects even, non-squarefree, small p
-    if seq._arrays is None:
-        tot = sum(num for n, num in zip(seq.ns, seq.numerators) if n % q == 0)
-    else:
-        ns, numerators = seq._arrays
-        tot = int(numerators[ns % q == 0].sum())
+    ns, numerators = seq._arrays
+    tot = int(numerators[ns % q == 0].sum())
     mass = Fraction(tot, seq.den)
     main = b * seq.chi
     return mass, main, mass - main

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .census import _row_arrays, a_q, build_sequence, census, census_csv
+from .census import a_q, build_sequence, census, census_csv
 from .charsums import (
     _zero_grid,
     disjointness_check,
@@ -223,7 +223,7 @@ def cmd_constants(cfg: RunConfig) -> Tuple[str, int]:
 def cmd_orbit(cfg: RunConfig) -> Tuple[str, int]:
     gens = resolve_group(cfg.group)
     ball = enumerate_ball(gens, cfg.T)
-    c, d = _row_arrays(ball)
+    c, d, _ = ball.distinct_rows()
     x, y, z = (form_values(f, c, d).tolist() for f in (Form.X, Form.Y, Form.Z))
     triples = list(zip(c.tolist(), d.tolist(), x, y, z))
     if cfg.format == "json":

@@ -36,7 +36,8 @@ keys.  Keys pack the entries (a, b, c, d), shifted to be nonnegative, into
 one uint64 word when four fields fit, else into as few words as hold whole
 fields (two on the int64 path, whose entries stay below 2^31), else are the
 Python-int columns themselves.  A finished ball sorts on (sq_norm, entries)
-packed the same way.
+packed the same way, and so do its distinct bottom rows on (c^2+d^2, c, d) in
+OrbitBall.distinct_rows, the one kernel census, build_sequence and orbit read.
 
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
@@ -190,6 +191,23 @@ class OrbitBall:
         """Materialize as UnimodularMatrix objects (heavy for large balls)."""
         return [UnimodularMatrix(*row) for row in self.rows.tolist()]
 
+    def distinct_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c, d, inverse): the distinct bottom rows sorted by (c^2+d^2, c, d),
+        the heads of equal-key runs after one lexsort of their packed keys,
+        and for each element the index of its bottom row among them."""
+        c, d = self.rows[:, 2], self.rows[:, 3]
+        if len(c) and max(-int(c.min()), int(c.max()), -int(d.min()), int(d.max())) >= 1 << 31:
+            raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
+        z = c * c + d * d
+        bound = int(z.max(initial=0)) + 1
+        keys = _row_keys(self.rows[:, 2:4], bound, lead=[(z, bound.bit_length())])
+        order = np.lexsort(keys[::-1])
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = np.any([np.diff(k[order]) != 0 for k in keys], axis=0)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(head) - 1
+        return c[order[head]], d[order[head]], inverse
+
 
 def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
     """Order-preserving sort keys, most significant first, of the lead
@@ -199,7 +217,7 @@ def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
     needs more than 64 bits."""
     off = math.isqrt(int(bound)) + 1
     bits = (2 * off).bit_length()
-    fields = [*lead, *((rows[:, i] + off, bits) for i in range(4))]
+    fields = [*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))]
     if bits > 64:
         return [col for col, _ in fields]
     words: List[np.ndarray] = []
@@ -378,14 +396,14 @@ def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: in
 
 
 def _tree_layers(
-    letters: Tuple[Entries, ...], ball_bound: float, element_cap: int
-) -> Optional[List[np.ndarray]]:
-    """Layers of the reduced-word tree pruned at ball_bound, or None once
-    more than element_cap elements are found.
+    letters: Tuple[Entries, ...], T: float, ball_bound: float, element_cap: int
+) -> List[np.ndarray]:
+    """Layers of the reduced-word tree pruned at ball_bound.
 
     Sound only for letters with a _ping_pong_certificate: reduced words are
     then distinct elements (no dedup) and norms never decrease along them,
-    so every prefix of a ball element is in the ball."""
+    so every prefix of a ball element is in the ball.  Only ball elements
+    are counted, so a total past element_cap raises BallBudgetError."""
     dtype = _entry_dtype(letters, ball_bound)
     mats = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
     m = len(letters)
@@ -404,7 +422,7 @@ def _tree_layers(
         frontier, last = kids[inside], kid_last[inside]
         total += len(frontier)
         if total > element_cap:
-            return None
+            raise BallBudgetError(T, total, element_cap)
         collected.append(frontier)
     return collected
 
@@ -416,18 +434,16 @@ def enumerate_ball(
     when the letters carry a ping-pong certificate, else breadth-first.
 
     Raises BallBudgetError when more than element_cap nodes are discovered;
-    a returned ball is always complete.  A tree that passes the cap hands
-    over to the breadth-first search, whose region holds the ball, so the
-    error and its count are the search's.
+    a returned ball is always complete.  The tree counts ball elements, the
+    search every node of its region, which holds the ball.
     """
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     ball_bound = float(T) * float(T)
     letters = tuple(h.entries() for h in gens.letters())
-    collected = None
     if _ping_pong_certificate(letters) is not None:
-        collected = _tree_layers(letters, ball_bound, element_cap)
-    if collected is None:
+        collected = _tree_layers(letters, T, ball_bound, element_cap)
+    else:
         collected = _bfs_layers(gens, T, ball_bound, element_cap)
 
     rows = np.concatenate(collected, axis=0)

@@ -18,7 +18,6 @@ import triplesieve.cli as cli
 from triplesieve.census import (
     SieveSequence,
     a_q,
-    ball_rows,
     build_sequence,
     census,
     census_csv,
@@ -40,6 +39,12 @@ from triplesieve.groups import (
 MOD = modular_generators()
 # the package re-exports the function census under the module's name
 census_mod = importlib.import_module("triplesieve.census")
+
+
+def distinct_pairs(ball):
+    """The ball's distinct bottom rows as (c, d) tuples, in kernel order."""
+    c, d, _ = ball.distinct_rows()
+    return list(zip(c.tolist(), d.tolist()))
 
 
 def test_factorize_examples():
@@ -138,7 +143,7 @@ def test_census_imprimitive_flag_and_parity():
 
 def test_hypotenuse_congruence_invariant():
     ball = enumerate_ball(MOD, 40)
-    for c, d in ball_rows(ball):
+    for c, d in distinct_pairs(ball):
         if (c + d) % 2 == 1:
             assert (c * c + d * d) % 4 == 1
 
@@ -149,7 +154,7 @@ def test_two_path_counts_prime_exact():
         direct, split = two_path_counts(ball, p)
         assert direct == split
         # elementwise: at most one coordinate vanishes, and p | xyz iff one does
-        for c, d in ball_rows(ball):
+        for c, d in distinct_pairs(ball):
             x, y, z = d * d - c * c, 2 * c * d, c * c + d * d
             hits = (x % p == 0) + (y % p == 0) + (z % p == 0)
             assert hits <= 1
@@ -237,23 +242,31 @@ def test_build_sequence_matches_bruteforce(f):
 def test_build_sequence_fold_certificate():
     """The row fold needs the omega ball closed under W -> S.W and rotation
     invariant row weights, read off the computed balls."""
-    fold = census_mod._fold_rows
+    def fold(c, d, wnums, omega):
+        c2, d2, w2 = census_mod._fold_rows(c, d, wnums, omega)
+        return list(zip(c2.tolist(), d2.tolist())), w2.tolist()
+
     for gens, folds in zip(SEQUENCE_GROUPS, (True, True, False, False)):
         gball = enumerate_ball(gens, 6.7)
-        rows, wnums, _ = census_mod._row_weights(gball, 6)
+        c, d, wnums, _ = census_mod._row_weights(gball, 6)
+        rows = list(zip(c.tolist(), d.tolist()))
         omega = enumerate_ball(gens, 6).rows
-        folded, fw = fold(rows, wnums, omega)
+        folded, fw = fold(c, d, wnums, omega)
         if folds:
             assert 4 * len(folded) == len(rows) and sum(fw) == sum(wnums)
+            assert folded == [r for r in rows if r[0] > 0 and r[1] >= 0]
         else:
-            assert (folded, fw) == (rows, wnums)
+            assert (folded, fw) == (rows, wnums.tolist())
     # a ball that is not closed under W -> S.W blocks the fold
     gball = enumerate_ball(MOD, 6.7)
-    rows, wnums, _ = census_mod._row_weights(gball, 6)
+    c, d, wnums, _ = census_mod._row_weights(gball, 6)
+    rows = list(zip(c.tolist(), d.tolist()))
     omega = enumerate_ball(MOD, 6).rows
-    assert fold(rows, wnums, omega[1:]) == (rows, wnums)
+    assert fold(c, d, wnums, omega[1:]) == (rows, wnums.tolist())
     # so does a row whose rotation weighs differently
-    assert fold(rows, [wnums[0] + 1] + wnums[1:], omega) == (rows, [wnums[0] + 1] + wnums[1:])
+    bumped = wnums.copy()
+    bumped[0] += 1
+    assert fold(c, d, bumped, omega) == (rows, bumped.tolist())
 
 
 def test_build_sequence_chi_identity_and_positivity():
@@ -315,13 +328,13 @@ def test_a_q_matches_bruteforce_sum():
         for q in qs:
             mass, main, r = a_q(seq, q)
             assert mass == brute(seq, q) and r == mass - main
-    # a support beyond 2^62 takes the list path; numerators whose total
-    # passes 2^63 are summed as Python ints
+    # a support beyond 2^62 and numerators whose total passes 2^63 are held
+    # as Python ints
     big = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 2 ** 62 + 5, 3 * 2 ** 62 + 15],
                         [1, 2, 3, 4], Fraction(10, 7), 4, 1)
     wide = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 21, 25],
                          [2 ** 62, 2 ** 62, 2 ** 62, 3], Fraction(3 * 2 ** 62 + 3, 7), 4, 1)
-    assert big._arrays is None and wide._arrays[1].dtype == object
+    assert big._arrays[0].dtype == object and wide._arrays[1].dtype == object
     for seq in (big, wide):
         for q in (3, 5, 7, 15, 21):
             assert a_q(seq, q)[0] == brute(seq, q)
@@ -405,7 +418,7 @@ def test_census_matches_sympy_oracle(gens, T, f):
             for r in rep.rows] == rows
     assert rep.omega_histogram == hist
     assert list(rep.omega_histogram) == list(hist)  # first-appearance order
-    assert [(r.c, r.d) for r in rep.rows] == ball_rows(ball)
+    assert [(r.c, r.d) for r in rep.rows] == distinct_pairs(ball)
     assert census_csv(rep).encode() == _oracle_csv(rows, f).encode()
 
 
@@ -482,4 +495,4 @@ def test_row_extraction_refuses_rows_beyond_int64_squares():
     big = ball.rows.copy()
     big[:, 2:4] *= 1 << 31
     with pytest.raises(ValueError, match="2\\^31"):
-        ball_rows(type(ball)(T=ball.T, label=ball.label, rows=big, word_lengths=ball.word_lengths))
+        type(ball)(T=ball.T, label=ball.label, rows=big, word_lengths=ball.word_lengths).distinct_rows()

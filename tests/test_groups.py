@@ -200,9 +200,45 @@ def test_row_keys_sort_like_tuples(case):
     assert all((p == q) == (rows[i] == rows[j]) for p, q, i, j in zip(packed, packed[1:], order, order[1:]))
 
 
+def hand_built_ball():
+    """Bottom rows with repeats, both signs and entries near +-(2^31 - 1);
+    the top rows only tell the elements apart."""
+    top = 2**31 - 1
+    bottom = [(top, -top), (1, 0), (-top, top), (0, 1), (top, -top), (-1, 0), (0, -1),
+              (1, 0), (top, top - 1), (-top, -top), (top - 1, top), (1, -1), (-1, 1), (top, top - 1)]
+    rows = np.array([(k, 0, c, d) for k, (c, d) in enumerate(bottom)], dtype=np.int64)
+    return groups.OrbitBall(T=2.0**32, label="hand", rows=rows, word_lengths=np.zeros(len(rows), dtype=np.int64))
+
+
+@pytest.mark.parametrize("make", [lambda: enumerate_ball(modular_generators(), 60),
+                                  lambda: enumerate_ball(schottky_generators(), 1e5),
+                                  hand_built_ball])
+def test_distinct_rows_kernel(make, monkeypatch):
+    """distinct_rows orders the distinct bottom rows by (c^2+d^2, c, d), as a
+    Python sort of the set does, and its inverse maps every element to its
+    own row; the hand-built ball needs sort keys of more than one word."""
+    words = []
+
+    def spy(*args, **kwargs):
+        keys = _row_keys(*args, **kwargs)
+        words.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(groups, "_row_keys", spy)
+    ball = make()
+    c, d, inverse = ball.distinct_rows()
+    bottom = [tuple(r) for r in ball.rows[:, 2:4].tolist()]
+    reference = sorted(set(bottom), key=lambda r: (r[0] * r[0] + r[1] * r[1], r))
+    rows = list(zip(c.tolist(), d.tolist()))
+    assert rows == reference
+    assert [rows[i] for i in inverse.tolist()] == bottom
+    if ball.label == "hand":
+        assert len(rows) < len(bottom) and words[-1] > 1
+
+
 @pytest.mark.parametrize(
     "gens, T, cap, discovered",
-    [(modular_generators(), 100, 1000, 1132), (schottky_generators(), 1e6, 5000, 13121)],
+    [(modular_generators(), 100, 1000, 1132), (schottky_generators(), 1e6, 5000, 10793)],
 )
 def test_budget_error_discovered_count(gens, T, cap, discovered):
     """The count a capped enumeration reports: every distinct element found
