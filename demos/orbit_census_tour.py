@@ -30,7 +30,7 @@ def main() -> None:
         report = census(ball, f, 6)
         counts = {r: report.count_at_most(r) for r in (1, 2, 3, 6)}
         print(
-            f"{f.value:>8}: {len(report.rows)} values, "
+            f"{f.value:>8}: {report.summary()['rows']} values, "
             f"P1 {counts[1]}, <=P2 {counts[2]}, <=P3 {counts[3]}, <=P6 {counts[6]}, "
             f"units {report.units}, max |n| = {report.max_abs_value}"
         )

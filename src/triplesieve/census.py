@@ -21,10 +21,11 @@ distinct n > 1 is graded once, on its first row.  The pieces of those rows
 are deduplicated and factored, kept as flat arrays, and each value's primes
 are merged by one lexsort on (value, prime); the area and product drop
 {2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes, and a value
-that lacks them raises ArithmeticError.  The primes of each distinct n are multiplied
-back to n in exact integers, again raising ArithmeticError on a mismatch,
-and reach the rows through the inverse index; census_csv likewise formats
-each distinct n once.
+that lacks them raises ArithmeticError.  The primes of each distinct n are
+multiplied back to n in exact integers, again raising ArithmeticError on a
+mismatch.  The report keeps the rows as columns plus this per-value table;
+census_csv formats each distinct n once, and CensusReport.rows, one
+CensusRow per row, is built on first access.
 
 The sieve sequence attaches to each integer n the mass
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -120,16 +121,38 @@ class CensusRow(NamedTuple):
 
 @dataclass(frozen=True)
 class CensusReport:
+    """The census as columns (distinct rows c, d, signed values, and each
+    row's index into the sorted distinct |values| ns) and the per-value
+    factors; rows is built on first access.  == skips the columns."""
+
     form: Form
     R: int
     label: str
     T: float
-    rows: Tuple[CensusRow, ...]
     omega_histogram: Dict[int, int]
     zeros: int
     units: int
     imprimitive_count: int
     max_abs_value: int
+    c: np.ndarray = field(repr=False, compare=False)
+    d: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
+    value_index: np.ndarray = field(repr=False, compare=False)
+    ns: List[int] = field(repr=False, compare=False)
+    factors: List[Tuple[int, ...]] = field(repr=False, compare=False)
+
+    def _value_table(self) -> List[Tuple[int, Tuple[int, ...], int, str]]:
+        """(n, factors, Omega, grade) of each distinct |value|: 0 and 1 are
+        the ungraded "zero" and "unit", the rest "P<Omega>"."""
+        return [(n, fac, len(fac), "zero" if n == 0 else "unit" if n == 1 else f"P{len(fac)}")
+                for n, fac in zip(self.ns, self.factors)]
+
+    @cached_property
+    def rows(self) -> Tuple[CensusRow, ...]:
+        """One CensusRow per distinct row, in the columns' order."""
+        table, imprimitive = self._value_table(), (self.c & self.d & 1).astype(bool).tolist()
+        return tuple(CensusRow(c, d, self.form, v, *table[k], imp) for c, d, v, k, imp in zip(
+            self.c.tolist(), self.d.tolist(), self.values.tolist(), self.value_index.tolist(), imprimitive))
 
     def count_at_most(self, r: int) -> int:
         """#{graded rows with Omega(n) <= r}."""
@@ -142,7 +165,7 @@ class CensusReport:
             "label": self.label,
             "T": self.T,
             "R": self.R,
-            "rows": len(self.rows),
+            "rows": len(self.c),
             "zeros": self.zeros,
             "units": self.units,
             "imprimitive": self.imprimitive_count,
@@ -239,21 +262,11 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     if not (np.gcd(c, d) == 1).all():
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
     values = form_values(f, c, d)
-    imprimitive = (c & d & 1).astype(bool)
     ns, first, inv = np.unique(np.abs(values), return_index=True, return_inverse=True)
     ns = ns.tolist()
     lo = sum(1 for n in ns[:2] if n <= 1)  # zero and unit come first
     reps = first[lo:]
     facs = _grade_values(f, c[reps], d[reps], ns[lo:]) if len(reps) else []
-    tails = [(n, (), 0, "zero" if n == 0 else "unit") for n in ns[:lo]]
-    tails += [(n, fac, len(fac), f"P{len(fac)}") for n, fac in zip(ns[lo:], facs)]
-    rows = tuple(
-        CensusRow(ci, di, f, value, n, fac, om, grade, imp)
-        for ci, di, value, (n, fac, om, grade), imp in zip(
-            c.tolist(), d.tolist(), values.tolist(), map(tails.__getitem__, inv.tolist()),
-            imprimitive.tolist(),
-        )
-    )
     size = np.bincount(inv, minlength=len(ns)).tolist()
     ungraded = dict(zip(ns[:lo], size[:lo]))
     omegas = np.array([len(fac) for fac in facs], dtype=np.int64)
@@ -264,25 +277,24 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
         R=R,
         label=ball.label,
         T=ball.T,
-        rows=rows,
         omega_histogram=dict(hist),
         zeros=ungraded.get(0, 0),
         units=ungraded.get(1, 0),
-        imprimitive_count=int(imprimitive.sum()),
+        imprimitive_count=int((c & d & 1).sum()),
         max_abs_value=ns[-1] if len(ns) > lo else 0,
+        c=c, d=d, values=values, value_index=inv, ns=ns, factors=[()] * lo + facs,
     )
 
 
 def census_csv(report: CensusReport) -> str:
-    """One line per row; the form,n,factors,omega,grade tail is formatted
-    once per distinct |value|."""
-    tails: Dict[int, str] = {}
-    for r in report.rows:
-        if r.n not in tails:
-            factors = "·".join(map(str, r.factors))
-            tails[r.n] = f"{r.form.value},{r.n},{factors},{r.omega},{r.grade}"
+    """One line per row, read from the columns; the form,n,factors,omega,grade
+    tail is formatted once per distinct |value|."""
+    tails = [f"{report.form.value},{n},{'·'.join(map(str, fac))},{om},{grade}"
+             for n, fac, om, grade in report._value_table()]
     lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
-    lines += [f"{r.c},{r.d},{tails[r.n]},{r.imprimitive:d}" for r in report.rows]
+    lines += [f"{c},{d},{tails[k]},{imp}" for c, d, k, imp in zip(
+        report.c.tolist(), report.d.tolist(), report.value_index.tolist(),
+        (report.c & report.d & 1).tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -316,9 +328,6 @@ class SieveSequence:
     chi: Fraction
     pair_count: int  # distinct weighted rows x |omega ball|, before folding
     omega_ball_size: int
-
-    def support(self) -> List[int]:
-        return list(self.ns)
 
     def a(self, n: int) -> Fraction:
         i = bisect.bisect_left(self.ns, n)
@@ -456,11 +465,7 @@ def build_sequence(
     if X < 1 or Y < 1:
         raise ValueError("need X >= 1 and Y >= 1")
     f = Form(f)
-    hi_edge = (Fraction(11, 10) * Fraction(X)) ** 2
-    t = 1.1 * float(X)
-    while Fraction(t) * Fraction(t) < hi_edge:
-        t = math.nextafter(t, math.inf)
-    gamma_ball = enumerate_ball(gens, t, element_cap=element_cap)
+    gamma_ball = enumerate_ball(gens, SmoothedWeight(X).support_radius(), element_cap=element_cap)
     omega_ball = enumerate_ball(gens, Y, element_cap=element_cap)
     m = len(omega_ball)
     c, d, wnums, den = _row_weights(gamma_ball, X)
@@ -516,7 +521,7 @@ def good_moduli(form: Form, bound: float) -> List[int]:
     floor = FORM_PRIME_FLOOR[Form(form)]
     out = []
     for q in range(3, math.ceil(bound)):
-        if q % 2 == 0 or q >= bound:
+        if q % 2 == 0:
             continue
         try:
             ps = prime_factors(q)

@@ -58,9 +58,6 @@ class UnimodularMatrix:
     def entries(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def bottom_row(self) -> Tuple[int, int]:
-        return (self.c, self.d)
-
     def trace(self) -> int:
         return self.a + self.d
 
@@ -163,13 +160,6 @@ class RationalMatrix3:
                 if s != want:
                     raise ValueError(f"matrix does not preserve the form at entry {(i, j)}")
 
-    def apply_row(self, v: Tuple) -> Tuple[Fraction, Fraction, Fraction]:
-        """Row-vector action v . M."""
-        v = tuple(Fraction(e) for e in v)
-        if len(v) != 3:
-            raise ValueError("need a length-3 row vector")
-        return tuple(sum(v[k] * self.rows[k][j] for k in range(3)) for j in range(3))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix3):
             return NotImplemented
@@ -180,7 +170,6 @@ class RationalMatrix3:
 
 
 X0 = (1, 0, 1)
-ROW_X0 = (0, 1)
 
 
 def spin(g: UnimodularMatrix) -> RationalMatrix3:

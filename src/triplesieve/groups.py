@@ -187,10 +187,6 @@ class OrbitBall:
             raise ValueError(f"ball only complete to T={self.T}, asked for {T}")
         return int((self.sq_norms() < float(T) * float(T)).sum())
 
-    def matrices(self) -> List[UnimodularMatrix]:
-        """Materialize as UnimodularMatrix objects (heavy for large balls)."""
-        return [UnimodularMatrix(*row) for row in self.rows.tolist()]
-
     def distinct_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, d, inverse): the distinct bottom rows sorted by (c^2+d^2, c, d),
         the heads of equal-key runs after one lexsort of their packed keys,
@@ -482,6 +478,14 @@ class SmoothedWeight:
             return Fraction(0)
         u = (hi - s) / (hi - lo)
         return u * u * (3 - 2 * u)
+
+    def support_radius(self) -> float:
+        """A float t, from 1.1T up by ulps, where the weight of t^2 is 0: the
+        hard ball of radius t holds every element of positive weight."""
+        t = 1.1 * float(self.T)
+        while self.weight_fraction(Fraction(t) ** 2):
+            t = math.nextafter(t, math.inf)
+        return t
 
 
 @dataclass(frozen=True)

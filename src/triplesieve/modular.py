@@ -165,27 +165,22 @@ def _pollard_brent(n: int) -> int:
 
 
 def _factor_beyond_table(n: int) -> List[int]:
-    """Sorted prime factors, with multiplicity, of any n >= 1, certified.
+    """Sorted prime factors, with multiplicity, of n > 1 with no prime factor
+    <= TABLE_LIMIT (the cofactors factor_array hands over), certified.
 
-    Unless Miller-Rabin proves n prime outright, trial division by the table
-    primes up to sqrt(n), then, on what is left, Miller-Rabin to tell primes
-    from composites and Pollard-Brent to split the composites.  Every factor
+    Unless Miller-Rabin proves n prime outright, Miller-Rabin tells primes
+    from composites and Pollard-Brent splits the composites.  Every factor
     returned is proven prime by Miller-Rabin and their product is checked
     against n; a piece that cannot be proven prime or split raises
-    ArithmeticError, so no answer is uncertified.
+    ArithmeticError, so no answer is uncertified.  An n that breaks the
+    contract, such as 6p, fails that certificate or gets its true factors,
+    never a wrong list.
     """
-    # a proven prime, the usual cofactor from factor_array, skips the trial
-    # division that factor_array has already done
     if n >= _TABLE_REACH and _certified_prime(n):
         return [n]
-    primes, rest = [], n
-    for p in _table_divisors(n):
-        while rest % p == 0:
-            rest //= p
-            primes.append(p)
-    # every piece divides rest, which has no prime factor <= min(sqrt(n),
-    # TABLE_LIMIT); below _TABLE_REACH that makes it prime
-    pieces = [rest] if rest > 1 else []
+    # a piece has no prime factor <= TABLE_LIMIT; below _TABLE_REACH that
+    # makes it prime
+    primes, pieces = [], [n]
     while pieces:
         m = pieces.pop()
         if m < _TABLE_REACH or _certified_prime(m):
@@ -262,7 +257,12 @@ def factor_int(n: int) -> Tuple[int, ...]:
         raise ValueError(f"need n >= 1, got {n}")
     if n < 1 << 63:
         return factor_array([n])[0]
-    return tuple(_factor_beyond_table(n))
+    primes, rest = [], n
+    for p in _table_divisors(n):
+        while rest % p == 0:
+            rest //= p
+            primes.append(p)
+    return tuple(primes + (_factor_beyond_table(rest) if rest > 1 else []))
 
 
 def is_prime(n: int) -> bool:

@@ -36,6 +36,8 @@ from triplesieve.groups import (
     schottky_generators,
 )
 
+from matrix_oracles import ball_matrices
+
 MOD = modular_generators()
 # the package re-exports the function census under the module's name
 census_mod = importlib.import_module("triplesieve.census")
@@ -188,12 +190,12 @@ def brute_sequence(gens, X, Y, f):
     acc = {}
     chi = Fraction(0)
     rows = set()
-    for g in gball.matrices():
+    for g in ball_matrices(gball):
         wt = w.weight_fraction(g.a * g.a + g.b * g.b + g.c * g.c + g.d * g.d)
         if wt == 0:
             continue
         rows.add((g.c, g.d))
-        for om in oball.matrices():
+        for om in ball_matrices(oball):
             prod_c = g.c * om.a + g.d * om.c
             prod_d = g.c * om.b + g.d * om.d
             n = form_value(f, prod_c, prod_d)
@@ -420,6 +422,36 @@ def test_census_matches_sympy_oracle(gens, T, f):
     assert list(rep.omega_histogram) == list(hist)  # first-appearance order
     assert [(r.c, r.d) for r in rep.rows] == distinct_pairs(ball)
     assert census_csv(rep).encode() == _oracle_csv(rows, f).encode()
+    # rows read only after the csv and the summary, from the columns
+    late = census(ball, f, 3)
+    assert census_csv(late) == census_csv(rep) and late.summary() == rep.summary()
+    assert late.rows is late.rows and all(r.form is f for r in late.rows)
+    assert [(r.c, r.d, r.value, r.n, r.factors, r.omega, r.grade, r.imprimitive)
+            for r in late.rows] == rows
+    assert late == rep and "array" not in repr(late)
+
+
+def test_census_text_json_and_csv_build_no_rows(monkeypatch, capsys):
+    """The CLI's text and json census and census_csv read the report's
+    columns: with CensusRow made to raise they print the same bytes."""
+    argvs = [["census", "--T", "30", "--f", f, "--format", fmt]
+             for f in ("z", "area", "product") for fmt in ("text", "json")]
+    ball = enumerate_ball(schottky_generators(), 3.0e4)
+
+    def outputs():
+        printed = []
+        for argv in argvs:
+            assert cli.main(argv) == cli.EXIT_PASS
+            printed.append(capsys.readouterr().out)
+        return printed, [census_csv(census(ball, f, 3)) for f in Form]
+
+    want = outputs()
+
+    def no_rows(*args):
+        raise AssertionError("CensusRow built")
+
+    monkeypatch.setattr(census_mod, "CensusRow", no_rows)
+    assert outputs() == want
 
 
 @pytest.mark.parametrize("f", list(Form))

@@ -312,6 +312,13 @@ def test_factor_array_fallback_only_beyond_table(monkeypatch):
     assert calls == [semi]
 
 
+def test_factor_beyond_table_refuses_a_table_prime_factor():
+    """6p breaks the fallback's contract (no prime factor <= TABLE_LIMIT);
+    its certificate turns that into ArithmeticError, not a wrong list."""
+    with pytest.raises(ArithmeticError, match="certificate"):
+        modular._factor_beyond_table(6 * _ABOVE[0])
+
+
 def test_factor_beyond_table_matches_sympy():
     """Semiprimes, squares, cubes and three-prime products of primes just
     above the table, all below 2^63."""
