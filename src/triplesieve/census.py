@@ -37,12 +37,14 @@ denominator, so every a(n) is an integer numerator over that denominator and
 the accounting identity sum_n a(n) = chi = |ball_Y| * sum_g Upsilon_X(g)
 holds to the last digit.  Since a(n) only sees g through its bottom row, the
 g-ball is first collapsed to weights on the same kernel's rows, summed
-through its inverse index; the (row, w) product grid is then processed in
+over its inverse index; the (row, w) product grid is then processed in
 chunks: gl2.form_values evaluates each chunk (int64 under its proven
-bounds, Python ints otherwise), and a histogram accumulates the weights,
-in int64 with numerators split into high/low halves so no intermediate
-overflows, or as Python ints when the weights are too large for that.
-Every form value in this module comes from gl2.form_values.
+bounds, Python ints otherwise), whose weights are summed by value, and the
+chunk results are concatenated and summed by value once more at the end.
+Each of these sums is taken by the one helper _run_sums, on the sorted runs
+of one argsort: in int64 with numerators split into 31-bit high/low halves
+so no intermediate overflows, or as Python ints when the weights are too
+large for that.  Every form value in this module comes from gl2.form_values.
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -354,18 +356,35 @@ class SieveSequence:
                 np.array(self.numerators, dtype=object if wide else np.int64))
 
 
+def _run_sums(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct keys in ascending order, each key's exact total weight as an
+    object array of Python ints), summed by np.add.reduceat on the runs of one
+    argsort of keys.  Object weights are summed as Python ints; int64 weights
+    as their 31-bit halves w >> 31 and w & _MASK31, each in int64 under bounds
+    the caller checks (int64_ok in build_sequence), joined once per run."""
+    order = np.argsort(keys)
+    keys, weights = keys[order], weights[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(head)
+    if weights.dtype == object:
+        return keys[starts], np.add.reduceat(weights, starts)
+    hi = np.add.reduceat(weights >> 31, starts).astype(object)
+    return keys[starts], (hi << 31) + np.add.reduceat(weights & _MASK31, starts)
+
+
 def _row_weights(gamma_ball: OrbitBall, X: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Collapse the gamma-ball to its distinct rows (c, d) with integer weight
     numerators (Python ints) over a common denominator, one weight_fraction
-    per distinct sq_norm; rows with zero total weight are dropped."""
+    per distinct sq_norm, summed over the inverse index of distinct_rows by
+    _run_sums; rows with zero total weight are dropped."""
     w = SmoothedWeight(X)
     norms, at = np.unique(gamma_ball.sq_norms(), return_inverse=True)
     fracs = [w.weight_fraction(s) for s in norms.tolist()]
     den = math.lcm(*(fr.denominator for fr in fracs))
     nums = np.array([fr.numerator * (den // fr.denominator) for fr in fracs], dtype=object)
     c, d, inverse = gamma_ball.distinct_rows()
-    wnums = np.zeros(len(c), dtype=object)
-    np.add.at(wnums, inverse, nums[at])
+    _, wnums = _run_sums(inverse, nums[at])  # every row occurs: keys 0..len(c)-1
     keep = wnums != 0
     return c[keep], d[keep], wnums[keep], den
 
@@ -428,26 +447,6 @@ def _chunk_values(rc: np.ndarray, rd: np.ndarray, reps: np.ndarray, form: Form) 
     return form_values(form, c1, d1)
 
 
-def _accumulate_chunk(acc: Dict[int, int], values: np.ndarray, weights: np.ndarray) -> None:
-    """acc[n] += weight, exactly.  Object weights are summed as Python ints;
-    int64 weights via a 31-bit split so int64 never overflows: per-bin low
-    sums are < chunk_pairs * 2^31 and high sums are bounded by
-    chunk_pairs * (max_weight >> 31 + 1), both checked by the caller."""
-    uniq, inv = np.unique(values, return_inverse=True)
-    if weights.dtype == object:
-        sums = np.zeros(len(uniq), dtype=object)
-        np.add.at(sums, inv, weights)
-        totals = sums.tolist()
-    else:
-        hi = np.zeros(len(uniq), dtype=np.int64)
-        lo = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(hi, inv, weights >> 31)
-        np.add.at(lo, inv, weights & _MASK31)
-        totals = [(h << 31) + l for h, l in zip(hi.tolist(), lo.tolist())]
-    for n, w in zip(uniq.tolist(), totals):
-        acc[n] = acc.get(n, 0) + w
-
-
 def build_sequence(
     gens: GeneratorSet,
     X: float,
@@ -480,20 +479,18 @@ def build_sequence(
     max_w = int(wnums.max()) * int(mult.max())
     rows_per_chunk = max(1, _CHUNK_PAIRS // len(reps))
     chunk_pairs = rows_per_chunk * len(reps)
-    # accumulation overflow guards for the 31-bit split, on the largest
-    # pair weight (row weight times class multiplicity)
+    # overflow guards for _run_sums' 31-bit split, on the largest pair weight
+    # (row weight times class multiplicity): per value and chunk, the low
+    # halves sum below chunk_pairs * 2^31, the high ones below the second bound
     int64_ok = max_w < 1 << 62 and chunk_pairs * ((max_w >> 31) + 1) < 1 << 62
     wnums = wnums.astype(np.int64 if int64_ok else object)
 
-    acc: Dict[int, int] = {}
+    parts = []
     for start in range(0, len(c), rows_per_chunk):
         part = slice(start, start + rows_per_chunk)
-        values = _chunk_values(c[part], d[part], reps, f)
-        _accumulate_chunk(acc, values, np.outer(wnums[part], mult).ravel())
-
-    ns = sorted(acc)
-    numerators = [acc[n] for n in ns]
-    seq = SieveSequence(X, Y, f, gens.label, den, ns, numerators, chi, pair_count, m)
+        parts.append(_run_sums(_chunk_values(c[part], d[part], reps, f), np.outer(wnums[part], mult).ravel()))
+    ns, numerators = parts[0] if len(parts) == 1 else _run_sums(*map(np.concatenate, zip(*parts)))
+    seq = SieveSequence(X, Y, f, gens.label, den, ns.tolist(), numerators.tolist(), chi, pair_count, m)
     if seq.total_mass() != chi:
         raise ArithmeticError("mass accounting identity failed")
     return seq

@@ -171,13 +171,6 @@ def s1(q: int, f: Form, omega: UnimodularMatrix) -> SumValue:
     return SumValue(val, q, form=f, omega=omega)
 
 
-def _s2_prime(
-    p: int, f: Form, omega: UnimodularMatrix, omega2: UnimodularMatrix
-) -> Fraction:
-    """S2 at a prime: S5 untwisted, (k, l) = (0, 0)."""
-    return Fraction(_s5_numerator(p, f, 0, 0, omega, omega2), p**6)
-
-
 def s2(
     q: int, f: Form, omega: UnimodularMatrix, omega2: UnimodularMatrix
 ) -> SumValue:
@@ -186,9 +179,10 @@ def s2(
     _check_z_admissible(f, primes)
     if q == 1:
         return SumValue(Fraction(0), 1, form=f, omega=omega, omega_prime=omega2)
-    val = Fraction(1)
+    num = 1
     for p in primes:
-        val *= _s2_prime(p, f, omega, omega2)
+        num *= _s5_numerator(p, f, 0, 0, omega, omega2)  # S2 is S5 untwisted
+    val = Fraction(num, q**6)
     if abs(val) > 1:
         raise ArithmeticError("trivial bound violated; arithmetic is corrupted")
     return SumValue(val, q, form=f, omega=omega, omega_prime=omega2)

@@ -119,18 +119,9 @@ def verify_suites(cfg: RunConfig) -> List[SuiteResult]:
     ok, detail = True, ""
     cases = [(p, f, om) for p in primes for f in (Form.X, Form.Y, Form.Z)
              if not (f is Form.Z and p % 4 == 3) for om in omegas]
-    # the closed-form suite reads the x and y grids of closed_primes and
-    # closed_omegas again: visit them last, so the grid cache still holds them
-    def reread(case):
-        return case[0] in closed_primes and case[1] is not Form.Z and case[2] in closed_omegas
-
-    failed = set()
-    for p, f, om in sorted(cases, key=reread):
+    for p, f, om in cases:
         n0 = int(_zero_grid(f, p, om).sum())
         if Fraction(n0, p * p) - rho(p) != 0 or s1(p, f, om).value != 0:
-            failed.add((p, f))
-    for p, f, _ in cases:
-        if (p, f) in failed:
             ok, detail = False, f"p={p} f={f.value}"
     results.append(("weighted-zero-count-vanishes", ok, detail or f"odd p <= {cfg.p_max}, 20 omegas, 3 forms"))
 

@@ -220,15 +220,16 @@ LARGE_LETTERS = GeneratorSet("n2400", (UnimodularMatrix(1, 2400, 0, 1), Unimodul
 
 
 @pytest.mark.parametrize("f", list(Form))
-def test_build_sequence_matches_bruteforce(f):
+def test_build_sequence_matches_bruteforce(f, monkeypatch):
     # X = 4.1 gives the weights a 322-bit denominator: Python-int weights
     cases = [(gens, X, Y) for gens in SEQUENCE_GROUPS for X, Y in ((4, 4), (4.1, 4), (6, 5.5))]
     if f is Form.PRODUCT:
         # the omega row (2400, 1) has z = 5,760,001, above the int64 product
         # bound: the grid values are Python ints
         cases.append((LARGE_LETTERS, 4, 2401))
+    seqs = {}
     for gens, X, Y in cases:
-        seq = build_sequence(gens, X, Y, f)
+        seq = seqs[gens, X, Y] = build_sequence(gens, X, Y, f)
         brute, chi, pairs = brute_sequence(gens, X, Y, f)
         assert seq.chi == chi
         assert dict(seq.items()) == brute
@@ -239,6 +240,60 @@ def test_build_sequence_matches_bruteforce(f):
     if f is Form.PRODUCT:
         assert (seq.ns, seq.numerators, seq.den) == (
             [-2654207999999920, 0, 2654207999999920], [1, 3, 1], 1)
+
+    # one row per chunk: every sequence below is summed in several chunks
+    # whose results are merged.  At X = 4 the gamma ball of LARGE_LETTERS is
+    # {I}, one row; at X = 2200 it holds the letters, so it has three rows,
+    # and at Y = 4 the row (0, 1) gives int64 product values and the rows
+    # (+-2400, 1) Python ints.
+    if f is Form.PRODUCT:
+        del seqs[LARGE_LETTERS, 4, 2401]
+        for Y in (4, 2401):
+            seqs[LARGE_LETTERS, 2200, Y] = build_sequence(LARGE_LETTERS, 2200, Y, f)
+    sums, run_sums = [], census_mod._run_sums
+    monkeypatch.setattr(census_mod, "_CHUNK_PAIRS", 1)
+    monkeypatch.setattr(census_mod, "_run_sums", lambda k, w: sums.append(len(k)) or run_sums(k, w))
+    for (gens, X, Y), seq in seqs.items():
+        sums.clear()
+        chunked = build_sequence(gens, X, Y, f)
+        assert len(sums) >= 4  # the row weights, two chunks or more, the merge
+        assert (chunked.ns, chunked.numerators, chunked.den, chunked.chi) == (
+            seq.ns, seq.numerators, seq.den, seq.chi)
+        if X == 2200:
+            brute, chi, _ = brute_sequence(gens, X, Y, f)
+            assert (dict(chunked.items()), chunked.chi) == (brute, chi)
+
+
+def test_run_sums_matches_python_sums():
+    def python_sums(keys, weights):
+        acc = {}
+        for k, w in zip(keys, weights):
+            acc[k] = acc.get(k, 0) + w
+        return sorted(acc), [acc[k] for k in sorted(acc)]
+
+    def check(keys, weights):
+        got_keys, got_sums = census_mod._run_sums(keys, weights)
+        assert got_sums.dtype == object
+        assert all(type(t) is int for t in got_sums.tolist() + got_keys.tolist())
+        assert (got_keys.tolist(), got_sums.tolist()) == python_sums(keys.tolist(), weights.tolist())
+
+    rng = np.random.default_rng(7)
+    keys = rng.integers(-20, 20, size=500)
+    # unsorted keys with repeats, int64 weights
+    check(keys, rng.integers(0, 1 << 40, size=500))
+    # weights just under 2^62, as int64_ok in build_sequence admits them: the
+    # totals pass 2^63 and must come back exact
+    near = (1 << 62) - 1 - rng.integers(0, 1 << 33, size=500)
+    check(keys, near)
+    assert max(census_mod._run_sums(keys, near)[1].tolist()) >= 1 << 63
+    # object weights (Python ints past int64)
+    check(keys, np.array([3 ** 50 + int(k) for k in keys], dtype=object))
+    # object keys (Python ints past int64), int64 and object weights
+    big = np.array([int(k) * 2 ** 70 - 1 for k in keys], dtype=object)
+    check(big, near)
+    check(big, near.astype(object) * 5 ** 30)
+    # nothing to sum
+    check(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 def test_build_sequence_fold_certificate():

@@ -42,7 +42,8 @@ def test_verify_mutant_rho_detected(monkeypatch):
     monkeypatch.setattr(cli, "rho", lambda q: Fraction(2 * q, q * q))
     code, out = run(["verify", "--pmax", "13"])
     assert code == 2
-    assert "FAIL weighted-zero-count-vanishes" in out
+    # the detail names the last failing (p, f) in case order
+    assert "FAIL weighted-zero-count-vanishes (p=13 f=z)" in out
 
 
 def test_verify_corrupted_twisted_sum_detected(monkeypatch):
@@ -277,11 +278,13 @@ def test_verify_detects_a_dropped_projection_row(monkeypatch):
 
 
 def test_verify_builds_each_zero_grid_once():
-    """Default verify asks for every (p, f, omega) residue grid it needs
-    exactly once from the grid cache: the closed-form suite's grids are
-    still cached when it runs."""
+    """Each suite of default verify builds every (p, f, omega) residue grid
+    it needs once: the zero-count suite its 1180 grids in case order, the
+    closed-form suite its 100 x and y grids at p <= 31, which the 256-entry
+    grid cache no longer holds by then."""
     primes = modular.primes_upto(97)[1:]
     distinct = 20 * (2 * len(primes) + sum(p % 4 == 1 for p in primes))
+    closed = 2 * 5 * sum(p <= 31 for p in primes)
     charsums._zero_grid.cache_clear()
     assert run(["verify"])[0] == 0
-    assert charsums._zero_grid.cache_info().misses == distinct == 1180
+    assert charsums._zero_grid.cache_info().misses == distinct + closed == 1180 + 100
