@@ -27,17 +27,21 @@ sq_norm(g) stays below an expansion bound:
     T^2 complete, and the reduced length, the unique geodesic, is the
     breadth-first layer.  Parabolic letters, -I and S are never certified.
 
-Deduplication is layer-local.  The letters include their inverses, so the
-Cayley graph induced on the expansion region is undirected and a candidate
-made from layer k lies in layer k - 1, in layer k, or is new.  Each layer
-therefore runs one stable sort over the keys of layers k - 1 and k followed
-by the candidate keys and keeps the candidates that head a run of equal
-keys.  Keys pack the entries (a, b, c, d), shifted to be nonnegative, into
-one uint64 word when four fields fit, else into as few words as hold whole
-fields (two on the int64 path, whose entries stay below 2^31), else are the
+Both searches carry a layer as (4, n) entry columns and build its children
+with one kernel, _children.  Deduplication is layer-local.  The letters
+include their inverses, so the Cayley graph induced on the expansion region
+is undirected and a candidate made from layer k lies in layer k - 1, in layer
+k, or is new.  Each layer therefore sorts the keys of layers k - 1 and k
+together with the candidate keys, which carry a 1-bit tag below their lowest
+field, and keeps the candidates that head a run of keys equal up to the tag:
+the tag puts an old key first in its run, so the sort need not be stable.
+Keys pack the entries (a, b, c, d), shifted to be nonnegative, into one
+uint64 word when the fields fit, else into as few words as hold whole fields
+(two on the int64 path, whose entries stay below 2^31), else are the
 Python-int columns themselves.  A finished ball sorts on (sq_norm, entries)
 packed the same way, and so do its distinct bottom rows on (c^2+d^2, c, d) in
 OrbitBall.distinct_rows, the one kernel census, build_sequence and orbit read.
+One word sorts by a plain argsort, more by lexsort (_order).
 
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
@@ -189,15 +193,16 @@ class OrbitBall:
 
     def distinct_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, d, inverse): the distinct bottom rows sorted by (c^2+d^2, c, d),
-        the heads of equal-key runs after one lexsort of their packed keys,
-        and for each element the index of its bottom row among them."""
+        the heads of equal-key runs after one sort (_order) of their packed
+        keys, and for each element the index of its bottom row among them.
+        Equal keys are equal rows, so the order within a run is immaterial."""
         c, d = self.rows[:, 2], self.rows[:, 3]
         if len(c) and max(-int(c.min()), int(c.max()), -int(d.min()), int(d.max())) >= 1 << 31:
             raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
         z = c * c + d * d
         bound = int(z.max(initial=0)) + 1
         keys = _row_keys(self.rows[:, 2:4], bound, lead=[(z, bound.bit_length())])
-        order = np.lexsort(keys[::-1])
+        order = _order(keys)
         head = np.ones(len(order), dtype=bool)
         head[1:] = np.any([np.diff(k[order]) != 0 for k in keys], axis=0)
         inverse = np.empty_like(order)
@@ -205,15 +210,18 @@ class OrbitBall:
         return c[order[head]], d[order[head]], inverse
 
 
-def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
+def _row_keys(rows: np.ndarray, bound: float, lead=(), tagged: bool = False) -> List[np.ndarray]:
     """Order-preserving sort keys, most significant first, of the lead
     (column, bits) fields and then the entries of rows with e^2 < bound,
-    shifted to be nonnegative: the fields packed whole, in order, into as
-    few uint64 words as hold them, or the columns themselves when an entry
-    needs more than 64 bits."""
+    shifted to be nonnegative, and with tagged a trailing zero 1-bit field
+    for _fresh's tag: the fields packed whole, in order, into as few uint64
+    words as hold them, or the columns themselves when an entry needs more
+    than 64 bits.  Either way the tag is the lowest bit of the last key."""
     off = math.isqrt(int(bound)) + 1
     bits = (2 * off).bit_length()
     fields = [*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))]
+    if tagged:
+        fields.append((np.zeros(len(rows), dtype=np.uint64), 1))
     if bits > 64:
         return [col for col, _ in fields]
     words: List[np.ndarray] = []
@@ -228,15 +236,29 @@ def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
     return words
 
 
+def _order(keys: List[np.ndarray]) -> np.ndarray:
+    """Positions sorted by keys (columns, most significant first): a plain
+    argsort of one word, else a lexsort.  Not stable; every caller either
+    has unique keys or only needs equal keys to be adjacent."""
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+
+
 def _fresh(prev, cur, cand) -> np.ndarray:
-    """Positions in cand, in key order, of the first occurrence of each key
-    that is in neither prev nor cur (lists of key columns): after one stable
-    sort of the concatenation, the candidates that head a run of equal keys."""
+    """Positions in cand, in key order, of one occurrence of each key that
+    is in neither prev nor cur (lists of key columns from _row_keys with
+    tagged).  The candidates are tagged 1, so after one sort (_order) of the
+    concatenation an old key heads its run of keys equal up to the tag; the
+    fresh keys are the candidates that head such a run."""
     n_old = len(prev[0]) + len(cur[0])
     keys = [np.concatenate(cols) for cols in zip(prev, cur, cand)]
-    order = np.lexsort(keys[::-1])
-    ranked = [k[order] for k in keys]
-    head = np.concatenate(([True], np.any([r[1:] != r[:-1] for r in ranked], axis=0)))
+    keys[-1][n_old:] |= np.uint64(1)
+    order = _order(keys)
+    keys[-1] >>= np.uint64(1)
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for k in keys:
+        r = k[order]
+        head[1:] |= r[1:] != r[:-1]
     return order[head & (order >= n_old)] - n_old
 
 
@@ -365,28 +387,41 @@ def _entry_dtype(letters: Sequence[Entries], region_bound: float):
     return np.int64 if 4 * bound * bound < 1 << 63 else object
 
 
+def _children(layer: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Entries of the products g.h of each column g of layer (4, n) with
+    each letter h of letters (m, 4), as (4, m * n) columns, letter-major."""
+    n = layer.shape[1]
+    # einsum writing into kids needs no second buffer of kids' size
+    kids = np.empty((2, 2, len(letters), n), dtype=layer.dtype)
+    np.einsum("rkn,mkc->rcmn", layer.reshape(2, 2, n), letters.reshape(-1, 2, 2), out=kids)
+    return kids.reshape(4, -1)
+
+
 def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: int) -> List[np.ndarray]:
-    """Layers of the breadth-first search over the expansion region."""
+    """Layers, as (4, n) entry columns, of the breadth-first search over the
+    expansion region."""
     if gens.monotone_cap:
         expand_bound = max(ball_bound, 4.0)
     else:
         expand_bound = ball_bound * gens.max_letter_sq_norm()
     letters = [h.entries() for h in gens.letters()]
     dtype = _entry_dtype(letters, expand_bound)
-    letters = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
-    collected = [np.array([[1, 0, 0, 1]], dtype=dtype)]
-    cur_keys = _row_keys(collected[0], expand_bound)
+    letters = np.array(letters, dtype=dtype)
+    layer = np.array([[1], [0], [0], [1]], dtype=dtype)
+    collected = [layer]
+    cur_keys = _row_keys(layer.T, expand_bound, tagged=True)
     prev_keys = [k[:0] for k in cur_keys]
     total = 1
-    while len(collected[-1]):
-        cands = (collected[-1].reshape(-1, 1, 2, 2) @ letters).reshape(-1, 4)
-        cands = cands[np.einsum("ij,ij->i", cands, cands) < expand_bound]
-        keys = _row_keys(cands, expand_bound)
+    while layer.shape[1]:
+        cands = _children(layer, letters)
+        cands = cands.compress(np.einsum("ij,ij->j", cands, cands) < expand_bound, axis=1)
+        keys = _row_keys(cands.T, expand_bound, tagged=True)
         pick = _fresh(prev_keys, cur_keys, keys)
         total += len(pick)
         if total > element_cap:
             raise BallBudgetError(T, total, element_cap)
-        collected.append(cands[pick])
+        layer = cands.take(pick, axis=1)
+        collected.append(layer)
         prev_keys, cur_keys = cur_keys, [k[pick] for k in keys]
     return collected
 
@@ -394,29 +429,29 @@ def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: in
 def _tree_layers(
     letters: Tuple[Entries, ...], T: float, ball_bound: float, element_cap: int
 ) -> List[np.ndarray]:
-    """Layers of the reduced-word tree pruned at ball_bound.
+    """Layers, as (4, n) entry columns, of the reduced-word tree pruned at
+    ball_bound.
 
     Sound only for letters with a _ping_pong_certificate: reduced words are
     then distinct elements (no dedup) and norms never decrease along them,
     so every prefix of a ball element is in the ball.  Only ball elements
     are counted, so a total past element_cap raises BallBudgetError."""
     dtype = _entry_dtype(letters, ball_bound)
-    mats = np.array(letters, dtype=dtype).reshape(-1, 2, 2)
+    mats = np.array(letters, dtype=dtype)
     m = len(letters)
-    # follows[j, i]: letter i may come after last letter j; row m is the root
-    follows = np.ones((m + 1, m), dtype=bool)
-    follows[np.arange(m), _inverse_index(letters)] = False
-    frontier = np.array([[1, 0, 0, 1]], dtype=dtype)
+    # follows[i, j]: letter i may come after last letter j; column m is the root
+    follows = np.ones((m, m + 1), dtype=bool)
+    follows[_inverse_index(letters), np.arange(m)] = False
+    frontier = np.array([[1], [0], [0], [1]], dtype=dtype)
     last = np.array([m])
     collected = [frontier]
     total = 1
-    while len(frontier):
-        reduced = follows[last].ravel()
-        kids = (frontier.reshape(-1, 1, 2, 2) @ mats).reshape(-1, 4)[reduced]
-        kid_last = np.tile(np.arange(m), len(last))[reduced]
-        inside = np.einsum("ij,ij->i", kids, kids) < ball_bound
-        frontier, last = kids[inside], kid_last[inside]
-        total += len(frontier)
+    while frontier.shape[1]:
+        kids = _children(frontier, mats)
+        inside = np.einsum("ij,ij->j", kids, kids) < ball_bound
+        keep = (follows[:, last] & inside.reshape(m, -1)).ravel()
+        frontier, last = kids.compress(keep, axis=1), np.flatnonzero(keep) // len(last)
+        total += frontier.shape[1]
         if total > element_cap:
             raise BallBudgetError(T, total, element_cap)
         collected.append(frontier)
@@ -442,18 +477,24 @@ def enumerate_ball(
     else:
         collected = _bfs_layers(gens, T, ball_bound, element_cap)
 
-    rows = np.concatenate(collected, axis=0)
+    cols = np.concatenate(collected, axis=1)
     # the word length of an element is the index of its layer
-    wls = np.repeat(np.arange(len(collected), dtype=np.int64), [len(c) for c in collected])
-    sq = np.einsum("ij,ij->i", rows, rows)
+    wls = np.repeat(np.arange(len(collected), dtype=np.int64), [c.shape[1] for c in collected])
+    del collected  # the layers are copied; freeing them bounds the peak below
+    sq = np.einsum("ij,ij->j", cols, cols)
     keep = sq < ball_bound
     # ball entries are below T; astype raises OverflowError if they do not fit
-    rows = rows[keep].astype(np.int64, copy=False)
+    cols = cols.compress(keep, axis=1).astype(np.int64, copy=False)
     wls = wls[keep]
     sq = sq[keep].astype(np.int64, copy=False)
-    keys = _row_keys(rows, ball_bound, lead=[(sq, int(ball_bound).bit_length())])
-    order = np.lexsort(keys[::-1])
-    return OrbitBall(T=float(T), label=gens.label, rows=rows[order], word_lengths=wls[order], _sq=sq[order])
+    keys = _row_keys(cols.T, ball_bound, lead=[(sq, int(ball_bound).bit_length())])
+    order = _order(keys)
+    # gathered column by column: a take along axis 0 of the transposed
+    # columns would first copy them whole
+    rows = np.empty((len(order), 4), dtype=np.int64)
+    for i, col in enumerate(cols):
+        rows[:, i] = col.take(order)
+    return OrbitBall(T=float(T), label=gens.label, rows=rows, word_lengths=wls[order], _sq=sq[order])
 
 
 @dataclass(frozen=True)
@@ -545,8 +586,6 @@ def coset_counts(
         raise ValueError("supplied ball is smaller than requested T")
     n = ball.count_below(T)
     inside = ball.sq_norms() < float(T) * float(T)
-    c_all = ball.rows[inside, 2]
-    d_all = ball.rows[inside, 3]
     if q == 1:
         return {(0, 1): n}
     if q % 2 == 0:
@@ -555,12 +594,17 @@ def coset_counts(
     for p in modular.prime_factors(q):
         if not modular.strong_approx_check(gens, p):
             raise ValueError(f"projection not surjective mod {p}; bad modulus overlap")
-    lc, ld = modular.coset_labels(q, c_all, d_all)
+    # a row's label depends only on its residues mod q: label each occupied
+    # (c mod q, d mod q) cell once, then add up the cell counts per label
+    c, d = ball.rows[:, 2], ball.rows[:, 3]
+    cells, per_cell = np.unique(((c % q) * q + d % q)[inside], return_counts=True)
+    lc, ld = modular.coset_labels(q, cells // q, cells % q)
+    labels, which = np.unique(lc * q + ld, return_inverse=True)
+    per_label = np.zeros(len(labels), dtype=np.int64)
+    np.add.at(per_label, which, per_cell)
     counts = {rep: 0 for rep in table.reps}
-    key = lc * q + ld
-    uniq, cnt = np.unique(key, return_counts=True)
-    for k, v in zip(uniq.tolist(), cnt.tolist()):
-        counts[(k // q, k % q)] += int(v)
+    for k, v in zip(labels.tolist(), per_label.tolist()):
+        counts[(k // q, k % q)] += v
     if sum(counts.values()) != n:
         raise ArithmeticError("coset counts do not partition the ball")
     return counts

@@ -23,6 +23,7 @@ makes a chosen coordinate form vanish mod p.  Exact rationals throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,11 @@ _TABLE_REACH = (TABLE_LIMIT + 1) ** 2
 # prime bases", Math. Comp. 2017); a larger probable prime is never certified.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
+# psi_k, the least strong pseudoprime to the first k bases, for k = 1..12
+# (as tabulated there): below psi_k those k bases already prove primality.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, _MR_LIMIT)
 # Pollard-Brent gives up (raising) past this cycle length, or after this many
 # constants c that each closed a cycle with gcd = n.  A composite below 2^63
 # with no table prime factor has a prime factor below 2^32, which the walk
@@ -100,14 +106,15 @@ def _table_divisors(n: int) -> List[int]:
 
 
 def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on n >= 2 with the bases 2..37.  False proves n
+    """Miller-Rabin on n >= 2 with the first k of the bases 2..37, the
+    fewest with n < psi_k, or all 12 from psi_11 on.  False proves n
     composite; True proves n prime when n < _MR_LIMIT."""
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

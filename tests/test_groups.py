@@ -16,6 +16,7 @@ from triplesieve.groups import (
     GeneratorSet,
     GrowthEstimate,
     SmoothedWeight,
+    _fresh,
     _row_keys,
     coset_counts,
     enumerate_ball,
@@ -234,6 +235,64 @@ def test_distinct_rows_kernel(make, monkeypatch):
     assert [rows[i] for i in inverse.tolist()] == bottom
     if ball.label == "hand":
         assert len(rows) < len(bottom) and words[-1] > 1
+
+
+# entries e with e^2 < bound: one word; four 16-bit fields filling one word,
+# so the tag spills into a second; two words; Python-int columns
+FRESH_BOUNDS = [(2.0**20, np.int64, 1), (2.0**29, np.int64, 2), (2.0**40, np.int64, 2), (2.0**140, object, 5)]
+
+
+def fresh_oracle(prev, cur, cand):
+    """The candidate rows in neither prev nor cur, each once, sorted."""
+    old = set(map(tuple, prev)) | set(map(tuple, cur))
+    return sorted(set(map(tuple, cand)) - old)
+
+
+@pytest.mark.parametrize("bound, dtype, words", FRESH_BOUNDS)
+def test_fresh_matches_set_oracle(bound, dtype, words):
+    """_fresh on adversarial layers: candidates equal to keys of layers k - 1
+    and k, repeated candidates, and empty layers, against a Python set."""
+    rng = np.random.default_rng(15)
+    top = math.isqrt(int(bound) - 1)
+    for trial in range(60):
+        pool = {tuple(int(x) * (top // 3) for x in row) for row in rng.integers(-3, 4, size=(12, 4))}
+        pool = np.array(sorted(pool), dtype=dtype)[rng.permutation(len(pool))]
+        sizes = rng.integers(0, len(pool) + 1, size=2)
+        prev, cur = pool[: sizes[0] // 2], pool[sizes[0] // 2: sizes[0] // 2 + sizes[1] // 2]
+        cand = pool[rng.integers(0, len(pool), size=rng.integers(0, 3 * len(pool)))]
+        if trial % 10 == 0:
+            prev, cur = prev[:0], cur[:0]
+        keys = [_row_keys(layer, bound, tagged=True) for layer in (prev, cur, cand)]
+        assert len(keys[2]) == words
+        pick = _fresh(*keys)
+        assert [tuple(r) for r in cand[pick].tolist()] == fresh_oracle(prev.tolist(), cur.tolist(), cand.tolist())
+
+
+def lexsort_distinct_rows(ball):
+    """(c, d, inverse) from one stable lexsort on (c^2+d^2, c, d)."""
+    c, d = ball.rows[:, 2], ball.rows[:, 3]
+    order = np.lexsort((d, c, c * c + d * d))
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (np.diff(c[order]) != 0) | (np.diff(d[order]) != 0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(head) - 1
+    return c[order[head]], d[order[head]], inverse
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_ball(modular_generators(), 90),
+    lambda: enumerate_ball(GeneratorSet("sr", (UnimodularMatrix(0, -1, 1, 0), GEN_R)), 40),
+    lambda: enumerate_ball(GeneratorSet("mi", (UnimodularMatrix(-1, 0, 0, -1), GEN_R @ GEN_R, GEN_L @ GEN_L)), 40),
+    hand_built_ball,
+])
+def test_distinct_rows_match_lexsort_oracle(make):
+    """Balls where many elements share a bottom row: distinct_rows gives the
+    same arrays, inverse and dtypes included, as a stable lexsort."""
+    ball = make()
+    got, want = ball.distinct_rows(), lexsort_distinct_rows(ball)
+    assert len(want[0]) < len(ball)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize(
@@ -487,6 +546,26 @@ def test_coset_counts_labels_match_label_of_row():
         tally = Counter(labels)
         counts = coset_counts(mg, 200, q, ball=ball)
         assert list(counts.items()) == [(rep, tally[rep]) for rep in table.reps]
+
+
+@pytest.mark.parametrize("gens, T", [(modular_generators(), 40.5), (schottky_generators(), 1e6)])
+def test_coset_counts_match_per_row_labels(gens, T):
+    """coset_counts tallies the label of every ball row, found one row at a
+    time, in table order; also from a ball built with a larger T.  Moduli
+    at which the projection is not onto raise."""
+    big = enumerate_ball(gens, 1.5 * T)
+    for ball in (enumerate_ball(gens, T), big):
+        inside = [tuple(r) for r, s in zip(ball.rows[:, 2:].tolist(), ball.sq_norms().tolist()) if s < T * T]
+        for q in (1, 3, 5, 55, 105, 1155):
+            if any(not modular.strong_approx_check(gens, p) for p in modular.prime_factors(q)):
+                with pytest.raises(ValueError):
+                    coset_counts(gens, T, q, ball=ball)
+                continue
+            table = modular.coset_table(q)
+            label = {r: table.label_of_row(*r) for r in {(c % q, d % q) for c, d in inside}}
+            tally = Counter(label[c % q, d % q] for c, d in inside)
+            assert len(tally) > 1 or q == 1
+            assert coset_counts(gens, T, q, ball=ball) == {rep: tally[rep] for rep in table.reps}
 
 
 def test_coset_counts_rejects_bad_moduli():

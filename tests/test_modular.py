@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +359,41 @@ def test_miller_rabin_and_pollard_brent():
         if not sympy.isprime(n):
             d = modular._pollard_brent(n)
             assert 1 < d < n and n % d == 0, n
+
+
+def _strong_probable_prime_to(n, bases):
+    """Reference Miller-Rabin: n passes every base in bases (n > max(bases))."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_miller_rabin_stops_at_the_proven_base_prefix():
+    """Below psi_k the first k bases decide; the prefix run agrees with all
+    twelve bases everywhere, and with sympy below _MR_LIMIT, on a seeded
+    sample around every psi_k.  Each psi_k fools its first k bases, and all
+    but psi_12 (which fools all twelve) come back composite."""
+    rng = random.Random(15)
+    for k, psi in enumerate(modular._MR_PSI, start=1):
+        assert _strong_probable_prime_to(psi, modular._MR_BASES[:k]) and not sympy.isprime(psi)
+        assert modular._strong_probable_prime(psi) == (psi == modular._MR_LIMIT)
+        sample = {psi - 1, psi + 1, psi + 2} | {psi + rng.randrange(-10**4, 10**4) for _ in range(300)}
+        for n in sample:
+            got = modular._strong_probable_prime(n)
+            assert got == (n in modular._MR_BASES or (all(n % a for a in modular._MR_BASES)
+                                                      and _strong_probable_prime_to(n, modular._MR_BASES))), n
+            if n < modular._MR_LIMIT:
+                assert got == sympy.isprime(n), n
 
 
 def test_factor_array_sums_of_coprime_squares():
