@@ -35,16 +35,24 @@ The sieve sequence attaches to each integer n the mass
 computed exactly: the smoothed weights are rationals with a common
 denominator, so every a(n) is an integer numerator over that denominator and
 the accounting identity sum_n a(n) = chi = |ball_Y| * sum_g Upsilon_X(g)
-holds to the last digit.  Since a(n) only sees g through its bottom row, the
-g-ball is first collapsed to weights on the same kernel's rows, summed
-over its inverse index; the (row, w) product grid is then processed in
-chunks: gl2.form_values evaluates each chunk (int64 under its proven
-bounds, Python ints otherwise), whose weights are summed by value, and the
-chunk results are concatenated and summed by value once more at the end.
-Each of these sums is taken by the one helper _run_sums, on the sorted runs
-of one argsort: in int64 with numerators split into 31-bit high/low halves
-so no intermediate overflows, or as Python ints when the weights are too
-large for that.  Every form value in this module comes from gl2.form_values.
+holds to the last digit.  One ball is enumerated, at the larger of the
+weight's support radius and Y; the g-ball and the omega ball are its
+prefixes (OrbitBall.sub_ball), since balls are sorted by sq_norm first.  The
+weights come from the integer form of the smoothstep
+(SmoothedWeight.numerators), one per distinct sq_norm, over C^3 reduced by
+its gcd with them.  Since a(n) only sees g through its bottom row, the g-ball
+is first collapsed to weights on the same kernel's rows, summed over its
+inverse index; the (row, w) product grid is then processed in chunks:
+gl2.form_values evaluates each chunk (int64 under its proven bounds, Python
+ints otherwise), whose weights are summed by value, and the chunk results
+are concatenated and summed by value once more at the end.  Each of these
+sums is taken by the one helper _run_sums, on the sorted runs of one
+argsort: int64 weights as 31-bit high/low halves, which cannot wrap, joined
+in int64 when every high sum proves its total fits and as Python ints
+otherwise; weights too large for int64 are summed as Python ints.  The
+support and numerators are handed to SieveSequence as the arrays a_q reads,
+under the same dtype rules as a sequence built from lists.  Every form value
+in this module comes from gl2.form_values.
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -73,7 +81,7 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from .gl2 import Form, form_values
-from .groups import GeneratorSet, OrbitBall, SmoothedWeight, enumerate_ball
+from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_order, _row_keys, _runs, enumerate_ball
 from .modular import beta as modular_beta
 from .modular import FORM_PRIME_FLOOR, factor_array, factor_int, prime_factors, require_odd_prime
 
@@ -344,49 +352,67 @@ class SieveSequence:
     def total_mass(self) -> Fraction:
         return Fraction(sum(self.numerators), self.den)
 
+    @staticmethod
+    def _dtypes(lo: int, hi: int, abs_total: int) -> Tuple[type, type]:
+        """The dtypes of _arrays for a support in [lo, hi] and numerators of
+        absolute total abs_total: ns in int64, or as Python ints when the
+        support reaches beyond 2^62; numerators in int64 when their absolute
+        total fits, so no partial sum can overflow, and as Python ints
+        otherwise."""
+        far = lo < -(2 ** 62) or hi > 2 ** 62
+        return object if far else np.int64, object if abs_total >= 1 << 63 else np.int64
+
     @cached_property
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(ns, numerators) as arrays, built once per sequence: ns in int64,
-        or as Python ints when the support reaches beyond 2^62; numerators in
-        int64 when their absolute total fits, so no partial sum can overflow,
-        and as Python ints otherwise."""
-        far = bool(self.ns) and (min(self.ns) < -(2 ** 62) or max(self.ns) > 2 ** 62)
-        wide = sum(map(abs, self.numerators)) >= 1 << 63
-        return (np.array(self.ns, dtype=object if far else np.int64),
-                np.array(self.numerators, dtype=object if wide else np.int64))
+        """(ns, numerators) as arrays under _dtypes, built once per sequence;
+        build_sequence primes them with the arrays it already holds."""
+        ns_type, num_type = self._dtypes(
+            min(self.ns, default=0), max(self.ns, default=0), sum(map(abs, self.numerators)))
+        return np.array(self.ns, dtype=ns_type), np.array(self.numerators, dtype=num_type)
 
 
 def _run_sums(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(distinct keys in ascending order, each key's exact total weight as an
-    object array of Python ints), summed by np.add.reduceat on the runs of one
-    argsort of keys.  Object weights are summed as Python ints; int64 weights
-    as their 31-bit halves w >> 31 and w & _MASK31, each in int64 under bounds
-    the caller checks (int64_ok in build_sequence), joined once per run."""
+    """(distinct keys in ascending order, each key's exact total weight),
+    summed by np.add.reduceat on the runs of one argsort of keys.
+
+    Object weights are summed as Python ints.  int64 weights are summed as
+    their 31-bit halves w >> 31, in [-2^32, 2^32), and w & _MASK31, in
+    [0, 2^31): for fewer than 2^31 weights no partial sum of either half can
+    wrap (longer arrays are summed as Python ints).  The totals hi 2^31 + lo
+    are joined in int64 when every high sum lies in (-2^31, 2^31), since then
+    |hi 2^31| < 2^62 and 0 <= lo < 2^62, and as Python ints otherwise."""
     order = np.argsort(keys)
     keys, weights = keys[order], weights[order]
     head = np.ones(len(keys), dtype=bool)
     head[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(head)
-    if weights.dtype == object:
-        return keys[starts], np.add.reduceat(weights, starts)
-    hi = np.add.reduceat(weights >> 31, starts).astype(object)
+    if weights.dtype == object or len(weights) >= 1 << 31:
+        return keys[starts], np.add.reduceat(weights.astype(object, copy=False), starts)
+    hi = np.add.reduceat(weights >> 31, starts)
+    if len(hi) and max(-int(hi.min()), int(hi.max())) >= 1 << 31:
+        hi = hi.astype(object)
     return keys[starts], (hi << 31) + np.add.reduceat(weights & _MASK31, starts)
 
 
 def _row_weights(gamma_ball: OrbitBall, X: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Collapse the gamma-ball to its distinct rows (c, d) with integer weight
-    numerators (Python ints) over a common denominator, one weight_fraction
-    per distinct sq_norm, summed over the inverse index of distinct_rows by
-    _run_sums; rows with zero total weight are dropped."""
-    w = SmoothedWeight(X)
-    norms, at = np.unique(gamma_ball.sq_norms(), return_inverse=True)
-    fracs = [w.weight_fraction(s) for s in norms.tolist()]
-    den = math.lcm(*(fr.denominator for fr in fracs))
-    nums = np.array([fr.numerator * (den // fr.denominator) for fr in fracs], dtype=object)
+    numerators (Python ints) over a common denominator, summed over the
+    inverse index of distinct_rows by _run_sums; rows with zero total weight
+    are dropped.
+
+    The weights are SmoothedWeight.numerators over C^3 of the distinct
+    sq_norms, the run heads of the ball's sorted sq_norms.  Dividing them and
+    C^3 by g = gcd(C^3, every numerator) leaves the denominator C^3 / g, the
+    lcm of the weights' reduced denominators."""
+    sq = gamma_ball.sq_norms()
+    head = np.ones(len(sq), dtype=bool)
+    head[1:] = sq[1:] != sq[:-1]
+    nums, cube = SmoothedWeight(X).numerators(sq[head])
+    g = math.gcd(cube, *nums.tolist())
     c, d, inverse = gamma_ball.distinct_rows()
-    _, wnums = _run_sums(inverse, nums[at])  # every row occurs: keys 0..len(c)-1
+    _, wnums = _run_sums(inverse, (nums // g)[np.cumsum(head) - 1])  # every row occurs: keys 0..len(c)-1
     keep = wnums != 0
-    return c[keep], d[keep], wnums[keep], den
+    return c[keep], d[keep], wnums[keep].astype(object), cube // g
 
 
 def _half_turn(w: np.ndarray) -> np.ndarray:
@@ -402,14 +428,17 @@ def _omega_classes(omega_rows: np.ndarray, f: Form) -> Tuple[np.ndarray, np.ndar
     so x and y change sign and z, xy and xyz do not: the four rotations of
     W share one value of z, area and product, and W, -W share every form.
     A class is represented by its rotation with a > 0, b >= 0 (by +-W with
-    a > 0 or a = 0 < b for x and y) and counts its members in the ball."""
+    a > 0 or a = 0 < b for x and y) and counts its members in the ball, the
+    length of its run after one sort of packed keys (_row_keys, _runs)."""
     reps = _half_turn(omega_rows)
     if f in (Form.Z, Form.AREA, Form.PRODUCT):
         w_s = reps[:, [1, 0, 3, 2]] * np.array([1, -1, 1, -1])
         turned = _half_turn(w_s)
         off = (reps[:, 0] == 0) | (reps[:, 1] < 0)
         reps = np.where(off[:, None], turned, reps)
-    return np.unique(reps, axis=0, return_counts=True)
+    order, head = _runs(_row_keys(reps, int(np.abs(reps).max(initial=0)) ** 2 + 1))
+    starts = np.flatnonzero(head)
+    return reps[order[starts]], np.diff(starts, append=len(order))
 
 
 def _fold_rows(
@@ -421,14 +450,16 @@ def _fold_rows(
     same values r.S.W; if moreover every row weighs what its rotation does,
     the four rotations of a row carry one histogram, and the one with c > 0,
     d >= 0 stands for them with 4 times the weight.  Otherwise nothing folds.
-    Each closure compares a set with its image, both sorted."""
-    here, turned = np.lexsort((d, c)), np.lexsort((-c, d))
-    if not ((c[here] == d[turned]).all() and (d[here] == -c[turned]).all()
-            and (wnums[here] == wnums[turned]).all()):
+
+    Each closure compares a set, in the order given, with its image sorted by
+    (sum of squares, entries) (_norm_order): the order of distinct_rows and
+    of a ball's rows.  Equal arrays prove the set closed whatever the given
+    order; a set given in another order only fails to fold."""
+    turned = _norm_order(np.stack([d, -c], axis=1))
+    if not ((c == d[turned]).all() and (d == -c[turned]).all() and (wnums == wnums[turned]).all()):
         return c, d, wnums
     s_w = omega_rows[:, [2, 3, 0, 1]] * np.array([-1, -1, 1, 1])
-    ball, image = (w[np.lexsort(w.T[::-1])] for w in (omega_rows, s_w))
-    if not (ball == image).all():
+    if not (omega_rows == s_w[_norm_order(s_w)]).all():
         return c, d, wnums
     keep = (c > 0) & (d >= 0)
     return c[keep], d[keep], 4 * wnums[keep]
@@ -457,34 +488,32 @@ def build_sequence(
     """Exact smoothed sieve sequence a(n) for the form f on the orbit of gens.
 
     The g-weight is the cubic smoothstep at scale X (support inside norm
-    1.1X); the inner sum ranges over the hard ball of radius Y.  Weights sit
-    on the g-ball's rows from OrbitBall.distinct_rows, the rows census
-    grades.  Generator order does not affect the result.
+    1.1X); the inner sum ranges over the hard ball of radius Y.  Both balls
+    are prefixes of one enumeration.  Weights sit on the g-ball's rows from
+    OrbitBall.distinct_rows, the rows census grades.  Generator order does
+    not affect the result.
     """
     if X < 1 or Y < 1:
         raise ValueError("need X >= 1 and Y >= 1")
     f = Form(f)
-    gamma_ball = enumerate_ball(gens, SmoothedWeight(X).support_radius(), element_cap=element_cap)
-    omega_ball = enumerate_ball(gens, Y, element_cap=element_cap)
+    radius = SmoothedWeight(X).support_radius()
+    ball = enumerate_ball(gens, max(radius, Y), element_cap=element_cap)
+    gamma_ball, omega_ball = ball.sub_ball(radius), ball.sub_ball(Y)
     m = len(omega_ball)
     c, d, wnums, den = _row_weights(gamma_ball, X)
-    chi = Fraction(int(wnums.sum()) * m, den)
+    total = int(wnums.sum()) * m
+    chi = Fraction(total, den)
     if not len(c) or m == 0:
         return SieveSequence(X, Y, f, gens.label, 1, [], [], Fraction(0), 0, m)
 
     pair_count = len(c) * m
     c, d, wnums = _fold_rows(c, d, wnums, omega_ball.rows)
     reps, mult = _omega_classes(omega_ball.rows, f)
+    # every pair weight (row weight times class multiplicity) fits in int64;
+    # _run_sums bounds its own sums, the merge of the chunk totals included
+    wnums = wnums.astype(np.int64 if int(wnums.max()) * int(mult.max()) < 1 << 63 else object)
 
-    max_w = int(wnums.max()) * int(mult.max())
     rows_per_chunk = max(1, _CHUNK_PAIRS // len(reps))
-    chunk_pairs = rows_per_chunk * len(reps)
-    # overflow guards for _run_sums' 31-bit split, on the largest pair weight
-    # (row weight times class multiplicity): per value and chunk, the low
-    # halves sum below chunk_pairs * 2^31, the high ones below the second bound
-    int64_ok = max_w < 1 << 62 and chunk_pairs * ((max_w >> 31) + 1) < 1 << 62
-    wnums = wnums.astype(np.int64 if int64_ok else object)
-
     parts = []
     for start in range(0, len(c), rows_per_chunk):
         part = slice(start, start + rows_per_chunk)
@@ -493,6 +522,10 @@ def build_sequence(
     seq = SieveSequence(X, Y, f, gens.label, den, ns.tolist(), numerators.tolist(), chi, pair_count, m)
     if seq.total_mass() != chi:
         raise ArithmeticError("mass accounting identity failed")
+    # the numerators are sums of positive pair weights, so their absolute
+    # total is that of the mass, chi * den
+    ns_type, num_type = seq._dtypes(seq.ns[0], seq.ns[-1], total)
+    seq._arrays = ns.astype(ns_type, copy=False), numerators.astype(num_type, copy=False)
     return seq
 
 

@@ -41,12 +41,15 @@ uint64 word when the fields fit, else into as few words as hold whole fields
 Python-int columns themselves.  A finished ball sorts on (sq_norm, entries)
 packed the same way, and so do its distinct bottom rows on (c^2+d^2, c, d) in
 OrbitBall.distinct_rows, the one kernel census, build_sequence and orbit read.
-One word sorts by a plain argsort, more by lexsort (_order).
+One word sorts by a plain argsort, more by lexsort (_order).  Since the
+canonical order sorts by sq_norm first, the ball of any radius t <= T is a
+prefix of the ball at T (OrbitBall.sub_ball), which count_below, coset_counts
+and the sieve sequence read.
 
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
-on the annulus 0.9T..1.1T), growth-exponent fits (count ~ C T^(2 delta)), and
-per-coset counts mod q.
+on the annulus 0.9T..1.1T, in one integer form), growth-exponent fits
+(count ~ C T^(2 delta)), and per-coset counts mod q.
 """
 
 from __future__ import annotations
@@ -185,11 +188,22 @@ class OrbitBall:
             self._sq = (r * r).sum(axis=1)
         return self._sq
 
-    def count_below(self, T: float) -> int:
-        """Number of elements with sq_norm < T^2 (T must not exceed the ball's T)."""
+    def sub_ball(self, T: float) -> "OrbitBall":
+        """The ball of radius T (T must not exceed the ball's T): the prefix of
+        rows, _sq and word_lengths before the first sq_norm >= T^2, found by
+        one searchsorted since the canonical order sorts by sq_norm first (it
+        compares in float64, as enumerate_ball's int64 path does).  The
+        arrays are views.  On the breadth-first path the word lengths are the
+        ones found in this larger search, whose region may hold shorter paths
+        than a search at T."""
         if T > self.T:
             raise ValueError(f"ball only complete to T={self.T}, asked for {T}")
-        return int((self.sq_norms() < float(T) * float(T)).sum())
+        k = int(np.searchsorted(self.sq_norms(), float(T) * float(T)))
+        return OrbitBall(float(T), self.label, self.rows[:k], self.word_lengths[:k], self.sq_norms()[:k])
+
+    def count_below(self, T: float) -> int:
+        """Number of elements with sq_norm < T^2 (T must not exceed the ball's T)."""
+        return len(self.sub_ball(T))
 
     def distinct_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c, d, inverse): the distinct bottom rows sorted by (c^2+d^2, c, d),
@@ -201,10 +215,7 @@ class OrbitBall:
             raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
         z = c * c + d * d
         bound = int(z.max(initial=0)) + 1
-        keys = _row_keys(self.rows[:, 2:4], bound, lead=[(z, bound.bit_length())])
-        order = _order(keys)
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = np.any([np.diff(k[order]) != 0 for k in keys], axis=0)
+        order, head = _runs(_row_keys(self.rows[:, 2:4], bound, lead=[(z, bound.bit_length())]))
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(head) - 1
         return c[order[head]], d[order[head]], inverse
@@ -241,6 +252,24 @@ def _order(keys: List[np.ndarray]) -> np.ndarray:
     argsort of one word, else a lexsort.  Not stable; every caller either
     has unique keys or only needs equal keys to be adjacent."""
     return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+
+
+def _runs(keys: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, head): the positions sorted by keys (_order) and, along them,
+    True where a run of equal keys starts."""
+    order = _order(keys)
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = np.any([np.diff(k[order]) != 0 for k in keys], axis=0)
+    return order, head
+
+
+def _norm_order(rows: np.ndarray) -> np.ndarray:
+    """Positions of the int64 rows (n, k), k >= 1, whose sums of squares fit
+    in int64, sorted by (sum of squares, entries): the order of a ball's rows
+    and of its distinct bottom rows, by one _order of packed keys."""
+    sq = (rows * rows).sum(axis=1)
+    bound = int(sq.max(initial=0)) + 1
+    return _order(_row_keys(rows, bound, lead=[(sq, bound.bit_length())]))
 
 
 def _fresh(prev, cur, cand) -> np.ndarray:
@@ -499,26 +528,39 @@ def enumerate_ball(
 
 @dataclass(frozen=True)
 class SmoothedWeight:
-    """Cubic smoothstep cutoff: 1 below 0.9T, 0 above 1.1T, 3u^2-2u^3 between
-    (u measured on squared norms, so integer inputs stay exact).  The one
-    formula is weight_fraction; weight is its float."""
+    """Cubic smoothstep cutoff: 1 below 0.9T, 0 above 1.1T, 3u^2 - 2u^3
+    between, u = (1.21T^2 - s) / (0.4T^2) measured on squared norms s.
+
+    The one formula is numerators, in integers: with T = N/D exactly,
+    C = 40N^2 and A = 121N^2 - 100sD^2 = Cu clamped to [0, C], the weight is
+    A^2 (3C - 2A) / C^3, which is C^3 / C^3 = 1 below the annulus and 0 above
+    it.  weight_fraction, weight and support_radius read it, and so do the
+    row weights of the sieve sequence."""
 
     T: float
+
+    def numerators(self, s: np.ndarray) -> Tuple[np.ndarray, int]:
+        """(A^2 (3C - 2A) for each squared norm of s, C^3): the weights of s
+        over C^3.  s is an int64 array, or an object array of Python ints or
+        Fractions.  The numerators lie in [0, C^3]; they and A are computed in
+        int64 when C^3 and 121N^2 + 100D^2 max|s| are below 2^63, else in
+        Python ints."""
+        t = Fraction(self.T)
+        n2, d2 = t.numerator ** 2, t.denominator ** 2
+        cap = 40 * n2
+        if s.dtype != object:
+            s_max = max(int(s.max(initial=1)), -int(s.min(initial=0)))
+            if max(cap ** 3, 121 * n2 + 100 * d2 * s_max) >= 1 << 63:
+                s = s.astype(object)
+        a = np.clip(121 * n2 - 100 * d2 * s, 0, cap)
+        return a * a * (3 * cap - 2 * a), cap ** 3
 
     def weight(self, s) -> float:
         return float(self.weight_fraction(s))
 
-    def weight_fraction(self, s: int) -> Fraction:
-        t = Fraction(self.T)
-        lo = Fraction(81, 100) * t * t
-        hi = Fraction(121, 100) * t * t
-        s = Fraction(s)
-        if s <= lo:
-            return Fraction(1)
-        if s >= hi:
-            return Fraction(0)
-        u = (hi - s) / (hi - lo)
-        return u * u * (3 - 2 * u)
+    def weight_fraction(self, s) -> Fraction:
+        num, den = self.numerators(np.array([Fraction(s)], dtype=object))
+        return Fraction(num[0], den)
 
     def support_radius(self) -> float:
         """A float t, from 1.1T up by ulps, where the weight of t^2 is 0: the
@@ -584,8 +626,8 @@ def coset_counts(
         ball = enumerate_ball(gens, T)
     elif ball.T < T:
         raise ValueError("supplied ball is smaller than requested T")
-    n = ball.count_below(T)
-    inside = ball.sq_norms() < float(T) * float(T)
+    ball = ball.sub_ball(T)
+    n = len(ball)
     if q == 1:
         return {(0, 1): n}
     if q % 2 == 0:
@@ -597,7 +639,7 @@ def coset_counts(
     # a row's label depends only on its residues mod q: label each occupied
     # (c mod q, d mod q) cell once, then add up the cell counts per label
     c, d = ball.rows[:, 2], ball.rows[:, 3]
-    cells, per_cell = np.unique(((c % q) * q + d % q)[inside], return_counts=True)
+    cells, per_cell = np.unique((c % q) * q + d % q, return_counts=True)
     lc, ld = modular.coset_labels(q, cells // q, cells % q)
     labels, which = np.unique(lc * q + ld, return_inverse=True)
     per_label = np.zeros(len(labels), dtype=np.int64)

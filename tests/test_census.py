@@ -1,5 +1,6 @@
 """Census grading, sieve sequence mass accounting, and divisibility probes."""
 
+import dataclasses
 import importlib
 import math
 import os
@@ -221,8 +222,9 @@ LARGE_LETTERS = GeneratorSet("n2400", (UnimodularMatrix(1, 2400, 0, 1), Unimodul
 
 @pytest.mark.parametrize("f", list(Form))
 def test_build_sequence_matches_bruteforce(f, monkeypatch):
-    # X = 4.1 gives the weights a 322-bit denominator: Python-int weights
-    cases = [(gens, X, Y) for gens in SEQUENCE_GROUPS for X, Y in ((4, 4), (4.1, 4), (6, 5.5))]
+    # X = 4.1 gives the weights a 322-bit denominator: Python-int weights.
+    # At (4, 6) and (3, 5.5), Y > 1.1X: the omega ball is the one enumerated
+    cases = [(gens, X, Y) for gens in SEQUENCE_GROUPS for X, Y in ((4, 4), (4.1, 4), (6, 5.5), (4, 6), (3, 5.5))]
     if f is Form.PRODUCT:
         # the omega row (2400, 1) has z = 5,760,001, above the int64 product
         # bound: the grid values are Python ints
@@ -237,6 +239,9 @@ def test_build_sequence_matches_bruteforce(f, monkeypatch):
         assert all(num > 0 for num in seq.numerators)
         assert seq.pair_count == pairs
         assert seq.omega_ball_size == len(enumerate_ball(gens, Y))
+        # the arrays build_sequence hands to a_q are those the lists give
+        for primed, built in zip(seq._arrays, dataclasses.replace(seq)._arrays):
+            assert primed.dtype == built.dtype and primed.tolist() == built.tolist()
     if f is Form.PRODUCT:
         assert (seq.ns, seq.numerators, seq.den) == (
             [-2654207999999920, 0, 2654207999999920], [1, 3, 1], 1)
@@ -259,6 +264,7 @@ def test_build_sequence_matches_bruteforce(f, monkeypatch):
         assert len(sums) >= 4  # the row weights, two chunks or more, the merge
         assert (chunked.ns, chunked.numerators, chunked.den, chunked.chi) == (
             seq.ns, seq.numerators, seq.den, seq.chi)
+        assert [a.dtype for a in chunked._arrays] == [a.dtype for a in seq._arrays]
         if X == 2200:
             brute, chi, _ = brute_sequence(gens, X, Y, f)
             assert (dict(chunked.items()), chunked.chi) == (brute, chi)
@@ -273,7 +279,11 @@ def test_run_sums_matches_python_sums():
 
     def check(keys, weights):
         got_keys, got_sums = census_mod._run_sums(keys, weights)
-        assert got_sums.dtype == object
+        # int64 exactly when every total is proven to fit: every sum of the
+        # high halves w >> 31 lies in (-2^31, 2^31); else Python ints
+        _, high = python_sums(keys.tolist(), [w >> 31 for w in weights.tolist()])
+        fits = weights.dtype != object and all(abs(h) < 1 << 31 for h in high)
+        assert got_sums.dtype == (np.int64 if fits else object)
         assert all(type(t) is int for t in got_sums.tolist() + got_keys.tolist())
         assert (got_keys.tolist(), got_sums.tolist()) == python_sums(keys.tolist(), weights.tolist())
 
@@ -281,11 +291,19 @@ def test_run_sums_matches_python_sums():
     keys = rng.integers(-20, 20, size=500)
     # unsorted keys with repeats, int64 weights
     check(keys, rng.integers(0, 1 << 40, size=500))
-    # weights just under 2^62, as int64_ok in build_sequence admits them: the
-    # totals pass 2^63 and must come back exact
+    # weights just under 2^62: the totals pass 2^63 and must come back exact
     near = (1 << 62) - 1 - rng.integers(0, 1 << 33, size=500)
     check(keys, near)
     assert max(census_mod._run_sums(keys, near)[1].tolist()) >= 1 << 63
+    # high sums at the edge of the proven range: 2^31 - 1 and -(2^31 - 1)
+    # join in int64, while 2^31 and -2^31 fall back to Python ints, although
+    # 2^62 itself would still fit
+    edge = np.array([0, 0, 1, 1], dtype=np.int64)
+    for high, dtype in (((1 << 31) - 1, np.int64), (1 << 31, object)):
+        for sign in (1, -1):
+            halves = np.array([sign * (high // 2), sign * (high - high // 2), 1, 2], dtype=np.int64) << 31
+            check(edge, halves + np.array([5, 7, 0, 0]))
+            assert census_mod._run_sums(edge, halves)[1].dtype == dtype
     # object weights (Python ints past int64)
     check(keys, np.array([3 ** 50 + int(k) for k in keys], dtype=object))
     # object keys (Python ints past int64), int64 and object weights
@@ -352,6 +370,18 @@ def test_build_sequence_generator_order_irrelevant():
     assert a.numerators == b.numerators
     assert a.den == b.den
     assert a.chi == b.chi
+
+
+def test_build_sequence_enumerates_one_ball(monkeypatch):
+    """One enumeration, at the larger of the support radius and Y; the
+    gamma and omega balls are its prefixes."""
+    calls, enumerate_once = [], census_mod.enumerate_ball
+    monkeypatch.setattr(census_mod, "enumerate_ball", lambda *a, **k: calls.append(a[1]) or enumerate_once(*a, **k))
+    for X, Y in ((8, 6), (6, 12), (8, 1), (1, 8)):
+        calls.clear()
+        seq = build_sequence(MOD, X, Y, Form.Z)
+        assert calls == [max(SmoothedWeight(X).support_radius(), Y)]
+        assert seq.omega_ball_size == len(enumerate_once(MOD, Y))
 
 
 def test_build_sequence_budget_error():

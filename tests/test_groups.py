@@ -495,6 +495,63 @@ def test_smoothed_weight_shape():
     assert abs(float(w.weight_fraction(101)) - w.weight(101)) < 1e-12
 
 
+def smoothstep_oracle(T, s):
+    """The cubic smoothstep by its definition, in Fractions: 1 up to
+    (0.9T)^2, 0 from (1.1T)^2, u^2 (3 - 2u) between, u = ((1.1T)^2 - s) /
+    ((1.1T)^2 - (0.9T)^2)."""
+    lo, hi = (Fraction(9, 10) * Fraction(T)) ** 2, (Fraction(11, 10) * Fraction(T)) ** 2
+    if s <= lo:
+        return Fraction(1)
+    if s >= hi:
+        return Fraction(0)
+    u = (hi - s) / (hi - lo)
+    return u * u * (3 - 2 * u)
+
+
+# 16 and 25.875 = 207/8 keep the integer form in int64 (C^3 = (40 * 207^2)^3
+# is about 5.03e18 < 2^63); the float 16.02 has a 52-bit denominator
+@pytest.mark.parametrize("T, dtype", [(16, np.int64), (25.875, np.int64), (16.02, object)])
+def test_smoothed_weight_integer_form(T, dtype):
+    """numerators agrees with the Fraction definition on every integer norm
+    through and around the annulus, on both dtype paths, and the reduced
+    denominator is the lcm of the weights' reduced denominators."""
+    w = SmoothedWeight(T)
+    t = Fraction(T)
+    s = np.arange(math.floor(Fraction(81, 100) * t * t) - 3, math.ceil(Fraction(121, 100) * t * t) + 4)
+    nums, cube = w.numerators(s)
+    assert nums.dtype == dtype
+    wide, same = w.numerators(s.astype(object))
+    assert same == cube and wide.tolist() == nums.tolist()
+    oracle = [smoothstep_oracle(T, v) for v in s.tolist()]
+    assert [Fraction(n, cube) for n in nums.tolist()] == oracle
+    assert [w.weight_fraction(v) for v in s.tolist()] == oracle
+    assert oracle[0] == 1 and oracle[-1] == 0 and 0 < oracle[len(oracle) // 2] < 1
+    g = math.gcd(cube, *nums.tolist())
+    assert cube // g == math.lcm(*(fr.denominator for fr in oracle))
+    # support_radius is the first float from 1.1T where the weight is 0
+    r = w.support_radius()
+    assert smoothstep_oracle(T, Fraction(r) ** 2) == 0
+    assert r == 1.1 * T or smoothstep_oracle(T, Fraction(math.nextafter(r, 0)) ** 2) > 0
+
+
+def test_sub_ball_is_the_smaller_ball():
+    """sub_ball(t) holds the rows, sq_norms and (on the tree) word lengths of
+    the ball enumerated at t; count_below reads its length.  The square
+    roots put elements on the boundary: their sq_norm equals float(t)^2."""
+    for gens, T, ts in ((modular_generators(), 20.5, (1, 1.5, math.sqrt(11), 7, math.sqrt(146), 13.2, 20.5)),
+                        (schottky_generators(), 3000, (1, math.sqrt(47), 47.5, 300, math.sqrt(605495), 2999.9))):
+        big = enumerate_ball(gens, T)
+        for t in ts:
+            small, sub = enumerate_ball(gens, t), big.sub_ball(t)
+            assert sub.T == small.T and sub.label == small.label
+            assert np.array_equal(sub.rows, small.rows) and np.array_equal(sub.sq_norms(), small.sq_norms())
+            assert big.count_below(t) == len(small)
+            if gens.label == "schottky":
+                assert np.array_equal(sub.word_lengths, small.word_lengths)
+        with pytest.raises(ValueError):
+            big.sub_ball(T + 1)
+
+
 def test_estimate_delta_modular_lattice():
     est = estimate_delta(modular_generators(), [20, 35, 60, 105, 180, 320])
     assert 0.9 <= est.delta_hat <= 1.05
