@@ -83,36 +83,13 @@ import numpy as np
 from .gl2 import Form, form_values
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_order, _row_keys, _runs, enumerate_ball
 from .modular import beta as modular_beta
-from .modular import FORM_PRIME_FLOOR, factor_array, factor_int, prime_factors, require_odd_prime
+from .modular import FORM_PRIME_FLOOR, factor_array, prime_factors, require_odd_prime
 
+# Kept only for perfbench's census.uncertified counter; it goes with ROADMAP
+# item 7's single benchmark change.
 FACTOR_GUARANTEE = 10 ** 18
 _CHUNK_PAIRS = 4_000_000
 _MASK31 = (1 << 31) - 1
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization of |n|, sorted, with multiplicity."""
-
-    n: int
-    primes: Tuple[int, ...]
-    certified: bool
-
-    @property
-    def omega(self) -> int:
-        return len(self.primes)
-
-
-def factorize(n: int) -> Factorization:
-    """Exact factorization; certified means |n| is within the band where the
-    deterministic primality + splitting pipeline is vouched for."""
-    if n == 0:
-        raise ValueError("0 has no factorization")
-    m = abs(n)
-    primes = factor_int(m)
-    if math.prod(primes) != m:
-        raise ArithmeticError(f"factorization of {m} does not multiply back")
-    return Factorization(n, primes, certified=m <= FACTOR_GUARANTEE)
 
 
 class CensusRow(NamedTuple):
@@ -197,16 +174,11 @@ def _piece_primes(
 
     Each distinct entry is factored once by factor_array; the factorizations
     are kept as flat arrays (lengths, offsets, primes) and gathered back."""
-    values = np.concatenate(pieces)
-    s = np.sort(values)
-    head = np.ones(len(s), dtype=bool)
-    head[1:] = s[1:] != s[:-1]
-    uniq = s[head]
+    uniq, at = np.unique(np.concatenate(pieces), return_inverse=True)
     facs = factor_array(uniq, sums_of_coprime_squares)
     lengths = np.array([len(fac) for fac in facs], dtype=np.int64)
     primes = np.fromiter(chain.from_iterable(facs), dtype=np.int64, count=int(lengths.sum()))
     offsets = np.cumsum(lengths) - lengths
-    at = np.searchsorted(uniq, values)
     count = lengths[at]
     owner = np.repeat(np.tile(np.arange(len(pieces[0])), len(pieces)), count)
     gather = np.repeat(offsets[at] - (np.cumsum(count) - count), count) + np.arange(len(owner))

@@ -53,7 +53,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .gl2 import Form, UnimodularMatrix, form_value, form_values, row_after
+from .gl2 import Form, UnimodularMatrix, form_values
 from .modular import prime_factors, require_odd_prime
 
 
@@ -105,10 +105,13 @@ def _require_coordinate_form(f: Form) -> None:
 
 def coordinate_after(f: Form, c: int, d: int, omega: UnimodularMatrix) -> int:
     """f evaluated on the row (c,d).omega, with f((0,0)) = 0 (the sums
-    include the zero row; the orbit parametrization never does)."""
+    include the zero row; the orbit parametrization never does).  The row is
+    one exact Python-int entry for form_values."""
     _require_coordinate_form(f)
-    cc, dd = row_after(c, d, omega)
-    return form_value(f, cc, dd) if cc or dd else 0
+    c, d = int(c), int(d)
+    cc = np.array([c * omega.a + d * omega.c], dtype=object)
+    dd = np.array([c * omega.b + d * omega.d], dtype=object)
+    return form_values(f, cc, dd)[0]
 
 
 def _require_odd_squarefree(q: int) -> Tuple[int, ...]:

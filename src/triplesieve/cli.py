@@ -377,10 +377,10 @@ def read_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-_FIELD_TYPES = {
-    "group": str, "T": float, "X": float, "Y": float, "q": int, "p_max": int,
-    "R": int, "f": str, "format": str, "seed": int,
-}
+# each setting's type is its default's, so a config-file value converts as
+# the flag of the same name does
+_FIELD_TYPES = {fld.name: type(fld.default) for fld in fields(RunConfig) if fld.name != "subcommand"}
+_FORMATS = ("text", "csv", "json")
 
 
 def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
@@ -395,7 +395,7 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
     parser.add_argument("--pmax", dest="p_max", type=int)
     parser.add_argument("--R", type=int)
     parser.add_argument("--f")
-    parser.add_argument("--format", choices=["text", "csv", "json"])
+    parser.add_argument("--format", choices=_FORMATS)
     parser.add_argument("--seed", type=int)
     ns = parser.parse_args(argv)
     file_values = read_config_file(ns.config) if ns.config else {}
@@ -410,7 +410,7 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
         elif name in file_values:
             resolved[name] = typ(file_values[name])
     cfg = RunConfig(**resolved)
-    if cfg.format not in ("text", "csv", "json"):
+    if cfg.format not in _FORMATS:
         raise ValueError(f"bad format {cfg.format!r}")
     return cfg
 

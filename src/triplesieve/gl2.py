@@ -19,13 +19,12 @@ Three integer-valued forms are evaluated on rows:
 The divisions are exact for all integer (c, d); this is checked by an
 exhaustive residue computation in the test suite.
 
-form_values is the one array evaluation of x, y, z, area and product; every
-other module calls it (or the scalar form_value).  It computes in int64 only
-when a bound proves every intermediate fits: max(|c|, |d|) < 2^31, so that
-c^2 + d^2 < 2^63, and further z < 4 * 10^9 for the area (|xy| <= z^2 / 2) and
-z <= 5.5 * 10^6 for the product (|xy/12 * z| <= z^3 / 24).  Otherwise it
-computes on Python ints in an object array.  The bounds are read off the
-rows (one min/max pass).
+form_values is the one evaluation of x, y, z, area and product; every other
+module calls it.  It computes in int64 only when a bound proves every
+intermediate fits: max(|c|, |d|) < 2^31, so that c^2 + d^2 < 2^63, and
+further z < 4 * 10^9 for the area (|xy| <= z^2 / 2) and z <= 5.5 * 10^6 for
+the product (|xy/12 * z| <= z^3 / 24).  Otherwise it computes on Python ints
+in an object array.  The bounds are read off the rows (one min/max pass).
 
 All arithmetic in this module is exact (int / Fraction / int64 under a
 proven bound); no floats.
@@ -222,39 +221,6 @@ class Form(enum.Enum):
         raise ValueError(f"unknown form {s!r}; choose from x, y, z, area, product")
 
 
-def form_value(f: Form, c: int, d: int) -> int:
-    """Exact integer value of the form on the row (c, d).
-
-    The AREA and PRODUCT divisions (by 12 and 60) are exact for every integer
-    row; inexactness would mean corrupted arithmetic and raises.
-    """
-    c, d = int(c), int(d)
-    if c == 0 and d == 0:
-        raise ValueError("zero row")
-    x = d * d - c * c
-    y = 2 * c * d
-    z = c * c + d * d
-    if f is Form.X:
-        return x
-    if f is Form.Y:
-        return y
-    if f is Form.Z:
-        return z
-    if f is Form.AREA:
-        num = x * y
-        q, r = divmod(num, 12)
-        if r:
-            raise ValueError(f"xy = {num} not divisible by 12 at row {(c, d)}")
-        return q
-    if f is Form.PRODUCT:
-        num = x * y * z
-        q, r = divmod(num, 60)
-        if r:
-            raise ValueError(f"xyz = {num} not divisible by 60 at row {(c, d)}")
-        return q
-    raise ValueError(f"unknown form {f!r}")
-
-
 _ROW_BOUND = 1 << 31  # |c|, |d| below this keep c^2 + d^2 inside int64
 _Z_MAX = {
     Form.AREA: 3_999_999_999,  # keeps |xy| <= z^2/2 inside int64
@@ -300,8 +266,3 @@ def _divide(num: np.ndarray, k: int) -> np.ndarray:
     if not (num % k == 0).all():
         raise ArithmeticError(f"form numerator is not divisible by {k}")
     return num // k
-
-
-def row_after(c: int, d: int, omega: UnimodularMatrix) -> Tuple[int, int]:
-    """Row-vector action (c, d) . omega."""
-    return (c * omega.a + d * omega.c, c * omega.b + d * omega.d)

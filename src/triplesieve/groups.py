@@ -534,8 +534,8 @@ class SmoothedWeight:
     The one formula is numerators, in integers: with T = N/D exactly,
     C = 40N^2 and A = 121N^2 - 100sD^2 = Cu clamped to [0, C], the weight is
     A^2 (3C - 2A) / C^3, which is C^3 / C^3 = 1 below the annulus and 0 above
-    it.  weight_fraction, weight and support_radius read it, and so do the
-    row weights of the sieve sequence."""
+    it.  weight_fraction and support_radius read it, and so do the row
+    weights of the sieve sequence."""
 
     T: float
 
@@ -554,9 +554,6 @@ class SmoothedWeight:
                 s = s.astype(object)
         a = np.clip(121 * n2 - 100 * d2 * s, 0, cap)
         return a * a * (3 * cap - 2 * a), cap ** 3
-
-    def weight(self, s) -> float:
-        return float(self.weight_fraction(s))
 
     def weight_fraction(self, s) -> Fraction:
         num, den = self.numerators(np.array([Fraction(s)], dtype=object))

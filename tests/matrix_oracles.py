@@ -1,10 +1,10 @@
-"""Matrix-object views that only the tests read: the slow oracles the array
-kernels are checked against."""
+"""Matrix-object views and the scalar form evaluation that only the tests
+read: the slow oracles the array kernels are checked against."""
 
 from fractions import Fraction
 from typing import List, Tuple
 
-from triplesieve.gl2 import RationalMatrix3, UnimodularMatrix
+from triplesieve.gl2 import Form, RationalMatrix3, UnimodularMatrix
 
 
 def ball_matrices(ball) -> List[UnimodularMatrix]:
@@ -22,3 +22,42 @@ def apply_row(m: RationalMatrix3, v: Tuple) -> Tuple[Fraction, Fraction, Fractio
 
 def bottom_row(g: UnimodularMatrix) -> Tuple[int, int]:
     return (g.c, g.d)
+
+
+def row_after(c: int, d: int, omega: UnimodularMatrix) -> Tuple[int, int]:
+    """Row-vector action (c, d) . omega."""
+    return (c * omega.a + d * omega.c, c * omega.b + d * omega.d)
+
+
+def form_value(f: Form, c: int, d: int) -> int:
+    """Exact integer value of the form on the row (c, d), one row in Python
+    ints: the scalar oracle that gl2.form_values is checked against.
+
+    The AREA and PRODUCT divisions (by 12 and 60) are exact for every integer
+    row; inexactness would mean corrupted arithmetic and raises.
+    """
+    c, d = int(c), int(d)
+    if c == 0 and d == 0:
+        raise ValueError("zero row")
+    x = d * d - c * c
+    y = 2 * c * d
+    z = c * c + d * d
+    if f is Form.X:
+        return x
+    if f is Form.Y:
+        return y
+    if f is Form.Z:
+        return z
+    if f is Form.AREA:
+        num = x * y
+        q, r = divmod(num, 12)
+        if r:
+            raise ValueError(f"xy = {num} not divisible by 12 at row {(c, d)}")
+        return q
+    if f is Form.PRODUCT:
+        num = x * y * z
+        q, r = divmod(num, 60)
+        if r:
+            raise ValueError(f"xyz = {num} not divisible by 60 at row {(c, d)}")
+        return q
+    raise ValueError(f"unknown form {f!r}")

@@ -12,8 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import triplesieve.cli as cli
 from triplesieve.census import (
@@ -23,11 +21,10 @@ from triplesieve.census import (
     census,
     census_csv,
     distribution_probe,
-    factorize,
     good_moduli,
     two_path_counts,
 )
-from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix, form_value
+from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix
 from triplesieve.groups import (
     BallBudgetError,
     GeneratorSet,
@@ -37,7 +34,7 @@ from triplesieve.groups import (
     schottky_generators,
 )
 
-from matrix_oracles import ball_matrices
+from matrix_oracles import ball_matrices, form_value
 
 MOD = modular_generators()
 # the package re-exports the function census under the module's name
@@ -48,38 +45,6 @@ def distinct_pairs(ball):
     """The ball's distinct bottom rows as (c, d) tuples, in kernel order."""
     c, d, _ = ball.distinct_rows()
     return list(zip(c.tolist(), d.tolist()))
-
-
-def test_factorize_examples():
-    assert factorize(60).primes == (2, 2, 3, 5)
-    assert factorize(5).primes == (5,)
-    assert form_value(Form.Z, 8, 9) == 145
-    assert factorize(145).primes == (5, 29)
-    assert factorize(-60).primes == (2, 2, 3, 5)
-    with pytest.raises(ValueError):
-        factorize(0)
-
-
-def test_factorize_units_and_flag():
-    assert factorize(1).primes == ()
-    assert factorize(-1).omega == 0
-    assert factorize(10 ** 18).certified
-    assert not factorize(2 ** 70).certified
-    assert factorize(2 ** 70).primes == (2,) * 70
-
-
-_PRIME_POOL = [2, 3, 5, 7, 11, 13, 101, 9973]
-
-
-@given(st.lists(st.sampled_from(_PRIME_POOL), min_size=1, max_size=8),
-       st.sampled_from([1, -1]))
-@settings(max_examples=60, deadline=None)
-def test_factorize_inverts_multiplication(primes, sign):
-    n = sign * math.prod(primes)
-    fac = factorize(n)
-    assert fac.primes == tuple(sorted(primes))
-    assert math.prod(fac.primes) == abs(n)
-    assert fac.omega == len(primes)
 
 
 def test_census_small_ball_grades():

@@ -29,10 +29,19 @@ from triplesieve.gl2 import Form, UnimodularMatrix
 from triplesieve.groups import modular_generators, sample_words
 from triplesieve.modular import is_squarefree, prime_factors
 
+from matrix_oracles import form_value, row_after
+
 I2 = UnimodularMatrix.identity()
 OMEGAS = sample_words(modular_generators(), 8, seed=20260816)
 # 10^18 times a residue leaves int64, and 3 * 10^19 is past it already
 BIG = (UnimodularMatrix(1, 10**18, 0, 1), UnimodularMatrix(1, 0, 3 * 10**19, 1))
+
+
+def value_after(f, c, d, omega):
+    """f on the row (c, d).omega by the scalar oracle, 0 on the zero row: the
+    reference the sums are checked against, sharing no code with form_values."""
+    row = row_after(c, d, omega)
+    return form_value(f, *row) if row != (0, 0) else 0
 
 
 def test_rho_and_xi_basics():
@@ -90,7 +99,7 @@ def test_s2_matches_definition_oracle(p, f):
     per-cell Fraction sum of its definition and stays a Fraction."""
     for w, w2 in [(I2, I2), (OMEGAS[0], OMEGAS[1]), (OMEGAS[2], OMEGAS[5])]:
         want = sum(
-            xi(p, coordinate_after(f, c, d, w)) * xi(p, coordinate_after(f, c, d, w2))
+            xi(p, value_after(f, c, d, w)) * xi(p, value_after(f, c, d, w2))
             for c in range(p) for d in range(p)
         ) / (p * p)
         got = s2(p, f, w, w2).value
@@ -103,7 +112,7 @@ def brute_s4_fractions(p, f, k, l, omega):
     by_m = [Fraction(0)] * p
     for c in range(p):
         for d in range(p):
-            by_m[(c * k + d * l) % p] += xi(p, coordinate_after(f, c, d, omega))
+            by_m[(c * k + d * l) % p] += xi(p, value_after(f, c, d, omega))
     if (k % p, l % p) == (0, 0):
         total = by_m[0]
     else:
@@ -205,7 +214,7 @@ def s3_per_cell_oracle(q, q2, f, k, l, omega, omega2):
     hist = [Fraction(0)] * qbar
     for c in range(qbar):
         for d in range(qbar):
-            w = xi(q, coordinate_after(f, c, d, omega)) * xi(q2, coordinate_after(f, c, d, omega2))
+            w = xi(q, value_after(f, c, d, omega)) * xi(q2, value_after(f, c, d, omega2))
             hist[(c * k + d * l) % qbar] += w
     per_class = {}
     for m, v in enumerate(hist):
@@ -253,11 +262,28 @@ def test_sums_exact_for_huge_omega_entries():
         by_m = [Fraction(0)] * p
         for c in range(p):
             for d in range(p):
-                by_m[(c * k + d * l) % p] += (xi(p, coordinate_after(f, c, d, BIG[0]))
-                                              * xi(p, coordinate_after(f, c, d, BIG[1])))
+                by_m[(c * k + d * l) % p] += (xi(p, value_after(f, c, d, BIG[0]))
+                                              * xi(p, value_after(f, c, d, BIG[1])))
         want = (by_m[0] - by_m[1]) / (p * p)
         assert s3_direct(p, p, f, k, l, *BIG) == want == s5(p, f, k, l, *BIG).value
         assert s4(p, f, k, l, BIG[0]).value == brute_s4_fractions(p, f, k, l, BIG[0])
+
+
+# rows past the int64 guard of form_values (2^31) and past int64 itself
+# (2^63), with multiples of 5 and 13 so that the gcd bound is not always 1
+PINNED_ROWS = [(0, 0), (1, 0), (2**31, 3), (-(2**31) - 1, 2**31), (5 * 2**31, 65),
+               (2**63, 2**63 + 5), (-(2**64), 7), (13 * 2**63, -(13 * 3**40))]
+
+
+@pytest.mark.parametrize("f", [Form.X, Form.Y, Form.Z])
+def test_coordinate_after_and_s4_bound_match_the_oracle(f):
+    for omega in (I2, OMEGAS[0], OMEGAS[3], *BIG):
+        for c, d in PINNED_ROWS:
+            got = coordinate_after(f, c, d, omega)
+            assert type(got) is int and got == value_after(f, c, d, omega)
+            for p in (5, 13):
+                want = Fraction(math.gcd(value_after(f, d, -c, omega), p), p * p)
+                assert s4_bound(p, f, c, d, omega) == want
 
 
 def test_s3_degenerate_rejected():

@@ -92,14 +92,18 @@ def test_byte_identical_determinism():
 
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("# comment\nT = 10\nf = y\nformat = text\n")
+    cfgfile.write_text("# comment\nT = 10\nf = y\nformat = text\nX = 9\nseed = 3\n")
     code, out = run(["census", "--config", str(cfgfile), "--T", "12", "--R", "2"])
     assert code == 0
     assert "# T = 12.0" in out
     assert "# f = y" in out
+    # file values take the type of the setting's default
+    assert "# X = 9.0" in out and "# seed = 3" in out
     bad = tmp_path / "bad.cfg"
     bad.write_text("this line has no equals\n")
     assert run(["census", "--config", str(bad)])[0] == 4
+    bad.write_text("format = xml\n")
+    assert run(["census", "--config", str(bad)]) == (4, "")
 
 
 @pytest.mark.parametrize("key", ["Tt", "alpha", "kappa", "threads", "subcommand"])

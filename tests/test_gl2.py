@@ -16,15 +16,13 @@ from triplesieve.gl2 import (
     PythagoreanTriple,
     RationalMatrix3,
     UnimodularMatrix,
-    form_value,
     form_values,
-    row_after,
     spin,
     sq_norm,
     triple_from_row,
 )
 
-from matrix_oracles import apply_row, bottom_row
+from matrix_oracles import apply_row, bottom_row, form_value, row_after
 
 
 def word(letters):

@@ -486,13 +486,12 @@ def test_schottky_tree_equals_bfs_at_1e7(monkeypatch):
 
 def test_smoothed_weight_shape():
     w = SmoothedWeight(10.0)
-    assert w.weight(80) == 1.0  # below (0.9*10)^2 = 81
-    assert w.weight(122) == 0.0  # above (1.1*10)^2 = 121
-    mid = [w.weight(s) for s in range(81, 122)]
-    assert all(0.0 <= v <= 1.0 for v in mid)
+    assert w.weight_fraction(80) == 1  # below (0.9*10)^2 = 81
+    assert w.weight_fraction(122) == 0  # above (1.1*10)^2 = 121
+    mid = [w.weight_fraction(s) for s in range(81, 122)]
+    assert all(type(v) is Fraction and 0 <= v <= 1 for v in mid)
     assert all(a >= b for a, b in zip(mid, mid[1:]))  # monotone nonincreasing
-    assert w.weight_fraction(101) == w.weight_fraction(101)
-    assert abs(float(w.weight_fraction(101)) - w.weight(101)) < 1e-12
+    assert w.weight_fraction(101) == Fraction(1, 2)  # u = 1/2 at the annulus midpoint
 
 
 def smoothstep_oracle(T, s):

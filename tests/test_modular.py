@@ -35,6 +35,8 @@ from triplesieve.modular import (
     strong_approx_check,
 )
 
+from matrix_oracles import form_value
+
 MOD_GENS = [GEN_R, GEN_L]
 # both congruent to the identity mod 3 (and mod 2 for the second)
 I_MOD3_GENS = [UnimodularMatrix(1, 3, 0, 1), UnimodularMatrix(1, 0, 3, 1)]
@@ -318,6 +320,27 @@ def test_factor_beyond_table_refuses_a_table_prime_factor():
     its certificate turns that into ArithmeticError, not a wrong list."""
     with pytest.raises(ArithmeticError, match="certificate"):
         modular._factor_beyond_table(6 * _ABOVE[0])
+
+
+def test_factor_int_examples():
+    assert factor_int(1) == ()
+    assert factor_int(60) == (2, 2, 3, 5)
+    assert factor_int(5) == (5,)
+    assert form_value(Form.Z, 8, 9) == 145
+    assert factor_int(145) == (5, 29)
+    # past 2^63 nothing is left after dividing out the table primes
+    assert factor_int(2 ** 70) == (2,) * 70
+    with pytest.raises(ValueError):
+        factor_int(0)
+
+
+_PRIME_POOL = [2, 3, 5, 7, 11, 13, 101, 9973]
+
+
+@given(st.lists(st.sampled_from(_PRIME_POOL), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_factor_int_inverts_multiplication(primes):
+    assert factor_int(math.prod(primes)) == tuple(sorted(primes))
 
 
 def test_factor_beyond_table_matches_sympy():
