@@ -30,6 +30,17 @@ because the forms are homogeneous; checked at run time), and each class
 contributes its value times a Moebius number, via sum_{gcd(m,q)=g} e_q(-m) =
 mu(q/g).
 
+The kernels at a prime p work on a stack of omegas at once.  _zero_grids
+evaluates the zero locus of f_w mod p for every w of the stack in one
+form_values call and keeps the read-only (omegas, p, p) mask in a bounded
+cache; s1_numerators, s4_numerators and s4_closed_form_numerators return one
+row per omega, s4_numerators from one bincount over (twist class, omega, m).
+A twist scaled by a unit only relabels the nonzero m, so S4 is computed once
+per class of twists up to unit scaling (p + 2 classes).  The scalar s4 and
+s4_closed_form read a (p, p) table of every twist, built by the first call at
+(p, f, w) and kept in a bounded cache; later calls, and each prime factor of
+a composite q, index into it.
+
 Degenerate modulus: S1, S2, Xi vanish at q = 1 (an empty modulus carries no
 oscillation), while S4 and S5 are 1 at q = 1 (empty products), which is what
 makes the S3 factorization S3 = S4(q1) S4(q1') S5(qtilde) exact including the
@@ -54,7 +65,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gl2 import Form, UnimodularMatrix, form_values
-from .modular import prime_factors, require_odd_prime
+from .modular import _inverses, prime_factors, require_odd_prime
 
 
 class _Rational(Fraction):
@@ -130,22 +141,29 @@ def _check_z_admissible(f: Form, primes) -> None:
             )
 
 
+def _reduced_entries(omegas: Tuple[UnimodularMatrix, ...], p: int) -> np.ndarray:
+    """(len(omegas), 4) int64 entries of each omega reduced mod p (exactly,
+    on Python ints), so every product of residues stays below p^2."""
+    return np.array([[e % p for e in om.entries()] for om in omegas], dtype=np.int64)
+
+
 @functools.lru_cache(maxsize=256)
-def _zero_grid(f: Form, p: int, omega: UnimodularMatrix) -> np.ndarray:
-    """Read-only (p, p) mask of f_omega(c, d) = 0 mod p over the residue
-    grid; cached because S4 and S5 ask for the same grid at every twist."""
+def _zero_grids(f: Form, p: int, omegas: Tuple[UnimodularMatrix, ...]) -> np.ndarray:
+    """Read-only (len(omegas), p, p) mask of f_omega(c, d) = 0 mod p over the
+    residue grid, one layer per omega, from one form_values call; cached
+    because the S1, S4 and S5 kernels ask for the same stack."""
     _require_coordinate_form(f)
     c = np.arange(p, dtype=np.int64)[:, None]
     d = np.arange(p, dtype=np.int64)[None, :]
-    # entries reduced first, so every product stays below p^2 whatever omega is
-    a, b, cc, dd = (e % p for e in omega.entries())
+    a, b, cc, dd = _reduced_entries(omegas, p).T[:, :, None, None]
     zero = form_values(f, (c * a + d * cc) % p, (c * b + d * dd) % p) % p == 0
     zero.flags.writeable = False
     return zero
 
 
-def _zero_count(f: Form, p: int, omega: UnimodularMatrix) -> int:
-    return int(_zero_grid(f, p, omega).sum())
+def _zero_counts(f: Form, p: int, omegas) -> np.ndarray:
+    """#{(c,d) mod p : f_omega(c,d) = 0} for each omega."""
+    return _zero_grids(f, p, tuple(omegas)).sum(axis=(1, 2))
 
 
 def count_zero_locus(f: Form, p: int, omega: UnimodularMatrix) -> int:
@@ -153,13 +171,13 @@ def count_zero_locus(f: Form, p: int, omega: UnimodularMatrix) -> int:
     (two lines through the origin)."""
     require_odd_prime(p)
     _check_z_admissible(f, (p,))
-    return _zero_count(f, p, omega)
+    return int(_zero_counts(f, p, (omega,))[0])
 
 
-def _s1_prime(p: int, f: Form, omega: UnimodularMatrix) -> Fraction:
-    """S1 at a prime from the zero-locus count: (N0 - p^2 rho(p)) / p^2."""
-    n0 = _zero_count(f, p, omega)
-    return Fraction(n0 - (2 * p - 1), p * p)
+def s1_numerators(p: int, f: Form, omegas) -> np.ndarray:
+    """The integers p^2 S1(p; f, omega) = N0 - p^2 rho(p) at an odd prime p,
+    one per omega, N0 the zero-locus count."""
+    return _zero_counts(f, p, omegas) - (2 * p - 1)
 
 
 def s1(q: int, f: Form, omega: UnimodularMatrix) -> SumValue:
@@ -170,7 +188,7 @@ def s1(q: int, f: Form, omega: UnimodularMatrix) -> SumValue:
         return SumValue(Fraction(0), 1, form=f, omega=omega)
     val = Fraction(1)
     for p in primes:
-        val *= _s1_prime(p, f, omega)
+        val *= Fraction(int(s1_numerators(p, f, (omega,))[0]), p * p)
     return SumValue(val, q, form=f, omega=omega)
 
 
@@ -212,50 +230,112 @@ def _collapse_histogram(qbar: int, hist: np.ndarray):
     return total
 
 
+def _twist_classes(p: int, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The class of each twist (k, l) mod p under unit scaling: k/l for
+    l != 0 (representative (k/l, 1)), p for (k, 0) with k != 0
+    (representative (1, 0)) and p + 1 for the zero twist.
+
+    Scaling the twist by a unit u relabels m = ck + dl as um: m = 0 stays,
+    the nonzero m are permuted.  A histogram constant on {0} and on the
+    nonzero m, which _collapse_histogram checks, is therefore the same at
+    every twist of a class, and so is S4."""
+    return np.where(l != 0, k * _inverses(p)[l] % p, np.where(k != 0, p, p + 1))
+
+
+def _class_representatives(p: int, classes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The twists (k, l) representing each class of _twist_classes."""
+    return (np.where(classes < p, classes, classes == p).astype(np.int64),
+            (classes < p).astype(np.int64))
+
+
 @functools.lru_cache(maxsize=256)
 def _fibres_checked(p: int) -> np.ndarray:
-    """(p, p) mask of the twists (k, l) mod p whose fibre sizes have been
-    counted; filled in by _check_fibres, so each twist is counted once."""
-    return np.zeros((p, p), dtype=bool)
+    """(p + 2,) mask of the twist classes mod p whose fibre sizes have been
+    counted; filled in by _check_fibres, so each class is counted once.  The
+    zero twist needs no count."""
+    seen = np.zeros(p + 2, dtype=bool)
+    seen[p + 1] = True
+    return seen
 
 
-def _check_fibres(p: int, k: np.ndarray, l: np.ndarray) -> None:
-    """Count, over the full residue grid, the fibres of m = ck + dl for every
-    nonzero twist among the reduced (k, l) not counted before; each must
-    have size p, which is what cancels the -rho part of S4."""
+def _check_fibres(p: int, classes: np.ndarray) -> None:
+    """Count, over the full residue grid, the fibres of m = ck + dl at the
+    representative of every class not counted before; each must have size
+    p, which is what cancels the -rho part of S4.  A unit multiple of the
+    twist has the same fibres relabeled.  Classes go in blocks of about 2^18
+    cells, so a table at a large prime stays in bounded memory."""
     seen = _fibres_checked(p)
-    new = ~seen[k, l] & ((k != 0) | (l != 0))
-    if not new.any():
-        return
-    todo = np.zeros((p, p), dtype=bool)
-    todo[k[new], l[new]] = True
-    tk, tl = np.nonzero(todo)
+    todo = classes[~seen[classes]]
     c, d = (a.ravel() for a in np.indices((p, p)))
-    m = (tk[:, None] * c + tl[:, None] * d) % p
-    counts = np.bincount((np.arange(len(tk))[:, None] * p + m).ravel(), minlength=len(tk) * p)
-    if (counts != p).any():
-        raise ArithmeticError("fibers of a nonzero linear form must have size p")
-    seen[tk, tl] = True
+    step = max(1, (1 << 18) // (p * p))
+    for lo in range(0, todo.size, step):
+        tk, tl = _class_representatives(p, todo[lo:lo + step])
+        m = (tk[:, None] * c + tl[:, None] * d) % p
+        counts = np.bincount((np.arange(tk.size)[:, None] * p + m).ravel(), minlength=tk.size * p)
+        if (counts != p).any():
+            raise ArithmeticError("fibers of a nonzero linear form must have size p")
+    seen[todo] = True
 
 
-def s4_numerators(p: int, f: Form, k, l, omega: UnimodularMatrix) -> np.ndarray:
+def _reduced_twists(p: int, k, l) -> Tuple[np.ndarray, np.ndarray]:
+    """k and l reduced mod p (exactly, whatever their size) as int64 arrays
+    broadcast against each other."""
+    return np.broadcast_arrays((np.asarray(k) % p).astype(np.int64),
+                               (np.asarray(l) % p).astype(np.int64))
+
+
+def s4_numerators(p: int, f: Form, k, l, omegas) -> np.ndarray:
     """The integers N = p^2 S4(p; f, k, l; omega) at an odd prime p, for twist
-    arrays k, l broadcast against each other (scalars give a 0-d array).
+    arrays k, l broadcast against each other, one row per omega: the shape
+    is (len(omegas),) + the twists' shape.
 
-    One bincount over (twist, m = ck + dl mod p) on the zero-locus cells of
-    the cached grid, collapsed by gcd classes.  The -rho part of Xi sums
-    roots of unity over complete fibres and cancels, except at the twist
-    (0, 0), where it is -p^2 rho(p) = -(2p - 1) and S4 is S1.
+    One bincount over (twist class, omega, m = ck + dl mod p) on the
+    zero-locus cells of the cached stack, collapsed by gcd classes; each
+    class of twists up to unit scaling is summed once (_twist_classes).
+    The -rho part of Xi sums roots of unity over complete fibres and
+    cancels, except at the twist (0, 0), where it is -p^2 rho(p) =
+    -(2p - 1) and S4 is S1.
     """
-    k, l = np.broadcast_arrays(np.asarray(k) % p, np.asarray(l) % p)
-    shape = k.shape
-    k, l = k.astype(np.int64).ravel(), l.astype(np.int64).ravel()
-    _check_fibres(p, k, l)
-    zc, zd = np.nonzero(_zero_grid(f, p, omega))
-    m = (k[:, None] * zc + l[:, None] * zd) % p
-    hist = np.bincount((np.arange(k.size)[:, None] * p + m).ravel(), minlength=k.size * p)
-    n = _collapse_histogram(p, hist.reshape(k.size, p)) - (2 * p - 1) * ((k == 0) & (l == 0))
-    return n.reshape(shape)
+    k, l = _reduced_twists(p, k, l)
+    classes, where = np.unique(_twist_classes(p, k, l), return_inverse=True)
+    _check_fibres(p, classes)
+    tk, tl = _class_representatives(p, classes)
+    omegas = tuple(omegas)
+    w, zc, zd = np.nonzero(_zero_grids(f, p, omegas))
+    m = (tk[:, None] * zc + tl[:, None] * zd) % p
+    cells = (np.arange(classes.size)[:, None] * len(omegas) + w) * p + m
+    hist = np.bincount(cells.ravel(), minlength=classes.size * len(omegas) * p)
+    n = _collapse_histogram(p, hist.reshape(classes.size, len(omegas), p))
+    n = n - (2 * p - 1) * (classes == p + 1)[:, None]
+    return n.T[:, where.reshape(k.shape)]
+
+
+def s4_closed_form_numerators(p: int, f: Form, k, l, omegas) -> np.ndarray:
+    """p^2 times the piecewise closed form of S4 at an odd prime, for twist
+    arrays k, l broadcast against each other, one row per omega (see
+    s4_closed_form)."""
+    _require_coordinate_form(f)
+    k, l = _reduced_twists(p, k, l)
+    omegas = tuple(omegas)
+    if f is Form.Z and p % 4 == 3:
+        n = np.ones((len(omegas),) + k.shape, dtype=np.int64)
+    else:
+        # f_omega on the dual rows v = (l, -k), entries reduced as in _zero_grids
+        a, b, c, d = _reduced_entries(omegas, p).T.reshape((4, len(omegas)) + (1,) * k.ndim)
+        dual = form_values(f, (l * a + (p - k) * c) % p, (l * b + (p - k) * d) % p)
+        n = np.where(dual % p == 0, p - 1, -1)
+    s1 = s1_numerators(p, f, omegas).reshape((len(omegas),) + (1,) * k.ndim)
+    return np.where((k == 0) & (l == 0), s1, n)
+
+
+@functools.lru_cache(maxsize=256)
+def _twist_table(kernel, p: int, f: Form, omega: UnimodularMatrix) -> np.ndarray:
+    """Read-only (p, p) table of a numerator kernel at every twist (k, l)
+    mod p, built by the first scalar call at (p, f, omega); later calls, and
+    the prime factors of a composite modulus, index into it."""
+    table = kernel(p, f, *np.indices((p, p)), (omega,))[0]
+    table.flags.writeable = False
+    return table
 
 
 def s4(q: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> SumValue:
@@ -270,27 +350,11 @@ def s4(q: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> SumValue:
         return SumValue(Fraction(1), 1, form=f, k=k, l=l, omega=omega)
     num, twisted = 1, False
     for p in primes:
-        num *= int(s4_numerators(p, f, k, l, omega))
+        num *= int(_twist_table(s4_numerators, p, f, omega)[k % p, l % p])
         twisted = twisted or k % p != 0 or l % p != 0
     # an untwisted S4 is a product of S1 values, whose repr has always been Fraction's
     val = _Rational(num, q * q) if twisted else Fraction(num, q * q)
     return SumValue(val, q, form=f, k=k, l=l, omega=omega)
-
-
-def s4_closed_form_numerators(p: int, f: Form, k, l, omega: UnimodularMatrix) -> np.ndarray:
-    """p^2 times the piecewise closed form of S4 at an odd prime, for twist
-    arrays k, l broadcast against each other (see s4_closed_form)."""
-    _require_coordinate_form(f)
-    k, l = np.broadcast_arrays(np.asarray(k) % p, np.asarray(l) % p)
-    k, l = k.astype(np.int64), l.astype(np.int64)
-    if f is Form.Z and p % 4 == 3:
-        n = np.ones(k.shape, dtype=np.int64)
-    else:
-        # f_omega on the dual rows v = (l, -k), entries reduced as in _zero_grid
-        a, b, c, d = (e % p for e in omega.entries())
-        dual = form_values(f, (l * a + (p - k) * c) % p, (l * b + (p - k) * d) % p)
-        n = np.where(dual % p == 0, p - 1, -1)
-    return np.where((k == 0) & (l == 0), _zero_count(f, p, omega) - (2 * p - 1), n)
 
 
 def s4_closed_form(
@@ -305,7 +369,7 @@ def s4_closed_form(
       * f = z with p = 3 mod 4 (zero locus = origin): 1/p^2.
     """
     require_odd_prime(p)
-    return Fraction(int(s4_closed_form_numerators(p, f, k, l, omega)), p * p)
+    return Fraction(int(_twist_table(s4_closed_form_numerators, p, f, omega)[k % p, l % p]), p * p)
 
 
 def s4_bound(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fraction:
@@ -324,8 +388,7 @@ def _s5_numerator(
     """p^6 S5 at an odd prime: cells weighted by p^4 Xi(p; f_w) Xi(p; f_w'),
     one bincount over (zero pattern, m), collapsed by gcd classes."""
     k, l = k % p, l % p
-    z1 = _zero_grid(f, p, omega).ravel().astype(np.int64)
-    z2 = _zero_grid(f, p, omega2).ravel().astype(np.int64)
+    z1, z2 = _zero_grids(f, p, (omega, omega2)).reshape(2, p * p).astype(np.int64)
     c, d = (a.ravel() for a in np.indices((p, p)))
     m = (c * k + d * l) % p
     counts = np.bincount((2 * z1 + z2) * p + m, minlength=4 * p).reshape(4, p)

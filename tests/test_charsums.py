@@ -9,7 +9,9 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from triplesieve import charsums
 from triplesieve.charsums import (
+    _Rational,
     coordinate_after,
     count_zero_locus,
     disjointness_check,
@@ -21,6 +23,7 @@ from triplesieve.charsums import (
     s4,
     s4_bound,
     s4_closed_form,
+    s4_closed_form_numerators,
     s4_numerators,
     s5,
     xi,
@@ -135,14 +138,60 @@ def test_s4_matches_definition_oracle(p, f):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_s4_table_matches_definition_oracle(p):
     k, l = np.indices((p, p))
+    omegas = (OMEGAS[0], BIG[0])
     for f in (Form.X, Form.Y, Form.Z):
-        for w in (OMEGAS[0], BIG[0]):
-            table = s4_numerators(p, f, k, l, w)
-            assert table.shape == (p, p)
+        tables = s4_numerators(p, f, k, l, omegas)
+        assert tables.shape == (2, p, p)
+        for w, table in zip(omegas, tables):
             for kk in range(p):
                 for ll in range(p):
                     want = brute_s4_fractions(p, f, kk, ll, w)
                     assert Fraction(int(table[kk, ll]), p * p) == want, (f, kk, ll)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 15, 21])
+def test_scalar_sums_match_the_array_kernels(q):
+    """Scalar s4 and s4_closed_form, which index cached twist tables, equal
+    the array kernels called on every twist (k, l) mod q at once, in value,
+    type and repr: S4 at a composite q is the product of its local
+    numerators, a _Rational when twisted and a Fraction at (0, 0)."""
+    k, l = np.indices((q, q))
+    primes = prime_factors(q)
+    for f in (Form.X, Form.Y, Form.Z):
+        for w in OMEGAS[:3]:
+            num = np.ones((q, q), dtype=object)
+            for p in primes:
+                num = num * s4_numerators(p, f, k, l, [w])[0]
+            closed = s4_closed_form_numerators(q, f, k, l, [w])[0] if primes == (q,) else None
+            for kk in range(q):
+                for ll in range(q):
+                    got = s4(q, f, kk, ll, w).value
+                    want = (_Rational if (kk, ll) != (0, 0) else Fraction)(int(num[kk, ll]), q * q)
+                    assert (type(got), repr(got)) == (type(want), repr(want)), (f, kk, ll)
+                    if closed is not None:
+                        got = s4_closed_form(q, f, kk, ll, w)
+                        want = Fraction(int(closed[kk, ll]), q * q)
+                        assert (type(got), repr(got)) == (Fraction, repr(want)), (f, kk, ll)
+
+
+def test_scalar_sums_build_each_twist_table_once():
+    """The first scalar call at (p, f, omega) builds the twist table of its
+    kernel; later twists, and a composite modulus over the same primes,
+    index into it."""
+    w = OMEGAS[4]
+    charsums._twist_table.cache_clear()
+    first = s4(15, Form.X, 2, 7, w).value
+    assert charsums._twist_table.cache_info().misses == 2  # p = 3 and p = 5
+    assert s4(15, Form.X, 2, 7, w).value == first
+    assert s4(3, Form.X, 1, 1, w).value * s4(5, Form.X, 2, 2, w).value == first
+    s4_closed_form(5, Form.X, 1, 3, w)
+    s4_closed_form(5, Form.X, 4, 0, w)
+    info = charsums._twist_table.cache_info()
+    assert (info.misses, info.hits) == (3, 5)
+    # another form or another omega is another table
+    s4(5, Form.Y, 1, 1, w)
+    s4(5, Form.X, 1, 1, OMEGAS[5])
+    assert charsums._twist_table.cache_info().misses == 5
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

@@ -1,6 +1,7 @@
 """Command-line behavior: dispatch, formats, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -55,10 +56,11 @@ def test_verify_corrupted_twisted_sum_detected(monkeypatch):
              (11, Form.X, omegas[2]): [(3, 3)]}
     real = cli.s4_numerators
 
-    def corrupted(p, f, k, l, omega):
-        n = real(p, f, k, l, omega).copy()
-        for cell in flips.get((p, f, omega), ()):
-            n[cell] += 1
+    def corrupted(p, f, k, l, omegas):
+        n = real(p, f, k, l, omegas).copy()
+        for i, omega in enumerate(omegas):
+            for cell in flips.get((p, f, omega), ()):
+                n[(i, *cell)] += 1
         return n
 
     monkeypatch.setattr(cli, "s4_numerators", corrupted)
@@ -66,6 +68,49 @@ def test_verify_corrupted_twisted_sum_detected(monkeypatch):
     assert code == 2
     assert "FAIL twisted-sum-closed-form (p=13 f=y k=1 l=2)" in out
     assert out.count("PASS") == 4
+
+
+def test_adq_default_modulus_follows_the_form(tmp_path):
+    """With q set neither by flag nor by config file, adq keeps q = 5 where
+    the form has local densities at 5 and takes the form's least good prime
+    otherwise: 7 for the product, which needs p coprime to 60.  An explicit
+    q = 5 with the product is still bad input."""
+    code, out = run(["adq", "--X", "6", "--Y", "6", "--f", "product"])
+    assert code == 0 and "# q = 7" in out
+    assert out == run(["adq", "--X", "6", "--Y", "6", "--f", "product", "--q", "7"])[1]
+    assert run(["adq", "--X", "6", "--Y", "6", "--f", "product", "--q", "5"]) == (4, "")
+    cfgfile = tmp_path / "q.cfg"
+    cfgfile.write_text("q = 5\nf = product\n")
+    assert run(["adq", "--X", "6", "--Y", "6", "--config", str(cfgfile)]) == (4, "")
+    for f in ("x", "z", "area"):
+        code, out = run(["adq", "--X", "6", "--Y", "6", "--f", f])
+        assert code == 0 and "# q = 5" in out
+    assert "# q = 5" in run(["census", "--T", "5", "--f", "product"])[1]
+
+
+# sha256 of the whole stdout (header included), recorded before the stacked
+# character-sum kernels; every run exits 0
+PINNED_STDOUT = {
+    "verify --pmax 13 --seed 1 --format text": "7c6e275c1b1ffee2aed4bb7354b61f687a4065d6d3c07d2ce9a3f21e7b4e8cf1",
+    "verify --pmax 13 --seed 1 --format csv": "c2d38ccbfa310943941b20aa6cc1d503468f7532b764a7fb61123833cfef8a6a",
+    "verify --pmax 13 --seed 1 --format json": "0d367b6adb3f13fb9338459dc6f887932a7c5e2afb680185c64209134b7445e0",
+    "verify --pmax 31 --seed 2 --format text": "01e9f4962cd3b2bdd283dc82619c3654fa731fbcbb839234ba94e8e41e58a43d",
+    "verify --pmax 31 --seed 2 --format csv": "500489f187ccdb0462617e28e9f4b83d7a59e38aa5ba20f089ccf63f9649057b",
+    "verify --pmax 31 --seed 2 --format json": "2fdfa9c5c8edd43ce6335e578db0899432f7a53eeec4e465af50606aefbeb0e1",
+    "verify --pmax 97 --seed 3 --format text": "4cee5d8b252cb19cbc76e4b3d4062ed304e2527331104ffdd0425ad2332fb5ae",
+    "verify --pmax 97 --seed 3 --format csv": "05ebf0c6fd31b7963eafb7434d95a7e4880f28e1aea1b462e1f70f304cd04316",
+    "verify --pmax 97 --seed 3 --format json": "a9904d6de7abca639e80f3254213890adcc403da65ae6e56493da909703a5ea0",
+    "adq --f product --q 7 --format text": "27cbf9e962b21360dc2ded95afae54bab5c4d01043fb2afd6dc7cf977f39b702",
+    "adq --f product --q 7 --format csv": "1d56b2a215bf06b6a153246e37e626eed8a43da3475701ced9d4aaec673191ed",
+    "adq --f product --q 7 --format json": "6fad21864500636704a81b5c76929300a45e14ce71750153d743209ac1ef6e1d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_stdout_pinned(argv):
+    code, out = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_exit_code_bad_input():
@@ -282,13 +327,14 @@ def test_verify_detects_a_dropped_projection_row(monkeypatch):
 
 
 def test_verify_builds_each_zero_grid_once():
-    """Each suite of default verify builds every (p, f, omega) residue grid
-    it needs once: the zero-count suite its 1180 grids in case order, the
-    closed-form suite its 100 x and y grids at p <= 31, which the 256-entry
-    grid cache no longer holds by then."""
+    """Each suite of default verify builds the zero-locus stack of every
+    (f, p) it needs once, all its omegas in one form_values call: the
+    zero-count suite 59 stacks of 20 omegas (x and y at every odd p <= 97,
+    z at p = 1 mod 4), the closed-form suite 20 stacks of 5 omegas (x and y
+    at p <= 31)."""
     primes = modular.primes_upto(97)[1:]
-    distinct = 20 * (2 * len(primes) + sum(p % 4 == 1 for p in primes))
-    closed = 2 * 5 * sum(p <= 31 for p in primes)
-    charsums._zero_grid.cache_clear()
+    zero_count = 2 * len(primes) + sum(p % 4 == 1 for p in primes)
+    closed = 2 * sum(p <= 31 for p in primes)
+    charsums._zero_grids.cache_clear()
     assert run(["verify"])[0] == 0
-    assert charsums._zero_grid.cache_info().misses == distinct + closed == 1180 + 100
+    assert charsums._zero_grids.cache_info().misses == zero_count + closed == 59 + 20
