@@ -3,7 +3,8 @@
 #
 # delta0(D, alpha) is the positive root of 12 d^2 + 32 d - (8 D alpha + 39);
 # it marks the orbit growth needed before the sieve has any level to spend.
-# The sifting function m(alpha, kappa; zeta) is minimized by golden section,
+# The sifting function m(alpha, kappa; zeta) is minimized at the root of its
+# stationarity equation log zeta + kappa/zeta = A, found by Newton's method,
 # and floor(m*) + 1 is the almost-prime exponent the sieve certifies.
 
 from fractions import Fraction

@@ -39,7 +39,7 @@ A twist scaled by a unit only relabels the nonzero m, so S4 is computed once
 per class of twists up to unit scaling (p + 2 classes).  The scalar s4 and
 s4_closed_form read a (p, p) table of every twist, built by the first call at
 (p, f, w) and kept in a bounded cache; later calls, and each prime factor of
-a composite q, index into it.
+a composite q, index into it.  s4_bound reads the cached zero grid of w.
 
 Degenerate modulus: S1, S2, Xi vanish at q = 1 (an empty modulus carries no
 oscillation), while S4 and S5 are 1 at q = 1 (empty products), which is what
@@ -373,8 +373,11 @@ def s4_closed_form(
 
 
 def s4_bound(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fraction:
-    """The gcd bound |S4| <= gcd(f_omega(l,-k), p)/p^2 for (k,l,p) = 1."""
-    return Fraction(math.gcd(coordinate_after(f, l, -k, omega), p), p * p)
+    """The gcd bound |S4| <= gcd(f_omega(l,-k), p)/p^2 for (k,l,p) = 1 at an
+    odd prime p: the gcd is p where the dual row (l, -k) lies on the zero
+    locus of f_omega mod p, read from the cached zero grid, and 1 elsewhere."""
+    require_odd_prime(p)
+    return Fraction(p if _zero_grids(f, p, (omega,))[0, l % p, -k % p] else 1, p * p)
 
 
 def _s5_numerator(

@@ -9,6 +9,21 @@ delta0 root via the identity
 
     (3 + 2 d) (6 d - 5) - 4 (6 - 6 d) - 8 D a = 12 d^2 + 32 d - 8 D a - 39.
 
+The minimum of m = m_{a,k} over (0, b), b = beta_kappa, solves m' = 0:
+
+    m'(z) = A - g(z),  m''(z) = (k - z)/z^2,  g(z) = log z + k/z,
+    A = (1/a)(1 - 1/b) + log b - 1 + k/b.
+
+g is convex and falls from +infinity to 1 + log k on (0, k), and rises after
+k.  For a <= 1 - 1/b (0.8898 at k = 4, 0.9133 at k = 5), m'(b) =
+(1/a)(1 - 1/b) - 1 >= 0, so A >= g(b) > g(k): m' has one root z1 in (0, k),
+is positive on (z1, b), and z1 is the unique minimizer.  Newton's method on
+g - A from z0 = (k - 1)/(A - 1) rises monotonically to z1: log z >= 1 - 1/z
+gives g(z0) >= A, and A > 1 + log k > 2 - 1/k gives z0 < k.  For larger a, m
+may fall again towards its limit b/a - 1 at the open end; z1 is then the
+minimizer only if m(z1) lies below that limit, and otherwise optimize_m
+raises ValueError.  Every caller stays at a <= 1/2.
+
 The linear-sieve (kappa = 1) threshold and the beta_kappa constants are
 pinned literature values; nothing here solves the underlying sieve systems.
 """
@@ -137,50 +152,35 @@ def m_dhr(alpha: float, kappa: int, zeta) -> float:
     """The saturation bound (1/a)(1 + z - z/b) - 1 + (k+z) log(b/z) - k + zk/b."""
     b = _beta(kappa)
     if isinstance(zeta, float):
-        # the golden-section loop's one-point calls: no array round trip
-        z = float(zeta)
+        z, log = zeta, math.log  # one-point calls, optimize_m's: no array round trip
         if z <= 0 or z >= b:
             raise ValueError(f"need 0 < zeta < {b}")
     else:
-        z = np.asarray(zeta, dtype=float)
+        z, log = np.asarray(zeta, dtype=float), np.log
         if np.any(z <= 0) or np.any(z >= b):
             raise ValueError(f"need 0 < zeta < {b}")
-    val = (1.0 / alpha) * (1 + z - z / b) - 1 + (kappa + z) * np.log(b / z) - kappa + z * kappa / b
+    val = (1.0 / alpha) * (1 + z - z / b) - 1 + (kappa + z) * log(b / z) - kappa + z * kappa / b
     return float(val) if np.isscalar(zeta) or val.ndim == 0 else val
 
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
-
-
 def optimize_m(alpha: float, kappa: int) -> Tuple[float, float]:
-    """(zeta*, m*): the infimum of m_dhr over (0, beta_kappa) to 1e-6.
-
-    Coarse 1000-point grid bracket, then golden-section refinement; the grid
-    scan shows the function is unimodal on this interval.
-    """
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
+    """(zeta*, m*): the minimum of m_dhr over (0, beta_kappa), at the root of
+    m' in (0, kappa) found by Newton's method (module docstring); proven for
+    alpha <= 1 - 1/beta_kappa.  Above that, ValueError is raised where m* is
+    not below the open end's limit beta_kappa/alpha - 1."""
+    if not (alpha > 0 and math.isfinite(1.0 / alpha)):
+        raise ValueError(f"need alpha > 0 with 1/alpha finite, got {alpha}")
     b = _beta(kappa)
-    grid = np.linspace(0, b, 1002)[1:-1]
-    vals = m_dhr(alpha, kappa, grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = m_dhr(alpha, kappa, c)
-    fd = m_dhr(alpha, kappa, d)
-    while hi - lo > 1e-9:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = m_dhr(alpha, kappa, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = m_dhr(alpha, kappa, d)
-    z = (lo + hi) / 2
-    return z, m_dhr(alpha, kappa, z)
+    A = (1.0 / alpha) * (1 - 1 / b) + math.log(b) - 1 + kappa / b
+    if A > 1 + math.log(kappa):
+        z = (kappa - 1) / (A - 1)
+        # the iterates rise strictly in exact arithmetic; stop when rounding ends that
+        while z < (nxt := z + z * (z * math.log(z) + kappa - A * z) / (kappa - z)) < kappa:
+            z = nxt
+        m_star = m_dhr(alpha, kappa, z)
+        if m_star < b / alpha - 1:
+            return z, m_star
+    raise ValueError(f"m_dhr at alpha = {alpha}, kappa = {kappa} has no minimum on (0, {b})")
 
 
 def saturation_R(alpha: float, kappa: int) -> int:

@@ -356,6 +356,8 @@ def test_s_sums_reject_even_or_squarefull_moduli():
     with pytest.raises(ValueError):
         s4(9, Form.X, 1, 1, I2)
     with pytest.raises(ValueError):
+        s4_bound(9, Form.X, 1, 1, I2)
+    with pytest.raises(ValueError):
         s1(7, Form.Z, I2)  # z needs p = 1 mod 4
 
 

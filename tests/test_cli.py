@@ -89,8 +89,12 @@ def test_adq_default_modulus_follows_the_form(tmp_path):
 
 
 # sha256 of the whole stdout (header included), recorded before the stacked
-# character-sum kernels; every run exits 0
+# character-sum kernels (verify, adq) and before the Newton sifting minimum
+# (constants); every run exits 0
 PINNED_STDOUT = {
+    "constants --format text": "0e669398bba97b8406810e8f2f72fd8ccd9d1bb72cc9b8e67ec5f65d2f8c178c",
+    "constants --format csv": "832f9cbcafceb8d5e736d158e50f447eb0bdaef443cf0e4baf09bd14df7c575c",
+    "constants --format json": "9fa3a70b7bb027b57b1e40a19657f55d86450cfac8532e5e88cebf54130ec833",
     "verify --pmax 13 --seed 1 --format text": "7c6e275c1b1ffee2aed4bb7354b61f687a4065d6d3c07d2ce9a3f21e7b4e8cf1",
     "verify --pmax 13 --seed 1 --format csv": "c2d38ccbfa310943941b20aa6cc1d503468f7532b764a7fb61123833cfef8a6a",
     "verify --pmax 13 --seed 1 --format json": "0d367b6adb3f13fb9338459dc6f887932a7c5e2afb680185c64209134b7445e0",

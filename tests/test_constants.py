@@ -108,6 +108,42 @@ def test_optimize_m_pinned_R_values():
     assert saturation_R(5 / 48, 5) == 26
     assert saturation_R(7 / 48, 4) == 19
     assert saturation_R(7 / 72, 5) == 27
+    # the minimizer 0.00446 lies left of beta/1001, where a grid scan starts
+    assert saturation_R(1e-3, 4) == 1030
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("a", [1e-4, 1e-3, 2e-3, 5 / 48, 5 / 32, 1 / 2])
+def test_optimize_m_is_the_log_grid_minimum(a, k):
+    b = BETA_KAPPA[k]
+    grid = np.geomspace(1e-9, b * (1 - 1e-12), 200_001)
+    z, m_star = optimize_m(a, k)
+    assert 0 < z < k and m_star == m_dhr(a, k, z)
+    assert m_star <= float(np.min(m_dhr(a, k, grid))) + 1e-9 * m_star
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_optimize_m_above_the_proven_range_returns_the_minimum_or_raises(k):
+    b = BETA_KAPPA[k]
+    grid = np.geomspace(1e-9, b * (1 - 1e-12), 200_001)
+    raised = 0
+    for a in np.linspace(1 - 1 / b, 3, 40)[1:]:
+        vals = m_dhr(float(a), k, grid)
+        try:
+            _, m_star = optimize_m(float(a), k)
+        except ValueError:
+            # m falls towards its infimum at the open end zeta -> beta
+            raised += 1
+            assert int(np.argmin(vals)) == grid.size - 1
+            continue
+        assert m_star <= float(np.min(vals)) + 1e-9 * m_star
+    assert 0 < raised < 39
+
+
+def test_optimize_m_rejects_bad_alpha():
+    for a in (0, -1.0, float("nan"), 1e-310, float("inf")):
+        with pytest.raises(ValueError):
+            optimize_m(a, 4)
 
 
 def test_optimize_m_matches_fine_grid():
@@ -214,3 +250,12 @@ def test_saturation_table_values_and_formats():
     assert csv.splitlines()[0] == "form,R,alpha,delta0"
     assert csv.splitlines()[1].startswith("z,4,0.2566718,")
     assert table_csv(saturation_table()) == csv
+
+
+def test_saturation_table_float_bits_pinned():
+    # recorded before optimize_m solved the stationarity equation
+    rows = saturation_table()
+    assert [r.alpha.hex() for r in rows] == [
+        "0x1.06d4f8cf967a7p-2", "0x1.2fc901e353f7dp-3", "0x1.98d241573eab2p-4"]
+    assert [r.delta0.hex() for r in rows] == [
+        "0x1.f7ce1613ff8e3p-1", "0x1.fdae6ccf4586dp-1", "0x1.fe162291618edp-1"]
