@@ -33,13 +33,14 @@ mu(q/g).
 The kernels at a prime p work on a stack of omegas at once.  _zero_grids
 evaluates the zero locus of f_w mod p for every w of the stack in one
 form_values call and keeps the read-only (omegas, p, p) mask in a bounded
-cache; s1_numerators, s4_numerators and s4_closed_form_numerators return one
-row per omega, s4_numerators from one bincount over (twist class, omega, m).
-A twist scaled by a unit only relabels the nonzero m, so S4 is computed once
-per class of twists up to unit scaling (p + 2 classes).  The scalar s4 and
-s4_closed_form read a (p, p) table of every twist, built by the first call at
-(p, f, w) and kept in a bounded cache; later calls, and each prime factor of
-a composite q, index into it.  s4_bound reads the cached zero grid of w.
+cache.  _twisted_counts collapses the histograms of m = ck + dl of each
+value of a stack of small integer patterns over the whole grid, once per
+class of twists up to unit scaling (p + 2 classes; a unit only relabels the
+nonzero m).  S4 and S5 are their integer cell weights dotted with those
+counts, of the zero grids and of the joint pattern 2 z + z'.  The scalar s4
+and s4_closed_form read a (p, p) table of every twist, built by the first
+call at (p, f, w) and kept in a bounded cache; later calls, and each prime
+factor of a composite q, index into it.
 
 Degenerate modulus: S1, S2, Xi vanish at q = 1 (an empty modulus carries no
 oscillation), while S4 and S5 are 1 at q = 1 (empty products), which is what
@@ -141,12 +142,6 @@ def _check_z_admissible(f: Form, primes) -> None:
             )
 
 
-def _reduced_entries(omegas: Tuple[UnimodularMatrix, ...], p: int) -> np.ndarray:
-    """(len(omegas), 4) int64 entries of each omega reduced mod p (exactly,
-    on Python ints), so every product of residues stays below p^2."""
-    return np.array([[e % p for e in om.entries()] for om in omegas], dtype=np.int64)
-
-
 @functools.lru_cache(maxsize=256)
 def _zero_grids(f: Form, p: int, omegas: Tuple[UnimodularMatrix, ...]) -> np.ndarray:
     """Read-only (len(omegas), p, p) mask of f_omega(c, d) = 0 mod p over the
@@ -155,7 +150,9 @@ def _zero_grids(f: Form, p: int, omegas: Tuple[UnimodularMatrix, ...]) -> np.nda
     _require_coordinate_form(f)
     c = np.arange(p, dtype=np.int64)[:, None]
     d = np.arange(p, dtype=np.int64)[None, :]
-    a, b, cc, dd = _reduced_entries(omegas, p).T[:, :, None, None]
+    # entries reduced mod p exactly, so every product of residues stays below p^2
+    entries = [[e % p for e in om.entries()] for om in omegas]
+    a, b, cc, dd = np.array(entries, dtype=np.int64).T[:, :, None, None]
     zero = form_values(f, (c * a + d * cc) % p, (c * b + d * dd) % p) % p == 0
     zero.flags.writeable = False
     return zero
@@ -238,43 +235,8 @@ def _twist_classes(p: int, k: np.ndarray, l: np.ndarray) -> np.ndarray:
     Scaling the twist by a unit u relabels m = ck + dl as um: m = 0 stays,
     the nonzero m are permuted.  A histogram constant on {0} and on the
     nonzero m, which _collapse_histogram checks, is therefore the same at
-    every twist of a class, and so is S4."""
+    every twist of a class, and so are S4 and S5."""
     return np.where(l != 0, k * _inverses(p)[l] % p, np.where(k != 0, p, p + 1))
-
-
-def _class_representatives(p: int, classes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The twists (k, l) representing each class of _twist_classes."""
-    return (np.where(classes < p, classes, classes == p).astype(np.int64),
-            (classes < p).astype(np.int64))
-
-
-@functools.lru_cache(maxsize=256)
-def _fibres_checked(p: int) -> np.ndarray:
-    """(p + 2,) mask of the twist classes mod p whose fibre sizes have been
-    counted; filled in by _check_fibres, so each class is counted once.  The
-    zero twist needs no count."""
-    seen = np.zeros(p + 2, dtype=bool)
-    seen[p + 1] = True
-    return seen
-
-
-def _check_fibres(p: int, classes: np.ndarray) -> None:
-    """Count, over the full residue grid, the fibres of m = ck + dl at the
-    representative of every class not counted before; each must have size
-    p, which is what cancels the -rho part of S4.  A unit multiple of the
-    twist has the same fibres relabeled.  Classes go in blocks of about 2^18
-    cells, so a table at a large prime stays in bounded memory."""
-    seen = _fibres_checked(p)
-    todo = classes[~seen[classes]]
-    c, d = (a.ravel() for a in np.indices((p, p)))
-    step = max(1, (1 << 18) // (p * p))
-    for lo in range(0, todo.size, step):
-        tk, tl = _class_representatives(p, todo[lo:lo + step])
-        m = (tk[:, None] * c + tl[:, None] * d) % p
-        counts = np.bincount((np.arange(tk.size)[:, None] * p + m).ravel(), minlength=tk.size * p)
-        if (counts != p).any():
-            raise ArithmeticError("fibers of a nonzero linear form must have size p")
-    seen[todo] = True
 
 
 def _reduced_twists(p: int, k, l) -> Tuple[np.ndarray, np.ndarray]:
@@ -284,46 +246,57 @@ def _reduced_twists(p: int, k, l) -> Tuple[np.ndarray, np.ndarray]:
                                (np.asarray(l) % p).astype(np.int64))
 
 
+def _twisted_counts(p: int, patterns: np.ndarray, k, l) -> Tuple[np.ndarray, np.ndarray]:
+    """The sums of e_p(-(ck + dl)) over the cells (c, d) of each value v of
+    a (stack, p, p) array of small integer patterns, at an odd prime p:
+    (classes, stack, 1 + largest v) counts, one bincount over (class, layer, v, m)
+    collapsed by gcd classes, and the _twist_classes index of each twist of
+    the arrays k, l.  Classes go in blocks of about 2^18 cells, so a table at
+    a large prime stays in bounded memory."""
+    k, l = _reduced_twists(p, k, l)
+    classes, where = np.unique(_twist_classes(p, k, l), return_inverse=True)
+    stack, values = patterns.shape[0], int(patterns.max()) + 1
+    c, d = (a.ravel() for a in np.indices((p, p)))
+    cells = (np.arange(stack)[:, None] * values + patterns.reshape(stack, p * p)) * p
+    step = max(1, (1 << 18) // (stack * p * p))
+    counts = []
+    for lo in range(0, classes.size, step):
+        cls = classes[lo:lo + step]  # representatives (k/l, 1), (1, 0) and (0, 0)
+        tk, tl = np.where(cls < p, cls, cls == p), cls < p
+        m = (tk[:, None] * c + tl[:, None] * d) % p
+        block = np.arange(tk.size)[:, None, None] * (stack * values * p) + cells + m[:, None, :]
+        hist = np.bincount(block.ravel(), minlength=tk.size * stack * values * p)
+        counts.append(_collapse_histogram(p, hist.reshape(tk.size, stack, values, p)))
+    return np.concatenate(counts), where.reshape(k.shape)
+
+
 def s4_numerators(p: int, f: Form, k, l, omegas) -> np.ndarray:
     """The integers N = p^2 S4(p; f, k, l; omega) at an odd prime p, for twist
     arrays k, l broadcast against each other, one row per omega: the shape
     is (len(omegas),) + the twists' shape.
 
-    One bincount over (twist class, omega, m = ck + dl mod p) on the
-    zero-locus cells of the cached stack, collapsed by gcd classes; each
-    class of twists up to unit scaling is summed once (_twist_classes).
-    The -rho part of Xi sums roots of unity over complete fibres and
-    cancels, except at the twist (0, 0), where it is -p^2 rho(p) =
-    -(2p - 1) and S4 is S1.
+    The cell weights p^2 Xi(p; f_omega) = 1 - 2p off and (p - 1)^2 on the
+    zero locus, dotted with the twisted counts of the cached zero grids,
+    give p^2 N; the division by p^2 is checked to be exact.
     """
-    k, l = _reduced_twists(p, k, l)
-    classes, where = np.unique(_twist_classes(p, k, l), return_inverse=True)
-    _check_fibres(p, classes)
-    tk, tl = _class_representatives(p, classes)
-    omegas = tuple(omegas)
-    w, zc, zd = np.nonzero(_zero_grids(f, p, omegas))
-    m = (tk[:, None] * zc + tl[:, None] * zd) % p
-    cells = (np.arange(classes.size)[:, None] * len(omegas) + w) * p + m
-    hist = np.bincount(cells.ravel(), minlength=classes.size * len(omegas) * p)
-    n = _collapse_histogram(p, hist.reshape(classes.size, len(omegas), p))
-    n = n - (2 * p - 1) * (classes == p + 1)[:, None]
-    return n.T[:, where.reshape(k.shape)]
+    counts, where = _twisted_counts(p, _zero_grids(f, p, tuple(omegas)), k, l)
+    n, rest = np.divmod(counts @ np.array([1 - 2 * p, (p - 1) ** 2]), p * p)
+    if rest.any():
+        raise ArithmeticError("twisted S4 numerator is not a multiple of p^2")
+    return n.T[:, where]
 
 
 def s4_closed_form_numerators(p: int, f: Form, k, l, omegas) -> np.ndarray:
     """p^2 times the piecewise closed form of S4 at an odd prime, for twist
     arrays k, l broadcast against each other, one row per omega (see
     s4_closed_form)."""
-    _require_coordinate_form(f)
     k, l = _reduced_twists(p, k, l)
     omegas = tuple(omegas)
     if f is Form.Z and p % 4 == 3:
-        n = np.ones((len(omegas),) + k.shape, dtype=np.int64)
+        n = 1
     else:
-        # f_omega on the dual rows v = (l, -k), entries reduced as in _zero_grids
-        a, b, c, d = _reduced_entries(omegas, p).T.reshape((4, len(omegas)) + (1,) * k.ndim)
-        dual = form_values(f, (l * a + (p - k) * c) % p, (l * b + (p - k) * d) % p)
-        n = np.where(dual % p == 0, p - 1, -1)
+        # the dual rows v = (l, -k) on the cached zero grids
+        n = np.where(_zero_grids(f, p, omegas)[:, l, -k % p], p - 1, -1)
     s1 = s1_numerators(p, f, omegas).reshape((len(omegas),) + (1,) * k.ndim)
     return np.where((k == 0) & (l == 0), s1, n)
 
@@ -388,16 +361,13 @@ def _s5_numerator(
     omega: UnimodularMatrix,
     omega2: UnimodularMatrix,
 ) -> int:
-    """p^6 S5 at an odd prime: cells weighted by p^4 Xi(p; f_w) Xi(p; f_w'),
-    one bincount over (zero pattern, m), collapsed by gcd classes."""
-    k, l = k % p, l % p
-    z1, z2 = _zero_grids(f, p, (omega, omega2)).reshape(2, p * p).astype(np.int64)
-    c, d = (a.ravel() for a in np.indices((p, p)))
-    m = (c * k + d * l) % p
-    counts = np.bincount((2 * z1 + z2) * p + m, minlength=4 * p).reshape(4, p)
+    """p^6 S5 at an odd prime: the cell weights p^4 Xi(p; f_w) Xi(p; f_w')
+    dotted with the twisted counts of the joint zero pattern 2 z + z'."""
+    z1, z2 = _zero_grids(f, p, (omega, omega2))
+    counts, where = _twisted_counts(p, (2 * z1 + z2)[None], k, l)
     on, off = (p - 1) ** 2, 1 - 2 * p  # p^2 Xi(p; n) for p | n and p not | n
     weights = np.array([off * off, off * on, on * off, on * on], dtype=object)
-    return int(_collapse_histogram(p, weights @ counts.astype(object)))
+    return int(weights @ counts[where, 0].astype(object))
 
 
 def s5(

@@ -173,7 +173,9 @@ def _pollard_brent(n: int) -> int:
 
 def _factor_beyond_table(n: int) -> List[int]:
     """Sorted prime factors, with multiplicity, of n > 1 with no prime factor
-    <= TABLE_LIMIT (the cofactors factor_array hands over), certified.
+    <= min(sqrt(n), TABLE_LIMIT), certified: the cofactor factor_array and
+    factor_int leave after trial division by the table primes.  So n is
+    prime below _TABLE_REACH, and so is each piece of a larger n below it.
 
     Unless Miller-Rabin proves n prime outright, Miller-Rabin tells primes
     from composites and Pollard-Brent splits the composites.  Every factor
@@ -185,8 +187,6 @@ def _factor_beyond_table(n: int) -> List[int]:
     """
     if n >= _TABLE_REACH and _certified_prime(n):
         return [n]
-    # a piece has no prime factor <= TABLE_LIMIT; below _TABLE_REACH that
-    # makes it prime
     primes, pieces = [], [n]
     while pieces:
         m = pieces.pop()
@@ -259,11 +259,10 @@ def factor_array(
 
 
 def factor_int(n: int) -> Tuple[int, ...]:
-    """Sorted prime factors of n >= 1 with multiplicity."""
+    """Sorted prime factors of n >= 1 with multiplicity: trial division by
+    the table primes up to sqrt(n), then _factor_beyond_table."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n < 1 << 63:
-        return factor_array([n])[0]
     primes, rest = [], n
     for p in _table_divisors(n):
         while rest % p == 0:

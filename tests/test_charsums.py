@@ -197,7 +197,7 @@ def test_scalar_sums_build_each_twist_table_once():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_s4_closed_form_xy(p):
     for f in (Form.X, Form.Y):
-        for w in OMEGAS[:5]:
+        for w in (*OMEGAS[:5], *BIG):
             for k in range(p):
                 for l in range(p):
                     if k == 0 and l == 0:
@@ -207,7 +207,7 @@ def test_s4_closed_form_xy(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_s4_z_bound_and_value(p):
-    for w in OMEGAS[:5]:
+    for w in (*OMEGAS[:5], *BIG):
         for k in range(p):
             for l in range(p):
                 if k == 0 and l == 0:
@@ -215,6 +215,38 @@ def test_s4_z_bound_and_value(p):
                 v = s4(p, Form.Z, k, l, w).value
                 assert abs(v) <= s4_bound(p, Form.Z, k, l, w)
                 assert v == s4_closed_form(p, Form.Z, k, l, w)
+
+
+@pytest.mark.parametrize("p", [97, 101])
+def test_s4_tables_in_blocks_match_the_closed_form(p):
+    """At p = 97 and 101 a whole twist table spans several blocks of
+    classes in _twisted_counts (p + 2 classes of p^2 cells, 2^18 cells a
+    block); every twist, (0, 0) included, still meets the closed form, for
+    z at 97 too, where the zero locus is the origin alone."""
+    k, l = np.indices((p, p))
+    for f in (Form.X, Form.Y, Form.Z):
+        got = s4_numerators(p, f, k, l, OMEGAS[1:2])
+        assert got.shape == (1, p, p)
+        assert (got == s4_closed_form_numerators(p, f, k, l, OMEGAS[1:2])).all(), f
+
+
+def test_s4_and_s5_raise_on_a_zero_grid_not_invariant_under_scaling(monkeypatch):
+    """One nonzero cell of the zero grids flipped: the grid is no longer a
+    union of lines through the origin, its twisted histograms are not
+    constant on the nonzero m, and S4 and S5 raise rather than return."""
+    real = charsums._zero_grids
+
+    def flipped(f, p, omegas):
+        grid = real(f, p, omegas).copy()
+        grid[:, 1, 2] = ~grid[:, 1, 2]
+        return grid
+
+    monkeypatch.setattr(charsums, "_zero_grids", flipped)
+    k, l = np.indices((7, 7))
+    with pytest.raises(ArithmeticError, match="not constant on gcd classes"):
+        s4_numerators(7, Form.X, k, l, OMEGAS[:2])
+    with pytest.raises(ArithmeticError, match="not constant on gcd classes"):
+        s5(7, Form.X, 1, 0, OMEGAS[0], OMEGAS[1])  # the flipped cell has m = 1
 
 
 def test_s4_degenerate_and_conventions():
