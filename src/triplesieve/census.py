@@ -5,7 +5,8 @@ with multiplicity (Omega), and report membership in P_R = {at most R prime
 factors}.  Zeros and units are quarantined, never graded.
 
 Factorizations come from one array pass of trial division (see
-modular.factor_array), which certifies each of them by construction.  Only
+modular.factor_array, on the divisibility kernel modular._divisor_hits),
+which certifies each of them by construction.  Only
 small pieces are factored: |c|, |d|, |d - c| and |d + c|, all below 1.5T,
 and z = c^2 + d^2 < T^2, whose prime factors are 2 or 1 mod 4 since
 gcd(c, d) = 1.  The rest follows from Omega being completely additive:
@@ -51,8 +52,11 @@ argsort: int64 weights as 31-bit high/low halves, which cannot wrap, joined
 in int64 when every high sum proves its total fits and as Python ints
 otherwise; weights too large for int64 are summed as Python ints.  The
 support and numerators are handed to SieveSequence as the arrays a_q reads,
-under the same dtype rules as a sequence built from lists.  Every form value
-in this module comes from gl2.form_values.
+under the same rules as a sequence built from lists: the support as
+modular._limbs (plain int64 when it fits, else 32-bit limbs of |n|), the
+numerators in int64 when their total fits.  a_q sums the numerators at the
+hits of the same kernel factor_array reads, modular._divisor_hits.  Every
+form value in this module comes from gl2.form_values.
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -83,7 +87,7 @@ import numpy as np
 from .gl2 import Form, form_values
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_order, _row_keys, _runs, enumerate_ball
 from .modular import beta as modular_beta
-from .modular import FORM_PRIME_FLOOR, factor_array, prime_factors, require_odd_prime
+from .modular import FORM_PRIME_FLOOR, _divisor_hits, _limbs, factor_array, prime_factors, require_odd_prime
 
 # Kept only for perfbench's census.uncertified counter; it goes with ROADMAP
 # item 7's single benchmark change.
@@ -325,22 +329,18 @@ class SieveSequence:
         return Fraction(sum(self.numerators), self.den)
 
     @staticmethod
-    def _dtypes(lo: int, hi: int, abs_total: int) -> Tuple[type, type]:
-        """The dtypes of _arrays for a support in [lo, hi] and numerators of
-        absolute total abs_total: ns in int64, or as Python ints when the
-        support reaches beyond 2^62; numerators in int64 when their absolute
-        total fits, so no partial sum can overflow, and as Python ints
-        otherwise."""
-        far = lo < -(2 ** 62) or hi > 2 ** 62
-        return object if far else np.int64, object if abs_total >= 1 << 63 else np.int64
+    def _numerator_dtype(abs_total: int) -> type:
+        """int64 for numerators of absolute total abs_total when it fits, so
+        no partial sum can overflow, and Python ints otherwise."""
+        return object if abs_total >= 1 << 63 else np.int64
 
     @cached_property
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(ns, numerators) as arrays under _dtypes, built once per sequence;
-        build_sequence primes them with the arrays it already holds."""
-        ns_type, num_type = self._dtypes(
-            min(self.ns, default=0), max(self.ns, default=0), sum(map(abs, self.numerators)))
-        return np.array(self.ns, dtype=ns_type), np.array(self.numerators, dtype=num_type)
+        """(the support ns as modular._limbs, numerators under _numerator_dtype),
+        built once per sequence; build_sequence primes them with the arrays it
+        already holds."""
+        num_type = self._numerator_dtype(sum(map(abs, self.numerators)))
+        return _limbs(self.ns), np.array(self.numerators, dtype=num_type)
 
 
 def _run_sums(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -496,23 +496,23 @@ def build_sequence(
         raise ArithmeticError("mass accounting identity failed")
     # the numerators are sums of positive pair weights, so their absolute
     # total is that of the mass, chi * den
-    ns_type, num_type = seq._dtypes(seq.ns[0], seq.ns[-1], total)
-    seq._arrays = ns.astype(ns_type, copy=False), numerators.astype(num_type, copy=False)
+    seq._arrays = _limbs(ns), numerators.astype(seq._numerator_dtype(total), copy=False)
     return seq
 
 
 def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
     """(|A_q|, beta(q) * chi, remainder), all exact.
 
-    |A_q| is the mass on multiples of q; the main term uses the local
-    densities, which are sums of the constituent coordinate densities for
-    the composite forms.  q = 1 returns (chi, chi, 0).
+    |A_q| is the mass on multiples of q, the numerators summed at the hits
+    of modular._divisor_hits on the support's limbs; the main term uses the
+    local densities, which are sums of the constituent coordinate densities
+    for the composite forms.  q = 1 returns (chi, chi, 0).
     """
     if q == 1:
         return seq.chi, seq.chi, Fraction(0)
     b = modular_beta(seq.form, q)  # rejects even, non-squarefree, small p
-    ns, numerators = seq._arrays
-    tot = int(numerators[ns % q == 0].sum())
+    limbs, numerators = seq._arrays
+    tot = int(numerators[_divisor_hits(limbs, np.array([q], dtype=np.int64))[0]].sum())
     mass = Fraction(tot, seq.den)
     main = b * seq.chi
     return mass, main, mass - main
@@ -539,7 +539,8 @@ def distribution_probe(
 ) -> Tuple[Fraction, Fraction, Fraction]:
     """(sum of |remainder| over good q < N^alpha, chi, their ratio).
 
-    N is the largest |form value| seen in the sequence.  Report only; the
+    N is the largest |form value| in the sequence, read off the ends of the
+    sorted support.  Report only; the
     ratio going down as balls grow is evidence of level-of-distribution
     behavior, not a proof.
     """
@@ -547,7 +548,7 @@ def distribution_probe(
         raise ValueError("need 0 < alpha < 1/2")
     if seq.chi == 0:
         return Fraction(0), Fraction(0), Fraction(0)
-    N = max((abs(n) for n in seq.ns), default=0)
+    N = max(abs(seq.ns[0]), abs(seq.ns[-1])) if seq.ns else 0
     if N < 2:
         return Fraction(0), seq.chi, Fraction(0)
     total = Fraction(0)

@@ -115,17 +115,6 @@ def _require_coordinate_form(f: Form) -> None:
         raise ValueError(f"character sums take the quadratic coordinate forms, not {f}")
 
 
-def coordinate_after(f: Form, c: int, d: int, omega: UnimodularMatrix) -> int:
-    """f evaluated on the row (c,d).omega, with f((0,0)) = 0 (the sums
-    include the zero row; the orbit parametrization never does).  The row is
-    one exact Python-int entry for form_values."""
-    _require_coordinate_form(f)
-    c, d = int(c), int(d)
-    cc = np.array([c * omega.a + d * omega.c], dtype=object)
-    dd = np.array([c * omega.b + d * omega.d], dtype=object)
-    return form_values(f, cc, dd)[0]
-
-
 def _require_odd_squarefree(q: int) -> Tuple[int, ...]:
     ps = prime_factors(q)
     if ps and ps[0] == 2:

@@ -19,12 +19,23 @@ representatives.
 
 Local densities count, among the p+1 coset representatives, those whose row
 makes a chosen coordinate form vanish mod p.  Exact rationals throughout.
+
+Every divisibility question on many values, which table primes divide each
+value (factor_array, factor_int, is_prime) and which support values a
+modulus q divides (census.a_q), is answered by one kernel, _divisor_hits.
+It reads the values as a (k, n) int64 array of limbs from _limbs: the plain
+int64 values when k = 1, else the 32-bit limbs of |v|, most significant
+first.  Past int64 the moduli m lie in [2, 2^31), and each residue is
+carried in Horner form r -> ((r << 32) + limb) % m, where
+r <= m - 1 < 2^31 - 1 and limb <= 2^32 - 1 bound every intermediate by
+(2^31 - 1) 2^32 + 2^32 - 1 = 2^63 - 1, so no step wraps in int64.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,8 +66,10 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 # finds in about 2^16 steps.
 _RHO_STEPS = 1 << 22
 _RHO_CONSTANTS = 16
-# Cells of one (values x primes) divisibility grid: bounds the scratch memory.
+# Cells of one (values x moduli) block of _divisor_hits: bounds the scratch memory.
 _CHUNK_CELLS = 1 << 16
+# _divisor_hits carries residues mod m < 2^31 through 32-bit limbs in int64.
+_MODULUS_LIMIT = 1 << 31
 # project_group packs four residues mod q into one int64 code, so q^4 < 2^63.
 _CODE_LIMIT = 1 << 15
 # Coset labels multiply residues mod q in int64, so q^2 < 2^63.
@@ -93,16 +106,61 @@ def primes_upto(n: int) -> List[int]:
     return primes[: np.searchsorted(primes, n, side="right")].tolist()
 
 
+def _limbs(values) -> np.ndarray:
+    """The integers in values (an array, list or tuple of integers, or one
+    integer, each read through operator.index) as the (k, n) int64
+    limbs _divisor_hits reads: an int64 array as itself, (1, n) with no copy;
+    other values as (1, n) int64 when all fit int64, else as the k 32-bit
+    limbs of each |v|, most significant first, with k set by the largest."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values.reshape(1, -1)
+        values = values.ravel().tolist()
+    vals = list(map(operator.index, values if isinstance(values, (list, tuple)) else [values]))
+    lo, hi = min(vals, default=0), max(vals, default=0)
+    if -(1 << 63) <= lo and hi < 1 << 63:
+        return np.array(vals, dtype=np.int64).reshape(1, -1)
+    k = -(-max(hi, -lo).bit_length() // 32)
+    raw = b"".join(abs(v).to_bytes(4 * k, "big") for v in vals)
+    return np.ascontiguousarray(np.frombuffer(raw, dtype=">u4").reshape(-1, k).T, dtype=np.int64)
+
+
+def _divisor_hits(limbs: np.ndarray, moduli: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(value index, modulus index) of every pair where the modulus divides
+    the value, ordered by value and then by modulus.
+
+    limbs is a (k, n) int64 array from _limbs and moduli an int64 vector of
+    moduli m >= 2, checked to lie below 2^31 when k > 1.  The residues are
+    taken in Horner form, r = limbs[0] % m and then r = ((r << 32) + limb) % m
+    for each further limb, on blocks of at most _CHUNK_CELLS (values x
+    moduli) cells.  Since r <= m - 1 < 2^31 - 1 and a limb is at most
+    2^32 - 1, every intermediate is at most (2^31 - 1) 2^32 + 2^32 - 1
+    = 2^63 - 1 and nothing wraps.  For k = 1 the one step is the plain int64
+    v % m, exact for every sign and every int64 m >= 2."""
+    n, width = limbs.shape[1], len(moduli)
+    if not n or not width:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if len(limbs) > 1 and (int(moduli.min()) < 2 or int(moduli.max()) >= _MODULUS_LIMIT):
+        raise ValueError(f"moduli of values past int64 must lie in [2, {_MODULUS_LIMIT})")
+    rows, cols = max(1, _CHUNK_CELLS // width), min(width, _CHUNK_CELLS)
+    hits = []
+    for i in range(0, n, rows):
+        block = limbs[:, i : i + rows, None]
+        for j in range(0, width, cols):
+            m = moduli[j : j + cols]
+            r = block[0] % m
+            for t in range(1, len(block)):
+                r = ((r << 32) + block[t]) % m
+            vi, mj = np.nonzero(r == 0)
+            hits.append((vi + i, mj + j) if i or j else (vi, mj))
+    return hits[0] if len(hits) == 1 else tuple(map(np.concatenate, zip(*hits)))
+
+
 def _table_divisors(n: int) -> List[int]:
-    """The table primes p <= sqrt(n) that divide n >= 1: one vectorized
-    remainder pass per 32-bit limb of n, so any Python int works and every
-    intermediate stays below 2^53."""
+    """The table primes p <= sqrt(n) that divide n >= 1, any integer."""
     primes = _prime_table()[1]
     primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-    r = np.zeros(len(primes), dtype=np.int64)
-    for shift in range((n.bit_length() - 1) // 32 * 32, -1, -32):
-        r = ((r << 32) + ((n >> shift) & 0xFFFFFFFF)) % primes
-    return primes[r == 0].tolist()
+    return primes[_divisor_hits(_limbs(n), primes)[1]].tolist()
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -208,8 +266,8 @@ def factor_array(
 
     The values are sorted and cut into chunks; each chunk is tested against
     every table prime p with p^2 <= its largest value in one (values x primes)
-    grid of at most about _CHUNK_CELLS cells, and each hit is divided out
-    exactly in Python.  A cofactor r > 1 left after all primes up
+    _divisor_hits block of at most about _CHUNK_CELLS cells, and each hit is
+    divided out exactly in Python.  A cofactor r > 1 left after all primes up
     to b were divided out has no prime factor <= b, so it is prime when
     r < (b + 1)^2, which trial division guarantees unless b is capped at
     TABLE_LIMIT; only then is the cofactor factored by _factor_beyond_table.
@@ -240,7 +298,7 @@ def factor_array(
         rest = chunk.tolist()
         found: List[List[int]] = [[] for _ in rest]
         if len(ps):
-            rows, cols = np.nonzero(chunk[:, None] % ps[None, :] == 0)
+            rows, cols = _divisor_hits(_limbs(chunk), ps)
             for i, p in zip(rows.tolist(), ps[cols].tolist()):
                 r = rest[i]
                 while r % p == 0:
@@ -261,6 +319,7 @@ def factor_array(
 def factor_int(n: int) -> Tuple[int, ...]:
     """Sorted prime factors of n >= 1 with multiplicity: trial division by
     the table primes up to sqrt(n), then _factor_beyond_table."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     primes, rest = [], n

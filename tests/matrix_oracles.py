@@ -4,7 +4,9 @@ read: the slow oracles the array kernels are checked against."""
 from fractions import Fraction
 from typing import List, Tuple
 
-from triplesieve.gl2 import Form, RationalMatrix3, UnimodularMatrix
+import numpy as np
+
+from triplesieve.gl2 import Form, RationalMatrix3, UnimodularMatrix, form_values
 
 
 def ball_matrices(ball) -> List[UnimodularMatrix]:
@@ -61,3 +63,16 @@ def form_value(f: Form, c: int, d: int) -> int:
             raise ValueError(f"xyz = {num} not divisible by 60 at row {(c, d)}")
         return q
     raise ValueError(f"unknown form {f!r}")
+
+
+def coordinate_after(f: Form, c: int, d: int, omega: UnimodularMatrix) -> int:
+    """The coordinate form f (x, y or z) on the row (c, d).omega, with
+    f((0, 0)) = 0 (the character sums include the zero row; the orbit
+    parametrization never does).  The row is one exact Python-int entry for
+    form_values."""
+    if f not in (Form.X, Form.Y, Form.Z):
+        raise ValueError(f"character sums take the quadratic coordinate forms, not {f}")
+    c, d = int(c), int(d)
+    cc = np.array([c * omega.a + d * omega.c], dtype=object)
+    dd = np.array([c * omega.b + d * omega.d], dtype=object)
+    return form_values(f, cc, dd)[0]

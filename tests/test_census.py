@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -376,21 +377,31 @@ def test_a_q_matches_bruteforce_sum():
 
     for f, qs in ((Form.Z, (3, 5, 13, 65, 85)), (Form.AREA, (5, 7, 11, 35, 77))):
         seq = build_sequence(MOD, 10, 10, f)
+        assert seq._arrays[0].shape == (1, len(seq.ns))
         assert seq._arrays[0].dtype == seq._arrays[1].dtype == np.int64
         for q in qs:
             mass, main, r = a_q(seq, q)
             assert mass == brute(seq, q) and r == mass - main
-    # a support beyond 2^62 and numerators whose total passes 2^63 are held
-    # as Python ints
+    # a support past int64 is held as two 32-bit limbs of |n|, and numerators
+    # whose total passes 2^63 as Python ints
     big = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 2 ** 62 + 5, 3 * 2 ** 62 + 15],
                         [1, 2, 3, 4], Fraction(10, 7), 4, 1)
     wide = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 21, 25],
                          [2 ** 62, 2 ** 62, 2 ** 62, 3], Fraction(3 * 2 ** 62 + 3, 7), 4, 1)
-    assert big._arrays[0].dtype == object and wide._arrays[1].dtype == object
+    assert big._arrays[0].shape == (2, 4) and wide._arrays[1].dtype == object
     for seq in (big, wide):
         for q in (3, 5, 7, 15, 21):
             assert a_q(seq, q)[0] == brute(seq, q)
     assert a_q(wide, 5)[0] == Fraction(2 ** 63 + 3, 7)
+    # the Schottky product at X = Y = 3000: 40,825 values of up to 131 bits,
+    # five limbs each, on a seeded sample of its good moduli below N^0.0998
+    seq = build_sequence(schottky_generators(), 3000, 3000, Form.PRODUCT)
+    assert seq._arrays[0].shape == (5, 40825)
+    items = list(seq.items())
+    moduli = good_moduli(Form.PRODUCT, max(abs(seq.ns[0]), abs(seq.ns[-1])) ** 0.0998)
+    for q in random.Random(21).sample(moduli, 50):
+        mass, main, r = a_q(seq, q)
+        assert mass == sum((a for n, a in items if n % q == 0), Fraction(0)) and r == mass - main
 
 
 def test_area_two_path_decomposition_at_primes():

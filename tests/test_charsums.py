@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from triplesieve import charsums
 from triplesieve.charsums import (
     _Rational,
-    coordinate_after,
     count_zero_locus,
     disjointness_check,
     rho,
@@ -32,7 +31,7 @@ from triplesieve.gl2 import Form, UnimodularMatrix
 from triplesieve.groups import modular_generators, sample_words
 from triplesieve.modular import is_squarefree, prime_factors
 
-from matrix_oracles import form_value, row_after
+from matrix_oracles import coordinate_after, form_value, row_after
 
 I2 = UnimodularMatrix.identity()
 OMEGAS = sample_words(modular_generators(), 8, seed=20260816)

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from triplesieve import modular
 from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix
@@ -433,3 +434,48 @@ def test_small_number_helpers_match_sympy():
     assert primes_upto(TABLE_LIMIT + 100)[-4:] == list(sympy.primerange(TABLE_LIMIT - 100, TABLE_LIMIT + 101))[-4:]
     for n in list(range(-3, 400)) + [_TOP, _TOP * _TOP, (1 << 61) - 1, 10 ** 20 + 39]:
         assert is_prime(n) == bool(sympy.isprime(n)), n
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_divisor_hits_match_python_mod(monkeypatch, data):
+    """The kernel's hits are the (value, modulus) pairs with v % m == 0 in
+    Python ints, in row-major order, for |v| up to 2^256 (0 and negatives
+    included) and moduli in [2, 2^31), with blocks split both ways."""
+    monkeypatch.setattr(modular, "_CHUNK_CELLS", 5)
+    bits = data.draw(st.sampled_from([62, 256]))
+    moduli = data.draw(st.lists(st.integers(2, (1 << 31) - 1), min_size=1, max_size=12))
+    values = data.draw(st.lists(st.one_of(
+        st.just(0), st.integers(-(1 << bits), 1 << bits),
+        st.builds(operator.mul, st.integers(-(1 << (bits - 31)), 1 << (bits - 31)), st.sampled_from(moduli))),
+        min_size=1, max_size=16))
+    limbs = modular._limbs(values)
+    if all(-(1 << 63) <= v < 1 << 63 for v in values):
+        assert limbs.tolist() == [values]
+    else:
+        k = len(limbs)
+        assert k == -(-max(abs(v) for v in values).bit_length() // 32) and limbs.dtype == np.int64
+        assert [sum(int(x) << (32 * (k - 1 - j)) for j, x in enumerate(col)) for col in limbs.T] == [
+            abs(v) for v in values]
+    hits = modular._divisor_hits(limbs, np.array(moduli, dtype=np.int64))
+    assert list(zip(*(a.tolist() for a in hits))) == [
+        (i, j) for i, v in enumerate(values) for j, m in enumerate(moduli) if v % m == 0]
+
+
+def test_numpy_integers_factor_like_python_ints():
+    prime_factors.cache_clear()  # np.int64(105) must not hit a cached 105
+    assert prime_factors(np.int64(105)) == prime_factors(105) == (3, 5, 7)
+    for n in (2 ** 40 + 15, 2 ** 40 + 16, 3 * 1_000_003 ** 2):
+        got = factor_int(np.int64(n))
+        assert got == factor_int(n) == _sympy_primes(n) and all(type(p) is int for p in got)
+
+
+def test_divisor_hits_refuses_moduli_that_could_wrap():
+    """Past int64 a modulus at or above 2^31 could wrap the Horner step, so
+    it raises instead; on int64 values any modulus >= 2 is exact."""
+    big = modular._limbs([2 ** 70 + 2 ** 31 * 3])
+    for m in (1 << 31, 1, 0):
+        with pytest.raises(ValueError):
+            modular._divisor_hits(big, np.array([m], dtype=np.int64))
+    hits = modular._divisor_hits(modular._limbs([(1 << 62) - 2, 6]), np.array([(1 << 62) - 2], dtype=np.int64))
+    assert [a.tolist() for a in hits] == [[0], [0]]
