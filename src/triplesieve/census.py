@@ -465,8 +465,8 @@ def build_sequence(
     OrbitBall.distinct_rows, the rows census grades.  Generator order does
     not affect the result.
     """
-    if X < 1 or Y < 1:
-        raise ValueError("need X >= 1 and Y >= 1")
+    if not (1 <= X < math.inf and 1 <= Y < math.inf):
+        raise ValueError(f"need finite X >= 1 and Y >= 1, got X={X}, Y={Y}")
     f = Form(f)
     radius = SmoothedWeight(X).support_radius()
     ball = enumerate_ball(gens, max(radius, Y), element_cap=element_cap)

@@ -27,24 +27,61 @@ sq_norm(g) stays below an expansion bound:
     T^2 complete, and the reduced length, the unique geodesic, is the
     breadth-first layer.  Parabolic letters, -I and S are never certified.
 
-Both searches carry a layer as (4, n) entry columns and build its children
-with one kernel, _children.  Deduplication is layer-local.  The letters
-include their inverses, so the Cayley graph induced on the expansion region
-is undirected and a candidate made from layer k lies in layer k - 1, in layer
-k, or is new.  Each layer therefore sorts the keys of layers k - 1 and k
-together with the candidate keys, which carry a 1-bit tag below their lowest
-field, and keeps the candidates that head a run of keys equal up to the tag:
-the tag puts an old key first in its run, so the sort need not be stable.
-Keys pack the entries (a, b, c, d), shifted to be nonnegative, into one
-uint64 word when the fields fit, else into as few words as hold whole fields
-(two on the int64 path, whose entries stay below 2^31), else are the
-Python-int columns themselves.  A finished ball sorts on (sq_norm, entries)
-packed the same way, and so do its distinct bottom rows on (c^2+d^2, c, d) in
-OrbitBall.distinct_rows, the one kernel census, build_sequence and orbit read.
-One word sorts by a plain argsort, more by lexsort (_order).  Since the
-canonical order sorts by sq_norm first, the ball of any radius t <= T is a
-prefix of the ball at T (OrbitBall.sub_ball), which count_below, coset_counts
-and the sieve sequence read.
+Both searches carry a layer as (4, n) entry columns.  Deduplication is
+layer-local.  The letters include their inverses, so the Cayley graph
+induced on the expansion region is undirected and a candidate made from
+layer k lies in layer k - 1, in layer k, or is new.  Each layer therefore
+sorts the keys of layers k - 1 and k together with the candidate keys,
+which carry a 1-bit tag below their lowest field: 0 on the old keys, 1 on
+the candidates, so an old key sorts just before a candidate equal to it up
+to the tag.
+
+One word.  Let E be the expansion bound, off = isqrt(E) + 1, bits =
+bit_length(2 off) and lam = bit_length(L), L the largest |letter entry|.
+When 4 bits + 2 + lam <= 63 (_WORD_BITS), _word_layers keeps each element
+as one int64 key: the fields a + off, b + off, c + off, d + off, bits bits
+each, a highest, above the tag bit.  A layer is its sorted keys, and its
+columns are decoded from them by shift and mask.  A candidate is new iff
+its key is odd and exceeds its predecessor in the sort by at least 2: a
+predecessor equal to it up to the tag is an old key (one less) or the same
+candidate made twice (equal), and the first key has no predecessor.  The
+key is linear in the entries and g.h = (ap + br, aq + bs, cp + dr, cq + ds)
+for h = (p, q, r, s), so every child key is one int64 matmul of per-letter
+weights by the parent columns, plus a constant; every child sq_norm is one
+matmul of the coefficients (p^2 + q^2, 2(pr + qs), r^2 + s^2) by the
+parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2).  No (4, m n) child
+array is built, and no partial sum wraps, for any child, in the region or
+not.  A parent entry has |e| < off <= 2^(bits-1), and each child entry is
+a sum of two products of a parent entry with a letter entry, so a partial
+sum of the key matmul is at most 2 * 2^(bits-1) * 2^lam times the sum of
+the field weights, below 2^(3 bits + 2): under 2^(4 bits + lam + 2) <= 2^63.
+A partial sum of the sq_norm matmul is at most 1.5 |h|^2 |g|^2 < 6 L^2 E <
+2^(2 lam + 2 bits + 1), which is smaller, since E >= L^2 (E >= 4 on R and
+L, else E >= T^2 |h|^2 >= L^2) gives off > L and so bits > lam.  The
+constant is added to the children that pass the norm filter only, whose
+keys lie in [0, 2^(4 bits + 1)).  R and L meet the budget at every
+T < 16383, far past any ball that fits in memory.  Otherwise the keys
+pack the fields into as few uint64 words as hold them (_row_keys: two on
+the int64 path, whose entries stay below 2^31), or are the columns
+themselves where _entry_dtype gives Python ints, and _fresh keeps the
+candidates that head a run of keys equal up to the tag after one _order
+of the concatenation.  (The budget implies int64 products: it gives
+16 off^2 L^2 < 2^(2 bits + 2 lam + 2) <= 2^63.)
+
+A finished ball is in canonical order, sorted by (sq_norm, entries).  When
+sq_norm (bit_length(int(T^2)) bits), the entries shifted by isqrt(T^2) + 1
+(bit_length of twice that each) and the word length (bit_length of the
+last layer index) fit 63 bits, they are packed into one int64 word, word
+length lowest; the keys are distinct since the entries are, so one np.sort
+orders them, and rows, sq_norms and word lengths are decoded from them.
+The modular ball fits below T = 255, the Schottky tree below T = 511.
+Larger balls pack (sq_norm, entries) with _row_keys, sort their positions
+with _order and gather the columns; so do distinct bottom rows on
+(c^2+d^2, c, d) in OrbitBall.distinct_rows, the one kernel census,
+build_sequence and orbit read.  One word sorts by a plain argsort, more by
+lexsort (_order).  Since the canonical order sorts by sq_norm first, the
+ball of any radius t <= T is a prefix of the ball at T (OrbitBall.sub_ball),
+which count_below, coset_counts and the sieve sequence read.
 
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
@@ -297,6 +334,10 @@ _CERT_ROUNDS = 4
 _CERT_WIDEN = Fraction(1, 64)
 
 Entries = Tuple[int, int, int, int]
+
+# Bits of an int64 sort key that the one-word layouts may fill; the sign bit
+# stays clear, so every key is nonnegative.
+_WORD_BITS = 63
 Interval = Tuple[Fraction, Fraction]
 
 
@@ -428,12 +469,17 @@ def _children(layer: np.ndarray, letters: np.ndarray) -> np.ndarray:
 
 def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: int) -> List[np.ndarray]:
     """Layers, as (4, n) entry columns, of the breadth-first search over the
-    expansion region."""
+    expansion region: on one int64 key per element (_word_layers) when the
+    bit budget allows, else on _row_keys and _fresh."""
     if gens.monotone_cap:
         expand_bound = max(ball_bound, 4.0)
     else:
         expand_bound = ball_bound * gens.max_letter_sq_norm()
     letters = [h.entries() for h in gens.letters()]
+    off = math.isqrt(int(expand_bound)) + 1
+    bits = (2 * off).bit_length()
+    if 4 * bits + 2 + max(abs(e) for h in letters for e in h).bit_length() <= _WORD_BITS:
+        return _word_layers(letters, T, expand_bound, off, bits, element_cap)
     dtype = _entry_dtype(letters, expand_bound)
     letters = np.array(letters, dtype=dtype)
     layer = np.array([[1], [0], [0], [1]], dtype=dtype)
@@ -452,6 +498,46 @@ def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: in
         layer = cands.take(pick, axis=1)
         collected.append(layer)
         prev_keys, cur_keys = cur_keys, [k[pick] for k in keys]
+    return collected
+
+
+def _word_layers(
+    letters: Sequence[Entries], T: float, expand_bound: float, off: int, bits: int, element_cap: int
+) -> List[np.ndarray]:
+    """Layers, as (4, n) int64 entry columns, of the breadth-first search on
+    one int64 key per element: the fields a + off, b + off, c + off, d + off
+    of bits bits each above a 1-bit tag (the module docstring has the layout
+    and the no-wrap bound).  Each layer is carried as its sorted keys; the
+    children's keys and sq_norms are linear forms in the parent's entries
+    and Gram entries, one matmul each."""
+    p, q, r, s = np.array(letters, dtype=np.int64).T
+    shifts = [1 + bits * k for k in (3, 2, 1, 0)]
+    w = [1 << k for k in shifts]
+    # g.h = (ap + br, aq + bs, cp + dr, cq + ds): the key weight of each
+    # parent entry, and the coefficients of a^2+c^2, ab+cd, b^2+d^2 in the
+    # child's sq_norm
+    weights = np.stack([p * w[0] + q * w[1], r * w[0] + s * w[1], p * w[2] + q * w[3], r * w[2] + s * w[3]], axis=1)
+    gram = np.stack([p * p + q * q, 2 * (p * r + q * s), r * r + s * s], axis=1)
+    base = off * sum(w)
+    fields = np.array(shifts)[:, None]
+    layer = np.array([[1], [0], [0], [1]], dtype=np.int64)
+    prev, cur = layer[0, :0], np.array([base + w[0] + w[3]], dtype=np.int64)
+    collected = [layer]
+    total = 1
+    while len(cur):
+        a, b, c, d = layer
+        sq = gram @ np.stack([a * a + c * c, a * b + c * d, b * b + d * d])
+        cand = (weights @ layer).ravel().compress((sq < expand_bound).ravel())
+        keys = np.concatenate([prev, cur, cand + (base + 1)])
+        keys.sort()
+        fresh = (keys & 1).astype(bool)
+        fresh[1:] &= keys[1:] - keys[:-1] >= 2
+        prev, cur = cur, keys.compress(fresh) - 1
+        total += len(cur)
+        if total > element_cap:
+            raise BallBudgetError(T, total, element_cap)
+        layer = ((cur >> fields) & ((1 << bits) - 1)) - off
+        collected.append(layer)
     return collected
 
 
@@ -497,9 +583,9 @@ def enumerate_ball(
     a returned ball is always complete.  The tree counts ball elements, the
     search every node of its region, which holds the ball.
     """
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
     ball_bound = float(T) * float(T)
+    if not (T >= 1 and ball_bound < math.inf):
+        raise ValueError(f"need a finite T >= 1 with a finite T^2, got {T}")
     letters = tuple(h.entries() for h in gens.letters())
     if _ping_pong_certificate(letters) is not None:
         collected = _tree_layers(letters, T, ball_bound, element_cap)
@@ -509,14 +595,29 @@ def enumerate_ball(
     cols = np.concatenate(collected, axis=1)
     # the word length of an element is the index of its layer
     wls = np.repeat(np.arange(len(collected), dtype=np.int64), [c.shape[1] for c in collected])
+    wl_bits = (len(collected) - 1).bit_length()
     del collected  # the layers are copied; freeing them bounds the peak below
     sq = np.einsum("ij,ij->j", cols, cols)
     keep = sq < ball_bound
+    if not keep.all():  # the tree, and the search at T >= 2 on R and L, hold only ball elements
+        cols, wls, sq = cols.compress(keep, axis=1), wls.compress(keep), sq.compress(keep)
     # ball entries are below T; astype raises OverflowError if they do not fit
-    cols = cols.compress(keep, axis=1).astype(np.int64, copy=False)
-    wls = wls[keep]
-    sq = sq[keep].astype(np.int64, copy=False)
-    keys = _row_keys(cols.T, ball_bound, lead=[(sq, int(ball_bound).bit_length())])
+    cols, sq = cols.astype(np.int64, copy=False), sq.astype(np.int64, copy=False)
+    sq_bits = int(ball_bound).bit_length()
+    off = math.isqrt(int(ball_bound)) + 1
+    bits = (2 * off).bit_length()
+    if sq_bits + 4 * bits + wl_bits <= _WORD_BITS:
+        shifts = [wl_bits + bits * k for k in (3, 2, 1, 0)]
+        keys = sq << (4 * bits + wl_bits) | wls
+        for col, shift in zip(cols, shifts):
+            keys |= (col + off) << shift
+        keys.sort()
+        rows = np.empty((len(keys), 4), dtype=np.int64)
+        for i, shift in enumerate(shifts):
+            rows[:, i] = ((keys >> shift) & ((1 << bits) - 1)) - off
+        wls, sq = keys & ((1 << wl_bits) - 1), keys >> (4 * bits + wl_bits)
+        return OrbitBall(T=float(T), label=gens.label, rows=rows, word_lengths=wls, _sq=sq)
+    keys = _row_keys(cols.T, ball_bound, lead=[(sq, sq_bits)])
     order = _order(keys)
     # gathered column by column: a take along axis 0 of the transposed
     # columns would first copy them whole

@@ -290,8 +290,14 @@ def factor_array(
     primes = primes[: np.searchsorted(primes, bound, side="right")]
     if sums_of_coprime_squares:
         primes = primes[(primes == 2) | (primes % 4 == 1)]
-    step = max(1, _CHUNK_CELLS // max(1, len(primes)))
-    for start in range(0, len(svals), step):
+    # primes each value needs (p^2 <= value); never decreasing along svals
+    need = np.searchsorted(primes * primes, svals, side="right")
+    start = 0
+    while start < len(svals):
+        # the longest chunk whose length times its last value's need fits
+        window = need[start : start + _CHUNK_CELLS // max(1, int(need[start]))]
+        cells = np.arange(1, len(window) + 1) * window
+        step = max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
         chunk = svals[start : start + step]
         b = min(math.isqrt(int(chunk[-1])), TABLE_LIMIT)
         ps = primes[: np.searchsorted(primes, b, side="right")]
@@ -313,6 +319,7 @@ def factor_array(
                 else:
                     found[i].extend(_factor_beyond_table(r))
             out[olist[start + i]] = tuple(found[i])
+        start += step
     return out
 
 

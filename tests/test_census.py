@@ -328,6 +328,12 @@ def test_build_sequence_empty_balls():
         build_sequence(MOD, 0.5, 8, Form.Z)
 
 
+@pytest.mark.parametrize("X, Y", [(math.inf, 3), (3, math.inf), (math.nan, 3), (3, math.nan), (1e200, 3)])
+def test_build_sequence_rejects_non_finite_radii(X, Y):
+    with pytest.raises(ValueError, match="finite"):
+        build_sequence(MOD, X, Y, Form.Z)
+
+
 def test_build_sequence_generator_order_irrelevant():
     swapped = GeneratorSet("modular", tuple(reversed(MOD.gens)))
     a = build_sequence(MOD, 6, 6, Form.Y)

@@ -124,6 +124,13 @@ def test_exit_code_bad_input():
     assert run(["census", "--config", "/nonexistent/path"])[0] == 4
 
 
+@pytest.mark.parametrize("argv", ["census --T inf", "census --T 1e400", "orbit --T inf", "delta --T inf",
+                                  "adq --X inf --Y 3"])
+def test_non_finite_radius_exits_bad_input(argv):
+    """An infinite radius is bad input (exit 4), not a falsified identity."""
+    assert run(argv.split()) == (4, "")
+
+
 def test_exit_code_budget(monkeypatch):
     def boom(*a, **k):
         raise BallBudgetError(100.0, 5, 5)

@@ -484,6 +484,62 @@ def test_schottky_tree_equals_bfs_at_1e7(monkeypatch):
     assert np.array_equal(tree.word_lengths, bfs.word_lengths)
 
 
+R3, L3 = GEN_R @ GEN_R @ GEN_R, GEN_L @ GEN_L @ GEN_L
+R2, L2 = GEN_R @ GEN_R, GEN_L @ GEN_L
+
+
+@pytest.mark.parametrize("gens, T", [
+    *((modular_generators(), T) for T in (1, 1.5, math.sqrt(11), 12, 20.5, 60, 130.3)),
+    (GeneratorSet("r2l2", (R2, L2)), 200),
+    # one-word search, but (sq_norm, entries, word length) needs 64 bits
+    (GeneratorSet("r3l3", (R3, L3)), 300),
+    (GeneratorSet("rls", (GEN_R, GEN_L, S_MAT)), 60),
+    (GeneratorSet("mi", (UnimodularMatrix(-1, 0, 0, -1), R2, L2)), 150),
+])
+def test_one_word_enumeration_matches_the_wide_path(gens, T, monkeypatch):
+    """The search on one int64 key per element, and the ball decoded from
+    one sorted int64 word, give the rows, word lengths and sq_norms, dtypes
+    included, that the packed-word keys, _fresh and the gathered sort give
+    on the same input; a zero bit budget forces the latter."""
+    searches = []
+    real = groups._word_layers
+    monkeypatch.setattr(groups, "_word_layers", lambda *a: searches.append(a) or real(*a))
+    word = enumerate_ball(gens, T)
+    assert len(searches) == 1
+    monkeypatch.setattr(groups, "_WORD_BITS", 0)
+    wide = enumerate_ball(gens, T)
+    assert len(searches) == 1
+    for got, want in ((word.rows, wide.rows), (word.word_lengths, wide.word_lengths),
+                      (word.sq_norms(), wide.sq_norms())):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N, word", [(511, True), (512, False)])
+def test_bit_budget_edge(N, word, monkeypatch):
+    """At T = 6 the region of <[[1,N],[0,1]], [[1,0],[N,1]], RL> has 13-bit
+    fields, so 4 * 13 + 2 + bit_length(N) is 63 for N = 511, the last set
+    on one word, and 64 for N = 512, which takes _row_keys and _fresh; both
+    balls match the set-based search."""
+    fresh = []
+    real = groups._fresh
+    monkeypatch.setattr(groups, "_fresh", lambda *a: fresh.append(a) or real(*a))
+    gens = big_letters(N, True)
+    ball = enumerate_ball(gens, 6)
+    rows, word_lengths = reference_ball(gens, 6)
+    assert (not fresh) == word
+    assert ball.rows.tolist() == rows and ball.word_lengths.tolist() == word_lengths
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 1e200, 10.0**155])
+def test_non_finite_radius_is_bad_input(T):
+    """A radius that is not finite, or whose square is not, is a ValueError,
+    not an OverflowError from deep inside the enumeration."""
+    for gens in (modular_generators(), schottky_generators()):
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_ball(gens, T)
+
+
 def test_smoothed_weight_shape():
     w = SmoothedWeight(10.0)
     assert w.weight_fraction(80) == 1  # below (0.9*10)^2 = 81

@@ -316,6 +316,28 @@ def test_factor_array_fallback_only_beyond_table(monkeypatch):
     assert calls == [semi]
 
 
+@pytest.mark.parametrize("coprime_squares", [False, True])
+def test_factor_array_chunks_follow_their_own_cut(coprime_squares, monkeypatch):
+    """Each chunk is sized from the primes its own largest value needs, not
+    from the primes of the whole array: with a 64-cell budget, small values
+    share blocks of at most 64 cells while the largest values, which need
+    hundreds of primes, go one per block; the factors are factor_int's."""
+    rng = random.Random(22)
+    values = sorted({v * v + w * w if coprime_squares else v for v, w in
+                     ((rng.randrange(1, 10 ** k), rng.randrange(1, 10 ** k)) for k in (1, 2, 3, 5) for _ in range(60))
+                     if not coprime_squares or math.gcd(v, w) == 1})
+    rng.shuffle(values)
+    want = [factor_int(v) for v in values]
+    monkeypatch.setattr(modular, "_CHUNK_CELLS", 64)
+    blocks = []
+    real = modular._divisor_hits
+    monkeypatch.setattr(modular, "_divisor_hits", lambda limbs, ps: blocks.append((limbs.shape[1], len(ps))) or real(limbs, ps))
+    assert factor_array(values, coprime_squares) == want
+    assert all(n * width <= 64 for n, width in blocks if n > 1)
+    assert max(n for n, _ in blocks) > 1 and max(width for _, width in blocks) > 64
+    assert sum(n for n, _ in blocks) <= len(values)
+
+
 def test_factor_beyond_table_refuses_a_table_prime_factor():
     """6p breaks the fallback's contract (no prime factor <= TABLE_LIMIT);
     its certificate turns that into ArithmeticError, not a wrong list."""
