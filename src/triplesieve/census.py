@@ -4,9 +4,9 @@ The census grades exact form values: factor completely, count prime factors
 with multiplicity (Omega), and report membership in P_R = {at most R prime
 factors}.  Zeros and units are quarantined, never graded.
 
-Factorizations come from one array pass of trial division (see
-modular.factor_array, on the divisibility kernel modular._divisor_hits),
-which certifies each of them by construction.  Only
+Factorizations come from modular.factor_array as flat (index, prime)
+arrays: trial division by the one prime table on the kernel
+modular._divisor_hits, and one rule that certifies each cofactor.  Only
 small pieces are factored: |c|, |d|, |d - c| and |d + c|, all below 1.5T,
 and z = c^2 + d^2 < T^2, whose prime factors are 2 or 1 mod 4 since
 gcd(c, d) = 1.  The rest follows from Omega being completely additive:
@@ -79,7 +79,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
@@ -176,12 +175,11 @@ def _piece_primes(
     """(owner, prime): the primes, with multiplicity, of every entry of the
     equally long positive arrays in pieces, owner being the entry's index.
 
-    Each distinct entry is factored once by factor_array; the factorizations
-    are kept as flat arrays (lengths, offsets, primes) and gathered back."""
+    Each distinct entry is factored once by factor_array, whose flat
+    (index, prime) arrays are gathered back to every entry."""
     uniq, at = np.unique(np.concatenate(pieces), return_inverse=True)
-    facs = factor_array(uniq, sums_of_coprime_squares)
-    lengths = np.array([len(fac) for fac in facs], dtype=np.int64)
-    primes = np.fromiter(chain.from_iterable(facs), dtype=np.int64, count=int(lengths.sum()))
+    index, primes = factor_array(uniq, sums_of_coprime_squares)
+    lengths = np.bincount(index, minlength=len(uniq))
     offsets = np.cumsum(lengths) - lengths
     count = lengths[at]
     owner = np.repeat(np.tile(np.arange(len(pieces[0])), len(pieces)), count)

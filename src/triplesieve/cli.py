@@ -31,6 +31,7 @@ from .charsums import (
 from .constants import saturation_table, table_csv, table_text
 from .gl2 import Form, form_values
 from .groups import (
+    _radius_bound,
     BallBudgetError,
     GeneratorSet,
     enumerate_ball,
@@ -299,6 +300,7 @@ def cmd_density(cfg: RunConfig) -> Tuple[str, int]:
 
 def cmd_delta(cfg: RunConfig) -> Tuple[str, int]:
     gens = resolve_group(cfg.group)
+    _radius_bound(cfg.T)  # a bad radius is refused before np.geomspace reads it
     lo = max(4.0, cfg.T / 16.0)
     grid = [float(t) for t in np.geomspace(lo, cfg.T, 6)]
     est = estimate_delta(gens, grid)

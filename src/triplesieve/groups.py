@@ -573,6 +573,13 @@ def _tree_layers(
     return collected
 
 
+def _radius_bound(T: float) -> float:
+    """T^2 for a radius T >= 1 with a finite square; raises ValueError otherwise."""
+    if not (T >= 1 and float(T) * float(T) < math.inf):
+        raise ValueError(f"need a finite T >= 1 with a finite T^2, got {T}")
+    return float(T) * float(T)
+
+
 def enumerate_ball(
     gens: GeneratorSet, T: float, element_cap: int = 10_000_000
 ) -> OrbitBall:
@@ -583,9 +590,7 @@ def enumerate_ball(
     a returned ball is always complete.  The tree counts ball elements, the
     search every node of its region, which holds the ball.
     """
-    ball_bound = float(T) * float(T)
-    if not (T >= 1 and ball_bound < math.inf):
-        raise ValueError(f"need a finite T >= 1 with a finite T^2, got {T}")
+    ball_bound = _radius_bound(T)
     letters = tuple(h.entries() for h in gens.letters())
     if _ping_pong_certificate(letters) is not None:
         collected = _tree_layers(letters, T, ball_bound, element_cap)

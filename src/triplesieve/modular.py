@@ -29,6 +29,10 @@ first.  Past int64 the moduli m lie in [2, 2^31), and each residue is
 carried in Horner form r -> ((r << 32) + limb) % m, where
 r <= m - 1 < 2^31 - 1 and limb <= 2^32 - 1 bound every intermediate by
 (2^31 - 1) 2^32 + 2^32 - 1 = 2^63 - 1, so no step wraps in int64.
+
+factor_array divides its hits out in array rounds into flat (index, prime)
+arrays; a cofactor left below _TABLE_REACH is prime, a larger one goes to
+_factor_beyond_table.
 """
 
 from __future__ import annotations
@@ -259,68 +263,58 @@ def _factor_beyond_table(n: int) -> List[int]:
     return primes
 
 
-def factor_array(
-    values, sums_of_coprime_squares: bool = False
-) -> List[Tuple[int, ...]]:
-    """Sorted prime factors, with multiplicity, of each positive int64 value.
+def factor_array(values, sums_of_coprime_squares: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """The prime factors, with multiplicity, of the positive int64 values as
+    two int64 arrays (index, prime), ordered by index and then by prime.
 
-    The values are sorted and cut into chunks; each chunk is tested against
-    every table prime p with p^2 <= its largest value in one (values x primes)
-    _divisor_hits block of at most about _CHUNK_CELLS cells, and each hit is
-    divided out exactly in Python.  A cofactor r > 1 left after all primes up
-    to b were divided out has no prime factor <= b, so it is prime when
-    r < (b + 1)^2, which trial division guarantees unless b is capped at
-    TABLE_LIMIT; only then is the cofactor factored by _factor_beyond_table.
+    The sorted values are cut into chunks, each tested against the table
+    primes p with p^2 <= its largest value in one _divisor_hits block of at
+    most about _CHUNK_CELLS cells.  The hits are divided out of all values
+    in rounds, one power per round.  The cofactor r > 1 of a value v has no
+    prime factor <= min(sqrt(v), TABLE_LIMIT), so one rule certifies it:
+    r is prime below _TABLE_REACH, and only a larger r is factored by
+    _factor_beyond_table.
 
     sums_of_coprime_squares declares every value to be c^2 + d^2 with
     gcd(c, d) = 1, whose prime factors are 2 or 1 mod 4, so only those
     primes are tried.
     """
     vals = np.asarray(values, dtype=np.int64).ravel()
-    out: List[Tuple[int, ...]] = [()] * len(vals)
-    if not len(vals):
-        return out
-    if int(vals.min()) < 1:
+    if len(vals) and int(vals.min()) < 1:
         raise ValueError("factor_array needs positive values")
     order = np.argsort(vals, kind="stable")
-    svals = vals[order]
-    olist = order.tolist()
-    bound = min(math.isqrt(int(svals[-1])), TABLE_LIMIT)
+    rest = vals[order]
     primes = _prime_table()[1]
-    primes = primes[: np.searchsorted(primes, bound, side="right")]
+    primes = primes[: np.searchsorted(primes, math.isqrt(int(vals.max(initial=0))), side="right")]
     if sums_of_coprime_squares:
         primes = primes[(primes == 2) | (primes % 4 == 1)]
-    # primes each value needs (p^2 <= value); never decreasing along svals
-    need = np.searchsorted(primes * primes, svals, side="right")
+    # primes each value needs (p^2 <= value); never decreasing along rest
+    need = np.searchsorted(primes * primes, rest, side="right")
+    hits = [(np.zeros(0, dtype=np.int64),) * 2]  # (position in rest, prime)
     start = 0
-    while start < len(svals):
+    while start < len(rest):
         # the longest chunk whose length times its last value's need fits
         window = need[start : start + _CHUNK_CELLS // max(1, int(need[start]))]
         cells = np.arange(1, len(window) + 1) * window
         step = max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
-        chunk = svals[start : start + step]
-        b = min(math.isqrt(int(chunk[-1])), TABLE_LIMIT)
-        ps = primes[: np.searchsorted(primes, b, side="right")]
-        rest = chunk.tolist()
-        found: List[List[int]] = [[] for _ in rest]
-        if len(ps):
-            rows, cols = _divisor_hits(_limbs(chunk), ps)
-            for i, p in zip(rows.tolist(), ps[cols].tolist()):
-                r = rest[i]
-                while r % p == 0:
-                    r //= p
-                    found[i].append(p)
-                rest[i] = r
-        reach = (b + 1) * (b + 1)
-        for i, r in enumerate(rest):
-            if r > 1:
-                if r < reach:
-                    found[i].append(r)
-                else:
-                    found[i].extend(_factor_beyond_table(r))
-            out[olist[start + i]] = tuple(found[i])
+        rows, cols = _divisor_hits(_limbs(rest[start : start + step]), primes[: need[start + step - 1]])
+        hits.append((rows + start, primes[cols]))
         start += step
-    return out
+    i, p = map(np.concatenate, zip(*hits))
+    while len(i):
+        np.floor_divide.at(rest, i, p)
+        still = rest[i] % p == 0
+        i, p = i[still], p[still]
+        hits.append((i, p))
+    cofactor = np.flatnonzero((rest > 1) & (rest < _TABLE_REACH))
+    hits.append((cofactor, rest[cofactor]))
+    for k in np.flatnonzero(rest >= _TABLE_REACH).tolist():
+        ps = _factor_beyond_table(int(rest[k]))
+        hits.append((np.full(len(ps), k), np.array(ps, dtype=np.int64)))
+    at, prime = map(np.concatenate, zip(*hits))
+    index = order[at]
+    by = np.lexsort((prime, index))
+    return index[by], prime[by]
 
 
 def factor_int(n: int) -> Tuple[int, ...]:

@@ -131,6 +131,17 @@ def test_non_finite_radius_exits_bad_input(argv):
     assert run(argv.split()) == (4, "")
 
 
+@pytest.mark.parametrize("T", ["inf", "nan", "0.5"])
+def test_delta_refuses_a_bad_radius_before_its_grid(T):
+    """delta refuses T as enumerate_ball does, before np.geomspace reads it:
+    exit 4, and stderr holds the bad-input line and no numpy warning."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "triplesieve.cli", "delta", "--T", T], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"bad input: need a finite T >= 1 with a finite T^2, got {float(T)}\n"
+
+
 def test_exit_code_budget(monkeypatch):
     def boom(*a, **k):
         raise BallBudgetError(100.0, 5, 5)

@@ -287,9 +287,15 @@ def test_beta_multiplicative():
 _TOP = primes_upto(TABLE_LIMIT)[-1]  # largest table prime
 # semiprimes just above the trial bound: only the fallback can split them
 _ABOVE = [p for p in range(TABLE_LIMIT + 1, TABLE_LIMIT + 200) if sympy.isprime(p)][:4]
+# the largest prime below the trial reach (a cofactor taken as prime) and
+# the smallest one at or past it (a cofactor only the fallback certifies)
+_BELOW_REACH = sympy.prevprime((TABLE_LIMIT + 1) ** 2)
+_PAST_REACH = sympy.nextprime((TABLE_LIMIT + 1) ** 2)
+# high prime powers divided out over many rounds, and p^2 q with q past the table
+_POWERS = [1 << 62, 3**39, 2 * 7**22, _TOP * _TOP * _ABOVE[0], 3 * 3 * 5]
 _SPECIAL = [1, 2, _TOP, _TOP * _TOP, _TOP * _ABOVE[0]] + [1 << k for k in (1, 2, 31, 62)] + [
     p * q for p in _ABOVE for q in _ABOVE
-]
+] + _POWERS + [_BELOW_REACH, 2 * _BELOW_REACH, _PAST_REACH, 6 * _PAST_REACH]
 
 
 def _sympy_primes(n):
@@ -297,11 +303,22 @@ def _sympy_primes(n):
     return tuple(p for p in sorted(fac) for _ in range(fac[p]))
 
 
+def _grouped(values, *args, **kwargs):
+    """factor_array's flat (index, prime) arrays regrouped into one tuple of
+    primes per value, after checking they are int64 and ordered by index and
+    then by prime."""
+    index, prime = factor_array(values, *args, **kwargs)
+    assert index.dtype == prime.dtype == np.int64
+    pairs = list(zip(index.tolist(), prime.tolist()))
+    assert pairs == sorted(pairs)
+    return [tuple(prime[index == k].tolist()) for k in range(len(values))]
+
+
 @given(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.integers(1, (1 << 63) - 1),
                           st.integers(1, 10 ** 7)), min_size=1, max_size=12, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_factor_array_matches_sympy(values):
-    assert factor_array(values) == [_sympy_primes(v) for v in values]
+    assert _grouped(values) == [_sympy_primes(v) for v in values]
 
 
 def test_factor_array_fallback_only_beyond_table(monkeypatch):
@@ -309,11 +326,22 @@ def test_factor_array_fallback_only_beyond_table(monkeypatch):
     real = modular._factor_beyond_table
     monkeypatch.setattr(modular, "_factor_beyond_table", lambda n: calls.append(n) or real(n))
     reach = (TABLE_LIMIT + 1) ** 2
-    assert factor_array([_TOP * _TOP, reach - 1]) == [(_TOP, _TOP), _sympy_primes(reach - 1)]
+    assert _grouped([_TOP * _TOP, reach - 1]) == [(_TOP, _TOP), _sympy_primes(reach - 1)]
     assert calls == []
     semi = _ABOVE[0] * _ABOVE[1]
-    assert factor_array([6, semi]) == [(2, 3), (_ABOVE[0], _ABOVE[1])]
+    assert _grouped([6, semi]) == [(2, 3), (_ABOVE[0], _ABOVE[1])]
     assert calls == [semi]
+    # a cofactor r > 1 below _TABLE_REACH is prime as it stands; only one at
+    # or past the reach goes to the fallback, once per value
+    calls.clear()
+    assert modular._TABLE_REACH == reach and _BELOW_REACH < reach <= _PAST_REACH
+    values = _POWERS + [_BELOW_REACH, 2 * _BELOW_REACH, 15 * _BELOW_REACH, reach, reach + 1,
+                        _PAST_REACH, 6 * _PAST_REACH, semi]
+    want = [_sympy_primes(v) for v in values]
+    assert _grouped(values) == want
+    cofactors = [math.prod(p for p in fac if p > TABLE_LIMIT) for fac in want]
+    assert sorted(calls) == sorted(r for r in cofactors if r >= reach)
+    assert calls.count(_PAST_REACH) == 2 and _BELOW_REACH not in calls
 
 
 @pytest.mark.parametrize("coprime_squares", [False, True])
@@ -332,7 +360,7 @@ def test_factor_array_chunks_follow_their_own_cut(coprime_squares, monkeypatch):
     blocks = []
     real = modular._divisor_hits
     monkeypatch.setattr(modular, "_divisor_hits", lambda limbs, ps: blocks.append((limbs.shape[1], len(ps))) or real(limbs, ps))
-    assert factor_array(values, coprime_squares) == want
+    assert _grouped(values, coprime_squares) == want
     assert all(n * width <= 64 for n, width in blocks if n > 1)
     assert max(n for n, _ in blocks) > 1 and max(width for _, width in blocks) > 64
     assert sum(n for n, _ in blocks) <= len(values)
@@ -374,7 +402,7 @@ def test_factor_beyond_table_matches_sympy():
     assert max(cases) < 1 << 63
     for n in cases:
         assert modular._factor_beyond_table(n) == list(_sympy_primes(n)), n
-        assert factor_array([n]) == [factor_int(n)] == [_sympy_primes(n)], n
+        assert _grouped([n]) == [factor_int(n)] == [_sympy_primes(n)], n
 
 
 @given(st.lists(st.integers((1 << 20) + 1, (1 << 31) - 2).map(sympy.nextprime), min_size=2, max_size=3))
@@ -445,7 +473,7 @@ def test_miller_rabin_stops_at_the_proven_base_prefix():
 def test_factor_array_sums_of_coprime_squares():
     rows = [(c, d) for c in range(0, 60) for d in range(1, 60) if math.gcd(c, d) == 1]
     zs = sorted({c * c + d * d for c, d in rows})
-    assert factor_array(zs, sums_of_coprime_squares=True) == [_sympy_primes(z) for z in zs]
+    assert _grouped(zs, sums_of_coprime_squares=True) == [_sympy_primes(z) for z in zs]
     with pytest.raises(ValueError):
         factor_array([3, 0])
 
