@@ -36,37 +36,46 @@ which carry a 1-bit tag below their lowest field: 0 on the old keys, 1 on
 the candidates, so an old key sorts just before a candidate equal to it up
 to the tag.
 
-One word.  Let E be the expansion bound, off = isqrt(E) + 1, bits =
+Keys.  Let E be the expansion bound, off = isqrt(E) + 1, bits =
 bit_length(2 off) and lam = bit_length(L), L the largest |letter entry|.
-When 4 bits + 2 + lam <= 63 (_WORD_BITS), _word_layers keeps each element
-as one int64 key: the fields a + off, b + off, c + off, d + off, bits bits
-each, a highest, above the tag bit.  A layer is its sorted keys, and its
-columns are decoded from them by shift and mask.  A candidate is new iff
-its key is odd and exceeds its predecessor in the sort by at least 2: a
-predecessor equal to it up to the tag is an old key (one less) or the same
-candidate made twice (equal), and the first key has no predecessor.  The
-key is linear in the entries and g.h = (ap + br, aq + bs, cp + dr, cq + ds)
-for h = (p, q, r, s), so every child key is one int64 matmul of per-letter
-weights by the parent columns, plus a constant; every child sq_norm is one
+The fields a + off, b + off, c + off, d + off (bits bits each; a region
+node has |e| < off) and the tag are packed whole, in order, into 64-bit
+words (_word_places), so the tag is the lowest bit of the last word, or
+all of it when the four fields fill one.  A layer is its sorted keys (one
+word sorts itself, more by lexsort), decoded to columns by shift and mask.
+A candidate is new iff its last word is odd and a higher word differs from
+its predecessor's in the sort or its last word exceeds the predecessor's
+by at least 2: a predecessor equal to it up to the tag is an old key (one
+less) or the same candidate made twice (equal), and the first key has no
+predecessor.  Key words are linear in the entries and g.h = (ap + br, aq +
+bs, cp + dr, cq + ds) for h = (p, q, r, s), so each child key word is one
+matmul of per-letter weights by the parent columns, plus a constant added
+only to the children that pass the norm filter; each child sq_norm is one
 matmul of the coefficients (p^2 + q^2, 2(pr + qs), r^2 + s^2) by the
-parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2).  No (4, m n) child
-array is built, and no partial sum wraps, for any child, in the region or
-not.  A parent entry has |e| < off <= 2^(bits-1), and each child entry is
-a sum of two products of a parent entry with a letter entry, so a partial
-sum of the key matmul is at most 2 * 2^(bits-1) * 2^lam times the sum of
-the field weights, below 2^(3 bits + 2): under 2^(4 bits + lam + 2) <= 2^63.
-A partial sum of the sq_norm matmul is at most 1.5 |h|^2 |g|^2 < 6 L^2 E <
-2^(2 lam + 2 bits + 1), which is smaller, since E >= L^2 (E >= 4 on R and
-L, else E >= T^2 |h|^2 >= L^2) gives off > L and so bits > lam.  The
-constant is added to the children that pass the norm filter only, whose
-keys lie in [0, 2^(4 bits + 1)).  R and L meet the budget at every
-T < 16383, far past any ball that fits in memory.  Otherwise the keys
-pack the fields into as few uint64 words as hold them (_row_keys: two on
-the int64 path, whose entries stay below 2^31), or are the columns
-themselves where _entry_dtype gives Python ints, and _fresh keeps the
-candidates that head a run of keys equal up to the tag after one _order
-of the concatenation.  (The budget implies int64 products: it gives
-16 off^2 L^2 < 2^(2 bits + 2 lam + 2) <= 2^63.)
+parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2), compared with the
+integer ceil(E).  No (4, m n) child array is built.  _key_layout picks:
+
+  * int64, one word, when 4 bits + 2 + lam <= 63 (_WORD_BITS).  No partial
+    sum wraps, for any child.  A parent entry has |e| < off <= 2^(bits-1),
+    and a child entry is a sum of two products of a parent entry with a
+    letter entry, so a partial sum of the key matmul is at most
+    2 * 2^(bits-1) * 2^lam times the sum of the field weights, below
+    2^(3 bits + 2): under 2^(4 bits + lam + 2) <= 2^63.  Those of the
+    sq_norm matmul are at most 1.5 |h|^2 |g|^2 < 6 L^2 E < 2^(2 lam +
+    2 bits + 1), which is smaller, since E >= L^2 (E >= 4 on R and L, else
+    E >= T^2 |h|^2 >= L^2) gives off > L and so bits > lam.  R and L meet
+    the budget at every T < 16383.  (The budget implies int64 products: it
+    gives 16 off^2 L^2 < 2^(2 bits + 2 lam + 2) <= 2^63.)
+  * uint64 modulo 2^64, where the budget fails but _entry_dtype gives
+    int64.  Unsigned overflow is defined, and reduction mod 2^64 is a ring
+    map: each result is its true value's residue.  A child's true sq_norm
+    lies in [0, 2^63) by _entry_dtype's bound, so the filter is exact; a
+    child that passes it is a region node, whose key words lie below 2^64
+    and so are their residues, and whose entries decode as the int64 view
+    of theirs.  Only keys of rejected children wrap, and they are dropped
+    unused: no sq_norm, kept key or entry wraps.
+  * Python ints (object) where _entry_dtype gives them: one key per
+    element, with no word limit.
 
 A finished ball is in canonical order, sorted by (sq_norm, entries).  When
 sq_norm (bit_length(int(T^2)) bits), the entries shifted by isqrt(T^2) + 1
@@ -232,8 +241,8 @@ class OrbitBall:
         compares in float64, as enumerate_ball's int64 path does).  The
         arrays are views.  On the breadth-first path the word lengths are the
         ones found in this larger search, whose region may hold shorter paths
-        than a search at T."""
-        if T > self.T:
+        than a search at T.  A NaN T is refused like a larger one."""
+        if not T <= self.T:
             raise ValueError(f"ball only complete to T={self.T}, asked for {T}")
         k = int(np.searchsorted(self.sq_norms(), float(T) * float(T)))
         return OrbitBall(float(T), self.label, self.rows[:k], self.word_lengths[:k], self.sq_norms()[:k])
@@ -258,29 +267,30 @@ class OrbitBall:
         return c[order[head]], d[order[head]], inverse
 
 
-def _row_keys(rows: np.ndarray, bound: float, lead=(), tagged: bool = False) -> List[np.ndarray]:
+def _word_places(widths: Sequence[int], size: int = 64) -> List[Tuple[int, int]]:
+    """(word, shift) of each field, for fields of the given widths packed
+    whole, in order, into as few size-bit words as hold them, the last field
+    of each word lowest: the layout of every packed sort key."""
+    words: List[List[int]] = []
+    for width in widths:
+        if not words or sum(words[-1]) + width > size:
+            words.append([])
+        words[-1].append(width)
+    return [(j, sum(word[i + 1:])) for j, word in enumerate(words) for i in range(len(word))]
+
+
+def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
     """Order-preserving sort keys, most significant first, of the lead
-    (column, bits) fields and then the entries of rows with e^2 < bound,
-    shifted to be nonnegative, and with tagged a trailing zero 1-bit field
-    for _fresh's tag: the fields packed whole, in order, into as few uint64
-    words as hold them, or the columns themselves when an entry needs more
-    than 64 bits.  Either way the tag is the lowest bit of the last key."""
+    (column, bits) fields and then the entries of the int64 rows with
+    e^2 < bound, shifted to be nonnegative: the fields packed into uint64
+    words by _word_places."""
     off = math.isqrt(int(bound)) + 1
     bits = (2 * off).bit_length()
     fields = [*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))]
-    if tagged:
-        fields.append((np.zeros(len(rows), dtype=np.uint64), 1))
-    if bits > 64:
-        return [col for col, _ in fields]
-    words: List[np.ndarray] = []
-    used = 64
-    for col, width in fields:
-        if used + width > 64:
-            words.append(col.astype(np.uint64))
-            used = width
-        else:
-            words[-1] = (words[-1] << np.uint64(width)) | col.astype(np.uint64)
-            used += width
+    places = _word_places([width for _, width in fields])
+    words = [np.zeros(len(rows), dtype=np.uint64) for _ in range(places[-1][0] + 1)]
+    for (col, _), (word, shift) in zip(fields, places):
+        words[word] |= col.astype(np.uint64) << np.uint64(shift)
     return words
 
 
@@ -307,25 +317,6 @@ def _norm_order(rows: np.ndarray) -> np.ndarray:
     sq = (rows * rows).sum(axis=1)
     bound = int(sq.max(initial=0)) + 1
     return _order(_row_keys(rows, bound, lead=[(sq, bound.bit_length())]))
-
-
-def _fresh(prev, cur, cand) -> np.ndarray:
-    """Positions in cand, in key order, of one occurrence of each key that
-    is in neither prev nor cur (lists of key columns from _row_keys with
-    tagged).  The candidates are tagged 1, so after one sort (_order) of the
-    concatenation an old key heads its run of keys equal up to the tag; the
-    fresh keys are the candidates that head such a run."""
-    n_old = len(prev[0]) + len(cur[0])
-    keys = [np.concatenate(cols) for cols in zip(prev, cur, cand)]
-    keys[-1][n_old:] |= np.uint64(1)
-    order = _order(keys)
-    keys[-1] >>= np.uint64(1)
-    head = np.zeros(len(order), dtype=bool)
-    head[:1] = True
-    for k in keys:
-        r = k[order]
-        head[1:] |= r[1:] != r[:-1]
-    return order[head & (order >= n_old)] - n_old
 
 
 # Ping-pong certificate search: hull rounds before widening, and the widening
@@ -467,78 +458,83 @@ def _children(layer: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return kids.reshape(4, -1)
 
 
+def _key_layout(letters: Sequence[Entries], expand_bound: float) -> Tuple[type, List[Tuple[int, int]]]:
+    """(dtype, places) of the search keys over the region sq_norm <
+    expand_bound: int64, uint64 or Python ints (object), and the (word,
+    shift) of a + off, b + off, c + off, d + off and the tag, as the module
+    docstring sets out."""
+    bits = (2 * (math.isqrt(int(expand_bound)) + 1)).bit_length()
+    widths = [bits] * 4 + [1]
+    if 4 * bits + 2 + max(abs(e) for h in letters for e in h).bit_length() <= _WORD_BITS:
+        return np.int64, _word_places(widths)
+    if _entry_dtype(letters, expand_bound) is object:
+        return object, _word_places(widths, sum(widths))
+    return np.uint64, _word_places(widths)
+
+
 def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: int) -> List[np.ndarray]:
-    """Layers, as (4, n) entry columns, of the breadth-first search over the
-    expansion region: on one int64 key per element (_word_layers) when the
-    bit budget allows, else on _row_keys and _fresh."""
+    """Layers, as (4, n) entry columns (int64, or Python ints where
+    _entry_dtype says so), of the breadth-first search over the expansion
+    region, each carried as its sorted keys (_key_layout, module docstring)."""
     if gens.monotone_cap:
         expand_bound = max(ball_bound, 4.0)
     else:
         expand_bound = ball_bound * gens.max_letter_sq_norm()
     letters = [h.entries() for h in gens.letters()]
+    dtype, places = _key_layout(letters, expand_bound)
     off = math.isqrt(int(expand_bound)) + 1
-    bits = (2 * off).bit_length()
-    if 4 * bits + 2 + max(abs(e) for h in letters for e in h).bit_length() <= _WORD_BITS:
-        return _word_layers(letters, T, expand_bound, off, bits, element_cap)
-    dtype = _entry_dtype(letters, expand_bound)
-    letters = np.array(letters, dtype=dtype)
+    mask = (1 << (2 * off).bit_length()) - 1
+    n_words = places[-1][0] + 1
+    limit = math.ceil(expand_bound)  # an integer is below expand_bound iff below limit
+    # g.h = (ap + br, aq + bs, cp + dr, cq + ds): per key word, the weight of
+    # each parent entry, the constant of a candidate (the tag set in the last
+    # word) and the identity's key; and the coefficients of a^2+c^2, ab+cd,
+    # b^2+d^2 in the child's sq_norm.  Letters and coefficients fit int64
+    # unless dtype is object; int64 -> uint64 takes residues mod 2^64.
+    signed = object if dtype is object else np.int64
+    mats = np.array(letters, dtype=signed).astype(dtype)
+    weights, bases, shifts, cur = [], [], [], []
+    for j in range(n_words):
+        w0, w1, w2, w3 = w = [1 << shift if word == j else 0 for word, shift in places[:4]]
+        weights.append(mats @ np.array([[w0, 0, w2, 0], [w1, 0, w3, 0], [0, w0, 0, w2], [0, w1, 0, w3]], dtype))
+        bases.append(off * sum(w) + (j == n_words - 1))
+        shifts.append(np.array([shift for word, shift in places[:4] if word == j], dtype=dtype)[:, None])
+        cur.append(np.array([off * sum(w) + w0 + w3], dtype=dtype))
+    gram = [(p * p + q * q, 2 * (p * r + q * s), r * r + s * s) for p, q, r, s in letters]
+    gram = np.array(gram, signed).astype(dtype)
     layer = np.array([[1], [0], [0], [1]], dtype=dtype)
-    collected = [layer]
-    cur_keys = _row_keys(layer.T, expand_bound, tagged=True)
-    prev_keys = [k[:0] for k in cur_keys]
-    total = 1
-    while layer.shape[1]:
-        cands = _children(layer, letters)
-        cands = cands.compress(np.einsum("ij,ij->j", cands, cands) < expand_bound, axis=1)
-        keys = _row_keys(cands.T, expand_bound, tagged=True)
-        pick = _fresh(prev_keys, cur_keys, keys)
-        total += len(pick)
-        if total > element_cap:
-            raise BallBudgetError(T, total, element_cap)
-        layer = cands.take(pick, axis=1)
-        collected.append(layer)
-        prev_keys, cur_keys = cur_keys, [k[pick] for k in keys]
-    return collected
-
-
-def _word_layers(
-    letters: Sequence[Entries], T: float, expand_bound: float, off: int, bits: int, element_cap: int
-) -> List[np.ndarray]:
-    """Layers, as (4, n) int64 entry columns, of the breadth-first search on
-    one int64 key per element: the fields a + off, b + off, c + off, d + off
-    of bits bits each above a 1-bit tag (the module docstring has the layout
-    and the no-wrap bound).  Each layer is carried as its sorted keys; the
-    children's keys and sq_norms are linear forms in the parent's entries
-    and Gram entries, one matmul each."""
-    p, q, r, s = np.array(letters, dtype=np.int64).T
-    shifts = [1 + bits * k for k in (3, 2, 1, 0)]
-    w = [1 << k for k in shifts]
-    # g.h = (ap + br, aq + bs, cp + dr, cq + ds): the key weight of each
-    # parent entry, and the coefficients of a^2+c^2, ab+cd, b^2+d^2 in the
-    # child's sq_norm
-    weights = np.stack([p * w[0] + q * w[1], r * w[0] + s * w[1], p * w[2] + q * w[3], r * w[2] + s * w[3]], axis=1)
-    gram = np.stack([p * p + q * q, 2 * (p * r + q * s), r * r + s * s], axis=1)
-    base = off * sum(w)
-    fields = np.array(shifts)[:, None]
-    layer = np.array([[1], [0], [0], [1]], dtype=np.int64)
-    prev, cur = layer[0, :0], np.array([base + w[0] + w[3]], dtype=np.int64)
+    prev = [k[:0] for k in cur]
     collected = [layer]
     total = 1
-    while len(cur):
+    while len(cur[0]):
         a, b, c, d = layer
         sq = gram @ np.stack([a * a + c * c, a * b + c * d, b * b + d * d])
-        cand = (weights @ layer).ravel().compress((sq < expand_bound).ravel())
-        keys = np.concatenate([prev, cur, cand + (base + 1)])
-        keys.sort()
-        fresh = (keys & 1).astype(bool)
-        fresh[1:] &= keys[1:] - keys[:-1] >= 2
-        prev, cur = cur, keys.compress(fresh) - 1
-        total += len(cur)
+        inside = (sq < limit).ravel()
+        keys = [np.concatenate([old, new, (w @ layer).ravel().compress(inside) + base])
+                for old, new, w, base in zip(prev, cur, weights, bases)]
+        if n_words == 1:
+            keys[0].sort()
+        else:
+            order = np.lexsort(keys[::-1])
+            keys = [k[order] for k in keys]
+        last = keys[-1]
+        apart = last[1:] - last[:-1] >= 2
+        for k in keys[:-1]:
+            apart |= k[1:] != k[:-1]
+        fresh = (last & 1).astype(bool)
+        fresh[1:] &= apart
+        prev, cur = cur, [k.compress(fresh) for k in keys]
+        cur[-1] = cur[-1] - 1
+        total += len(cur[0])
         if total > element_cap:
             raise BallBudgetError(T, total, element_cap)
-        layer = ((cur >> fields) & ((1 << bits) - 1)) - off
+        if n_words == 1:
+            layer = ((cur[0] >> shifts[0]) & mask) - off
+        else:
+            layer = np.concatenate([(k >> shift) & mask for k, shift in zip(cur, shifts)]) - off
         collected.append(layer)
-    return collected
+    # uint64 entries are residues mod 2^64 of int64 ones: their int64 views
+    return [c.view(np.int64) for c in collected] if dtype is np.uint64 else collected
 
 
 def _tree_layers(
@@ -701,7 +697,8 @@ def estimate_delta(
     grid = sorted(float(t) for t in T_grid)
     if len(grid) < 4:
         raise ValueError("need at least 4 grid points")
-    if grid[0] < 1 or any(t2 <= t1 for t1, t2 in zip(grid, grid[1:])):
+    # written so that a NaN, which compares false, fails it
+    if not (grid[0] >= 1 and all(t2 > t1 for t1, t2 in zip(grid, grid[1:]))):
         raise ValueError("grid must be strictly increasing with min >= 1")
     ball = enumerate_ball(gens, grid[-1], element_cap=element_cap)
     counts = [ball.count_below(t) for t in grid]

@@ -16,7 +16,6 @@ from triplesieve.groups import (
     GeneratorSet,
     GrowthEstimate,
     SmoothedWeight,
-    _fresh,
     _row_keys,
     coset_counts,
     enumerate_ball,
@@ -116,15 +115,24 @@ def test_large_letters_do_not_wrap_int64():
     assert ball.rows.dtype == np.int64 and ball.sq_norms().tolist() == [2]
 
 
+def region_bound(gens, T):
+    """The expansion bound of enumerate_ball's breadth-first search."""
+    ball_bound = float(T) * float(T)
+    return max(ball_bound, 4.0) if gens.monotone_cap else ball_bound * gens.max_letter_sq_norm()
+
+
+def key_layout(gens, T):
+    """(dtype, word count) of the search keys of enumerate_ball(gens, T)."""
+    dtype, places = groups._key_layout([h.entries() for h in gens.letters()], region_bound(gens, T))
+    return dtype, places[-1][0] + 1
+
+
 def reference_ball(gens, T):
     """Independent enumerator: breadth-first search with a Python set of
     UnimodularMatrix over the same expansion region as enumerate_ball.
     Returns (rows, word lengths) in canonical (sq_norm, entries) order."""
     ball_bound = float(T) * float(T)
-    if gens.monotone_cap:
-        expand_bound = max(ball_bound, 4.0)
-    else:
-        expand_bound = ball_bound * gens.max_letter_sq_norm()
+    expand_bound = region_bound(gens, T)
     letters = gens.letters()
     dist = {UnimodularMatrix.identity(): 0}
     frontier = list(dist)
@@ -163,11 +171,12 @@ ball_cases = st.one_of(
     st.tuples(st.just(modular_generators()), st.floats(1, 25)),
     # one packed word below T ~ 4779, two words above
     st.tuples(st.just(schottky_generators()), st.sampled_from([60, 4700, 4800])),
-    # N = 3000 stays on int64 (one word, two at T = 30); larger N run on
-    # Python ints with two words (30000), four words (10**9) and, for 10**18
-    # at T >= 10, fields wider than a word
+    # N = 3000 keys on uint64 (one word at T = 4, two above); 10**4 on
+    # uint64 at T = 4, where the key words of rejected children wrap mod
+    # 2^64, and on Python ints from T = 10; larger N on Python ints, with
+    # fields wider than 64 bits for 10**18 at T >= 10
     st.tuples(
-        st.builds(big_letters, st.sampled_from([3000, 30000, 10**9, 10**18]), st.booleans()),
+        st.builds(big_letters, st.sampled_from([3000, 10**4, 30000, 10**9, 10**18]), st.booleans()),
         st.sampled_from([4, 10, 30]),
     ),
 )
@@ -185,15 +194,15 @@ def test_enumerate_ball_matches_set_bfs(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 140).flatmap(lambda k: st.tuples(
+@given(st.integers(1, 59).flatmap(lambda k: st.tuples(
     st.just(k),
     st.lists(st.tuples(*[st.integers(-math.isqrt(2**k - 1), math.isqrt(2**k - 1))] * 4), min_size=1, max_size=20),
 )))
 def test_row_keys_sort_like_tuples(case):
-    """Sort keys of every form, from one packed word to Python-int columns,
-    order rows as tuples do and tell distinct rows apart."""
+    """Sort keys of int64 rows, from one packed word to several, order rows
+    as tuples do and tell distinct rows apart."""
     k, rows = case
-    arr = np.array(rows, dtype=np.int64 if k < 60 else object)
+    arr = np.array(rows, dtype=np.int64)
     keys = _row_keys(arr, float(2**k))
     order = np.lexsort(keys[::-1]).tolist()
     assert [rows[i] for i in order] == sorted(rows)
@@ -235,37 +244,6 @@ def test_distinct_rows_kernel(make, monkeypatch):
     assert [rows[i] for i in inverse.tolist()] == bottom
     if ball.label == "hand":
         assert len(rows) < len(bottom) and words[-1] > 1
-
-
-# entries e with e^2 < bound: one word; four 16-bit fields filling one word,
-# so the tag spills into a second; two words; Python-int columns
-FRESH_BOUNDS = [(2.0**20, np.int64, 1), (2.0**29, np.int64, 2), (2.0**40, np.int64, 2), (2.0**140, object, 5)]
-
-
-def fresh_oracle(prev, cur, cand):
-    """The candidate rows in neither prev nor cur, each once, sorted."""
-    old = set(map(tuple, prev)) | set(map(tuple, cur))
-    return sorted(set(map(tuple, cand)) - old)
-
-
-@pytest.mark.parametrize("bound, dtype, words", FRESH_BOUNDS)
-def test_fresh_matches_set_oracle(bound, dtype, words):
-    """_fresh on adversarial layers: candidates equal to keys of layers k - 1
-    and k, repeated candidates, and empty layers, against a Python set."""
-    rng = np.random.default_rng(15)
-    top = math.isqrt(int(bound) - 1)
-    for trial in range(60):
-        pool = {tuple(int(x) * (top // 3) for x in row) for row in rng.integers(-3, 4, size=(12, 4))}
-        pool = np.array(sorted(pool), dtype=dtype)[rng.permutation(len(pool))]
-        sizes = rng.integers(0, len(pool) + 1, size=2)
-        prev, cur = pool[: sizes[0] // 2], pool[sizes[0] // 2: sizes[0] // 2 + sizes[1] // 2]
-        cand = pool[rng.integers(0, len(pool), size=rng.integers(0, 3 * len(pool)))]
-        if trial % 10 == 0:
-            prev, cur = prev[:0], cur[:0]
-        keys = [_row_keys(layer, bound, tagged=True) for layer in (prev, cur, cand)]
-        assert len(keys[2]) == words
-        pick = _fresh(*keys)
-        assert [tuple(r) for r in cand[pick].tolist()] == fresh_oracle(prev.tolist(), cur.tolist(), cand.tolist())
 
 
 def lexsort_distinct_rows(ball):
@@ -499,36 +477,57 @@ R2, L2 = GEN_R @ GEN_R, GEN_L @ GEN_L
 def test_one_word_enumeration_matches_the_wide_path(gens, T, monkeypatch):
     """The search on one int64 key per element, and the ball decoded from
     one sorted int64 word, give the rows, word lengths and sq_norms, dtypes
-    included, that the packed-word keys, _fresh and the gathered sort give
-    on the same input; a zero bit budget forces the latter."""
-    searches = []
-    real = groups._word_layers
-    monkeypatch.setattr(groups, "_word_layers", lambda *a: searches.append(a) or real(*a))
+    included, that the uint64 keys with the gathered sort give (a zero bit
+    budget forces both) and that one Python-int key per element gives
+    (_entry_dtype patched to object)."""
+    layouts = []
+    real = groups._key_layout
+    monkeypatch.setattr(groups, "_key_layout", lambda *a: layouts.append(real(*a)) or layouts[-1])
     word = enumerate_ball(gens, T)
-    assert len(searches) == 1
     monkeypatch.setattr(groups, "_WORD_BITS", 0)
     wide = enumerate_ball(gens, T)
-    assert len(searches) == 1
-    for got, want in ((word.rows, wide.rows), (word.word_lengths, wide.word_lengths),
-                      (word.sq_norms(), wide.sq_norms())):
-        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    monkeypatch.setattr(groups, "_entry_dtype", lambda *a: object)
+    python = enumerate_ball(gens, T)
+    assert [dtype for dtype, _ in layouts] == [np.int64, np.uint64, object]
+    for other in (wide, python):
+        for got, want in ((word.rows, other.rows), (word.word_lengths, other.word_lengths),
+                          (word.sq_norms(), other.sq_norms())):
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("N, word", [(511, True), (512, False)])
-def test_bit_budget_edge(N, word, monkeypatch):
+def test_bit_budget_edge(N, word):
     """At T = 6 the region of <[[1,N],[0,1]], [[1,0],[N,1]], RL> has 13-bit
     fields, so 4 * 13 + 2 + bit_length(N) is 63 for N = 511, the last set
-    on one word, and 64 for N = 512, which takes _row_keys and _fresh; both
-    balls match the set-based search."""
-    fresh = []
-    real = groups._fresh
-    monkeypatch.setattr(groups, "_fresh", lambda *a: fresh.append(a) or real(*a))
+    whose keys are one int64 word, and 64 for N = 512, whose keys are one
+    uint64 word; both balls match the set-based search."""
     gens = big_letters(N, True)
+    assert key_layout(gens, 6) == (np.int64 if word else np.uint64, 1)
     ball = enumerate_ball(gens, 6)
     rows, word_lengths = reference_ball(gens, 6)
-    assert (not fresh) == word
     assert ball.rows.tolist() == rows and ball.word_lengths.tolist() == word_lengths
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("N, T, dtype, words", [
+    (3000, 4, np.uint64, 1),  # four 15-bit fields and the tag in 61 bits
+    (3000, 10, np.uint64, 2),  # four 16-bit fields fill a word; the tag has its own
+    (3000, 30, np.uint64, 2),  # 18-bit fields: a, b, c in one word, d and the tag in the next
+    (10**4, 6, np.uint64, 2),  # rejected children's key words wrap mod 2^64
+    (10**4, 10, object, 1),  # products of region nodes by letters pass int64
+])
+def test_key_layouts(N, T, dtype, words):
+    """Past the int64 budget the keys are uint64 words, however the fields
+    split across them, or one Python int per element; every layout gives
+    the ball of the set-based search."""
+    gens = big_letters(N, True)
+    assert key_layout(gens, T) == (dtype, words)
+    layers = groups._bfs_layers(gens, T, float(T) * T, 10**6)
+    assert {c.dtype for c in layers} == {np.dtype(np.int64 if dtype is np.uint64 else dtype)}
+    ball = enumerate_ball(gens, T)
+    rows, word_lengths = reference_ball(gens, T)
+    assert ball.rows.dtype == np.int64
+    assert ball.rows.tolist() == rows and ball.word_lengths.tolist() == word_lengths
 
 
 @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 1e200, 10.0**155])
@@ -605,6 +604,20 @@ def test_sub_ball_is_the_smaller_ball():
                 assert np.array_equal(sub.word_lengths, small.word_lengths)
         with pytest.raises(ValueError):
             big.sub_ball(T + 1)
+
+
+def test_nan_radius_is_bad_input(capfd):
+    """A NaN radius is refused with a ValueError, before any search or fit
+    runs, by every reader of a ball's prefixes; NaN compares false with
+    everything, so a check written as T > ball.T would let it through."""
+    mg = modular_generators()
+    ball = enumerate_ball(mg, 20)
+    for call in (lambda: ball.sub_ball(math.nan), lambda: ball.count_below(math.nan),
+                 lambda: coset_counts(mg, math.nan, 5, ball=ball),
+                 lambda: estimate_delta(mg, [4, math.nan, 9, 16, 25])):
+        with pytest.raises(ValueError):
+            call()
+    assert capfd.readouterr().err == ""
 
 
 def test_estimate_delta_modular_lattice():
