@@ -27,6 +27,11 @@ sq_norm(g) stays below an expansion bound:
     T^2 complete, and the reduced length, the unique geodesic, is the
     breadth-first layer.  Parabolic letters, -I and S are never certified.
 
+Membership, search regions and sub-balls compare integer sq_norms with exact
+integer bounds, since an integer is below x iff below ceil(x): the ball is
+sq_norm < ceil(T^2), from Fraction(T) (_radius_bound), and the regions
+above are ceil(T^2 max_h sq_norm(h)) and max(ceil(T^2), 4).
+
 Both searches carry a layer as (4, n) entry columns.  Deduplication is
 layer-local.  The letters include their inverses, so the Cayley graph
 induced on the expansion region is undirected and a candidate made from
@@ -36,7 +41,7 @@ which carry a 1-bit tag below their lowest field: 0 on the old keys, 1 on
 the candidates, so an old key sorts just before a candidate equal to it up
 to the tag.
 
-Keys.  Let E be the expansion bound, off = isqrt(E) + 1, bits =
+Keys.  Let E be the integer region bound, off = isqrt(E) + 1, bits =
 bit_length(2 off) and lam = bit_length(L), L the largest |letter entry|.
 The fields a + off, b + off, c + off, d + off (bits bits each; a region
 node has |e| < off) and the tag are packed whole, in order, into 64-bit
@@ -52,8 +57,8 @@ bs, cp + dr, cq + ds) for h = (p, q, r, s), so each child key word is one
 matmul of per-letter weights by the parent columns, plus a constant added
 only to the children that pass the norm filter; each child sq_norm is one
 matmul of the coefficients (p^2 + q^2, 2(pr + qs), r^2 + s^2) by the
-parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2), compared with the
-integer ceil(E).  No (4, m n) child array is built.  _key_layout picks:
+parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2), compared with E.
+No (4, m n) child array is built.  _key_layout picks:
 
   * int64, one word, when 4 bits + 2 + lam <= 63 (_WORD_BITS).  No partial
     sum wraps, for any child.  A parent entry has |e| < off <= 2^(bits-1),
@@ -78,11 +83,12 @@ integer ceil(E).  No (4, m n) child array is built.  _key_layout picks:
     element, with no word limit.
 
 A finished ball is in canonical order, sorted by (sq_norm, entries).  When
-sq_norm (bit_length(int(T^2)) bits), the entries shifted by isqrt(T^2) + 1
-(bit_length of twice that each) and the word length (bit_length of the
-last layer index) fit 63 bits, they are packed into one int64 word, word
-length lowest; the keys are distinct since the entries are, so one np.sort
-orders them, and rows, sq_norms and word lengths are decoded from them.
+sq_norm (bit_length(ceil(T^2)) bits), the entries shifted by
+isqrt(ceil(T^2)) + 1 (bit_length of twice that each) and the word length
+(bit_length of the last layer index) fit 63 bits, they are packed into one
+int64 word, word length lowest; the keys are distinct since the entries
+are, so one np.sort orders them, and rows, sq_norms and word lengths are
+decoded from them.
 The modular ball fits below T = 255, the Schottky tree below T = 511.
 Larger balls pack (sq_norm, entries) with _row_keys, sort their positions
 with _order and gather the columns; so do distinct bottom rows on
@@ -236,15 +242,14 @@ class OrbitBall:
 
     def sub_ball(self, T: float) -> "OrbitBall":
         """The ball of radius T (T must not exceed the ball's T): the prefix of
-        rows, _sq and word_lengths before the first sq_norm >= T^2, found by
-        one searchsorted since the canonical order sorts by sq_norm first (it
-        compares in float64, as enumerate_ball's int64 path does).  The
-        arrays are views.  On the breadth-first path the word lengths are the
-        ones found in this larger search, whose region may hold shorter paths
-        than a search at T.  A NaN T is refused like a larger one."""
+        rows, _sq and word_lengths with sq_norm <= ceil(T^2) - 1 (clipped to
+        int64), found by one searchsorted on the sq_norm-first canonical order.
+        The arrays are views.  On the breadth-first path the word lengths are
+        the ones found in this larger search, whose region may hold shorter
+        paths than a search at T.  A NaN T is refused like a larger one."""
         if not T <= self.T:
             raise ValueError(f"ball only complete to T={self.T}, asked for {T}")
-        k = int(np.searchsorted(self.sq_norms(), float(T) * float(T)))
+        k = np.searchsorted(self.sq_norms(), min(math.ceil(Fraction(T) ** 2) - 1, (1 << 63) - 1), side="right")
         return OrbitBall(float(T), self.label, self.rows[:k], self.word_lengths[:k], self.sq_norms()[:k])
 
     def count_below(self, T: float) -> int:
@@ -279,12 +284,12 @@ def _word_places(widths: Sequence[int], size: int = 64) -> List[Tuple[int, int]]
     return [(j, sum(word[i + 1:])) for j, word in enumerate(words) for i in range(len(word))]
 
 
-def _row_keys(rows: np.ndarray, bound: float, lead=()) -> List[np.ndarray]:
+def _row_keys(rows: np.ndarray, bound: int, lead=()) -> List[np.ndarray]:
     """Order-preserving sort keys, most significant first, of the lead
     (column, bits) fields and then the entries of the int64 rows with
     e^2 < bound, shifted to be nonnegative: the fields packed into uint64
     words by _word_places."""
-    off = math.isqrt(int(bound)) + 1
+    off = math.isqrt(bound) + 1
     bits = (2 * off).bit_length()
     fields = [*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))]
     places = _word_places([width for _, width in fields])
@@ -436,13 +441,13 @@ def _ping_pong_certificate(letters: Tuple[Entries, ...]) -> Optional[Tuple[Inter
     return tuple(K) if _certificate_holds(letters, K) else None
 
 
-def _entry_dtype(letters: Sequence[Entries], region_bound: float):
-    """int64 when products of region nodes (entries e with e^2 < region_bound)
+def _entry_dtype(letters: Sequence[Entries], region: int):
+    """int64 when products of region nodes (entries e with e^2 < region)
     by letters, and their sq_norms, provably fit; else Python ints (object).
 
     A candidate entry a*p + b*r is at most 2 * max_abs * letter_max in size
     and its sq_norm sums four squares of those."""
-    max_abs = math.isqrt(int(region_bound)) + 1
+    max_abs = math.isqrt(region) + 1
     letter_max = max(abs(e) for h in letters for e in h)
     bound = 2 * max_abs * letter_max
     return np.int64 if 4 * bound * bound < 1 << 63 else object
@@ -458,34 +463,28 @@ def _children(layer: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return kids.reshape(4, -1)
 
 
-def _key_layout(letters: Sequence[Entries], expand_bound: float) -> Tuple[type, List[Tuple[int, int]]]:
-    """(dtype, places) of the search keys over the region sq_norm <
-    expand_bound: int64, uint64 or Python ints (object), and the (word,
-    shift) of a + off, b + off, c + off, d + off and the tag, as the module
-    docstring sets out."""
-    bits = (2 * (math.isqrt(int(expand_bound)) + 1)).bit_length()
+def _key_layout(letters: Sequence[Entries], region: int) -> Tuple[type, List[Tuple[int, int]]]:
+    """(dtype, places) of the search keys over the region sq_norm < region:
+    int64, uint64 or Python ints (object), and the (word, shift) of a + off,
+    b + off, c + off, d + off and the tag, as the module docstring sets
+    out."""
+    bits = (2 * (math.isqrt(region) + 1)).bit_length()
     widths = [bits] * 4 + [1]
     if 4 * bits + 2 + max(abs(e) for h in letters for e in h).bit_length() <= _WORD_BITS:
         return np.int64, _word_places(widths)
-    if _entry_dtype(letters, expand_bound) is object:
+    if _entry_dtype(letters, region) is object:
         return object, _word_places(widths, sum(widths))
     return np.uint64, _word_places(widths)
 
 
-def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: int) -> List[np.ndarray]:
+def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap: int) -> List[np.ndarray]:
     """Layers, as (4, n) entry columns (int64, or Python ints where
-    _entry_dtype says so), of the breadth-first search over the expansion
-    region, each carried as its sorted keys (_key_layout, module docstring)."""
-    if gens.monotone_cap:
-        expand_bound = max(ball_bound, 4.0)
-    else:
-        expand_bound = ball_bound * gens.max_letter_sq_norm()
-    letters = [h.entries() for h in gens.letters()]
-    dtype, places = _key_layout(letters, expand_bound)
-    off = math.isqrt(int(expand_bound)) + 1
+    _entry_dtype says so), of the breadth-first search over sq_norm < region,
+    each carried as its sorted keys (_key_layout, module docstring)."""
+    dtype, places = _key_layout(letters, region)
+    off = math.isqrt(region) + 1
     mask = (1 << (2 * off).bit_length()) - 1
     n_words = places[-1][0] + 1
-    limit = math.ceil(expand_bound)  # an integer is below expand_bound iff below limit
     # g.h = (ap + br, aq + bs, cp + dr, cq + ds): per key word, the weight of
     # each parent entry, the constant of a candidate (the tag set in the last
     # word) and the identity's key; and the coefficients of a^2+c^2, ab+cd,
@@ -509,7 +508,7 @@ def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: in
     while len(cur[0]):
         a, b, c, d = layer
         sq = gram @ np.stack([a * a + c * c, a * b + c * d, b * b + d * d])
-        inside = (sq < limit).ravel()
+        inside = (sq < region).ravel()
         keys = [np.concatenate([old, new, (w @ layer).ravel().compress(inside) + base])
                 for old, new, w, base in zip(prev, cur, weights, bases)]
         if n_words == 1:
@@ -538,16 +537,16 @@ def _bfs_layers(gens: GeneratorSet, T: float, ball_bound: float, element_cap: in
 
 
 def _tree_layers(
-    letters: Tuple[Entries, ...], T: float, ball_bound: float, element_cap: int
+    letters: Tuple[Entries, ...], T: float, bound: int, element_cap: int
 ) -> List[np.ndarray]:
     """Layers, as (4, n) entry columns, of the reduced-word tree pruned at
-    ball_bound.
+    sq_norm < bound.
 
     Sound only for letters with a _ping_pong_certificate: reduced words are
     then distinct elements (no dedup) and norms never decrease along them,
     so every prefix of a ball element is in the ball.  Only ball elements
     are counted, so a total past element_cap raises BallBudgetError."""
-    dtype = _entry_dtype(letters, ball_bound)
+    dtype = _entry_dtype(letters, bound)
     mats = np.array(letters, dtype=dtype)
     m = len(letters)
     # follows[i, j]: letter i may come after last letter j; column m is the root
@@ -559,7 +558,7 @@ def _tree_layers(
     total = 1
     while frontier.shape[1]:
         kids = _children(frontier, mats)
-        inside = np.einsum("ij,ij->j", kids, kids) < ball_bound
+        inside = np.einsum("ij,ij->j", kids, kids) < bound
         keep = (follows[:, last] & inside.reshape(m, -1)).ravel()
         frontier, last = kids.compress(keep, axis=1), np.flatnonzero(keep) // len(last)
         total += frontier.shape[1]
@@ -569,11 +568,11 @@ def _tree_layers(
     return collected
 
 
-def _radius_bound(T: float) -> float:
-    """T^2 for a radius T >= 1 with a finite square; raises ValueError otherwise."""
+def _radius_bound(T: float) -> int:
+    """ceil(T^2), exactly, for a radius T >= 1 with a finite square; raises ValueError otherwise."""
     if not (T >= 1 and float(T) * float(T) < math.inf):
         raise ValueError(f"need a finite T >= 1 with a finite T^2, got {T}")
-    return float(T) * float(T)
+    return math.ceil(Fraction(T) ** 2)
 
 
 def enumerate_ball(
@@ -586,12 +585,13 @@ def enumerate_ball(
     a returned ball is always complete.  The tree counts ball elements, the
     search every node of its region, which holds the ball.
     """
-    ball_bound = _radius_bound(T)
+    bound = _radius_bound(T)
     letters = tuple(h.entries() for h in gens.letters())
     if _ping_pong_certificate(letters) is not None:
-        collected = _tree_layers(letters, T, ball_bound, element_cap)
+        collected = _tree_layers(letters, T, bound, element_cap)
     else:
-        collected = _bfs_layers(gens, T, ball_bound, element_cap)
+        region = max(bound, 4) if gens.monotone_cap else math.ceil(Fraction(T) ** 2 * gens.max_letter_sq_norm())
+        collected = _bfs_layers(letters, T, region, element_cap)
 
     cols = np.concatenate(collected, axis=1)
     # the word length of an element is the index of its layer
@@ -599,13 +599,13 @@ def enumerate_ball(
     wl_bits = (len(collected) - 1).bit_length()
     del collected  # the layers are copied; freeing them bounds the peak below
     sq = np.einsum("ij,ij->j", cols, cols)
-    keep = sq < ball_bound
+    keep = sq < bound
     if not keep.all():  # the tree, and the search at T >= 2 on R and L, hold only ball elements
         cols, wls, sq = cols.compress(keep, axis=1), wls.compress(keep), sq.compress(keep)
     # ball entries are below T; astype raises OverflowError if they do not fit
     cols, sq = cols.astype(np.int64, copy=False), sq.astype(np.int64, copy=False)
-    sq_bits = int(ball_bound).bit_length()
-    off = math.isqrt(int(ball_bound)) + 1
+    sq_bits = bound.bit_length()
+    off = math.isqrt(bound) + 1
     bits = (2 * off).bit_length()
     if sq_bits + 4 * bits + wl_bits <= _WORD_BITS:
         shifts = [wl_bits + bits * k for k in (3, 2, 1, 0)]
@@ -618,7 +618,7 @@ def enumerate_ball(
             rows[:, i] = ((keys >> shift) & ((1 << bits) - 1)) - off
         wls, sq = keys & ((1 << wl_bits) - 1), keys >> (4 * bits + wl_bits)
         return OrbitBall(T=float(T), label=gens.label, rows=rows, word_lengths=wls, _sq=sq)
-    keys = _row_keys(cols.T, ball_bound, lead=[(sq, sq_bits)])
+    keys = _row_keys(cols.T, bound, lead=[(sq, sq_bits)])
     order = _order(keys)
     # gathered column by column: a take along axis 0 of the transposed
     # columns would first copy them whole

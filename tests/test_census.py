@@ -310,6 +310,16 @@ def test_build_sequence_fold_certificate():
     assert fold(c, d, bumped, omega) == (rows, bumped.tolist())
 
 
+def test_omega_ball_at_a_float_just_above_an_integer_square():
+    """Y = 5.196152422706632 squares to 27 in floats but lies above sqrt(27):
+    the omega ball holds the 48 elements with sq_norm 27, and chi counts
+    them as the pair loop does."""
+    Y = 5.196152422706632
+    seq = build_sequence(MOD, 4, Y, Form.Z)
+    assert seq.omega_ball_size == 180
+    assert seq.chi == brute_sequence(MOD, 4, Y, Form.Z)[1]
+
+
 def test_build_sequence_chi_identity_and_positivity():
     seq = build_sequence(MOD, 8, 8, Form.Z)
     assert seq.total_mass() == seq.chi

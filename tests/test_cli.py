@@ -225,6 +225,18 @@ def test_orbit_text_count():
     assert "elements = 580" in out
 
 
+@pytest.mark.parametrize("argv, elements", [
+    # the smallest double above sqrt(27): its float square rounds onto 27
+    (["orbit", "--T", "5.196152422706632"], 180),
+    # sq_norms past 2^53, 8 of them 1.18 below the exact T^2
+    (["orbit", "--group", "schottky", "--T", "134220186.4253455"], 425633),
+])
+def test_orbit_counts_with_exact_radius(argv, elements):
+    code, out = run(argv)
+    assert code == 0
+    assert f"elements = {elements}\n" in out
+
+
 def test_delta_output():
     code, out = run(["delta", "--T", "60", "--format", "json"])
     assert code == 0

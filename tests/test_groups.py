@@ -116,9 +116,11 @@ def test_large_letters_do_not_wrap_int64():
 
 
 def region_bound(gens, T):
-    """The expansion bound of enumerate_ball's breadth-first search."""
-    ball_bound = float(T) * float(T)
-    return max(ball_bound, 4.0) if gens.monotone_cap else ball_bound * gens.max_letter_sq_norm()
+    """The expansion bound of enumerate_ball's breadth-first search, in exact
+    integers: ceil(T^2 M), M the largest letter sq_norm, or max(ceil(T^2), 4)
+    on R and L."""
+    t2 = Fraction(T) ** 2
+    return max(math.ceil(t2), 4) if gens.monotone_cap else math.ceil(t2 * gens.max_letter_sq_norm())
 
 
 def key_layout(gens, T):
@@ -131,7 +133,7 @@ def reference_ball(gens, T):
     """Independent enumerator: breadth-first search with a Python set of
     UnimodularMatrix over the same expansion region as enumerate_ball.
     Returns (rows, word lengths) in canonical (sq_norm, entries) order."""
-    ball_bound = float(T) * float(T)
+    ball_bound = Fraction(T) ** 2
     expand_bound = region_bound(gens, T)
     letters = gens.letters()
     dist = {UnimodularMatrix.identity(): 0}
@@ -203,7 +205,7 @@ def test_row_keys_sort_like_tuples(case):
     as tuples do and tell distinct rows apart."""
     k, rows = case
     arr = np.array(rows, dtype=np.int64)
-    keys = _row_keys(arr, float(2**k))
+    keys = _row_keys(arr, 2**k)
     order = np.lexsort(keys[::-1]).tolist()
     assert [rows[i] for i in order] == sorted(rows)
     packed = list(zip(*(key[order].tolist() for key in keys)))
@@ -522,7 +524,7 @@ def test_key_layouts(N, T, dtype, words):
     the ball of the set-based search."""
     gens = big_letters(N, True)
     assert key_layout(gens, T) == (dtype, words)
-    layers = groups._bfs_layers(gens, T, float(T) * T, 10**6)
+    layers = groups._bfs_layers(letter_entries(gens), T, region_bound(gens, T), 10**6)
     assert {c.dtype for c in layers} == {np.dtype(np.int64 if dtype is np.uint64 else dtype)}
     ball = enumerate_ball(gens, T)
     rows, word_lengths = reference_ball(gens, T)
@@ -604,6 +606,52 @@ def test_sub_ball_is_the_smaller_ball():
                 assert np.array_equal(sub.word_lengths, small.word_lengths)
         with pytest.raises(ValueError):
             big.sub_ball(T + 1)
+
+
+# the smallest doubles above sqrt(27), sqrt(34) and sqrt(39): their float
+# squares round down onto the integer, their exact squares lie above it
+ABOVE_SQUARES = [(5.196152422706632, 27, 180), (5.830951894845301, 34, 196), (6.244997998398398, 39, 260)]
+
+
+def oracle_prefix(ball, T):
+    """The rows of ball with sq_norm < T^2, the square taken exactly."""
+    t2 = Fraction(T) ** 2
+    return ball.rows[[s < t2 for s in ball.sq_norms().tolist()]]
+
+
+@pytest.mark.parametrize("T, s, size", ABOVE_SQUARES)
+def test_float_radius_just_above_an_integer_square(T, s, size):
+    """Elements with sq_norm s are inside the ball although float(T)^2 == s:
+    enumerate_ball, sub_ball and count_below compare with ceil(T^2) exactly,
+    as the Fraction oracle on a larger ball does."""
+    assert T * T == s and Fraction(T) ** 2 > s
+    big = enumerate_ball(modular_generators(), 7)
+    want = oracle_prefix(big, T)
+    assert len(want) == size and s in big.sq_norms()[:size].tolist()
+    for ball in (enumerate_ball(modular_generators(), T), big.sub_ball(T)):
+        assert np.array_equal(ball.rows, want)
+    assert big.count_below(T) == size
+
+
+def test_exact_bound_at_the_radius_extremes():
+    """No element lies below radius 0.5, and the hand-built ball at T = 2^32,
+    whose bound ceil(T^2) = 2^64 is past int64, keeps every row."""
+    assert enumerate_ball(modular_generators(), 7).count_below(0.5) == 0
+    ball = hand_built_ball()
+    assert len(ball.sub_ball(2**32)) == len(ball) == ball.count_below(2**32)
+
+
+def test_schottky_ball_past_2_53_is_complete():
+    """At T = 134220186.4253455 the 8 elements with sq_norm s =
+    18,015,058,444,054,502 lie below T^2 by about 1.18, which a float T^2
+    cannot tell; the ball is the exact prefix of a larger one."""
+    T, s = 134220186.4253455, 18_015_058_444_054_502
+    assert 0 < Fraction(T) ** 2 - s < 2
+    big = enumerate_ball(schottky_generators(), 1.35e8)
+    ball = enumerate_ball(schottky_generators(), T)
+    assert len(ball) == 425_633 and int((ball.sq_norms() == s).sum()) == 8
+    assert np.array_equal(ball.rows, oracle_prefix(big, T))
+    assert big.count_below(T) == 425_633 and np.array_equal(big.sub_ball(T).rows, ball.rows)
 
 
 def test_nan_radius_is_bad_input(capfd):
