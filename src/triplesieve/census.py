@@ -84,7 +84,7 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from .gl2 import Form, form_values
-from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_order, _row_keys, _runs, enumerate_ball
+from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_keys, _order, _row_keys, _runs, enumerate_ball
 from .modular import beta as modular_beta
 from .modular import FORM_PRIME_FLOOR, _divisor_hits, _limbs, factor_array, prime_factors, require_odd_prime
 
@@ -422,14 +422,14 @@ def _fold_rows(
     d >= 0 stands for them with 4 times the weight.  Otherwise nothing folds.
 
     Each closure compares a set, in the order given, with its image sorted by
-    (sum of squares, entries) (_norm_order): the order of distinct_rows and
+    (sum of squares, entries) (_norm_keys): the order of distinct_rows and
     of a ball's rows.  Equal arrays prove the set closed whatever the given
     order; a set given in another order only fails to fold."""
-    turned = _norm_order(np.stack([d, -c], axis=1))
+    turned = _order(_norm_keys(np.stack([d, -c], axis=1)))
     if not ((c == d[turned]).all() and (d == -c[turned]).all() and (wnums == wnums[turned]).all()):
         return c, d, wnums
     s_w = omega_rows[:, [2, 3, 0, 1]] * np.array([-1, -1, 1, 1])
-    if not (omega_rows == s_w[_norm_order(s_w)]).all():
+    if not (omega_rows == s_w[_order(_norm_keys(s_w))]).all():
         return c, d, wnums
     keep = (c > 0) & (d >= 0)
     return c[keep], d[keep], 4 * wnums[keep]

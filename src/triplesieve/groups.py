@@ -32,22 +32,24 @@ integer bounds, since an integer is below x iff below ceil(x): the ball is
 sq_norm < ceil(T^2), from Fraction(T) (_radius_bound), and the regions
 above are ceil(T^2 max_h sq_norm(h)) and max(ceil(T^2), 4).
 
+Keys.  One rule lays out every packed key (_word_places): nonnegative
+fields of given widths go whole, in order, into as few words as hold them,
+the last field of each word lowest.  The words of n keys are the rows of
+one array, sorted in place when one, else by one argsort or lexsort taken
+on every word (_sort_keys); one shift and mask reads a field back (_field)
+from int64, uint64 or Python-int words.
+
 Both searches carry a layer as (4, n) entry columns.  Deduplication is
 layer-local.  The letters include their inverses, so the Cayley graph
 induced on the expansion region is undirected and a candidate made from
 layer k lies in layer k - 1, in layer k, or is new.  Each layer therefore
-sorts the keys of layers k - 1 and k together with the candidate keys,
-which carry a 1-bit tag below their lowest field: 0 on the old keys, 1 on
-the candidates, so an old key sorts just before a candidate equal to it up
-to the tag.
-
-Keys.  Let E be the integer region bound, off = isqrt(E) + 1, bits =
-bit_length(2 off) and lam = bit_length(L), L the largest |letter entry|.
-The fields a + off, b + off, c + off, d + off (bits bits each; a region
-node has |e| < off) and the tag are packed whole, in order, into 64-bit
-words (_word_places), so the tag is the lowest bit of the last word, or
-all of it when the four fields fill one.  A layer is its sorted keys (one
-word sorts itself, more by lexsort), decoded to columns by shift and mask.
+sorts the keys of layers k - 1 and k with the candidate keys.  With E the
+integer region bound, off = isqrt(E) + 1, bits = bit_length(2 off) and lam
+= bit_length(L), L the largest |letter entry|, a key holds a + off, b +
+off, c + off, d + off (bits bits each; a region node has |e| < off) and a
+tag in the lowest bit of the last word: 0 on the old keys, 1 on the
+candidates, so an old key sorts just before a candidate equal to it up to
+the tag.  A layer is its sorted keys, decoded by one _field of all four.
 A candidate is new iff its last word is odd and a higher word differs from
 its predecessor's in the sort or its last word exceeds the predecessor's
 by at least 2: a predecessor equal to it up to the tag is an old key (one
@@ -82,21 +84,19 @@ No (4, m n) child array is built.  _key_layout picks:
   * Python ints (object) where _entry_dtype gives them: one key per
     element, with no word limit.
 
-A finished ball is in canonical order, sorted by (sq_norm, entries).  When
-sq_norm (bit_length(ceil(T^2)) bits), the entries shifted by
-isqrt(ceil(T^2)) + 1 (bit_length of twice that each) and the word length
-(bit_length of the last layer index) fit 63 bits, they are packed into one
-int64 word, word length lowest; the keys are distinct since the entries
-are, so one np.sort orders them, and rows, sq_norms and word lengths are
-decoded from them.
-The modular ball fits below T = 255, the Schottky tree below T = 511.
-Larger balls pack (sq_norm, entries) with _row_keys, sort their positions
-with _order and gather the columns; so do distinct bottom rows on
-(c^2+d^2, c, d) in OrbitBall.distinct_rows, the one kernel census,
-build_sequence and orbit read.  One word sorts by a plain argsort, more by
-lexsort (_order).  Since the canonical order sorts by sq_norm first, the
-ball of any radius t <= T is a prefix of the ball at T (OrbitBall.sub_ball),
-which count_below, coset_counts and the sieve sequence read.
+A finished ball is in canonical order, sorted by (sq_norm, entries): _pack
+lays out sq_norm (bit_length(ceil(T^2)) bits), the entries plus off =
+isqrt(ceil(T^2)) + 1 (bit_length(2 off) bits each) and the word length
+(bit_length of the last layer index), and the words holding the distinct
+(sq_norm, entries) sort them.  One word holds the modular ball while
+ceil(T^2) < 255^2 (16 + 4 * 9 + 9 = 61 bits, layer indices below 512) and
+the Schottky tree while ceil(T^2) < 511^2 (18 + 4 * 10 + 3 = 61); there off
+gains a bit, each entry field one more, and the key needs 65 bits.  Distinct
+bottom rows sort by the same keys (_norm_keys) in OrbitBall.distinct_rows,
+the one kernel census, build_sequence and orbit read.  Since the canonical
+order sorts by sq_norm first, the ball of any radius 0 <= t <= T is a prefix
+of the ball at T (OrbitBall.sub_ball), which count_below, coset_counts and
+the sieve sequence read.
 
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
@@ -235,25 +235,31 @@ class OrbitBall:
         return len(self.rows)
 
     def sq_norms(self) -> np.ndarray:
+        """Exact int64 sq_norms; a ValueError when one does not fit int64."""
         if self._sq is None:
             r = self.rows
-            self._sq = (r * r).sum(axis=1)
+            # below 2^31 four squares sum below 2^64, so a wrapped int64 sum is negative
+            big = len(r) and max(-int(r.min()), int(r.max())) >= 1 << 31
+            sq = ((r.astype(object) if big else r) ** 2).sum(axis=1)
+            if len(sq) and not 0 <= int(sq.min()) <= int(sq.max()) < 1 << 63:
+                raise ValueError("an element's sq_norm does not fit in int64")
+            self._sq = sq.astype(np.int64, copy=False)
         return self._sq
 
     def sub_ball(self, T: float) -> "OrbitBall":
-        """The ball of radius T (T must not exceed the ball's T): the prefix of
-        rows, _sq and word_lengths with sq_norm <= ceil(T^2) - 1 (clipped to
+        """The ball of radius T, 0 <= T <= the ball's T: the prefix of rows,
+        _sq and word_lengths with sq_norm <= ceil(T^2) - 1 (clipped to
         int64), found by one searchsorted on the sq_norm-first canonical order.
         The arrays are views.  On the breadth-first path the word lengths are
         the ones found in this larger search, whose region may hold shorter
-        paths than a search at T.  A NaN T is refused like a larger one."""
-        if not T <= self.T:
-            raise ValueError(f"ball only complete to T={self.T}, asked for {T}")
+        paths than a search at T.  A NaN T is refused like one outside."""
+        if not 0 <= T <= self.T:
+            raise ValueError(f"need 0 <= T <= {self.T}, the radius the ball is complete to; asked for {T}")
         k = np.searchsorted(self.sq_norms(), min(math.ceil(Fraction(T) ** 2) - 1, (1 << 63) - 1), side="right")
         return OrbitBall(float(T), self.label, self.rows[:k], self.word_lengths[:k], self.sq_norms()[:k])
 
     def count_below(self, T: float) -> int:
-        """Number of elements with sq_norm < T^2 (T must not exceed the ball's T)."""
+        """Number of elements with sq_norm < T^2, 0 <= T <= the ball's T."""
         return len(self.sub_ball(T))
 
     def distinct_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,9 +270,7 @@ class OrbitBall:
         c, d = self.rows[:, 2], self.rows[:, 3]
         if len(c) and max(-int(c.min()), int(c.max()), -int(d.min()), int(d.max())) >= 1 << 31:
             raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
-        z = c * c + d * d
-        bound = int(z.max(initial=0)) + 1
-        order, head = _runs(_row_keys(self.rows[:, 2:4], bound, lead=[(z, bound.bit_length())]))
+        order, head = _runs(_norm_keys(self.rows[:, 2:4]))
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(head) - 1
         return c[order[head]], d[order[head]], inverse
@@ -284,29 +288,47 @@ def _word_places(widths: Sequence[int], size: int = 64) -> List[Tuple[int, int]]
     return [(j, sum(word[i + 1:])) for j, word in enumerate(words) for i in range(len(word))]
 
 
-def _row_keys(rows: np.ndarray, bound: int, lead=()) -> List[np.ndarray]:
+def _pack(fields: Sequence[Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """(uint64 words, places) of the nonnegative int64 (column, bits) fields, laid out by _word_places."""
+    places = _word_places([bits for _, bits in fields])
+    words = np.zeros((places[-1][0] + 1, len(fields[0][0])), dtype=np.uint64)
+    for (col, _), (word, shift) in zip(fields, places):
+        words[word] |= np.asarray(col, dtype=np.int64).view(np.uint64) << np.uint64(shift)
+    return words, places
+
+
+def _field(words: np.ndarray, place: Tuple, bits: int) -> np.ndarray:
+    """The bits-wide field at place = (word, shift), or at index and shift arrays, of key words."""
+    out = words[place[0]] >> place[1]
+    out &= (1 << bits) - 1
+    return out
+
+
+def _sort_keys(keys: np.ndarray, by: Optional[int] = None) -> np.ndarray:
+    """Key words (rows) sorted together by the first `by` (default all): one in place, more by _order."""
+    if len(keys) == 1:
+        keys[0].sort()
+        return keys
+    return keys.take(_order(keys[:by]), axis=1)
+
+
+def _row_keys(rows: np.ndarray, bound: int, lead=()) -> np.ndarray:
     """Order-preserving sort keys, most significant first, of the lead
     (column, bits) fields and then the entries of the int64 rows with
-    e^2 < bound, shifted to be nonnegative: the fields packed into uint64
-    words by _word_places."""
+    e^2 < bound, shifted to be nonnegative: the words of _pack."""
     off = math.isqrt(bound) + 1
     bits = (2 * off).bit_length()
-    fields = [*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))]
-    places = _word_places([width for _, width in fields])
-    words = [np.zeros(len(rows), dtype=np.uint64) for _ in range(places[-1][0] + 1)]
-    for (col, _), (word, shift) in zip(fields, places):
-        words[word] |= col.astype(np.uint64) << np.uint64(shift)
-    return words
+    return _pack([*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))])[0]
 
 
-def _order(keys: List[np.ndarray]) -> np.ndarray:
-    """Positions sorted by keys (columns, most significant first): a plain
+def _order(keys: np.ndarray) -> np.ndarray:
+    """Positions sorted by keys (rows, most significant first): a plain
     argsort of one word, else a lexsort.  Not stable; every caller either
     has unique keys or only needs equal keys to be adjacent."""
     return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
-def _runs(keys: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(order, head): the positions sorted by keys (_order) and, along them,
     True where a run of equal keys starts."""
     order = _order(keys)
@@ -315,13 +337,12 @@ def _runs(keys: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return order, head
 
 
-def _norm_order(rows: np.ndarray) -> np.ndarray:
-    """Positions of the int64 rows (n, k), k >= 1, whose sums of squares fit
-    in int64, sorted by (sum of squares, entries): the order of a ball's rows
-    and of its distinct bottom rows, by one _order of packed keys."""
+def _norm_keys(rows: np.ndarray) -> np.ndarray:
+    """Packed keys by (sum of squares, entries) of the int64 rows (n, k), k >= 1, whose sums of
+    squares fit in int64: the order of a ball's rows and of its distinct bottom rows."""
     sq = (rows * rows).sum(axis=1)
     bound = int(sq.max(initial=0)) + 1
-    return _order(_row_keys(rows, bound, lead=[(sq, bound.bit_length())]))
+    return _row_keys(rows, bound, lead=[(sq, bound.bit_length())])
 
 
 # Ping-pong certificate search: hull rounds before widening, and the widening
@@ -331,8 +352,8 @@ _CERT_WIDEN = Fraction(1, 64)
 
 Entries = Tuple[int, int, int, int]
 
-# Bits of an int64 sort key that the one-word layouts may fill; the sign bit
-# stays clear, so every key is nonnegative.
+# Bits of an int64 search key that the one-word int64 layout may fill; the
+# sign bit stays clear, so every key is nonnegative.
 _WORD_BITS = 63
 Interval = Tuple[Fraction, Fraction]
 
@@ -483,7 +504,7 @@ def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap
     each carried as its sorted keys (_key_layout, module docstring)."""
     dtype, places = _key_layout(letters, region)
     off = math.isqrt(region) + 1
-    mask = (1 << (2 * off).bit_length()) - 1
+    bits = (2 * off).bit_length()
     n_words = places[-1][0] + 1
     # g.h = (ap + br, aq + bs, cp + dr, cq + ds): per key word, the weight of
     # each parent entry, the constant of a candidate (the tag set in the last
@@ -492,45 +513,36 @@ def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap
     # unless dtype is object; int64 -> uint64 takes residues mod 2^64.
     signed = object if dtype is object else np.int64
     mats = np.array(letters, dtype=signed).astype(dtype)
-    weights, bases, shifts, cur = [], [], [], []
-    for j in range(n_words):
-        w0, w1, w2, w3 = w = [1 << shift if word == j else 0 for word, shift in places[:4]]
-        weights.append(mats @ np.array([[w0, 0, w2, 0], [w1, 0, w3, 0], [0, w0, 0, w2], [0, w1, 0, w3]], dtype))
-        bases.append(off * sum(w) + (j == n_words - 1))
-        shifts.append(np.array([shift for word, shift in places[:4] if word == j], dtype=dtype)[:, None])
-        cur.append(np.array([off * sum(w) + w0 + w3], dtype=dtype))
+    w = [[1 << shift if word == j else 0 for word, shift in places[:4]] for j in range(n_words)]
+    weights = np.stack([mats @ np.array([[w0, 0, w2, 0], [w1, 0, w3, 0], [0, w0, 0, w2], [0, w1, 0, w3]], dtype)
+                        for w0, w1, w2, w3 in w])
+    bases = np.array([[off * sum(wj) + (j == n_words - 1)] for j, wj in enumerate(w)], dtype)
+    cur = np.array([[off * sum(wj) + wj[0] + wj[3]] for wj in w], dtype)
+    entries = np.array([p[0] for p in places[:4]]), np.array([p[1] for p in places[:4]], dtype)[:, None]
     gram = [(p * p + q * q, 2 * (p * r + q * s), r * r + s * s) for p, q, r, s in letters]
     gram = np.array(gram, signed).astype(dtype)
     layer = np.array([[1], [0], [0], [1]], dtype=dtype)
-    prev = [k[:0] for k in cur]
+    prev = cur[:, :0]
     collected = [layer]
     total = 1
-    while len(cur[0]):
+    while cur.shape[1]:
         a, b, c, d = layer
         sq = gram @ np.stack([a * a + c * c, a * b + c * d, b * b + d * d])
         inside = (sq < region).ravel()
-        keys = [np.concatenate([old, new, (w @ layer).ravel().compress(inside) + base])
-                for old, new, w, base in zip(prev, cur, weights, bases)]
-        if n_words == 1:
-            keys[0].sort()
-        else:
-            order = np.lexsort(keys[::-1])
-            keys = [k[order] for k in keys]
+        kids = (weights @ layer).reshape(n_words, -1).compress(inside, axis=1) + bases
+        keys = _sort_keys(np.concatenate([prev, cur, kids], axis=1))
         last = keys[-1]
         apart = last[1:] - last[:-1] >= 2
         for k in keys[:-1]:
             apart |= k[1:] != k[:-1]
         fresh = (last & 1).astype(bool)
         fresh[1:] &= apart
-        prev, cur = cur, [k.compress(fresh) for k in keys]
-        cur[-1] = cur[-1] - 1
-        total += len(cur[0])
+        prev, cur = cur, keys.compress(fresh, axis=1)
+        cur[-1] -= 1
+        total += cur.shape[1]
         if total > element_cap:
             raise BallBudgetError(T, total, element_cap)
-        if n_words == 1:
-            layer = ((cur[0] >> shifts[0]) & mask) - off
-        else:
-            layer = np.concatenate([(k >> shift) & mask for k, shift in zip(cur, shifts)]) - off
+        layer = _field(cur, entries, bits) - off
         collected.append(layer)
     # uint64 entries are residues mod 2^64 of int64 ones: their int64 views
     return [c.view(np.int64) for c in collected] if dtype is np.uint64 else collected
@@ -604,28 +616,19 @@ def enumerate_ball(
         cols, wls, sq = cols.compress(keep, axis=1), wls.compress(keep), sq.compress(keep)
     # ball entries are below T; astype raises OverflowError if they do not fit
     cols, sq = cols.astype(np.int64, copy=False), sq.astype(np.int64, copy=False)
-    sq_bits = bound.bit_length()
     off = math.isqrt(bound) + 1
     bits = (2 * off).bit_length()
-    if sq_bits + 4 * bits + wl_bits <= _WORD_BITS:
-        shifts = [wl_bits + bits * k for k in (3, 2, 1, 0)]
-        keys = sq << (4 * bits + wl_bits) | wls
-        for col, shift in zip(cols, shifts):
-            keys |= (col + off) << shift
-        keys.sort()
-        rows = np.empty((len(keys), 4), dtype=np.int64)
-        for i, shift in enumerate(shifts):
-            rows[:, i] = ((keys >> shift) & ((1 << bits) - 1)) - off
-        wls, sq = keys & ((1 << wl_bits) - 1), keys >> (4 * bits + wl_bits)
-        return OrbitBall(T=float(T), label=gens.label, rows=rows, word_lengths=wls, _sq=sq)
-    keys = _row_keys(cols.T, bound, lead=[(sq, sq_bits)])
-    order = _order(keys)
-    # gathered column by column: a take along axis 0 of the transposed
-    # columns would first copy them whole
-    rows = np.empty((len(order), 4), dtype=np.int64)
-    for i, col in enumerate(cols):
-        rows[:, i] = col.take(order)
-    return OrbitBall(T=float(T), label=gens.label, rows=rows, word_lengths=wls[order], _sq=sq[order])
+    sq_bits = min(bound.bit_length(), 63)  # sq_norms are int64
+    cols += off
+    keys, places = _pack([(sq, sq_bits), *((col, bits) for col in cols), (wls, wl_bits)])
+    del cols, sq, wls
+    keys = _sort_keys(keys, places[4][0] + 1)  # (sq_norm, entries) are unique
+    rows = np.empty((keys.shape[1], 4), dtype=np.int64)
+    for i in range(4):
+        rows[:, i] = _field(keys, places[i + 1], bits)
+    rows -= off
+    sq, wls = (_field(keys, places[i], width).view(np.int64) for i, width in ((0, sq_bits), (5, wl_bits)))
+    return OrbitBall(T=float(T), label=gens.label, rows=rows, word_lengths=wls, _sq=sq)
 
 
 @dataclass(frozen=True)
@@ -722,11 +725,7 @@ def coset_counts(
     Requires surjectivity mod every prime of q (so q odd, coprime to the bad
     modulus); pass a precomputed ball to reuse an enumeration.
     """
-    if ball is None:
-        ball = enumerate_ball(gens, T)
-    elif ball.T < T:
-        raise ValueError("supplied ball is smaller than requested T")
-    ball = ball.sub_ball(T)
+    ball = (enumerate_ball(gens, T) if ball is None else ball).sub_ball(T)
     n = len(ball)
     if q == 1:
         return {(0, 1): n}

@@ -1,5 +1,6 @@
 """Ball enumeration, growth fits, smoothing, and coset equidistribution."""
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -471,17 +472,17 @@ R2, L2 = GEN_R @ GEN_R, GEN_L @ GEN_L
 @pytest.mark.parametrize("gens, T", [
     *((modular_generators(), T) for T in (1, 1.5, math.sqrt(11), 12, 20.5, 60, 130.3)),
     (GeneratorSet("r2l2", (R2, L2)), 200),
-    # one-word search, but (sq_norm, entries, word length) needs 64 bits
+    # one-word search, but (sq_norm, entries, word length) needs 66 bits
     (GeneratorSet("r3l3", (R3, L3)), 300),
     (GeneratorSet("rls", (GEN_R, GEN_L, S_MAT)), 60),
     (GeneratorSet("mi", (UnimodularMatrix(-1, 0, 0, -1), R2, L2)), 150),
 ])
 def test_one_word_enumeration_matches_the_wide_path(gens, T, monkeypatch):
-    """The search on one int64 key per element, and the ball decoded from
-    one sorted int64 word, give the rows, word lengths and sq_norms, dtypes
-    included, that the uint64 keys with the gathered sort give (a zero bit
-    budget forces both) and that one Python-int key per element gives
-    (_entry_dtype patched to object)."""
+    """The search on one int64 key per element gives the rows, word lengths
+    and sq_norms, dtypes included, that the search on uint64 keys gives (a
+    zero bit budget forces them) and that one Python-int key per element
+    gives (_entry_dtype patched to object); the finished ball is packed and
+    sorted the same way after each."""
     layouts = []
     real = groups._key_layout
     monkeypatch.setattr(groups, "_key_layout", lambda *a: layouts.append(real(*a)) or layouts[-1])
@@ -495,6 +496,50 @@ def test_one_word_enumeration_matches_the_wide_path(gens, T, monkeypatch):
         for got, want in ((word.rows, other.rows), (word.word_lengths, other.word_lengths),
                           (word.sq_norms(), other.sq_norms())):
             assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+H4 = GeneratorSet("h4", tuple(UnimodularMatrix(1 + 4 * i, -8 * i * i, 2, 1 - 4 * i) for i in (-2, -1, 0, 1)))
+
+
+def ball_digest(ball):
+    """sha256 of the dtype, shape and bytes of rows, word lengths and sq_norms."""
+    h = hashlib.sha256()
+    for a in (ball.rows, ball.word_lengths, ball.sq_norms()):
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("gens, T, words, digest", [
+    # (sq_norm, entries, word length) in 61 bits, then 65 as the entry fields grow
+    (modular_generators(), 254.9, 1, "23fd6c25a37d17e017782a2297fcc47229f8567530378da278f181bf83890d6a"),
+    (modular_generators(), 255.5, 2, "76197f4505c15955167d24802379a5a5b9bef6fee432df8b512c73302400c33e"),
+    (schottky_generators(), 510.9, 1, "42094d2ce50488b19ff30851e16fbfaf7fd18f3c61f5b25e59fbd22422c1a059"),
+    (schottky_generators(), 511, 2, "42094d2ce50488b19ff30851e16fbfaf7fd18f3c61f5b25e59fbd22422c1a059"),
+    # uint64 search keys, and one Python-int search key per element
+    (H4, 300, 2, "bd53537ede84d8e86983e110db24f7911d3ee41dd296a27a0ba48e3505bfc33f"),
+    (big_letters(30000, False), 30001, 2, "4f56225ce27f5ca55f343c2a829e896f407a4c1709319ee97e28860f631f1a8f"),
+])
+def test_one_sort_on_both_sides_of_the_one_word_edge(gens, T, words, digest, monkeypatch):
+    """A finished ball packs (sq_norm, entries, word length) into as many
+    uint64 words as it needs and sorts them.  On either side of the
+    one-word edge its rows, word lengths and sq_norms are a lexsort of the
+    same rows by (sq_norm, a, b, c, d), and match the digests recorded
+    from the sort this one replaced."""
+    packed = []
+    real = groups._pack
+    monkeypatch.setattr(groups, "_pack", lambda fields: packed.append(real(fields)) or packed[-1])
+    ball = enumerate_ball(gens, T)
+    assert [len(keys) for keys, _ in packed] == [words]
+    perm = np.random.default_rng(0).permutation(len(ball))
+    rows, word_lengths = ball.rows[perm], ball.word_lengths[perm]
+    a, b, c, d = rows.T
+    sq = a * a + b * b + c * c + d * d
+    order = np.lexsort((d, c, b, a, sq))
+    assert np.array_equal(rows[order], ball.rows)
+    assert np.array_equal(word_lengths[order], ball.word_lengths)
+    assert np.array_equal(sq[order], ball.sq_norms())
+    assert ball_digest(ball) == digest
 
 
 @pytest.mark.parametrize("N, word", [(511, True), (512, False)])
@@ -639,6 +684,38 @@ def test_exact_bound_at_the_radius_extremes():
     assert enumerate_ball(modular_generators(), 7).count_below(0.5) == 0
     ball = hand_built_ball()
     assert len(ball.sub_ball(2**32)) == len(ball) == ball.count_below(2**32)
+
+
+def test_negative_radius_is_bad_input():
+    """A negative radius is refused by sub_ball, count_below and the
+    coset counts of a supplied ball, as by enumerate_ball; radius 0 holds
+    nothing."""
+    gens = modular_generators()
+    ball = enumerate_ball(gens, 7)
+    for call in (lambda: ball.count_below(-7), lambda: ball.sub_ball(-3),
+                 lambda: coset_counts(gens, -5, 5, ball=ball)):
+        with pytest.raises(ValueError):
+            call()
+    assert ball.count_below(0) == 0
+
+
+def test_lazy_sq_norms_are_exact_or_refused():
+    """The sq_norms of a ball built without them are exact: the element
+    (3037000500, 1; 3037000499, 1), whose sq_norm is past 2^63, is refused
+    rather than wrapped to a negative int64 that count_below would count;
+    an entry of 2^31 whose sq_norm fits is squared exactly."""
+    def ball_of(*rows):
+        rows = np.array(rows, dtype=np.int64)
+        return groups.OrbitBall(T=2.0**40, label="hand", rows=rows, word_lengths=np.zeros(len(rows), dtype=np.int64))
+
+    assert 3037000500 * 1 - 1 * 3037000499 == 1
+    for call in (lambda b: b.sq_norms(), lambda b: b.count_below(2.0)):
+        with pytest.raises(ValueError):
+            call(ball_of((1, 0, 0, 1), (3037000500, 1, 3037000499, 1)))
+    sq = ball_of((1, 0, 0, 1), (1, 2**31, 0, 1)).sq_norms()
+    assert sq.dtype == np.int64 and sq.tolist() == [2, 2**62 + 2]
+    hand = hand_built_ball()
+    assert hand.sq_norms().tolist() == [sum(e * e for e in row) for row in hand.rows.tolist()]
 
 
 def test_schottky_ball_past_2_53_is_complete():
