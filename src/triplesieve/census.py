@@ -406,7 +406,7 @@ def _omega_classes(omega_rows: np.ndarray, f: Form) -> Tuple[np.ndarray, np.ndar
         turned = _half_turn(w_s)
         off = (reps[:, 0] == 0) | (reps[:, 1] < 0)
         reps = np.where(off[:, None], turned, reps)
-    order, head = _runs(_row_keys(reps, int(np.abs(reps).max(initial=0)) ** 2 + 1))
+    order, head = _runs(_row_keys(reps))
     starts = np.flatnonzero(head)
     return reps[order[starts]], np.diff(starts, append=len(order))
 

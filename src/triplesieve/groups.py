@@ -36,25 +36,28 @@ Keys.  One rule lays out every packed key (_word_places): nonnegative
 fields of given widths go whole, in order, into as few words as hold them,
 the last field of each word lowest.  The words of n keys are the rows of
 one array, sorted in place when one, else by one argsort or lexsort taken
-on every word (_sort_keys); one shift and mask reads a field back (_field)
-from int64, uint64 or Python-int words.
+on every word (_sort_keys); one shift and mask reads a field back (_field).
+Keys are uint64 words, or in the search one Python int per element where
+_entry_dtype gives Python-int entries.  An entry e is packed as e + off,
+off the largest |entry| + 1 of the rows packed (_offset), in bit_length(2
+off) bits; only the search, which fixes its layout before it sees a node,
+takes off from its region.
 
 Both searches carry a layer as (4, n) entry columns.  Deduplication is
 layer-local.  The letters include their inverses, so the Cayley graph
 induced on the expansion region is undirected and a candidate made from
 layer k lies in layer k - 1, in layer k, or is new.  Each layer therefore
 sorts the keys of layers k - 1 and k with the candidate keys.  With E the
-integer region bound, off = isqrt(E) + 1, bits = bit_length(2 off) and lam
-= bit_length(L), L the largest |letter entry|, a key holds a + off, b +
-off, c + off, d + off (bits bits each; a region node has |e| < off) and a
-tag in the lowest bit of the last word: 0 on the old keys, 1 on the
-candidates, so an old key sorts just before a candidate equal to it up to
-the tag.  A layer is its sorted keys, decoded by one _field of all four.
-A candidate is new iff its last word is odd and a higher word differs from
-its predecessor's in the sort or its last word exceeds the predecessor's
-by at least 2: a predecessor equal to it up to the tag is an old key (one
-less) or the same candidate made twice (equal), and the first key has no
-predecessor.  Key words are linear in the entries and g.h = (ap + br, aq +
+integer region bound, off = isqrt(E) + 1 and bits = bit_length(2 off), a
+key holds a + off, b + off, c + off, d + off (bits bits each; a region
+node has |e| < off) and a tag in the lowest bit of the last word: 0 on the
+old keys, 1 on the candidates, so an old key sorts just before a candidate
+equal to it up to the tag.  A layer is its sorted keys, decoded by one
+_field of all four.  A candidate is new iff its last word is odd and a
+higher word differs from its predecessor's in the sort or its last word
+exceeds the predecessor's by at least 2: a predecessor equal to it up to
+the tag is an old key (one less) or the same candidate made twice (equal),
+and the first key has no predecessor.  Key words are linear in the entries and g.h = (ap + br, aq +
 bs, cp + dr, cq + ds) for h = (p, q, r, s), so each child key word is one
 matmul of per-letter weights by the parent columns, plus a constant added
 only to the children that pass the norm filter; each child sq_norm is one
@@ -62,19 +65,10 @@ matmul of the coefficients (p^2 + q^2, 2(pr + qs), r^2 + s^2) by the
 parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2), compared with E.
 No (4, m n) child array is built.  _key_layout picks:
 
-  * int64, one word, when 4 bits + 2 + lam <= 63 (_WORD_BITS).  No partial
-    sum wraps, for any child.  A parent entry has |e| < off <= 2^(bits-1),
-    and a child entry is a sum of two products of a parent entry with a
-    letter entry, so a partial sum of the key matmul is at most
-    2 * 2^(bits-1) * 2^lam times the sum of the field weights, below
-    2^(3 bits + 2): under 2^(4 bits + lam + 2) <= 2^63.  Those of the
-    sq_norm matmul are at most 1.5 |h|^2 |g|^2 < 6 L^2 E < 2^(2 lam +
-    2 bits + 1), which is smaller, since E >= L^2 (E >= 4 on R and L, else
-    E >= T^2 |h|^2 >= L^2) gives off > L and so bits > lam.  R and L meet
-    the budget at every T < 16383.  (The budget implies int64 products: it
-    gives 16 off^2 L^2 < 2^(2 bits + 2 lam + 2) <= 2^63.)
-  * uint64 modulo 2^64, where the budget fails but _entry_dtype gives
-    int64.  Unsigned overflow is defined, and reduction mod 2^64 is a ring
+  * uint64 words modulo 2^64 where _entry_dtype gives int64; one word
+    while 4 bits + 1 <= 64, which on R and L holds up to the region
+    16383^2 - 1 (off = 16383, 15-bit fields), two words from 16383^2.
+    Unsigned overflow is defined, and reduction mod 2^64 is a ring
     map: each result is its true value's residue.  A child's true sq_norm
     lies in [0, 2^63) by _entry_dtype's bound, so the filter is exact; a
     child that passes it is a region node, whose key words lie below 2^64
@@ -85,18 +79,18 @@ No (4, m n) child array is built.  _key_layout picks:
     element, with no word limit.
 
 A finished ball is in canonical order, sorted by (sq_norm, entries): _pack
-lays out sq_norm (bit_length(ceil(T^2)) bits), the entries plus off =
-isqrt(ceil(T^2)) + 1 (bit_length(2 off) bits each) and the word length
-(bit_length of the last layer index), and the words holding the distinct
-(sq_norm, entries) sort them.  One word holds the modular ball while
-ceil(T^2) < 255^2 (16 + 4 * 9 + 9 = 61 bits, layer indices below 512) and
-the Schottky tree while ceil(T^2) < 511^2 (18 + 4 * 10 + 3 = 61); there off
-gains a bit, each entry field one more, and the key needs 65 bits.  Distinct
-bottom rows sort by the same keys (_norm_keys) in OrbitBall.distinct_rows,
-the one kernel census, build_sequence and orbit read.  Since the canonical
-order sorts by sq_norm first, the ball of any radius 0 <= t <= T is a prefix
-of the ball at T (OrbitBall.sub_ball), which count_below, coset_counts and
-the sieve sequence read.
+lays out sq_norm (bit_length of the largest), the entries plus their
+_offset and the word length (bit_length of the last layer index), and the
+words holding the distinct (sq_norm, entries) sort them; a sq_norm past
+int64 is a ValueError.  One word holds the modular ball while its largest
+entry is below 255 (16 + 4 * 9 + 9 = 61 bits at T = 254.9, 65 at 255.5)
+and the Schottky tree to at least T = 724 (largest entry 355, sq_norm
+229,763: 18 + 4 * 10 + 3 = 61 bits; 67 at T = 800).  Distinct bottom rows
+sort by the same keys (_norm_keys) in OrbitBall.distinct_rows, the one
+kernel census, build_sequence and orbit read.  Since the canonical order
+sorts by sq_norm first, the ball of any radius 0 <= t <= T is a prefix of
+the ball at T (OrbitBall.sub_ball), which count_below, coset_counts and the
+sieve sequence read.
 
 Element budget violations raise BallBudgetError rather than returning a
 truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
@@ -240,10 +234,7 @@ class OrbitBall:
             r = self.rows
             # below 2^31 four squares sum below 2^64, so a wrapped int64 sum is negative
             big = len(r) and max(-int(r.min()), int(r.max())) >= 1 << 31
-            sq = ((r.astype(object) if big else r) ** 2).sum(axis=1)
-            if len(sq) and not 0 <= int(sq.min()) <= int(sq.max()) < 1 << 63:
-                raise ValueError("an element's sq_norm does not fit in int64")
-            self._sq = sq.astype(np.int64, copy=False)
+            self._sq = _int64_sq_norms(((r.astype(object) if big else r) ** 2).sum(axis=1))
         return self._sq
 
     def sub_ball(self, T: float) -> "OrbitBall":
@@ -274,6 +265,18 @@ class OrbitBall:
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(head) - 1
         return c[order[head]], d[order[head]], inverse
+
+
+def _int64_sq_norms(sq: np.ndarray) -> np.ndarray:
+    """The sq_norms sq as int64; a ValueError when one does not fit int64."""
+    if len(sq) and not 0 <= int(sq.min()) <= int(sq.max()) < 1 << 63:
+        raise ValueError("an element's sq_norm does not fit in int64")
+    return sq.astype(np.int64, copy=False)
+
+
+def _offset(entries: np.ndarray) -> int:
+    """The largest |entry| + 1: the shift of every entry field packed outside the search."""
+    return max(-int(entries.min(initial=0)), int(entries.max(initial=0))) + 1
 
 
 def _word_places(widths: Sequence[int], size: int = 64) -> List[Tuple[int, int]]:
@@ -312,11 +315,11 @@ def _sort_keys(keys: np.ndarray, by: Optional[int] = None) -> np.ndarray:
     return keys.take(_order(keys[:by]), axis=1)
 
 
-def _row_keys(rows: np.ndarray, bound: int, lead=()) -> np.ndarray:
+def _row_keys(rows: np.ndarray, lead=()) -> np.ndarray:
     """Order-preserving sort keys, most significant first, of the lead
-    (column, bits) fields and then the entries of the int64 rows with
-    e^2 < bound, shifted to be nonnegative: the words of _pack."""
-    off = math.isqrt(bound) + 1
+    (column, bits) fields and then the entries of the int64 rows plus
+    their _offset: the words of _pack."""
+    off = _offset(rows)
     bits = (2 * off).bit_length()
     return _pack([*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))])[0]
 
@@ -341,8 +344,7 @@ def _norm_keys(rows: np.ndarray) -> np.ndarray:
     """Packed keys by (sum of squares, entries) of the int64 rows (n, k), k >= 1, whose sums of
     squares fit in int64: the order of a ball's rows and of its distinct bottom rows."""
     sq = (rows * rows).sum(axis=1)
-    bound = int(sq.max(initial=0)) + 1
-    return _row_keys(rows, bound, lead=[(sq, bound.bit_length())])
+    return _row_keys(rows, lead=[(sq, int(sq.max(initial=0)).bit_length())])
 
 
 # Ping-pong certificate search: hull rounds before widening, and the widening
@@ -351,10 +353,6 @@ _CERT_ROUNDS = 4
 _CERT_WIDEN = Fraction(1, 64)
 
 Entries = Tuple[int, int, int, int]
-
-# Bits of an int64 search key that the one-word int64 layout may fill; the
-# sign bit stays clear, so every key is nonnegative.
-_WORD_BITS = 63
 Interval = Tuple[Fraction, Fraction]
 
 
@@ -486,13 +484,10 @@ def _children(layer: np.ndarray, letters: np.ndarray) -> np.ndarray:
 
 def _key_layout(letters: Sequence[Entries], region: int) -> Tuple[type, List[Tuple[int, int]]]:
     """(dtype, places) of the search keys over the region sq_norm < region:
-    int64, uint64 or Python ints (object), and the (word, shift) of a + off,
-    b + off, c + off, d + off and the tag, as the module docstring sets
-    out."""
+    uint64 or Python ints (object), and the (word, shift) of a + off, b +
+    off, c + off, d + off and the tag, as the module docstring sets out."""
     bits = (2 * (math.isqrt(region) + 1)).bit_length()
     widths = [bits] * 4 + [1]
-    if 4 * bits + 2 + max(abs(e) for h in letters for e in h).bit_length() <= _WORD_BITS:
-        return np.int64, _word_places(widths)
     if _entry_dtype(letters, region) is object:
         return object, _word_places(widths, sum(widths))
     return np.uint64, _word_places(widths)
@@ -614,11 +609,12 @@ def enumerate_ball(
     keep = sq < bound
     if not keep.all():  # the tree, and the search at T >= 2 on R and L, hold only ball elements
         cols, wls, sq = cols.compress(keep, axis=1), wls.compress(keep), sq.compress(keep)
-    # ball entries are below T; astype raises OverflowError if they do not fit
-    cols, sq = cols.astype(np.int64, copy=False), sq.astype(np.int64, copy=False)
-    off = math.isqrt(bound) + 1
+    # entries e with e^2 <= sq_norm < 2^63 fit int64
+    sq = _int64_sq_norms(sq)
+    cols = cols.astype(np.int64, copy=False)
+    off = _offset(cols)
     bits = (2 * off).bit_length()
-    sq_bits = min(bound.bit_length(), 63)  # sq_norms are int64
+    sq_bits = int(sq.max(initial=0)).bit_length()
     cols += off
     keys, places = _pack([(sq, sq_bits), *((col, bits) for col in cols), (wls, wl_bits)])
     del cols, sq, wls

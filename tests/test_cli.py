@@ -131,6 +131,18 @@ def test_non_finite_radius_exits_bad_input(argv):
     assert run(argv.split()) == (4, "")
 
 
+@pytest.mark.parametrize("gen, T, code, elements", [("0 -1 1 0", "1e19", 0, 4), ("2 1 1 1", "4e9", 0, 45),
+                                                     ("2 1 1 1", "1e12", 4, None)])
+def test_orbit_past_int64(tmp_path, gen, T, code, elements):
+    """<S> at a radius past 2^63 is its 4 elements; a ball whose sq_norms
+    pass int64 is bad input (exit 4), not a failed exactness check (2)."""
+    path = tmp_path / "gens.txt"
+    path.write_text(gen + "\n")
+    got, out = run(["orbit", "--group", str(path), "--T", T])
+    assert got == code
+    assert (f"elements = {elements}" in out.splitlines()) if elements else out == ""
+
+
 @pytest.mark.parametrize("T", ["inf", "nan", "0.5"])
 def test_delta_refuses_a_bad_radius_before_its_grid(T):
     """delta refuses T as enumerate_ball does, before np.geomspace reads it:

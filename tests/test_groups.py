@@ -206,7 +206,7 @@ def test_row_keys_sort_like_tuples(case):
     as tuples do and tell distinct rows apart."""
     k, rows = case
     arr = np.array(rows, dtype=np.int64)
-    keys = _row_keys(arr, 2**k)
+    keys = _row_keys(arr)
     order = np.lexsort(keys[::-1]).tolist()
     assert [rows[i] for i in order] == sorted(rows)
     packed = list(zip(*(key[order].tolist() for key in keys)))
@@ -478,24 +478,20 @@ R2, L2 = GEN_R @ GEN_R, GEN_L @ GEN_L
     (GeneratorSet("mi", (UnimodularMatrix(-1, 0, 0, -1), R2, L2)), 150),
 ])
 def test_one_word_enumeration_matches_the_wide_path(gens, T, monkeypatch):
-    """The search on one int64 key per element gives the rows, word lengths
-    and sq_norms, dtypes included, that the search on uint64 keys gives (a
-    zero bit budget forces them) and that one Python-int key per element
-    gives (_entry_dtype patched to object); the finished ball is packed and
+    """The search on uint64 key words gives the rows, word lengths and
+    sq_norms, dtypes included, that one Python-int key per element gives
+    (_entry_dtype patched to object); the finished ball is packed and
     sorted the same way after each."""
     layouts = []
     real = groups._key_layout
     monkeypatch.setattr(groups, "_key_layout", lambda *a: layouts.append(real(*a)) or layouts[-1])
     word = enumerate_ball(gens, T)
-    monkeypatch.setattr(groups, "_WORD_BITS", 0)
-    wide = enumerate_ball(gens, T)
     monkeypatch.setattr(groups, "_entry_dtype", lambda *a: object)
     python = enumerate_ball(gens, T)
-    assert [dtype for dtype, _ in layouts] == [np.int64, np.uint64, object]
-    for other in (wide, python):
-        for got, want in ((word.rows, other.rows), (word.word_lengths, other.word_lengths),
-                          (word.sq_norms(), other.sq_norms())):
-            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert [dtype for dtype, _ in layouts] == [np.uint64, object]
+    for got, want in ((word.rows, python.rows), (word.word_lengths, python.word_lengths),
+                      (word.sq_norms(), python.sq_norms())):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
 
 H4 = GeneratorSet("h4", tuple(UnimodularMatrix(1 + 4 * i, -8 * i * i, 2, 1 - 4 * i) for i in (-2, -1, 0, 1)))
@@ -511,11 +507,14 @@ def ball_digest(ball):
 
 
 @pytest.mark.parametrize("gens, T, words, digest", [
-    # (sq_norm, entries, word length) in 61 bits, then 65 as the entry fields grow
+    # (sq_norm, entries, word length) in 61 bits, 16 + 4 * 9 + 9, then in
+    # 65 as the modular ball's largest entry reaches 255 and its fields 10 bits
     (modular_generators(), 254.9, 1, "23fd6c25a37d17e017782a2297fcc47229f8567530378da278f181bf83890d6a"),
     (modular_generators(), 255.5, 2, "76197f4505c15955167d24802379a5a5b9bef6fee432df8b512c73302400c33e"),
+    # the Schottky tree at 510.9: largest entry 355, sq_norm 229,763, so
+    # 18 + 4 * 10 + 3 = 61 bits; at 800: 578 and 605,495, so 20 + 4 * 11 + 3 = 67
     (schottky_generators(), 510.9, 1, "42094d2ce50488b19ff30851e16fbfaf7fd18f3c61f5b25e59fbd22422c1a059"),
-    (schottky_generators(), 511, 2, "42094d2ce50488b19ff30851e16fbfaf7fd18f3c61f5b25e59fbd22422c1a059"),
+    (schottky_generators(), 800, 2, "fd4d3bc25c40689c4af7f57cfad74a107788798eb5b8504d819ac8e523ac6317"),
     # uint64 search keys, and one Python-int search key per element
     (H4, 300, 2, "bd53537ede84d8e86983e110db24f7911d3ee41dd296a27a0ba48e3505bfc33f"),
     (big_letters(30000, False), 30001, 2, "4f56225ce27f5ca55f343c2a829e896f407a4c1709319ee97e28860f631f1a8f"),
@@ -542,14 +541,13 @@ def test_one_sort_on_both_sides_of_the_one_word_edge(gens, T, words, digest, mon
     assert ball_digest(ball) == digest
 
 
-@pytest.mark.parametrize("N, word", [(511, True), (512, False)])
-def test_bit_budget_edge(N, word):
+@pytest.mark.parametrize("N", [511, 512])
+def test_bit_budget_edge(N):
     """At T = 6 the region of <[[1,N],[0,1]], [[1,0],[N,1]], RL> has 13-bit
-    fields, so 4 * 13 + 2 + bit_length(N) is 63 for N = 511, the last set
-    whose keys are one int64 word, and 64 for N = 512, whose keys are one
-    uint64 word; both balls match the set-based search."""
+    fields, so the keys are one uint64 word (4 * 13 + 1 bits) whatever the
+    letter size; both balls match the set-based search."""
     gens = big_letters(N, True)
-    assert key_layout(gens, 6) == (np.int64 if word else np.uint64, 1)
+    assert key_layout(gens, 6) == (np.uint64, 1)
     ball = enumerate_ball(gens, 6)
     rows, word_lengths = reference_ball(gens, 6)
     assert ball.rows.tolist() == rows and ball.word_lengths.tolist() == word_lengths
@@ -575,6 +573,47 @@ def test_key_layouts(N, T, dtype, words):
     rows, word_lengths = reference_ball(gens, T)
     assert ball.rows.dtype == np.int64
     assert ball.rows.tolist() == rows and ball.word_lengths.tolist() == word_lengths
+
+
+def test_one_word_edge_of_the_modular_search():
+    """On R and L the search keys are one uint64 word while four entry
+    fields and the tag fit 64 bits: up to the region 16383^2 - 1 (off =
+    16383, 15-bit fields), and two words from 16383^2 (off = 16384, 16 bits)."""
+    letters = letter_entries(modular_generators())
+    for region, words in ((16383**2 - 1, 1), (16383**2, 2)):
+        dtype, places = groups._key_layout(letters, region)
+        assert (dtype, places[-1][0] + 1) == (np.uint64, words)
+
+
+@pytest.mark.parametrize("gens, T", [
+    *((big_letters(N, True), T) for N, T in [(3000, 4), (3000, 10), (3000, 30), (10**4, 6), (10**4, 10)]),
+    *((modular_generators(), T) for T in (1, 60, 400, 16383, 10**6, 10**10)),
+])
+def test_search_keys_are_uint64_exactly_where_entries_are_int64(gens, T):
+    """The search keys are never int64: uint64 words where _entry_dtype
+    gives int64 entries, one Python int per element where it gives object."""
+    letters, region = letter_entries(gens), region_bound(gens, T)
+    dtype = groups._key_layout(letters, region)[0]
+    assert dtype is (np.uint64 if groups._entry_dtype(letters, region) is np.int64 else object)
+
+
+def test_ball_past_int64_radius_is_sized_by_its_entries():
+    """<S> at T = 10^19 > 2^63 is its four elements +-I, +-S: the finished
+    ball's key offset comes from its entries, not from T."""
+    ball = enumerate_ball(GeneratorSet("s", (S_MAT,)), 1e19)
+    assert ball.rows.tolist() == [[-1, 0, 0, -1], [0, -1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1]]
+    assert ball.sq_norms().tolist() == [2, 2, 2, 2]
+
+
+def test_sq_norm_past_int64_is_bad_input():
+    """On the tree of <[[2,1],[1,1]]> the ball at T = 4 * 10^9 has 45 elements,
+    the largest sq_norm below 2^63; at T = 10^12 sq_norms pass 2^63, which
+    is a ValueError, as OrbitBall.sq_norms gives, not an OverflowError."""
+    gens = GeneratorSet("g", (UnimodularMatrix(2, 1, 1, 1),))
+    ball = enumerate_ball(gens, 4e9)
+    assert len(ball) == 45 and int(ball.sq_norms().max()) == 2459871053643326447
+    with pytest.raises(ValueError, match="sq_norm does not fit in int64"):
+        enumerate_ball(gens, 1e12)
 
 
 @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 1e200, 10.0**155])
