@@ -30,9 +30,13 @@ carried in Horner form r -> ((r << 32) + limb) % m, where
 r <= m - 1 < 2^31 - 1 and limb <= 2^32 - 1 bound every intermediate by
 (2^31 - 1) 2^32 + 2^32 - 1 = 2^63 - 1, so no step wraps in int64.
 
-factor_array divides its hits out in array rounds into flat (index, prime)
-arrays; a cofactor left below _TABLE_REACH is prime, a larger one goes to
-_factor_beyond_table.
+factor_array tries the table primes in rounds over blocks that double in
+length, each round on the values still live, and divides every hit out,
+powers included, before the next block; it returns flat (index, prime)
+arrays.  A value leaves once its cofactor r is below p0^2, p0 the first
+prime of the next block: no prime below p0 divides r, so r is 1 or prime.
+A cofactor still live after the last block is prime below _TABLE_REACH, and
+a larger one goes to _factor_beyond_table.
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def _divisor_hits(limbs: np.ndarray, moduli: np.ndarray) -> Tuple[np.ndarray, np
             r = block[0] % m
             for t in range(1, len(block)):
                 r = ((r << 32) + block[t]) % m
-            vi, mj = np.nonzero(r == 0)
+            vi, mj = np.divmod(np.flatnonzero(r == 0), r.shape[1])
             hits.append((vi + i, mj + j) if i or j else (vi, mj))
     return hits[0] if len(hits) == 1 else tuple(map(np.concatenate, zip(*hits)))
 
@@ -264,55 +268,56 @@ def _factor_beyond_table(n: int) -> List[int]:
 
 
 def factor_array(values, sums_of_coprime_squares: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """The prime factors, with multiplicity, of the positive int64 values as
-    two int64 arrays (index, prime), ordered by index and then by prime.
+    """The prime factors, with multiplicity, of the positive values below
+    2^63 (integers, each read through operator.index) as two int64 arrays
+    (index, prime), ordered by index and then by prime.
 
-    The sorted values are cut into chunks, each tested against the table
-    primes p with p^2 <= its largest value in one _divisor_hits block of at
-    most about _CHUNK_CELLS cells.  The hits are divided out of all values
-    in rounds, one power per round.  The cofactor r > 1 of a value v has no
-    prime factor <= min(sqrt(v), TABLE_LIMIT), so one rule certifies it:
-    r is prime below _TABLE_REACH, and only a larger r is factored by
-    _factor_beyond_table.
+    The table primes p with p^2 <= the largest value are tried in rounds
+    over blocks that double in length.  Each round tests only the live
+    values against its block in one _divisor_hits call, then divides every
+    hit out, powers included.  A value leaves the live set once its
+    cofactor r is below p0^2, p0 the first prime of the next block: no prime
+    below p0 divides r, so r is 1 or prime.  A value still live after the
+    last block has had every table prime p <= min(sqrt(v), TABLE_LIMIT)
+    divided out, so r is prime below _TABLE_REACH, and only a larger r is
+    factored by _factor_beyond_table.
 
     sums_of_coprime_squares declares every value to be c^2 + d^2 with
     gcd(c, d) = 1, whose prime factors are 2 or 1 mod 4, so only those
     primes are tried.
     """
-    vals = np.asarray(values, dtype=np.int64).ravel()
-    if len(vals) and int(vals.min()) < 1:
+    limbs = _limbs(values)
+    if len(limbs) > 1:
+        raise ValueError("factor_array needs values below 2^63")
+    rest = limbs[0].copy()
+    if len(rest) and int(rest.min()) < 1:
         raise ValueError("factor_array needs positive values")
-    order = np.argsort(vals, kind="stable")
-    rest = vals[order]
     primes = _prime_table()[1]
-    primes = primes[: np.searchsorted(primes, math.isqrt(int(vals.max(initial=0))), side="right")]
+    primes = primes[: np.searchsorted(primes, math.isqrt(int(rest.max(initial=0))), side="right")]
     if sums_of_coprime_squares:
         primes = primes[(primes == 2) | (primes % 4 == 1)]
-    # primes each value needs (p^2 <= value); never decreasing along rest
-    need = np.searchsorted(primes * primes, rest, side="right")
-    hits = [(np.zeros(0, dtype=np.int64),) * 2]  # (position in rest, prime)
-    start = 0
-    while start < len(rest):
-        # the longest chunk whose length times its last value's need fits
-        window = need[start : start + _CHUNK_CELLS // max(1, int(need[start]))]
-        cells = np.arange(1, len(window) + 1) * window
-        step = max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
-        rows, cols = _divisor_hits(_limbs(rest[start : start + step]), primes[: need[start + step - 1]])
-        hits.append((rows + start, primes[cols]))
-        start += step
-    i, p = map(np.concatenate, zip(*hits))
-    while len(i):
-        np.floor_divide.at(rest, i, p)
-        still = rest[i] % p == 0
-        i, p = i[still], p[still]
-        hits.append((i, p))
+    hits = []  # (index, prime)
+    live = np.arange(len(rest))
+    start, width = 0, 32
+    while start < len(primes):
+        live = live[rest[live] >= primes[start] ** 2]
+        if not len(live):
+            break
+        block = primes[start : start + width]
+        rows, cols = _divisor_hits(rest[live].reshape(1, -1), block)
+        i, p = live[rows], block[cols]
+        while len(i):
+            hits.append((i, p))
+            np.floor_divide.at(rest, i, p)
+            still = rest[i] % p == 0
+            i, p = i[still], p[still]
+        start, width = start + width, 2 * width
     cofactor = np.flatnonzero((rest > 1) & (rest < _TABLE_REACH))
     hits.append((cofactor, rest[cofactor]))
     for k in np.flatnonzero(rest >= _TABLE_REACH).tolist():
         ps = _factor_beyond_table(int(rest[k]))
         hits.append((np.full(len(ps), k), np.array(ps, dtype=np.int64)))
-    at, prime = map(np.concatenate, zip(*hits))
-    index = order[at]
+    index, prime = map(np.concatenate, zip(*hits))
     by = np.lexsort((prime, index))
     return index[by], prime[by]
 
@@ -336,9 +341,9 @@ def is_prime(n: int) -> bool:
     trial division by the table primes up to sqrt(n), then Miller-Rabin.
     Raises ArithmeticError for a probable prime it cannot certify
     (n >= _MR_LIMIT with no table prime factor)."""
+    n = operator.index(n)
     if n <= TABLE_LIMIT:
         return n >= 2 and bool(_prime_table()[0][n])
-    n = int(n)  # the Miller-Rabin powers need Python ints, not int64
     return not _table_divisors(n) and (n < _TABLE_REACH or _certified_prime(n))
 
 

@@ -344,12 +344,21 @@ def test_factor_array_fallback_only_beyond_table(monkeypatch):
     assert calls.count(_PAST_REACH) == 2 and _BELOW_REACH not in calls
 
 
+def _spy_divisor_hits(monkeypatch):
+    """Replace modular._divisor_hits by a wrapper that records the (values,
+    moduli) of each call, as copies, in the list it returns."""
+    calls = []
+    real = modular._divisor_hits
+    monkeypatch.setattr(modular, "_divisor_hits",
+                        lambda limbs, ps: calls.append((limbs.copy(), ps.copy())) or real(limbs, ps))
+    return calls
+
+
 @pytest.mark.parametrize("coprime_squares", [False, True])
-def test_factor_array_chunks_follow_their_own_cut(coprime_squares, monkeypatch):
-    """Each chunk is sized from the primes its own largest value needs, not
-    from the primes of the whole array: with a 64-cell budget, small values
-    share blocks of at most 64 cells while the largest values, which need
-    hundreds of primes, go one per block; the factors are factor_int's."""
+def test_factor_array_blocks_see_only_live_values(coprime_squares, monkeypatch):
+    """With a 64-cell budget, every _divisor_hits call gets only the live
+    values: cofactors r >= p0^2 of its block's first prime p0.  The
+    factors are factor_int's."""
     rng = random.Random(22)
     values = sorted({v * v + w * w if coprime_squares else v for v, w in
                      ((rng.randrange(1, 10 ** k), rng.randrange(1, 10 ** k)) for k in (1, 2, 3, 5) for _ in range(60))
@@ -357,13 +366,75 @@ def test_factor_array_chunks_follow_their_own_cut(coprime_squares, monkeypatch):
     rng.shuffle(values)
     want = [factor_int(v) for v in values]
     monkeypatch.setattr(modular, "_CHUNK_CELLS", 64)
-    blocks = []
-    real = modular._divisor_hits
-    monkeypatch.setattr(modular, "_divisor_hits", lambda limbs, ps: blocks.append((limbs.shape[1], len(ps))) or real(limbs, ps))
+    calls = _spy_divisor_hits(monkeypatch)
     assert _grouped(values, coprime_squares) == want
-    assert all(n * width <= 64 for n, width in blocks if n > 1)
-    assert max(n for n, _ in blocks) > 1 and max(width for _, width in blocks) > 64
-    assert sum(n for n, _ in blocks) <= len(values)
+    assert len(calls) > 1
+    assert all(len(limbs) == 1 and (limbs[0] >= ps[0] * ps[0]).all() for limbs, ps in calls)
+
+
+def _near_prime(n, step, coprime_squares):
+    """The first prime from n on in direction step, 1 mod 4 when
+    coprime_squares asks for a sum of two coprime squares; 2 if a downward
+    search finds none."""
+    while n > 2 and not (sympy.isprime(n) and (not coprime_squares or n % 4 == 1)):
+        n += step
+    return n
+
+
+@pytest.mark.parametrize("coprime_squares", [False, True])
+def test_factor_array_block_edges_match_sympy(coprime_squares, monkeypatch):
+    """Values at the edge of every block, p0 the block's first prime and q
+    the next prime tried: p0^2, p0 q, p0^2 q, and the primes just below and
+    just above p0^2, factored with a 64-cell budget as sympy does."""
+    monkeypatch.setattr(modular, "_CHUNK_CELLS", 64)
+    probe = _near_prime(TABLE_LIMIT ** 2, -1, coprime_squares)  # live through every block
+    calls = _spy_divisor_hits(monkeypatch)
+    assert _grouped([probe], coprime_squares) == [(probe,)]
+    tried = np.concatenate([ps for _, ps in calls]).tolist()
+    assert len(calls) > 3 and tried == [p for p in primes_upto(math.isqrt(probe))
+                                        if not coprime_squares or p == 2 or p % 4 == 1]
+    firsts = [int(ps[0]) for _, ps in calls]
+    values = {probe}
+    for p0 in firsts:
+        q = tried[tried.index(p0) + 1]
+        values |= {p0 * p0, p0 * q, p0 * p0 * q, _near_prime(p0 * p0, -1, coprime_squares),
+                   _near_prime(p0 * p0, 1, coprime_squares)}
+    if coprime_squares:  # c^2 + d^2 with gcd(c, d) = 1: no prime 3 mod 4, and 4 does not divide
+        values = {v for v in values if v % 4 and all(p % 4 != 3 for p in sympy.factorint(v))}
+    values = sorted(values)
+    calls.clear()
+    assert _grouped(values, coprime_squares) == [_sympy_primes(v) for v in values]
+    assert [int(ps[0]) for _, ps in calls] == firsts
+
+
+def test_factor_array_cells_on_schottky_z(monkeypatch):
+    """Trial division stops at the square root of each cofactor: on the
+    distinct z values of the Schottky ball at T = 6e4, the (values x moduli)
+    cells of all _divisor_hits calls stay at or below half of the 1,097,189
+    that testing each value against every table prime up to the square root
+    of the value as it started took."""
+    c, d, _ = enumerate_ball(schottky_generators(), 6.0e4).distinct_rows()
+    z = np.unique(c * c + d * d)
+    z = z[z > 1]
+    calls = _spy_divisor_hits(monkeypatch)
+    index, prime = factor_array(z, sums_of_coprime_squares=True)
+    assert np.multiply.reduceat(prime, np.flatnonzero(np.diff(index, prepend=-1))).tolist() == z.tolist()
+    assert sum(limbs.shape[1] * len(ps) for limbs, ps in calls) <= 1_097_189 // 2
+
+
+def test_factor_array_and_is_prime_refuse_non_integers():
+    """Both read their input through operator.index, so a float, a string or
+    a float array raises TypeError rather than answering for a truncated
+    value; factor_array refuses a value at or past 2^63 with ValueError."""
+    for call in (lambda: is_prime(1048583.7), lambda: is_prime(7.5), lambda: factor_array([1048583.7]),
+                 lambda: factor_array(["12"]), lambda: factor_array(np.array([12.0]))):
+        with pytest.raises(TypeError):
+            call()
+    for big in ([1 << 63], np.array([1 << 63], dtype=np.uint64), [2, 1 << 70]):
+        with pytest.raises(ValueError):
+            factor_array(big)
+    assert is_prime(1048583) and is_prime(np.int64(1048583)) and not is_prime(np.int32(1048575))
+    assert _grouped(np.array([12, 35], dtype=np.int32)) == _grouped([12, 35]) == [(2, 2, 3), (5, 7)]
 
 
 def test_factor_beyond_table_refuses_a_table_prime_factor():
