@@ -22,11 +22,16 @@ distinct n > 1 is graded once, on its first row.  The pieces of those rows
 are deduplicated and factored, kept as flat arrays, and each value's primes
 are merged by one lexsort on (value, prime); the area and product drop
 {2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes, and a value
-that lacks them raises ArithmeticError.  The primes of each distinct n are
-multiplied back to n in exact integers, again raising ArithmeticError on a
-mismatch.  The report keeps the rows as columns plus this per-value table;
-census_csv formats each distinct n once, and CensusReport.rows, one
-CensusRow per row, is built on first access.
+that lacks them raises ArithmeticError.  What remains is two flat int64
+arrays, the primes sorted by (value, prime) and each value's run end, and
+Omega is the length of the value's run.  The certificate multiplies the
+primes back by dividing: round r divides every value by its prime of rank
+r, in int64 when the values are below 2^63 and on an object array of
+Python ints otherwise, and the first value left with a remainder or a
+quotient other than 1 raises ArithmeticError.  The report keeps the rows as
+columns plus the two arrays; census_csv joins each distinct n's factors
+once, from its own slice, and CensusReport.rows, one CensusRow per row, is
+built on first access.
 
 The sieve sequence attaches to each integer n the mass
 
@@ -113,7 +118,9 @@ class CensusRow(NamedTuple):
 class CensusReport:
     """The census as columns (distinct rows c, d, signed values, and each
     row's index into the sorted distinct |values| ns) and the per-value
-    factors; rows is built on first access.  == skips the columns."""
+    primes as flat arrays: the sorted primes of ns[k] are
+    primes[ends[k - 1]:ends[k]] (from 0 for k = 0); rows is built on first
+    access.  == skips the columns and the arrays."""
 
     form: Form
     R: int
@@ -129,18 +136,23 @@ class CensusReport:
     values: np.ndarray = field(repr=False, compare=False)
     value_index: np.ndarray = field(repr=False, compare=False)
     ns: List[int] = field(repr=False, compare=False)
-    factors: List[Tuple[int, ...]] = field(repr=False, compare=False)
+    ends: np.ndarray = field(repr=False, compare=False)
+    primes: np.ndarray = field(repr=False, compare=False)
 
-    def _value_table(self) -> List[Tuple[int, Tuple[int, ...], int, str]]:
-        """(n, factors, Omega, grade) of each distinct |value|: 0 and 1 are
-        the ungraded "zero" and "unit", the rest "P<Omega>"."""
-        return [(n, fac, len(fac), "zero" if n == 0 else "unit" if n == 1 else f"P{len(fac)}")
-                for n, fac in zip(self.ns, self.factors)]
+    def _runs(self) -> Iterator[Tuple[int, int, int, str]]:
+        """(n, start, end, grade) of each distinct |value| n: its sorted primes
+        are primes[start:end] and Omega is end - start; 0 and 1 are the
+        ungraded "zero" and "unit", the rest "P<Omega>"."""
+        ends = self.ends.tolist()
+        for n, a, b in zip(self.ns, [0] + ends, ends):
+            yield n, a, b, "zero" if n == 0 else "unit" if n == 1 else f"P{b - a}"
 
     @cached_property
     def rows(self) -> Tuple[CensusRow, ...]:
         """One CensusRow per distinct row, in the columns' order."""
-        table, imprimitive = self._value_table(), (self.c & self.d & 1).astype(bool).tolist()
+        plist = self.primes.tolist()
+        table = [(n, tuple(plist[a:b]), b - a, grade) for n, a, b, grade in self._runs()]
+        imprimitive = (self.c & self.d & 1).astype(bool).tolist()
         return tuple(CensusRow(c, d, self.form, v, *table[k], imp) for c, d, v, k, imp in zip(
             self.c.tolist(), self.d.tolist(), self.values.tolist(), self.value_index.tolist(), imprimitive))
 
@@ -187,14 +199,18 @@ def _piece_primes(
     return owner, primes[gather]
 
 
-def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: List[int]) -> List[Tuple[int, ...]]:
-    """Sorted primes of each |form value| ns[k] > 1, graded once on its
-    representative row (rc[k], rd[k]) from the factored pieces.
+def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(run ends, primes), two int64 arrays: the sorted primes of each
+    |form value| ns[k] > 1 are primes[ends[k - 1]:ends[k]] (from 0 for
+    k = 0), graded once on its representative row (rc[k], rd[k]) from the
+    factored pieces.  ns is the ascending array of those values, int64 or
+    object.
 
     The primes of all values are merged by one lexsort on (value, prime); the
     area and product then drop {2, 2, 3} or {2, 2, 3, 5} by rank within each
-    run of equal primes.  A value whose primes lack them, or do not multiply
-    back to it in exact integers, raises ArithmeticError."""
+    run of equal primes.  A value whose primes lack them raises
+    ArithmeticError, and so does the first value whose primes do not
+    multiply back to it (_multiply_back)."""
     small, parts = [], []
     if f in (Form.X, Form.AREA, Form.PRODUCT):
         small += [np.abs(rd - rc), np.abs(rd + rc)]
@@ -224,14 +240,34 @@ def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: List[int]) -> Lis
             row = (int(rc[k]), int(rd[k]))
             raise ArithmeticError(f"{divisor} does not divide the coordinate product at row {row}")
         owner, prime = owner[~drop], prime[~drop]
-    ends = np.cumsum(np.bincount(owner, minlength=len(ns))).tolist()
-    plist = prime.tolist()
-    out = [tuple(plist[a:b]) for a, b in zip([0] + ends, ends)]
-    for k, (n, fac) in enumerate(zip(ns, out)):
-        if math.prod(fac) != n:
-            row = (int(rc[k]), int(rd[k]))
-            raise ArithmeticError(f"factors of {n} at row {row} do not multiply back")
-    return out
+    ends = np.cumsum(np.bincount(owner, minlength=len(ns)))
+    failed = _multiply_back(ns, ends, prime)
+    if len(failed):
+        k = int(failed[0])
+        row = (int(rc[k]), int(rd[k]))
+        raise ArithmeticError(f"factors of {int(ns[k])} at row {row} do not multiply back")
+    return ends, prime
+
+
+def _multiply_back(ns: np.ndarray, ends: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Indices k, ascending, at which the primes[ends[k - 1]:ends[k]] do not
+    multiply back to ns[k] in exact integers.
+
+    Each value is divided by its primes one rank per round: round r divides
+    every value with more than r primes by its prime of rank r, and marks it
+    when the division leaves a remainder.  A value fails when it was marked
+    or its quotient is not 1.  The values are divided in int64 when they are
+    below 2^63 and as Python ints on an object array otherwise."""
+    rest = ns.astype(np.int64 if len(ns) and int(ns[-1]) < 1 << 63 else object)
+    counts = np.diff(ends, prepend=0)
+    exact = np.ones(len(ns), dtype=bool)
+    live = np.arange(len(ns))
+    for r in range(int(counts.max(initial=0))):
+        live = live[counts[live] > r]
+        p = primes[ends[live] - counts[live] + r]
+        exact[live] &= rest[live] % p == 0
+        rest[live] //= p
+    return np.flatnonzero(~exact | (rest != 1))
 
 
 def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
@@ -246,16 +282,17 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     if not (np.gcd(c, d) == 1).all():
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
     values = form_values(f, c, d)
-    ns, first, inv = np.unique(np.abs(values), return_index=True, return_inverse=True)
-    ns = ns.tolist()
+    uniq, first, inv = np.unique(np.abs(values), return_index=True, return_inverse=True)
+    ns = uniq.tolist()
     lo = sum(1 for n in ns[:2] if n <= 1)  # zero and unit come first
     reps = first[lo:]
-    facs = _grade_values(f, c[reps], d[reps], ns[lo:]) if len(reps) else []
+    ends, primes = _grade_values(f, c[reps], d[reps], uniq[lo:])
+    ends = np.concatenate((np.zeros(lo, dtype=np.int64), ends))
+    omegas = np.diff(ends, prepend=0)
     size = np.bincount(inv, minlength=len(ns)).tolist()
     ungraded = dict(zip(ns[:lo], size[:lo]))
-    omegas = np.array([len(fac) for fac in facs], dtype=np.int64)
     # keys in order of first appearance among the graded rows
-    hist = Counter(omegas[inv[inv >= lo] - lo].tolist())
+    hist = Counter(omegas[inv[inv >= lo]].tolist())
     return CensusReport(
         form=f,
         R=R,
@@ -266,15 +303,16 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
         units=ungraded.get(1, 0),
         imprimitive_count=int((c & d & 1).sum()),
         max_abs_value=ns[-1] if len(ns) > lo else 0,
-        c=c, d=d, values=values, value_index=inv, ns=ns, factors=[()] * lo + facs,
+        c=c, d=d, values=values, value_index=inv, ns=ns, ends=ends, primes=primes,
     )
 
 
 def census_csv(report: CensusReport) -> str:
     """One line per row, read from the columns; the form,n,factors,omega,grade
-    tail is formatted once per distinct |value|."""
-    tails = [f"{report.form.value},{n},{'·'.join(map(str, fac))},{om},{grade}"
-             for n, fac, om, grade in report._value_table()]
+    tail is formatted once per distinct |value|, its factors joined from the
+    value's own slice of the flat primes."""
+    form, names = report.form.value, list(map(str, report.primes.tolist()))
+    tails = [f"{form},{n},{'·'.join(names[a:b])},{b - a},{grade}" for n, a, b, grade in report._runs()]
     lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
     lines += [f"{c},{d},{tails[k]},{imp}" for c, d, k, imp in zip(
         report.c.tolist(), report.d.tolist(), report.value_index.tolist(),

@@ -11,6 +11,7 @@ check), 3 enumeration budget exceeded, 4 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -390,7 +391,10 @@ _FIELD_TYPES = {fld.name: type(fld.default) for fld in fields(RunConfig) if fld.
 _FORMATS = ("text", "csv", "json")
 
 
-def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every call may share it."""
     parser = _Parser(prog="triplesieve", description=__doc__)
     parser.add_argument("subcommand", choices=sorted(DISPATCH))
     parser.add_argument("--config", help="flat key=value defaults file")
@@ -404,7 +408,11 @@ def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
     parser.add_argument("--f")
     parser.add_argument("--format", choices=_FORMATS)
     parser.add_argument("--seed", type=int)
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv: Optional[List[str]] = None) -> RunConfig:
+    ns = _parser().parse_args(argv)
     file_values = read_config_file(ns.config) if ns.config else {}
     unknown = sorted(set(file_values) - set(_FIELD_TYPES))
     if unknown:

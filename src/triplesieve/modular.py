@@ -25,10 +25,21 @@ value (factor_array, factor_int, is_prime) and which support values a
 modulus q divides (census.a_q), is answered by one kernel, _divisor_hits.
 It reads the values as a (k, n) int64 array of limbs from _limbs: the plain
 int64 values when k = 1, else the 32-bit limbs of |v|, most significant
-first.  Past int64 the moduli m lie in [2, 2^31), and each residue is
-carried in Horner form r -> ((r << 32) + limb) % m, where
-r <= m - 1 < 2^31 - 1 and limb <= 2^32 - 1 bound every intermediate by
-(2^31 - 1) 2^32 + 2^32 - 1 = 2^63 - 1, so no step wraps in int64.
+first.  Every modulus is at least 2, and past int64 below 2^31.  All limbs
+but the last are carried as a residue in Horner form
+r -> ((r << 32) + limb) % m, where r <= m - 1 < 2^31 - 1 and
+limb <= 2^32 - 1 bound every intermediate by
+(2^31 - 1) 2^32 + 2^32 - 1 = 2^63 - 1, so no step wraps in int64.  The last
+step takes no remainder.  With x = (r << 32) + the last limb, or x = |v|
+when k = 1, and m = 2^s o for odd o, m divides x iff x & (2^s - 1) = 0 and
+x o^-1 mod 2^64 <= floor((2^64 - 1) / o), one multiply and one compare in
+uint64 (Granlund and Montgomery, PLDI 1994; Lemire, Kaser and Kurz, Softw.
+Pract. Exp. 2019).  Multiplying by o^-1 permutes Z/2^64 and sends each
+multiple o k < 2^64 to k, so the multiples of o are exactly the x landing
+in [0, floor((2^64 - 1) / o)].  o^-1 mod 2^64 takes five Newton steps
+y -> y (2 - o y) from y = o, which is right to 3 bits since o^2 = 1 mod 8;
+each step doubles the good bits, to 96.  The inverses are computed per call
+on that call's moduli, so no table is built.
 
 factor_array tries the table primes in rounds over blocks that double in
 length, each round on the values still live, and divides every hit out,
@@ -78,6 +89,8 @@ _RHO_CONSTANTS = 16
 _CHUNK_CELLS = 1 << 16
 # _divisor_hits carries residues mod m < 2^31 through 32-bit limbs in int64.
 _MODULUS_LIMIT = 1 << 31
+# 2^64 - 1, the top of uint64, where _divisor_hits tests divisibility mod 2^64.
+_U64_MAX = (1 << 64) - 1
 # project_group packs four residues mod q into one int64 code, so q^4 < 2^63.
 _CODE_LIMIT = 1 << 15
 # Coset labels multiply residues mod q in int64, so q^2 < 2^63.
@@ -133,33 +146,71 @@ def _limbs(values) -> np.ndarray:
     return np.ascontiguousarray(np.frombuffer(raw, dtype=">u4").reshape(-1, k).T, dtype=np.int64)
 
 
+def _inverse_mod_2_64(odd: np.ndarray) -> np.ndarray:
+    """The inverses mod 2^64 of odd uint64 values, by five Newton steps
+    y -> y (2 - o y) from y = o: o^2 = 1 mod 8 makes y right to 3 low bits,
+    and each step doubles them, to 96 >= 64."""
+    inverse = odd
+    for _ in range(5):
+        inverse = inverse * (2 - odd * inverse)
+    return inverse
+
+
 def _divisor_hits(limbs: np.ndarray, moduli: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(value index, modulus index) of every pair where the modulus divides
     the value, ordered by value and then by modulus.
 
     limbs is a (k, n) int64 array from _limbs and moduli an int64 vector of
-    moduli m >= 2, checked to lie below 2^31 when k > 1.  The residues are
-    taken in Horner form, r = limbs[0] % m and then r = ((r << 32) + limb) % m
-    for each further limb, on blocks of at most _CHUNK_CELLS (values x
-    moduli) cells.  Since r <= m - 1 < 2^31 - 1 and a limb is at most
-    2^32 - 1, every intermediate is at most (2^31 - 1) 2^32 + 2^32 - 1
-    = 2^63 - 1 and nothing wraps.  For k = 1 the one step is the plain int64
-    v % m, exact for every sign and every int64 m >= 2."""
+    moduli m >= 2, checked to lie below 2^31 when k > 1; a smaller modulus
+    raises ValueError for every k.  The work runs on blocks of at most
+    _CHUNK_CELLS (values x moduli) cells.
+
+    Every limb but the last is folded into a residue in Horner form,
+    r = limbs[0] % m and then r = ((r << 32) + limb) % m.  Since
+    r <= m - 1 < 2^31 - 1 and a limb is at most 2^32 - 1, every
+    intermediate, and x = (r << 32) + the last limb, is at most
+    (2^31 - 1) 2^32 + 2^32 - 1 = 2^63 - 1, so nothing wraps; x is
+    congruent to the value mod m.  For k = 1 there is no residue and
+    x = |v|, read in uint64 so that |-2^63| = 2^63 is exact.
+
+    The last step is a multiply and a compare in uint64, where numpy wraps
+    mod 2^64.  Write m = 2^s o with o odd; then m | x iff x & (2^s - 1) = 0
+    and o | x, and o | x iff x o^-1 mod 2^64 <= L = floor((2^64 - 1) / o).
+    Proof: o is odd, so o^-1 exists mod 2^64 and x -> x o^-1 permutes
+    Z/2^64.  The multiples of o in [0, 2^64) are o k for k = 0..L, and the
+    permutation maps o k to k, so it maps them onto exactly [0, L]; every
+    other x maps past L.  The inverses come from _inverse_mod_2_64, computed
+    on each call's own moduli."""
     n, width = limbs.shape[1], len(moduli)
+    if width and int(moduli.min()) < 2:
+        raise ValueError(f"moduli must be at least 2, got {int(moduli.min())}")
     if not n or not width:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if len(limbs) > 1 and (int(moduli.min()) < 2 or int(moduli.max()) >= _MODULUS_LIMIT):
+    if len(limbs) > 1 and int(moduli.max()) >= _MODULUS_LIMIT:
         raise ValueError(f"moduli of values past int64 must lie in [2, {_MODULUS_LIMIT})")
+    u = moduli.astype(np.uint64)
+    low = u & -u  # 2^s
+    odd = u // low
+    inverse, limit, mask = _inverse_mod_2_64(odd), np.uint64(_U64_MAX) // odd, low - 1
+    even = bool(mask.any())
     rows, cols = max(1, _CHUNK_CELLS // width), min(width, _CHUNK_CELLS)
     hits = []
     for i in range(0, n, rows):
         block = limbs[:, i : i + rows, None]
+        if len(block) == 1:
+            x = np.abs(block[0]).view(np.uint64)
         for j in range(0, width, cols):
-            m = moduli[j : j + cols]
-            r = block[0] % m
-            for t in range(1, len(block)):
-                r = ((r << 32) + block[t]) % m
-            vi, mj = np.divmod(np.flatnonzero(r == 0), r.shape[1])
+            cut = slice(j, j + cols)
+            if len(block) > 1:
+                m = moduli[cut]
+                r = block[0] % m
+                for t in range(1, len(block) - 1):
+                    r = ((r << 32) + block[t]) % m
+                x = ((r << 32) + block[-1]).view(np.uint64)
+            hit = x * inverse[cut] <= limit[cut]
+            if even:
+                hit &= (x & mask[cut]) == 0
+            vi, mj = np.divmod(np.flatnonzero(hit), hit.shape[1])
             hits.append((vi + i, mj + j) if i or j else (vi, mj))
     return hits[0] if len(hits) == 1 else tuple(map(np.concatenate, zip(*hits)))
 

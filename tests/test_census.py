@@ -587,6 +587,45 @@ def test_census_raises_when_kernel_drops_a_factor(monkeypatch):
     assert cli.main(["census", "--T", "12", "--format", "json"]) == cli.EXIT_FALSIFIED
 
 
+def test_census_raises_when_kernel_reads_5_as_4(monkeypatch):
+    """Each x value 5^k m (k <= 3 below 5^4 > 12^2) then gets the factors
+    of 4^k m, and 5^k m // 4^k // m is still 1: only the remainders of the
+    certificate catch it."""
+    real = census_mod.factor_array
+
+    def swapped(values, *args):
+        index, prime = real(values, *args)
+        return index, np.where(prime == 5, 4, prime)
+
+    monkeypatch.setattr(census_mod, "factor_array", swapped)
+    with pytest.raises(ArithmeticError, match="multiply back"):
+        census(enumerate_ball(MOD, 12), Form.X, 2)
+
+
+def test_census_certificate_on_python_ints(monkeypatch):
+    """The Schottky product at T = 10^4 passes 2^63, so the multiply-back
+    certificate divides on an object array: its rows match sympy on a seeded
+    sample, and a kernel that drops a factor is caught there."""
+    ball = enumerate_ball(schottky_generators(), 1e4)
+    rep = census(ball, Form.PRODUCT, 4)
+    assert rep.max_abs_value >= 1 << 63
+    for r in random.Random(29).sample(rep.rows, 200):
+        fac = sympy.factorint(r.n) if r.n > 1 else {}
+        assert r.factors == tuple(p for p in sorted(fac) for _ in range(fac[p])) and r.omega == len(r.factors)
+    real = census_mod.factor_array
+
+    def lossy(values, *args):
+        # drops the last prime of many only past 5, so 60 still divides xyz
+        index, prime = real(values, *args)
+        head = index[1:] != index[:-1]
+        keep = np.insert(head, 0, True) | ~np.append(head, True) | (prime <= 5)
+        return index[keep], prime[keep]
+
+    monkeypatch.setattr(census_mod, "factor_array", lossy)
+    with pytest.raises(ArithmeticError, match="multiply back"):
+        census(ball, Form.PRODUCT, 4)
+
+
 def test_exactness_check_survives_python_O():
     script = (
         "import importlib\n"

@@ -154,6 +154,21 @@ def test_delta_refuses_a_bad_radius_before_its_grid(T):
     assert proc.stderr == f"bad input: need a finite T >= 1 with a finite T^2, got {float(T)}\n"
 
 
+def test_one_parser_serves_every_call():
+    """The parser is built once per process; a run refused for an unknown
+    flag leaves it as it was, so the next census prints the bytes a fresh
+    process prints."""
+    assert cli._parser() is cli._parser()
+    assert run(["census", "--T", "12", "--bogus", "1"])[0] == cli.EXIT_BAD_INPUT
+    argv = ["census", "--T", "12", "--format", "csv"]
+    code, out = run(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "triplesieve.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert (code, proc.returncode) == (cli.EXIT_PASS, cli.EXIT_PASS)
+    assert out.encode() == proc.stdout
+
+
 def test_exit_code_budget(monkeypatch):
     def boom(*a, **k):
         raise BallBudgetError(100.0, 5, 5)

@@ -600,3 +600,36 @@ def test_divisor_hits_refuses_moduli_that_could_wrap():
             modular._divisor_hits(big, np.array([m], dtype=np.int64))
     hits = modular._divisor_hits(modular._limbs([(1 << 62) - 2, 6]), np.array([(1 << 62) - 2], dtype=np.int64))
     assert [a.tolist() for a in hits] == [[0], [0]]
+
+
+def test_divisor_hits_refuses_moduli_below_two_for_every_limb_count():
+    """On int64 values as past int64, a modulus below 2 raises: 0 does not
+    divide every value and -3 is not read as 3."""
+    for limbs in (modular._limbs([5, 6, -9]), modular._limbs([2 ** 70, 6]), modular._limbs([])):
+        for m in (0, 1, -1, -3, -(1 << 63)):
+            with pytest.raises(ValueError, match="at least 2"):
+                modular._divisor_hits(limbs, np.array([3, m], dtype=np.int64))
+
+
+def test_divisor_hits_at_the_uint64_edges():
+    """int64 values against moduli at and past 2^31, odd, even and powers of
+    two up to 2^63 - 1: the multiply-and-compare test answers as Python %,
+    for 0, +-1, -2^63, 2^63 - 1 and +- multiples near the ends of int64."""
+    moduli = [(1 << 31) - 1, 1 << 31, (1 << 31) + 1, 3 << 31, (1 << 32) + 2, 1 << 40, 3 ** 39,
+              2 * 3 ** 38, (1 << 61) - 1, 1 << 62, (1 << 62) - 2, (1 << 62) + 1, (1 << 63) - 2, (1 << 63) - 1]
+    top = (1 << 63) - 1
+    values = [0, 1, -1, -(1 << 63), top, -top]
+    for m in moduli:
+        for k in (1, 2, 3, top // m - 1, top // m):
+            values += [k * m, -k * m, k * m + 1, -k * m - 1] if k else []
+    values = [v for v in values if -(1 << 63) <= v <= top]
+    hits = modular._divisor_hits(modular._limbs(values), np.array(moduli, dtype=np.int64))
+    assert list(zip(*(a.tolist() for a in hits))) == [
+        (i, j) for i, v in enumerate(values) for j, m in enumerate(moduli) if v % m == 0]
+
+
+def test_inverse_mod_2_64_inverts_odd_words():
+    rng = random.Random(29)
+    odd = [1, 3, (1 << 64) - 1, (1 << 63) + 1] + [rng.randrange(1 << 64) | 1 for _ in range(2000)]
+    inverse = modular._inverse_mod_2_64(np.array(odd, dtype=np.uint64)).tolist()
+    assert all(o * y % (1 << 64) == 1 for o, y in zip(odd, inverse))
