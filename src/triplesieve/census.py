@@ -91,7 +91,7 @@ import numpy as np
 from .gl2 import Form, form_values
 from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_keys, _order, _row_keys, _runs, enumerate_ball
 from .modular import beta as modular_beta
-from .modular import FORM_PRIME_FLOOR, _divisor_hits, _limbs, factor_array, prime_factors, require_odd_prime
+from .modular import FORM_PRIME_FLOOR, TABLE_LIMIT, _divisor_hits, _limbs, factor_array, primes_upto, require_odd_prime
 
 # Kept only for perfbench's census.uncertified counter; it goes with ROADMAP
 # item 7's single benchmark change.
@@ -555,19 +555,15 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def good_moduli(form: Form, bound: float) -> List[int]:
-    """Odd squarefree q in (1, bound) whose primes all admit local densities."""
+    """Odd squarefree q in (1, bound) whose primes all admit local densities,
+    by one sieve over [0, ceil(bound)) striking 0, 1, the multiples of each
+    prime below the form's floor (2 included) and of every other p^2."""
     floor = FORM_PRIME_FLOOR[Form(form)]
-    out = []
-    for q in range(3, math.ceil(bound)):
-        if q % 2 == 0:
-            continue
-        try:
-            ps = prime_factors(q)
-        except ValueError:
-            continue
-        if all(p >= floor for p in ps):
-            out.append(q)
-    return out
+    good = np.ones(max(math.ceil(bound), 0), dtype=bool)
+    good[:2] = False
+    for p in primes_upto(max(math.isqrt(len(good)), floor)):
+        good[:: p if p < floor else p * p] = False
+    return np.flatnonzero(good).tolist()
 
 
 def distribution_probe(
@@ -576,9 +572,10 @@ def distribution_probe(
     """(sum of |remainder| over good q < N^alpha, chi, their ratio).
 
     N is the largest |form value| in the sequence, read off the ends of the
-    sorted support.  Report only; the
-    ratio going down as balls grow is evidence of level-of-distribution
-    behavior, not a proof.
+    sorted support; a level N^alpha past modular.TABLE_LIMIT raises
+    ValueError before any modulus is listed.  Report only; the ratio going
+    down as balls grow is evidence of level-of-distribution behavior, not a
+    proof.
     """
     if not 0 < alpha < 0.5:
         raise ValueError("need 0 < alpha < 1/2")
@@ -587,8 +584,12 @@ def distribution_probe(
     N = max(abs(seq.ns[0]), abs(seq.ns[-1])) if seq.ns else 0
     if N < 2:
         return Fraction(0), seq.chi, Fraction(0)
+    level = N ** alpha
+    if level > TABLE_LIMIT:
+        raise ValueError(f"level N^alpha = {level:.4g} is past the prime table ({TABLE_LIMIT}): "
+                         "every good modulus below it would cost a_q a pass over the support")
     total = Fraction(0)
-    for q in good_moduli(seq.form, N ** alpha):
+    for q in good_moduli(seq.form, level):
         _, _, r = a_q(seq, q)
         total += abs(r)
     return total, seq.chi, total / seq.chi

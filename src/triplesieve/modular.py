@@ -21,9 +21,10 @@ Local densities count, among the p+1 coset representatives, those whose row
 makes a chosen coordinate form vanish mod p.  Exact rationals throughout.
 
 Every divisibility question on many values, which table primes divide each
-value (factor_array, factor_int, is_prime) and which support values a
-modulus q divides (census.a_q), is answered by one kernel, _divisor_hits.
-It reads the values as a (k, n) int64 array of limbs from _limbs: the plain
+value (factor_array, factor_int) and which support values a modulus q
+divides (census.a_q), is answered by one kernel, _divisor_hits; past the
+table, is_prime is Miller-Rabin alone (_certified_prime).  The kernel
+reads the values as a (k, n) int64 array of limbs from _limbs: the plain
 int64 values when k = 1, else the 32-bit limbs of |v|, most significant
 first.  Every modulus is at least 2, and past int64 below 2^31.  All limbs
 but the last are carried as a residue in Horner form
@@ -215,13 +216,6 @@ def _divisor_hits(limbs: np.ndarray, moduli: np.ndarray) -> Tuple[np.ndarray, np
     return hits[0] if len(hits) == 1 else tuple(map(np.concatenate, zip(*hits)))
 
 
-def _table_divisors(n: int) -> List[int]:
-    """The table primes p <= sqrt(n) that divide n >= 1, any integer."""
-    primes = _prime_table()[1]
-    primes = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
-    return primes[_divisor_hits(_limbs(n), primes)[1]].tolist()
-
-
 def _strong_probable_prime(n: int) -> bool:
     """Miller-Rabin on n >= 2 with the first k of the bases 2..37, the
     fewest with n < psi_k, or all 12 from psi_11 on.  False proves n
@@ -379,8 +373,10 @@ def factor_int(n: int) -> Tuple[int, ...]:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    table = _prime_table()[1]
+    table = table[: np.searchsorted(table, math.isqrt(n), side="right")]
     primes, rest = [], n
-    for p in _table_divisors(n):
+    for p in table[_divisor_hits(_limbs(n), table)[1]].tolist():
         while rest % p == 0:
             rest //= p
             primes.append(p)
@@ -389,13 +385,12 @@ def factor_int(n: int) -> Tuple[int, ...]:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality: a table lookup up to TABLE_LIMIT, beyond it
-    trial division by the table primes up to sqrt(n), then Miller-Rabin.
-    Raises ArithmeticError for a probable prime it cannot certify
-    (n >= _MR_LIMIT with no table prime factor)."""
+    Miller-Rabin (_certified_prime), proven below _MR_LIMIT.  Raises
+    ArithmeticError for a probable prime it cannot certify (n >= _MR_LIMIT)."""
     n = operator.index(n)
     if n <= TABLE_LIMIT:
         return n >= 2 and bool(_prime_table()[0][n])
-    return not _table_divisors(n) and (n < _TABLE_REACH or _certified_prime(n))
+    return _certified_prime(n)
 
 
 def require_odd_prime(p: int) -> None:

@@ -34,6 +34,7 @@ from triplesieve.groups import (
     modular_generators,
     schottky_generators,
 )
+from triplesieve.modular import prime_factors
 
 from matrix_oracles import ball_matrices, form_value
 
@@ -438,6 +439,68 @@ def test_good_moduli_thresholds():
     assert good_moduli(Form.AREA, 20) == [5, 7, 11, 13, 17, 19]
     assert good_moduli(Form.PRODUCT, 20) == [7, 11, 13, 17, 19]
     assert good_moduli(Form.Z, 3) == []
+
+
+def good_moduli_oracle(form, bound):
+    """Odd squarefree q in (1, bound) with every prime at or above the
+    form's floor, by sympy factoring each q."""
+    floor = census_mod.FORM_PRIME_FLOOR[form]
+    return [q for q in range(3, math.ceil(bound), 2)
+            if all(e == 1 and p >= floor for p, e in sympy.factorint(q).items())]
+
+
+@pytest.mark.parametrize("form", list(Form))
+def test_good_moduli_match_factoring_every_modulus(form):
+    for bound in (0.5, 3, 20, 200, 200.5, 3001):
+        assert good_moduli(form, bound) == good_moduli_oracle(form, bound), bound
+
+
+def test_good_moduli_is_one_sieve_with_no_factoring():
+    """Listing the moduli below 3e5 factors none of them: the prime_factors
+    cache does not grow."""
+    before = prime_factors.cache_info().currsize
+    moduli = good_moduli(Form.Z, 3e5)
+    assert prime_factors.cache_info().currsize == before
+    assert len(moduli) == 121584 and moduli[:4] == [3, 5, 7, 11] and moduli[-1] == 299999
+
+
+def test_distribution_probe_refuses_a_level_past_the_table(monkeypatch):
+    """N^alpha past the prime table raises ValueError before any modulus is
+    listed or any a_q is taken; a level just below the table still runs,
+    with one a_q per good modulus."""
+    def fail(*args):
+        raise AssertionError("called past the table")
+
+    far = SieveSequence(1, 1, Form.Z, "hand", 1, [5, 10 ** 40], [1, 1], Fraction(2), 2, 1)
+    monkeypatch.setattr(census_mod, "a_q", fail)
+    monkeypatch.setattr(census_mod, "good_moduli", fail)
+    with pytest.raises(ValueError, match="prime table"):
+        distribution_probe(far, 0.3)
+    monkeypatch.undo()
+
+    N = ((1 << 20) - 1) ** 4
+    level = N ** 0.25
+    assert (1 << 20) - 2 < level <= 1 << 20
+    near = SieveSequence(1, 1, Form.Z, "hand", 1, [5, N], [1, 1], Fraction(2), 2, 1)
+    calls = []
+    monkeypatch.setattr(census_mod, "a_q", lambda seq, q: calls.append(q) or (0, 0, Fraction(0)))
+    assert distribution_probe(near, 0.25) == (0, Fraction(2), 0)
+    assert calls == good_moduli(Form.Z, level)
+
+
+def test_chunk_values_past_int64_on_python_ints():
+    """Rows and omega entries whose grid products could pass 2^63 are formed
+    as Python ints; every value matches the scalar oracle."""
+    rc = np.array([(1 << 31) - 1, -(1 << 31) + 5, 3, 1], dtype=np.int64)
+    rd = np.array([(1 << 31) - 2, 7, -(1 << 30), 1 << 31], dtype=np.int64)
+    k = 1 << 32
+    reps = np.array([[1, k, 0, 1], [1, 0, k, 1], [1 + k, k, -k, 1 - k], [0, -1, 1, 0]], dtype=np.int64)
+    assert 2 * max(int(np.abs(rc).max()), int(np.abs(rd).max())) * int(np.abs(reps).max()) >= 1 << 63
+    for f in Form:
+        got = census_mod._chunk_values(rc, rd, reps, f)
+        want = [form_value(f, c * a + d * cc, c * b + d * dd)
+                for c, d in zip(rc.tolist(), rd.tolist()) for a, b, cc, dd in reps.tolist()]
+        assert [int(v) for v in got] == want, f
 
 
 def test_distribution_probe_validation_and_tiny_alpha():

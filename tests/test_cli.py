@@ -117,6 +117,23 @@ def test_stdout_pinned(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
+# sha256 of the stdout without its "#" header lines, recorded before good
+# moduli came from one sieve; every run exits 0
+PINNED_DATA = {
+    "orbit --T 12 --format json": "ac36de46cce9b8fa24fd894ea46782bbe573b038719c8c32892ff103c92c81c7",
+    "density --pmax 31 --format json": "f15d86aa5ae1451f9e9b56bef82cb1ab5eac8e9b402c9fbeb5374eae89e73dba",
+    "delta --T 60 --format csv": "e7a476cc11a011be75a5982cba7e41bdaa3751df6fb1ca74f7c4807d8fe6fb84",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DATA))
+def test_data_lines_pinned(argv):
+    code, out = run(argv.split())
+    assert code == 0
+    body = "".join(l for l in out.splitlines(keepends=True) if not l.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_DATA[argv]
+
+
 def test_exit_code_bad_input():
     assert run(["nope"])[0] == 4
     assert run(["orbit", "--format", "xml"])[0] == 4

@@ -674,6 +674,18 @@ def test_smoothed_weight_integer_form(T, dtype):
     assert r == 1.1 * T or smoothstep_oracle(T, Fraction(math.nextafter(r, 0)) ** 2) > 0
 
 
+def test_support_radius_steps_past_a_float_below_eleven_tenths():
+    """At this T the float 1.1T lies below the exact 11T/10, so the weight of
+    its square is still positive and support_radius steps up one ulp."""
+    T = 30590.952443570503
+    assert Fraction(1.1 * T) < Fraction(11, 10) * Fraction(T)
+    w = SmoothedWeight(T)
+    r = w.support_radius()
+    assert r == math.nextafter(1.1 * T, math.inf)
+    assert w.weight_fraction(Fraction(r) ** 2) == 0
+    assert w.weight_fraction(Fraction(math.nextafter(r, 0)) ** 2) > 0
+
+
 def test_sub_ball_is_the_smaller_ball():
     """sub_ball(t) holds the rows, sq_norms and (on the tree) word lengths of
     the ball enumerated at t; count_below reads its length.  The square

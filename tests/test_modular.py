@@ -541,6 +541,27 @@ def test_miller_rabin_stops_at_the_proven_base_prefix():
                 assert got == sympy.isprime(n), n
 
 
+def test_is_prime_past_the_table_matches_sympy():
+    """Past TABLE_LIMIT is_prime is Miller-Rabin alone; it agrees with sympy
+    on a seeded sample in (2^20, 2^64), on Carmichael numbers (Chernick's
+    (6k + 1)(12k + 1)(18k + 1)), on psi_1..psi_11 and their neighbours, and
+    on semiprimes of two primes above the table.  psi_12 still raises."""
+    rng = random.Random(30)
+    sample = {rng.randrange(TABLE_LIMIT + 1, 1 << 64) for _ in range(10_000)}
+    sample |= {rng.randrange(TABLE_LIMIT + 1, 1 << rng.randrange(21, 65)) for _ in range(2_000)}
+    carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 5000)
+                  if all(map(sympy.isprime, (6 * k + 1, 12 * k + 1, 18 * k + 1)))]
+    assert len(carmichael) > 40 and all(pow(2, n - 1, n) == 1 for n in carmichael)
+    sample |= {n for n in carmichael if TABLE_LIMIT < n < 1 << 64}
+    sample |= {psi + e for psi in modular._MR_PSI[:11] for e in (-2, -1, 0, 1, 2)}
+    sample |= {sympy.nextprime(rng.randrange(TABLE_LIMIT, 1 << 32)) * sympy.nextprime(rng.randrange(TABLE_LIMIT, 1 << 32))
+               for _ in range(200)}
+    for n in sorted(sample):
+        assert is_prime(n) == bool(sympy.isprime(n)), n
+    with pytest.raises(ArithmeticError):
+        is_prime(modular._MR_LIMIT)
+
+
 def test_factor_array_sums_of_coprime_squares():
     rows = [(c, d) for c in range(0, 60) for d in range(1, 60) if math.gcd(c, d) == 1]
     zs = sorted({c * c + d * d for c, d in rows})
