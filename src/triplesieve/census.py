@@ -63,6 +63,16 @@ numerators in int64 when their total fits.  a_q sums the numerators at the
 hits of the same kernel factor_array reads, modular._divisor_hits.  Every
 form value in this module comes from gl2.form_values.
 
+The grid (the ball, the row weights, the fold below, the omega classes, the
+int64 choice and the chunks) is built by one helper, _sequence_grid, and has
+two readers.  build_sequence sums it by value into a(n), and a_q then reads
+any number of moduli off the built sequence.  adq_terms reads one modulus
+straight off the grid, for the CLI's adq, with no sum by value: each chunk
+adds the weights of the pairs whose value q divides (modular._divisor_hits
+on the chunk's _limbs) and the total of its pair weights, which must come to
+chi times the denominator, and the support is counted from the run heads of
+one sort of each chunk's values, merged with those of the chunks before.
+
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
 and xyz alone and flips the signs of x and y; so the omega ball is grouped
@@ -486,6 +496,61 @@ def _chunk_values(rc: np.ndarray, rd: np.ndarray, reps: np.ndarray, form: Form) 
     return form_values(form, c1, d1)
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """The folded (row x omega-class) grid of the sieve sequence, the one
+    grid build_sequence and adq_terms read.  Pair (i, j) is the row
+    (c[i], d[i]) times the class representative reps[j] and weighs
+    wnums[i] * mult[j] over den; total = chi * den is the mass numerator.
+    wnums is int64 when every pair weight fits, else Python ints."""
+
+    form: Form
+    den: int
+    total: int
+    pair_count: int  # distinct weighted rows x |omega ball|, before folding
+    m: int  # |omega ball|
+    c: np.ndarray
+    d: np.ndarray
+    wnums: np.ndarray
+    reps: np.ndarray
+    mult: np.ndarray
+
+    def chunks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """(form values, row weight numerators) of each block of rows whose
+        pairs number at most _CHUNK_PAIRS (one row at least); the values
+        are row-major over (row, class)."""
+        rows_per_chunk = max(1, _CHUNK_PAIRS // max(1, len(self.reps)))
+        for start in range(0, len(self.c), rows_per_chunk):
+            part = slice(start, start + rows_per_chunk)
+            yield _chunk_values(self.c[part], self.d[part], self.reps, self.form), self.wnums[part]
+
+
+def _sequence_grid(gens: GeneratorSet, X: float, Y: float, f: Form, element_cap: int) -> _Grid:
+    """The grid of build_sequence(gens, X, Y, f): one ball enumerated at the
+    larger of the weight's support radius and Y, the row weights, the
+    S-fold and the omega classes.  An empty gamma or omega ball gives an
+    empty grid over den = 1."""
+    if not (1 <= X < math.inf and 1 <= Y < math.inf):
+        raise ValueError(f"need finite X >= 1 and Y >= 1, got X={X}, Y={Y}")
+    f = Form(f)
+    radius = SmoothedWeight(X).support_radius()
+    ball = enumerate_ball(gens, max(radius, Y), element_cap=element_cap)
+    gamma_ball, omega_ball = ball.sub_ball(radius), ball.sub_ball(Y)
+    m = len(omega_ball)
+    c, d, wnums, den = _row_weights(gamma_ball, X)
+    if not len(c) or m == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return _Grid(f, 1, 0, 0, m, empty, empty, empty, empty.reshape(0, 4), empty)
+    total = int(wnums.sum()) * m
+    pair_count = len(c) * m
+    c, d, wnums = _fold_rows(c, d, wnums, omega_ball.rows)
+    reps, mult = _omega_classes(omega_ball.rows, f)
+    # every pair weight (row weight times class multiplicity) fits in int64;
+    # its readers bound their own sums
+    wnums = wnums.astype(np.int64 if int(wnums.max()) * int(mult.max()) < 1 << 63 else object)
+    return _Grid(f, den, total, pair_count, m, c, d, wnums, reps, mult)
+
+
 def build_sequence(
     gens: GeneratorSet,
     X: float,
@@ -501,39 +566,87 @@ def build_sequence(
     OrbitBall.distinct_rows, the rows census grades.  Generator order does
     not affect the result.
     """
-    if not (1 <= X < math.inf and 1 <= Y < math.inf):
-        raise ValueError(f"need finite X >= 1 and Y >= 1, got X={X}, Y={Y}")
-    f = Form(f)
-    radius = SmoothedWeight(X).support_radius()
-    ball = enumerate_ball(gens, max(radius, Y), element_cap=element_cap)
-    gamma_ball, omega_ball = ball.sub_ball(radius), ball.sub_ball(Y)
-    m = len(omega_ball)
-    c, d, wnums, den = _row_weights(gamma_ball, X)
-    total = int(wnums.sum()) * m
-    chi = Fraction(total, den)
-    if not len(c) or m == 0:
-        return SieveSequence(X, Y, f, gens.label, 1, [], [], Fraction(0), 0, m)
-
-    pair_count = len(c) * m
-    c, d, wnums = _fold_rows(c, d, wnums, omega_ball.rows)
-    reps, mult = _omega_classes(omega_ball.rows, f)
-    # every pair weight (row weight times class multiplicity) fits in int64;
+    grid = _sequence_grid(gens, X, Y, f, element_cap)
+    chi = Fraction(grid.total, grid.den)
+    if not grid.pair_count:
+        return SieveSequence(X, Y, grid.form, gens.label, 1, [], [], chi, 0, grid.m)
     # _run_sums bounds its own sums, the merge of the chunk totals included
-    wnums = wnums.astype(np.int64 if int(wnums.max()) * int(mult.max()) < 1 << 63 else object)
-
-    rows_per_chunk = max(1, _CHUNK_PAIRS // len(reps))
-    parts = []
-    for start in range(0, len(c), rows_per_chunk):
-        part = slice(start, start + rows_per_chunk)
-        parts.append(_run_sums(_chunk_values(c[part], d[part], reps, f), np.outer(wnums[part], mult).ravel()))
+    parts = [_run_sums(values, np.outer(w, grid.mult).ravel()) for values, w in grid.chunks()]
     ns, numerators = parts[0] if len(parts) == 1 else _run_sums(*map(np.concatenate, zip(*parts)))
-    seq = SieveSequence(X, Y, f, gens.label, den, ns.tolist(), numerators.tolist(), chi, pair_count, m)
+    seq = SieveSequence(X, Y, grid.form, gens.label, grid.den, ns.tolist(), numerators.tolist(), chi,
+                        grid.pair_count, grid.m)
     if seq.total_mass() != chi:
         raise ArithmeticError("mass accounting identity failed")
     # the numerators are sums of positive pair weights, so their absolute
     # total is that of the mass, chi * den
-    seq._arrays = _limbs(ns), numerators.astype(seq._numerator_dtype(total), copy=False)
+    seq._arrays = _limbs(ns), numerators.astype(seq._numerator_dtype(grid.total), copy=False)
     return seq
+
+
+def _exact_total(w: np.ndarray) -> int:
+    """The exact total of an int64 or object array, as a Python int: int64
+    entries are summed as their 31-bit halves, which cannot wrap for fewer
+    than 2^31 entries (as _run_sums argues), longer or object arrays as
+    Python ints."""
+    if w.dtype == object or len(w) >= 1 << 31:
+        return int(w.astype(object, copy=False).sum())
+    return (int((w >> 31).sum()) << 31) + int((w & _MASK31).sum())
+
+
+def _distinct(values: np.ndarray, kind=None) -> np.ndarray:
+    """The distinct values, ascending: the run heads of one sort (kind
+    "stable" merges arrays that are concatenated sorted runs in linear
+    time)."""
+    values = np.sort(values, kind=kind)
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = values[1:] != values[:-1]
+    return values[head]
+
+
+def adq_terms(
+    gens: GeneratorSet,
+    X: float,
+    Y: float,
+    f: Form,
+    q: int,
+    element_cap: int = 10_000_000,
+) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction], int]:
+    """(chi, a_q(seq, q), len(seq.ns)) of seq = build_sequence(gens, X, Y, f,
+    element_cap), read off the grid without building seq.
+
+    Inputs are refused as build_sequence and then a_q refuse them: X and Y,
+    the ball's budget, then q, before any value is formed.  Each chunk adds
+    the weights of its pairs whose value q divides (modular._divisor_hits on
+    the chunk's _limbs, as a_q reads the support) and its pair weights, whose
+    total must be chi * den (else ArithmeticError); the support is counted
+    by the run heads of each chunk's sorted values, merged into those of the
+    chunks before it."""
+    grid = _sequence_grid(gens, X, Y, f, element_cap)
+    chi = Fraction(grid.total, grid.den)
+    if q != 1:
+        main = modular_beta(grid.form, q) * chi  # rejects even, non-squarefree, small p
+        moduli = np.array([q], dtype=np.int64)
+    k, mult_total = len(grid.reps), int(grid.mult.sum())
+    hit_total = pair_total = 0
+    support, pending = np.zeros(0, dtype=np.int64), []
+    for values, w in grid.chunks():
+        pair_total += _exact_total(w) * mult_total
+        if q != 1:
+            i, j = np.divmod(_divisor_hits(_limbs(values), moduli)[0], k)
+            hit_total += _exact_total(w[i] * grid.mult[j])
+        pending.append(_distinct(values))
+        # a merge of sorted runs costs at most twice what is pending, so the
+        # merges of all chunks cost a bounded multiple of their run heads
+        if sum(map(len, pending)) >= len(support):
+            support, pending = _distinct(np.concatenate((support, *pending)), "stable"), []
+    if pending:
+        support = _distinct(np.concatenate((support, *pending)), "stable")
+    if pair_total != grid.total:
+        raise ArithmeticError("mass accounting identity failed")
+    if q == 1:
+        return chi, (chi, chi, Fraction(0)), len(support)
+    mass = Fraction(hit_total, grid.den)
+    return chi, (mass, main, mass - main), len(support)
 
 
 def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:

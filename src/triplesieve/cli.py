@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .census import a_q, build_sequence, census, census_csv
+from .census import adq_terms, census, census_csv
 from .charsums import (
     _zero_counts,
     disjointness_check,
@@ -222,6 +222,12 @@ def cmd_orbit(cfg: RunConfig) -> Tuple[str, int]:
     gens = resolve_group(cfg.group)
     ball = enumerate_ball(gens, cfg.T)
     c, d, _ = ball.distinct_rows()
+    if cfg.format == "text":  # counts only: no triple is formed
+        body = (
+            f"elements = {len(ball)}\ndistinct_rows = {len(c)}\n"
+            f"max_sq_norm = {int(ball.sq_norms().max(initial=0))}\n"
+        )
+        return _emit_text(cfg, body), EXIT_PASS
     x, y, z = (form_values(f, c, d).tolist() for f in (Form.X, Form.Y, Form.Z))
     triples = list(zip(c.tolist(), d.tolist(), x, y, z))
     if cfg.format == "json":
@@ -234,14 +240,8 @@ def cmd_orbit(cfg: RunConfig) -> Tuple[str, int]:
             ],
         }
         return _emit_json(cfg, payload), EXIT_PASS
-    if cfg.format == "csv":
-        lines = ["c,d,x,y,z"] + [f"{c},{d},{x},{y},{z}" for c, d, x, y, z in triples]
-        return _emit_text(cfg, "\n".join(lines) + "\n"), EXIT_PASS
-    body = (
-        f"elements = {len(ball)}\ndistinct_rows = {len(triples)}\n"
-        f"max_sq_norm = {int(ball.sq_norms().max(initial=0))}\n"
-    )
-    return _emit_text(cfg, body), EXIT_PASS
+    lines = ["c,d,x,y,z"] + [f"{c},{d},{x},{y},{z}" for c, d, x, y, z in triples]
+    return _emit_text(cfg, "\n".join(lines) + "\n"), EXIT_PASS
 
 
 # ---------------------------------------------------------------- census
@@ -328,26 +328,25 @@ def cmd_delta(cfg: RunConfig) -> Tuple[str, int]:
 
 def cmd_adq(cfg: RunConfig) -> Tuple[str, int]:
     gens = resolve_group(cfg.group)
-    seq = build_sequence(gens, cfg.X, cfg.Y, Form.parse(cfg.f))
-    mass, main, r = a_q(seq, cfg.q)
-    rel = float(abs(r) / seq.chi) if seq.chi else 0.0
+    chi, (mass, main, r), support = adq_terms(gens, cfg.X, cfg.Y, Form.parse(cfg.f), cfg.q)
+    rel = float(abs(r) / chi) if chi else 0.0
     if cfg.format == "json":
         payload = {
             "provenance": "build_sequence+a_q",
-            "chi": str(seq.chi),
+            "chi": str(chi),
             "mass": str(mass),
             "main": str(main),
             "remainder": str(r),
             "rel_remainder": rel,
-            "support": len(seq.ns),
+            "support": support,
         }
         return _emit_json(cfg, payload), EXIT_PASS
     if cfg.format == "csv":
         lines = ["quantity,value",
-                 f"chi,{seq.chi}", f"mass,{mass}", f"main,{main}",
+                 f"chi,{chi}", f"mass,{mass}", f"main,{main}",
                  f"remainder,{r}", f"rel_remainder,{rel}"]
         return _emit_text(cfg, "\n".join(lines) + "\n"), EXIT_PASS
-    body = (f"chi = {seq.chi} ({float(seq.chi):.4f})\n"
+    body = (f"chi = {chi} ({float(chi):.4f})\n"
             f"mass = {mass} ({float(mass):.4f})\n"
             f"main = {main} ({float(main):.4f})\n"
             f"remainder = {r} ({float(r):.6f})\n"

@@ -26,6 +26,11 @@ sq_norm(g) stays below an expansion bound:
     every prefix of a ball element lies in the ball, which makes pruning at
     T^2 complete, and the reduced length, the unique geodesic, is the
     breadth-first layer.  Parabolic letters, -I and S are never certified.
+    The tree drops a child with an entry |e| >= e_max = isqrt(L - 1) + 1,
+    L = ceil(T^2), before squaring it, since its sq_norm is at least L; so
+    it runs on int64 while L < 2^61 and 2 e_max max|letter entry| < 2^63
+    (_tree_dtype), about T < 1.5e9 for the Schottky pair, and on Python
+    ints past that.
 
 Membership, search regions and sub-balls compare integer sq_norms with exact
 integer bounds, since an integer is below x iff below ceil(x): the ball is
@@ -543,6 +548,20 @@ def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap
     return [c.view(np.int64) for c in collected] if dtype is np.uint64 else collected
 
 
+def _tree_dtype(letters: Sequence[Entries], bound: int):
+    """int64 for the reduced-word tree pruned at sq_norm < bound when it
+    provably cannot wrap, else Python ints (object).
+
+    Tree nodes are ball elements, whose entries are below e_max =
+    isqrt(bound - 1) + 1, so a child entry is below 2 e_max max|letter
+    entry|; the children kept have entries of at most e_max - 1 =
+    isqrt(bound - 1), so their sq_norms are below 4 bound, which fits int64
+    while bound < 2^61."""
+    e_max = math.isqrt(bound - 1) + 1
+    letter_max = max(abs(e) for h in letters for e in h)
+    return np.int64 if bound < 1 << 61 and 2 * e_max * letter_max < 1 << 63 else object
+
+
 def _tree_layers(
     letters: Tuple[Entries, ...], T: float, bound: int, element_cap: int
 ) -> List[np.ndarray]:
@@ -552,8 +571,13 @@ def _tree_layers(
     Sound only for letters with a _ping_pong_certificate: reduced words are
     then distinct elements (no dedup) and norms never decrease along them,
     so every prefix of a ball element is in the ball.  Only ball elements
-    are counted, so a total past element_cap raises BallBudgetError."""
-    dtype = _entry_dtype(letters, bound)
+    are counted, so a total past element_cap raises BallBudgetError.
+
+    A child with an entry |e| >= e_max = isqrt(bound - 1) + 1 has sq_norm
+    >= e_max^2 >= bound, so it is dropped before any square is taken; the
+    survivors' sq_norms are below 4 bound (_tree_dtype)."""
+    dtype = _tree_dtype(letters, bound)
+    e_max = math.isqrt(bound - 1) + 1
     mats = np.array(letters, dtype=dtype)
     m = len(letters)
     # follows[i, j]: letter i may come after last letter j; column m is the root
@@ -565,9 +589,12 @@ def _tree_layers(
     total = 1
     while frontier.shape[1]:
         kids = _children(frontier, mats)
+        reduced = follows[:, last].ravel()
+        for entry in kids:
+            reduced &= np.abs(entry) < e_max
+        kids, index = kids.compress(reduced, axis=1), np.flatnonzero(reduced)
         inside = np.einsum("ij,ij->j", kids, kids) < bound
-        keep = (follows[:, last] & inside.reshape(m, -1)).ravel()
-        frontier, last = kids.compress(keep, axis=1), np.flatnonzero(keep) // len(last)
+        frontier, last = kids.compress(inside, axis=1), index.compress(inside) // len(last)
         total += frontier.shape[1]
         if total > element_cap:
             raise BallBudgetError(T, total, element_cap)

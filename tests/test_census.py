@@ -18,6 +18,7 @@ import triplesieve.cli as cli
 from triplesieve.census import (
     SieveSequence,
     a_q,
+    adq_terms,
     build_sequence,
     census,
     census_csv,
@@ -34,7 +35,7 @@ from triplesieve.groups import (
     modular_generators,
     schottky_generators,
 )
-from triplesieve.modular import prime_factors
+from triplesieve.modular import FORM_PRIME_FLOOR, prime_factors
 
 from matrix_oracles import ball_matrices, form_value
 
@@ -419,6 +420,84 @@ def test_a_q_matches_bruteforce_sum():
     for q in random.Random(21).sample(moduli, 50):
         mass, main, r = a_q(seq, q)
         assert mass == sum((a for n, a in items if n % q == 0), Fraction(0)) and r == mass - main
+
+
+# the admissible moduli of each form among 3, 5, 7, 11, 13, 15, 35, 77
+ADQ_MODULI = {f: [1] + [q for q in (3, 5, 7, 11, 13, 15, 35, 77)
+                        if min(prime_factors(q)) >= FORM_PRIME_FLOOR[f]] for f in Form}
+
+
+@pytest.mark.parametrize("f", list(Form))
+def test_adq_terms_match_the_built_sequence(f, monkeypatch):
+    """adq_terms reads chi, a_q and the support size off the grid as
+    build_sequence + a_q do, with Y below and above 1.1X (the omega ball the
+    one enumerated), on Schottky values past int64 (the area and product on
+    limbs), and in any number of chunks: one row each, or a few hundred
+    pairs each, which on the Schottky grid is one row each too."""
+    cases = [(MOD, X, Y) for X, Ys in ((3, (2, 5)), (8, (6, 12)), (16, (12, 24))) for Y in Ys]
+    cases.append((schottky_generators(), 3000, 3000))
+    want = {}
+    for gens, X, Y in cases:
+        seq = build_sequence(gens, X, Y, f)
+        for q in ADQ_MODULI[f]:
+            want[gens, X, Y, q] = seq.chi, a_q(seq, q), len(seq.ns)
+    for chunk in (census_mod._CHUNK_PAIRS, 300, 1):
+        monkeypatch.setattr(census_mod, "_CHUNK_PAIRS", chunk)
+        for (gens, X, Y, q), terms in want.items():
+            if gens is not MOD and (chunk == 1 or q not in ADQ_MODULI[f][:2]):
+                continue  # 297 one-row chunks, read at q = 1 and one q > 1
+            assert adq_terms(gens, X, Y, f, q) == terms, (gens.label, X, Y, q, chunk)
+
+
+def test_adq_terms_past_int64_weight_totals(monkeypatch):
+    """At X = Y = 48 the pair weights total more than 2^63 over two chunks:
+    the hit and pair totals are summed without wrapping."""
+    seq = build_sequence(MOD, 48, 48, Form.Z)
+    assert seq.chi * seq.den >= 1 << 63
+    calls, chunk_values = [], census_mod._chunk_values
+    monkeypatch.setattr(census_mod, "_chunk_values", lambda *a: calls.append(1) or chunk_values(*a))
+    assert adq_terms(MOD, 48, 48, Form.Z, 5) == (seq.chi, a_q(seq, 5), len(seq.ns))
+    assert len(calls) == 2
+
+
+def test_adq_terms_refuses_inputs_in_order(monkeypatch):
+    """X and Y first, then the ball's budget, then q, before any value is
+    formed; empty balls still refuse a bad q, as a_q does."""
+    with pytest.raises(ValueError, match="finite"):
+        adq_terms(MOD, math.inf, 3, Form.Z, 6)
+    with pytest.raises(BallBudgetError):
+        adq_terms(MOD, 20, 20, Form.Z, 6, element_cap=5)
+    monkeypatch.setattr(census_mod, "_chunk_values", lambda *a: pytest.fail("a value was formed"))
+    for f, q in ((Form.Z, 6), (Form.Z, 9), (Form.Z, 0), (Form.PRODUCT, 5), (Form.AREA, 3)):
+        with pytest.raises(ValueError):
+            adq_terms(MOD, 8, 8, f, q)
+    for X, Y in ((8, 1), (1, 8)):
+        assert adq_terms(MOD, X, Y, Form.Z, 5) == (0, (0, 0, 0), 0)
+        with pytest.raises(ValueError):
+            adq_terms(MOD, X, Y, Form.Z, 6)
+
+
+def test_mass_identity_catches_a_wrong_class_multiplicity(monkeypatch, capsys):
+    """One omega-class multiplicity off by one breaks sum a(n) = chi: both
+    build_sequence and adq_terms raise ArithmeticError, and adq exits 2."""
+    classes = census_mod._omega_classes
+
+    def off_by_one(rows, f):
+        reps, mult = classes(rows, f)
+        mult = mult.copy()
+        mult[0] += 1
+        return reps, mult
+
+    monkeypatch.setattr(census_mod, "_omega_classes", off_by_one)
+    for f in (Form.Z, Form.X, Form.PRODUCT):
+        with pytest.raises(ArithmeticError, match="mass accounting"):
+            build_sequence(MOD, 8, 8, f)
+        for q in (1, 7):
+            with pytest.raises(ArithmeticError, match="mass accounting"):
+                adq_terms(MOD, 8, 8, f, q)
+    capsys.readouterr()
+    assert cli.main(["adq", "--X", "8", "--Y", "8"]) == 2
+    assert capsys.readouterr() == ("", "exactness check failed: mass accounting identity failed\n")
 
 
 def test_area_two_path_decomposition_at_primes():

@@ -107,6 +107,13 @@ PINNED_STDOUT = {
     "adq --f product --q 7 --format text": "27cbf9e962b21360dc2ded95afae54bab5c4d01043fb2afd6dc7cf977f39b702",
     "adq --f product --q 7 --format csv": "1d56b2a215bf06b6a153246e37e626eed8a43da3475701ced9d4aaec673191ed",
     "adq --f product --q 7 --format json": "6fad21864500636704a81b5c76929300a45e14ce71750153d743209ac1ef6e1d",
+    # recorded when adq still built the whole sequence: the grid in two and
+    # in four chunks, the omega ball the larger, Schottky values past int64
+    "adq --X 48 --Y 48 --f z --format json": "e02f1cd1e59c8f801222af12c9af40a8814a4be49a33d522c9583999fee0245b",
+    "adq --X 64 --Y 64 --f z --format json": "02c5e0a9f46bf7dccc7da9c4f8dc48bd6de034aa4d2eca9e5b6fd381e9c6c924",
+    "adq --X 12 --Y 30 --f area --format json": "6fd3df71c6ee156ce2d08362fead083eecf193273aee272c7b8d1e4f35bc1b7f",
+    "adq --group schottky --X 3000 --Y 3000 --f product --format json":
+        "202134a9066ab1a2883263048d7149293e47d4e75b5958c70d2a9163a9ee6364",
 }
 
 

@@ -465,6 +465,58 @@ def test_schottky_tree_equals_bfs_at_1e7(monkeypatch):
     assert np.array_equal(tree.word_lengths, bfs.word_lengths)
 
 
+def test_tree_dtype_on_both_sides_of_its_edges():
+    """The certified tree runs on int64 while its bound L = ceil(T^2) is
+    below 2^61 and a child entry, below 2 e_max max|letter entry| with
+    e_max = isqrt(L - 1) + 1, fits; on Python ints otherwise.  The rule it
+    replaced gave the Schottky tree Python ints from about T = 1.5e8."""
+    sch = letter_entries(schottky_generators())
+    T = math.isqrt((1 << 61) - 1)  # 1518500249, the last integer radius on int64
+    assert T * T < 1 << 61 <= (T + 1) ** 2
+    assert groups._tree_dtype(sch, groups._radius_bound(T)) is np.int64
+    assert groups._tree_dtype(sch, groups._radius_bound(T + 1)) is object
+    assert groups._tree_dtype(sch, (1 << 61) - 1) is np.int64
+    assert groups._tree_dtype(sch, 1 << 61) is object
+    # at L = 4, e_max = 2: letter entries up to 2^61 - 1 keep int64
+    for k, dtype in (((1 << 61) - 1, np.int64), (1 << 61, object)):
+        assert groups._tree_dtype(((1, k, 0, 1), (1, -k, 0, 1)), 4) is dtype
+    assert groups._entry_dtype(sch, groups._radius_bound(2e8)) is object
+    assert groups._tree_dtype(sch, groups._radius_bound(2e8)) is np.int64
+
+
+def test_tree_drops_large_entries_before_squaring():
+    """A child entry of 2^32 squares to 0 mod 2^64: on int64 the tree must
+    drop it, as |e| >= e_max, before its sq_norm is formed, so the ball of
+    these letters at T = 10 is {I}."""
+    k = 1 << 32
+    letters = ((1, k, 0, 1), (1, -k, 0, 1), (1, 0, k, 1), (1, 0, -k, 1))
+    bound = groups._radius_bound(10)
+    assert groups._tree_dtype(letters, bound) is np.int64
+    layers = groups._tree_layers(letters, 10, bound, element_cap=100)
+    assert [layer.tolist() for layer in layers] == [[[1], [0], [0], [1]], [[], [], [], []]]
+
+
+@pytest.mark.parametrize("T", [1e5, 3e6])
+def test_tree_on_python_ints_equals_int64(T, monkeypatch):
+    """The tree's two arithmetics give one ball: entries past e_max are
+    dropped before squaring in both."""
+    sg = schottky_generators()
+    ball = enumerate_ball(sg, T)
+    monkeypatch.setattr(groups, "_tree_dtype", lambda *a: object)
+    wide = enumerate_ball(sg, T)
+    for a, b in ((ball.rows, wide.rows), (ball.word_lengths, wide.word_lengths), (ball.sq_norms(), wide.sq_norms())):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_schottky_tree_at_2e8_on_int64():
+    """T = 2e8 ran on Python ints before the tree had its own rule; rows,
+    word lengths and sq_norms are pinned to that run's."""
+    ball = enumerate_ball(schottky_generators(), 2e8)
+    digest = hashlib.sha256(ball.rows.tobytes() + ball.word_lengths.tobytes() + ball.sq_norms().tobytes())
+    assert len(ball) == 567045
+    assert digest.hexdigest() == "e57c0a9c53f67de4d388b8d83c52bcea2ef7e4c59db1b98c989d16ae85b0d288"
+
+
 R3, L3 = GEN_R @ GEN_R @ GEN_R, GEN_L @ GEN_L @ GEN_L
 R2, L2 = GEN_R @ GEN_R, GEN_L @ GEN_L
 
