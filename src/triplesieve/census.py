@@ -17,8 +17,8 @@ rows).
 
 The rows are the ball's distinct bottom rows from the one kernel
 OrbitBall.distinct_rows.  The factors, Omega and grade of a row depend on
-n = |value| alone, so the rows are grouped by n with one np.unique and each
-distinct n > 1 is graded once, on its first row.  The pieces of those rows
+n = |value| alone, so the rows are grouped by n on groups._runs, stably, and
+each distinct n > 1 is graded once, on its first row.  The pieces of those rows
 are deduplicated and factored, kept as flat arrays, and each value's primes
 are merged by one lexsort on (value, prime); the area and product drop
 {2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes, and a value
@@ -52,10 +52,7 @@ inverse index; the (row, w) product grid is then processed in chunks:
 gl2.form_values evaluates each chunk (int64 under its proven bounds, Python
 ints otherwise), whose weights are summed by value, and the chunk results
 are concatenated and summed by value once more at the end.  Each of these
-sums is taken by the one helper _run_sums, on the sorted runs of one
-argsort: int64 weights as 31-bit high/low halves, which cannot wrap, joined
-in int64 when every high sum proves its total fits and as Python ints
-otherwise; weights too large for int64 are summed as Python ints.  The
+sums is taken exactly by the one helper groups._run_sums.  The
 support and numerators are handed to SieveSequence as the arrays a_q reads,
 under the same rules as a sequence built from lists: the support as
 modular._limbs (plain int64 when it fits, else 32-bit limbs of |n|), the
@@ -71,7 +68,7 @@ straight off the grid, for the CLI's adq, with no sum by value: each chunk
 adds the weights of the pairs whose value q divides (modular._divisor_hits
 on the chunk's _limbs) and the total of its pair weights, which must come to
 chi times the denominator, and the support is counted from the run heads of
-one sort of each chunk's values, merged with those of the chunks before.
+one np.sort of each chunk's values (groups._distinct), merged with those before.
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -99,7 +96,8 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from .gl2 import Form, form_values
-from .groups import GeneratorSet, OrbitBall, SmoothedWeight, _norm_keys, _order, _row_keys, _runs, enumerate_ball
+from .groups import (GeneratorSet, OrbitBall, SmoothedWeight, _distinct, _exact_total, _heads, _norm_keys,
+                     _order, _row_keys, _run_sums, _runs, enumerate_ball)
 from .modular import beta as modular_beta
 from .modular import FORM_PRIME_FLOOR, TABLE_LIMIT, _divisor_hits, _limbs, factor_array, primes_upto, require_odd_prime
 
@@ -107,7 +105,6 @@ from .modular import FORM_PRIME_FLOOR, TABLE_LIMIT, _divisor_hits, _limbs, facto
 # item 7's single benchmark change.
 FACTOR_GUARANTEE = 10 ** 18
 _CHUNK_PAIRS = 4_000_000
-_MASK31 = (1 << 31) - 1
 
 
 class CensusRow(NamedTuple):
@@ -199,7 +196,9 @@ def _piece_primes(
 
     Each distinct entry is factored once by factor_array, whose flat
     (index, prime) arrays are gathered back to every entry."""
-    uniq, at = np.unique(np.concatenate(pieces), return_inverse=True)
+    values = np.concatenate(pieces)
+    order, head, at = _runs(values[None])
+    uniq = values[order[head]]
     index, primes = factor_array(uniq, sums_of_coprime_squares)
     lengths = np.bincount(index, minlength=len(uniq))
     offsets = np.cumsum(lengths) - lengths
@@ -231,14 +230,11 @@ def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: np.ndarray) -> Tu
         parts.append(_piece_primes(small))
     if f in (Form.Z, Form.PRODUCT):
         parts.append(_piece_primes([form_values(Form.Z, rc, rd)], sums_of_coprime_squares=True))
-    owner, prime = (np.concatenate(column) for column in zip(*parts))
-    order = np.lexsort((prime, owner))
-    owner, prime = owner[order], prime[order]
+    keys = np.stack([np.concatenate(column) for column in zip(*parts)])  # (owner, prime)
+    owner, prime = keys = keys[:, _order(keys)]
     if f in _DENOMINATOR_PRIMES:
         pos = np.arange(len(owner))
-        fresh = np.ones(len(owner), dtype=bool)
-        fresh[1:] = (owner[1:] != owner[:-1]) | (prime[1:] != prime[:-1])
-        rank = pos - np.maximum.accumulate(np.where(fresh, pos, 0))
+        rank = pos - np.maximum.accumulate(np.where(_heads(keys), pos, 0))
         drop = np.zeros(len(owner), dtype=bool)
         for p, k in _DENOMINATOR_PRIMES[f].items():
             drop |= (prime == p) & (rank < k)
@@ -292,15 +288,14 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
     if not (np.gcd(c, d) == 1).all():
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
     values = form_values(f, c, d)
-    uniq, first, inv = np.unique(np.abs(values), return_index=True, return_inverse=True)
-    ns = uniq.tolist()
+    absolute = np.abs(values)
+    order, head, inv = _runs(absolute[None], stable=True)
+    ns = absolute[order[head]].tolist()
     lo = sum(1 for n in ns[:2] if n <= 1)  # zero and unit come first
-    reps = first[lo:]
-    ends, primes = _grade_values(f, c[reps], d[reps], uniq[lo:])
+    reps = order[head][lo:]
+    ends, primes = _grade_values(f, c[reps], d[reps], absolute[reps])
     ends = np.concatenate((np.zeros(lo, dtype=np.int64), ends))
     omegas = np.diff(ends, prepend=0)
-    size = np.bincount(inv, minlength=len(ns)).tolist()
-    ungraded = dict(zip(ns[:lo], size[:lo]))
     # keys in order of first appearance among the graded rows
     hist = Counter(omegas[inv[inv >= lo]].tolist())
     return CensusReport(
@@ -309,8 +304,8 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
         label=ball.label,
         T=ball.T,
         omega_histogram=dict(hist),
-        zeros=ungraded.get(0, 0),
-        units=ungraded.get(1, 0),
+        zeros=int((absolute == 0).sum()),
+        units=int((absolute == 1).sum()),
         imprimitive_count=int((c & d & 1).sum()),
         max_abs_value=ns[-1] if len(ns) > lo else 0,
         c=c, d=d, values=values, value_index=inv, ns=ns, ends=ends, primes=primes,
@@ -389,29 +384,6 @@ class SieveSequence:
         return _limbs(self.ns), np.array(self.numerators, dtype=num_type)
 
 
-def _run_sums(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(distinct keys in ascending order, each key's exact total weight),
-    summed by np.add.reduceat on the runs of one argsort of keys.
-
-    Object weights are summed as Python ints.  int64 weights are summed as
-    their 31-bit halves w >> 31, in [-2^32, 2^32), and w & _MASK31, in
-    [0, 2^31): for fewer than 2^31 weights no partial sum of either half can
-    wrap (longer arrays are summed as Python ints).  The totals hi 2^31 + lo
-    are joined in int64 when every high sum lies in (-2^31, 2^31), since then
-    |hi 2^31| < 2^62 and 0 <= lo < 2^62, and as Python ints otherwise."""
-    order = np.argsort(keys)
-    keys, weights = keys[order], weights[order]
-    head = np.ones(len(keys), dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(head)
-    if weights.dtype == object or len(weights) >= 1 << 31:
-        return keys[starts], np.add.reduceat(weights.astype(object, copy=False), starts)
-    hi = np.add.reduceat(weights >> 31, starts)
-    if len(hi) and max(-int(hi.min()), int(hi.max())) >= 1 << 31:
-        hi = hi.astype(object)
-    return keys[starts], (hi << 31) + np.add.reduceat(weights & _MASK31, starts)
-
-
 def _row_weights(gamma_ball: OrbitBall, X: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Collapse the gamma-ball to its distinct rows (c, d) with integer weight
     numerators (Python ints) over a common denominator, summed over the
@@ -423,8 +395,7 @@ def _row_weights(gamma_ball: OrbitBall, X: float) -> Tuple[np.ndarray, np.ndarra
     C^3 by g = gcd(C^3, every numerator) leaves the denominator C^3 / g, the
     lcm of the weights' reduced denominators."""
     sq = gamma_ball.sq_norms()
-    head = np.ones(len(sq), dtype=bool)
-    head[1:] = sq[1:] != sq[:-1]
+    head = _heads(sq)
     nums, cube = SmoothedWeight(X).numerators(sq[head])
     g = math.gcd(cube, *nums.tolist())
     c, d, inverse = gamma_ball.distinct_rows()
@@ -454,9 +425,8 @@ def _omega_classes(omega_rows: np.ndarray, f: Form) -> Tuple[np.ndarray, np.ndar
         turned = _half_turn(w_s)
         off = (reps[:, 0] == 0) | (reps[:, 1] < 0)
         reps = np.where(off[:, None], turned, reps)
-    order, head = _runs(_row_keys(reps))
-    starts = np.flatnonzero(head)
-    return reps[order[starts]], np.diff(starts, append=len(order))
+    order, head, inverse = _runs(_row_keys(reps))
+    return reps[order[head]], np.bincount(inverse)
 
 
 def _fold_rows(
@@ -583,26 +553,6 @@ def build_sequence(
     return seq
 
 
-def _exact_total(w: np.ndarray) -> int:
-    """The exact total of an int64 or object array, as a Python int: int64
-    entries are summed as their 31-bit halves, which cannot wrap for fewer
-    than 2^31 entries (as _run_sums argues), longer or object arrays as
-    Python ints."""
-    if w.dtype == object or len(w) >= 1 << 31:
-        return int(w.astype(object, copy=False).sum())
-    return (int((w >> 31).sum()) << 31) + int((w & _MASK31).sum())
-
-
-def _distinct(values: np.ndarray, kind=None) -> np.ndarray:
-    """The distinct values, ascending: the run heads of one sort (kind
-    "stable" merges arrays that are concatenated sorted runs in linear
-    time)."""
-    values = np.sort(values, kind=kind)
-    head = np.ones(len(values), dtype=bool)
-    head[1:] = values[1:] != values[:-1]
-    return values[head]
-
-
 def adq_terms(
     gens: GeneratorSet,
     X: float,
@@ -634,13 +584,13 @@ def adq_terms(
         if q != 1:
             i, j = np.divmod(_divisor_hits(_limbs(values), moduli)[0], k)
             hit_total += _exact_total(w[i] * grid.mult[j])
-        pending.append(_distinct(values))
+        pending.append(_distinct(values)[0])
         # a merge of sorted runs costs at most twice what is pending, so the
         # merges of all chunks cost a bounded multiple of their run heads
         if sum(map(len, pending)) >= len(support):
-            support, pending = _distinct(np.concatenate((support, *pending)), "stable"), []
+            support, pending = _distinct(np.concatenate((support, *pending)), "stable")[0], []
     if pending:
-        support = _distinct(np.concatenate((support, *pending)), "stable")
+        support = _distinct(np.concatenate((support, *pending)), "stable")[0]
     if pair_total != grid.total:
         raise ArithmeticError("mass accounting identity failed")
     if q == 1:
@@ -670,7 +620,10 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
 def good_moduli(form: Form, bound: float) -> List[int]:
     """Odd squarefree q in (1, bound) whose primes all admit local densities,
     by one sieve over [0, ceil(bound)) striking 0, 1, the multiples of each
-    prime below the form's floor (2 included) and of every other p^2."""
+    prime below the form's floor (2 included) and of every other p^2.  A
+    non-finite bound raises ValueError."""
+    if not -math.inf < bound < math.inf:
+        raise ValueError(f"need a finite bound, got {bound}")
     floor = FORM_PRIME_FLOOR[Form(form)]
     good = np.ones(max(math.ceil(bound), 0), dtype=bool)
     good[:2] = False

@@ -66,6 +66,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gl2 import Form, UnimodularMatrix, form_values
+from .groups import _runs
 from .modular import _inverses, prime_factors, require_odd_prime
 
 
@@ -243,7 +244,9 @@ def _twisted_counts(p: int, patterns: np.ndarray, k, l) -> Tuple[np.ndarray, np.
     the arrays k, l.  Classes go in blocks of about 2^18 cells, so a table at
     a large prime stays in bounded memory."""
     k, l = _reduced_twists(p, k, l)
-    classes, where = np.unique(_twist_classes(p, k, l), return_inverse=True)
+    twists = _twist_classes(p, k, l).ravel()
+    order, head, where = _runs(twists[None])
+    classes = twists[order[head]]
     stack, values = patterns.shape[0], int(patterns.max()) + 1
     c, d = (a.ravel() for a in np.indices((p, p)))
     cells = (np.arange(stack)[:, None] * values + patterns.reshape(stack, p * p)) * p

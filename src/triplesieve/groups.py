@@ -46,7 +46,10 @@ Keys are uint64 words, or in the search one Python int per element where
 _entry_dtype gives Python-int entries.  An entry e is packed as e + off,
 off the largest |entry| + 1 of the rows packed (_offset), in bit_length(2
 off) bits; only the search, which fixes its layout before it sees a node,
-takes off from its region.
+takes off from its region.  Every group-by runs on one kernel, _heads: a run
+head is the first sorted key or one unequal to its predecessor.  Its readers
+are _distinct (one np.sort, no argsort), _runs (an argsort, stable only where
+first occurrences are read, or a lexsort) and _run_sums (exact totals).
 
 Both searches carry a layer as (4, n) entry columns.  Deduplication is
 layer-local.  The letters include their inverses, so the Cayley graph
@@ -266,9 +269,7 @@ class OrbitBall:
         c, d = self.rows[:, 2], self.rows[:, 3]
         if len(c) and max(-int(c.min()), int(c.max()), -int(d.min()), int(d.max())) >= 1 << 31:
             raise ValueError("bottom rows need |c|, |d| < 2^31 so that c^2 + d^2 fits in int64")
-        order, head = _runs(_norm_keys(self.rows[:, 2:4]))
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(head) - 1
+        order, head, inverse = _runs(_norm_keys(self.rows[:, 2:4]))
         return c[order[head]], d[order[head]], inverse
 
 
@@ -329,20 +330,64 @@ def _row_keys(rows: np.ndarray, lead=()) -> np.ndarray:
     return _pack([*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))])[0]
 
 
-def _order(keys: np.ndarray) -> np.ndarray:
-    """Positions sorted by keys (rows, most significant first): a plain
-    argsort of one word, else a lexsort.  Not stable; every caller either
-    has unique keys or only needs equal keys to be adjacent."""
-    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+def _order(keys: np.ndarray, stable: bool = False) -> np.ndarray:
+    """Positions sorted by keys (rows, most significant first); stable for a lexsort or when asked."""
+    return np.argsort(keys[0], kind="stable" if stable else None) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
-def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(order, head): the positions sorted by keys (_order) and, along them,
-    True where a run of equal keys starts."""
-    order = _order(keys)
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = np.any([np.diff(k[order]) != 0 for k in keys], axis=0)
-    return order, head
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """The run heads of sorted keys (one array, or rows of words): True at the
+    first key and at each key unequal to its predecessor."""
+    keys = np.atleast_2d(keys)
+    head = np.ones(keys.shape[1], dtype=bool)
+    head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return head
+
+
+def _runs(keys: np.ndarray, stable: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, head, inverse): positions sorted by keys (_order), the run heads
+    along them (first occurrences when stable) and each position's run."""
+    order = _order(keys, stable)
+    head = _heads(keys[:, order])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(head) - 1
+    return order, head, inverse
+
+
+def _distinct(values: np.ndarray, kind=None) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct values, ascending, and their counts) from one np.sort ("stable" merges sorted runs)."""
+    values = np.sort(values, kind=kind)
+    starts = np.flatnonzero(_heads(values))
+    return values[starts], np.diff(starts, append=len(values))
+
+
+def _segment_sums(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact totals of the segments of weights that begin at starts, by
+    np.add.reduceat: object weights as Python ints, int64 weights as
+    their 31-bit halves w >> 31, in [-2^32, 2^32), and w & (2^31 - 1), in
+    [0, 2^31): for fewer than 2^31 weights no partial sum of either half can
+    wrap (longer arrays are summed as Python ints).  The totals hi 2^31 + lo
+    are joined in int64 when every high sum lies in (-2^31, 2^31), since then
+    |hi 2^31| < 2^62 and 0 <= lo < 2^62, and as Python ints otherwise."""
+    if weights.dtype == object or len(weights) >= 1 << 31:
+        return np.add.reduceat(weights.astype(object, copy=False), starts)
+    hi = np.add.reduceat(weights >> 31, starts)
+    if len(hi) and max(-int(hi.min()), int(hi.max())) >= 1 << 31:
+        hi = hi.astype(object)
+    return (hi << 31) + np.add.reduceat(weights & ((1 << 31) - 1), starts)
+
+
+def _run_sums(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, ascending, and each key's exact total weight) over the runs of one argsort."""
+    order = _order(keys[None])
+    keys, weights = keys[order], weights[order]
+    starts = np.flatnonzero(_heads(keys))
+    return keys[starts], _segment_sums(weights, starts)
+
+
+def _exact_total(weights: np.ndarray) -> int:
+    """The exact total of an int64 or object array: _segment_sums as one segment."""
+    return int(_segment_sums(weights, np.zeros(1, dtype=np.intp))[0]) if len(weights) else 0
 
 
 def _norm_keys(rows: np.ndarray) -> np.ndarray:
@@ -760,12 +805,9 @@ def coset_counts(
             raise ValueError(f"projection not surjective mod {p}; bad modulus overlap")
     # a row's label depends only on its residues mod q: label each occupied
     # (c mod q, d mod q) cell once, then add up the cell counts per label
-    c, d = ball.rows[:, 2], ball.rows[:, 3]
-    cells, per_cell = np.unique((c % q) * q + d % q, return_counts=True)
+    cells, per_cell = _distinct(ball.rows[:, 2] % q * q + ball.rows[:, 3] % q)
     lc, ld = modular.coset_labels(q, cells // q, cells % q)
-    labels, which = np.unique(lc * q + ld, return_inverse=True)
-    per_label = np.zeros(len(labels), dtype=np.int64)
-    np.add.at(per_label, which, per_cell)
+    labels, per_label = _run_sums(lc * q + ld, per_cell)
     counts = {rep: 0 for rep in table.reps}
     for k, v in zip(labels.tolist(), per_label.tolist()):
         counts[(k // q, k % q)] += v

@@ -520,6 +520,12 @@ def test_good_moduli_thresholds():
     assert good_moduli(Form.Z, 3) == []
 
 
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_good_moduli_refuses_a_non_finite_bound(bound):
+    with pytest.raises(ValueError):
+        good_moduli(Form.Z, bound)
+
+
 def good_moduli_oracle(form, bound):
     """Odd squarefree q in (1, bound) with every prime at or above the
     form's floor, by sympy factoring each q."""

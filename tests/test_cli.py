@@ -141,6 +141,31 @@ def test_data_lines_pinned(argv):
     assert hashlib.sha256(body.encode()).hexdigest() == PINNED_DATA[argv]
 
 
+# the Schottky census csvs that CI pins: sha256 of stdout without its "#"
+# header lines, with sympy unimportable
+SCHOTTKY_CENSUS_PINS = {
+    "census --group schottky --T 1e7 --f z --format csv":
+        "c9e3ba21a4d49d15cf60f4ffcbf5bf7c9e39e70173c51fc4d88840c3b16e4f8b",
+    "census --group schottky --T 1e6 --f x --format csv":
+        "e2d2c1bc0c0f1fef555917dae1458a1e632c0167159a4e3ba54fb92c4da3806b",
+    "census --group schottky --T 1e6 --f y --format csv":
+        "3e882a524c92067d238396339f5fe7404f565f68d0aa6b00c6c381589ce2a768",
+    "census --group schottky --T 1e6 --f area --format csv":
+        "9f2425aa787fae79f1364b9c4cccb84ba1384eb6066059773eb6cebf546204c1",
+    "census --group schottky --T 1e6 --f product --format csv":
+        "0c9aaa30178236549998079af263951d5d71aaed3edc84e34290b8d859310f9e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SCHOTTKY_CENSUS_PINS))
+def test_schottky_census_pinned_without_sympy(argv, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    code, out = run(argv.split())
+    assert code == 0
+    body = "".join(l for l in out.splitlines(keepends=True) if not l.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == SCHOTTKY_CENSUS_PINS[argv]
+
+
 def test_exit_code_bad_input():
     assert run(["nope"])[0] == 4
     assert run(["orbit", "--format", "xml"])[0] == 4

@@ -637,6 +637,60 @@ def test_one_word_edge_of_the_modular_search():
         assert (dtype, places[-1][0] + 1) == (np.uint64, words)
 
 
+KERNEL_KEYS = {
+    "int64 at both ends": np.array([(1 << 63) - 1, -1 << 63, 5, -1 << 63, (1 << 63) - 1, 0, 5, -1], dtype=np.int64),
+    "python ints past int64": np.array([1 << 70, -1 << 64, 1 << 63, 1 << 70, 3, -1 << 64, (1 << 63) - 1, 3],
+                                       dtype=object),
+    "empty": np.zeros(0, dtype=np.int64),
+    "one": np.array([7], dtype=np.int64),
+    "all equal": np.full(9, -4, dtype=np.int64),
+    "random": np.random.default_rng(3).integers(-50, 50, 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_KEYS))
+def test_run_kernel_matches_np_unique(name):
+    """Every reader of the run kernel against np.unique as the oracle:
+    distinct keys, first occurrences (stable order), inverse and counts;
+    and _run_sums and _exact_total against Python sums."""
+    keys = KERNEL_KEYS[name]
+    uniq, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    for stable in (True, False):
+        order, head, runs = groups._runs(keys[None], stable=stable)
+        assert keys[order[head]].tolist() == uniq.tolist()
+        assert runs.tolist() == inverse.ravel().tolist()
+        assert np.diff(np.flatnonzero(head), append=len(keys)).tolist() == counts.tolist()
+        if stable:
+            assert order[head].tolist() == first.tolist()
+    values, value_counts = groups._distinct(keys)
+    assert values.dtype == keys.dtype
+    assert (values.tolist(), value_counts.tolist()) == (uniq.tolist(), counts.tolist())
+    # two sorted runs merged by a stable sort
+    merged = groups._distinct(np.concatenate((values, values[::2])), "stable")[0]
+    assert merged.tolist() == uniq.tolist()
+
+    rng = np.random.default_rng(len(keys))
+    for weights in (rng.integers(-(1 << 62), 1 << 62, len(keys)), rng.integers(-9, 9, len(keys)).astype(object) << 80):
+        totals = {}
+        for k, w in zip(keys.tolist(), weights.tolist()):
+            totals[k] = totals.get(k, 0) + w
+        sum_keys, sums = groups._run_sums(keys, weights)
+        assert (sum_keys.tolist(), sums.tolist()) == (sorted(totals), [totals[k] for k in sorted(totals)])
+        assert groups._exact_total(weights) == sum(weights.tolist())
+
+
+def test_run_kernel_on_key_words():
+    """_runs over two words of packed keys groups like np.unique over rows."""
+    rows = np.random.default_rng(5).integers(-3, 3, (400, 2))
+    keys = _row_keys(rows)
+    words = np.stack([keys[0] >> np.uint64(2), keys[0] & np.uint64(3)])
+    uniq, first, inverse = np.unique(words.T, axis=0, return_index=True, return_inverse=True)
+    order, head, runs = groups._runs(words)
+    assert words.T[order[head]].tolist() == uniq.tolist()
+    assert order[head].tolist() == first.tolist()  # a lexsort is stable
+    assert runs.tolist() == inverse.ravel().tolist()
+
+
 @pytest.mark.parametrize("gens, T", [
     *((big_letters(N, True), T) for N, T in [(3000, 4), (3000, 10), (3000, 30), (10**4, 6), (10**4, 10)]),
     *((modular_generators(), T) for T in (1, 60, 400, 16383, 10**6, 10**10)),
