@@ -20,18 +20,18 @@ OrbitBall.distinct_rows.  The factors, Omega and grade of a row depend on
 n = |value| alone, so the rows are grouped by n on groups._runs, stably, and
 each distinct n > 1 is graded once, on its first row.  The pieces of those rows
 are deduplicated and factored, kept as flat arrays, and each value's primes
-are merged by one lexsort on (value, prime); the area and product drop
-{2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes, and a value
-that lacks them raises ArithmeticError.  What remains is two flat int64
-arrays, the primes sorted by (value, prime) and each value's run end, and
-Omega is the length of the value's run.  The certificate multiplies the
-primes back by dividing: round r divides every value by its prime of rank
-r, in int64 when the values are below 2^63 and on an object array of
-Python ints otherwise, and the first value left with a remainder or a
-quotient other than 1 raises ArithmeticError.  The report keeps the rows as
-columns plus the two arrays; census_csv joins each distinct n's factors
-once, from its own slice, and CensusReport.rows, one CensusRow per row, is
-built on first access.
+are merged by one sort on (value, prime), groups._order; the area and
+product drop {2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes,
+and a value that lacks them raises ArithmeticError.  What remains is two
+flat int64 arrays, the primes sorted by (value, prime) and each value's run
+end, and Omega is the length of the value's run.  The certificate
+multiplies the primes back by dividing: round r divides every value by its
+prime of rank r, in int64 when the values are below 2^63 and on an object
+array of Python ints otherwise, and the first value left with a remainder
+or a quotient other than 1 raises ArithmeticError.  The report keeps the rows as
+columns plus the two arrays; census_csv spells each distinct prime once
+and joins each distinct n's factors once, from its own slice, and
+CensusReport.rows, one CensusRow per row, is built on first access.
 
 The sieve sequence attaches to each integer n the mass
 
@@ -215,11 +215,11 @@ def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: np.ndarray) -> Tu
     factored pieces.  ns is the ascending array of those values, int64 or
     object.
 
-    The primes of all values are merged by one lexsort on (value, prime); the
-    area and product then drop {2, 2, 3} or {2, 2, 3, 5} by rank within each
-    run of equal primes.  A value whose primes lack them raises
-    ArithmeticError, and so does the first value whose primes do not
-    multiply back to it (_multiply_back)."""
+    The primes of all values are merged by one sort on (value, prime),
+    groups._order; the area and product then drop {2, 2, 3} or
+    {2, 2, 3, 5} by rank within each run of equal primes.  A value whose
+    primes lack them raises ArithmeticError, and so does the first value
+    whose primes do not multiply back to it (_multiply_back)."""
     small, parts = [], []
     if f in (Form.X, Form.AREA, Form.PRODUCT):
         small += [np.abs(rd - rc), np.abs(rd + rc)]
@@ -315,9 +315,12 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
 def census_csv(report: CensusReport) -> str:
     """One line per row, read from the columns; the form,n,factors,omega,grade
     tail is formatted once per distinct |value|, its factors joined from the
-    value's own slice of the flat primes."""
-    form, names = report.form.value, list(map(str, report.primes.tolist()))
-    tails = [f"{form},{n},{'·'.join(names[a:b])},{b - a},{grade}" for n, a, b, grade in report._runs()]
+    value's own slice of the flat primes, each distinct prime spelled once."""
+    form, ends, primes = report.form.value, report.ends.tolist(), report.primes
+    distinct = _distinct(primes)[0]
+    names = np.array(list(map(str, distinct.tolist())), dtype=object)[np.searchsorted(distinct, primes)].tolist()
+    tails = [f"{form},{n},{'·'.join(names[a:b])},{b - a},{'zero' if n == 0 else 'unit' if n == 1 else f'P{b - a}'}"
+             for n, a, b in zip(report.ns, [0] + ends, ends)]
     lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
     lines += [f"{c},{d},{tails[k]},{imp}" for c, d, k, imp in zip(
         report.c.tolist(), report.d.tolist(), report.value_index.tolist(),

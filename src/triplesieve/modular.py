@@ -48,7 +48,8 @@ powers included, before the next block; it returns flat (index, prime)
 arrays.  A value leaves once its cofactor r is below p0^2, p0 the first
 prime of the next block: no prime below p0 divides r, so r is 1 or prime.
 A cofactor still live after the last block is prime below _TABLE_REACH, and
-a larger one goes to _factor_beyond_table.
+a larger one goes to _factor_beyond_table.  The (index, prime) pairs are
+put in order by the one sort kernel, groups._order.
 """
 
 from __future__ import annotations
@@ -315,7 +316,9 @@ def _factor_beyond_table(n: int) -> List[int]:
 def factor_array(values, sums_of_coprime_squares: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """The prime factors, with multiplicity, of the positive values below
     2^63 (integers, each read through operator.index) as two int64 arrays
-    (index, prime), ordered by index and then by prime.
+    (index, prime), ordered by index and then by prime in one call to the
+    sort kernel groups._order, which packs both into one uint64 word when
+    they fit.
 
     The table primes p with p^2 <= the largest value are tried in rounds
     over blocks that double in length.  Each round tests only the live
@@ -362,9 +365,11 @@ def factor_array(values, sums_of_coprime_squares: bool = False) -> Tuple[np.ndar
     for k in np.flatnonzero(rest >= _TABLE_REACH).tolist():
         ps = _factor_beyond_table(int(rest[k]))
         hits.append((np.full(len(ps), k), np.array(ps, dtype=np.int64)))
-    index, prime = map(np.concatenate, zip(*hits))
-    by = np.lexsort((prime, index))
-    return index[by], prime[by]
+    from .groups import _order  # groups imports this module, so not at the top
+
+    keys = np.stack([np.concatenate(column) for column in zip(*hits)])  # (index, prime)
+    index, prime = keys[:, _order(keys)]
+    return index, prime
 
 
 def factor_int(n: int) -> Tuple[int, ...]:

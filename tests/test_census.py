@@ -1,6 +1,7 @@
 """Census grading, sieve sequence mass accounting, and divisibility probes."""
 
 import dataclasses
+import hashlib
 import importlib
 import math
 import os
@@ -344,6 +345,15 @@ def test_build_sequence_empty_balls():
 def test_build_sequence_rejects_non_finite_radii(X, Y):
     with pytest.raises(ValueError, match="finite"):
         build_sequence(MOD, X, Y, Form.Z)
+
+
+def test_build_sequence_at_x64_matches_its_digest():
+    """build_sequence(modular, 64, 64, z) sums about 13.5M folded pairs in
+    4M-pair chunks, the size at which _run_sums sorts whole chunks: sha256
+    of repr((den, ns, numerators)), recorded before the packed sort kernel."""
+    seq = build_sequence(MOD, 64, 64, Form.Z)
+    digest = hashlib.sha256(repr((seq.den, seq.ns, seq.numerators)).encode()).hexdigest()
+    assert digest == "01e999ae1e01f7239c949252e4c0e11e4a8b97e232f1e1d0b284f3451f801cfe"
 
 
 def test_build_sequence_generator_order_irrelevant():

@@ -691,6 +691,77 @@ def test_run_kernel_on_key_words():
     assert runs.tolist() == inverse.ravel().tolist()
 
 
+def order_oracle_keys(rng, rows, n, dtype, span):
+    """Seeded (rows, n) keys, span consecutive values per row: int64 keys
+    centred on 0, uint64 keys ending at 2^64 - 1.  From n = 2 the first and
+    last key of each row are its lowest and highest value."""
+    keys = rng.integers(0, span, (rows, n), dtype=np.uint64)
+    if n >= 2:
+        keys[:, 0], keys[:, -1] = 0, span - 1
+    if dtype is np.int64:
+        return (keys - np.uint64(span // 2)).view(np.int64)
+    return keys + np.uint64((1 << 64) - span)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_order_matches_lexsort_oracle(rows, dtype):
+    """_order against np.lexsort, which is the stable np.argsort on one row:
+    n = 0, 1 and either side of both floors, on spread keys and on keys
+    with heavy ties.  Several rows, or stable, give the oracle's order,
+    tied keys in position order; one row not stable gives a sorting
+    permutation."""
+    rng = np.random.default_rng(rows)
+    floors = (groups._PACKED_FLOOR, groups._PACKED_FLOOR_PLAIN)
+    for n in (0, 1, *(f + e for f in floors for e in (-1, 0))):
+        for span in (3, 1 << (40 // rows)):
+            keys = order_oracle_keys(rng, rows, n, dtype, span)
+            want = np.lexsort(keys[::-1]).tolist()
+            for stable in (False, True):
+                got = groups._order(keys, stable)
+                assert got.dtype == np.intp
+                if rows > 1 or stable:
+                    assert got.tolist() == want
+                else:
+                    assert sorted(got.tolist()) == list(range(n))
+                    assert (keys[0][got][1:] >= keys[0][got][:-1]).all()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_order_packs_exactly_up_to_64_bits(rows, dtype, monkeypatch):
+    """At n = _PACKED_FLOOR one packed np.sort runs when the widths of the
+    rows' spans max - min and of the positions come to exactly 64 bits, and
+    numpy's lexsort or stable argsort when they come to 65; both give the
+    lexsort order, so no field of the packed word wraps."""
+    n = groups._PACKED_FLOOR
+    rng = np.random.default_rng(rows)
+    calls = []
+    for name in ("argsort", "lexsort"):
+        sort = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, sort=sort, name=name, **k: calls.append(name) or sort(*a, **k))
+    for over in (0, 1):
+        total = 64 - (n - 1).bit_length() + over
+        widths = [total - 20 * (rows - 1)] + [20] * (rows - 1)
+        keys = np.stack([order_oracle_keys(rng, 1, n, dtype, 1 << w)[0] for w in widths])
+        want = np.lexsort(keys[::-1]).tolist()
+        calls.clear()
+        assert groups._order(keys, stable=True).tolist() == want
+        assert bool(calls) == bool(over)
+
+
+def test_order_on_object_keys():
+    """Object keys past int64 take numpy's argsort or lexsort, in the
+    oracle's order with ties in position order, on either side of the floor."""
+    rng = np.random.default_rng(7)
+    for n in (groups._PACKED_FLOOR - 1, groups._PACKED_FLOOR_PLAIN):
+        keys = (rng.integers(-3, 3, (2, n)).astype(object) << 70) + rng.integers(0, 2, (2, n))
+        for rows in (1, 2):
+            want = [i for _, i in sorted(zip(keys[:rows].T.tolist(), range(n)))]
+            assert groups._order(keys[:rows], stable=True).tolist() == want
+        assert groups._order(keys).tolist() == want  # a lexsort is stable
+
+
 @pytest.mark.parametrize("gens, T", [
     *((big_letters(N, True), T) for N, T in [(3000, 4), (3000, 10), (3000, 30), (10**4, 6), (10**4, 10)]),
     *((modular_generators(), T) for T in (1, 60, 400, 16383, 10**6, 10**10)),
