@@ -51,14 +51,13 @@ is first collapsed to weights on the same kernel's rows, summed over its
 inverse index; the (row, w) product grid is then processed in chunks:
 gl2.form_values evaluates each chunk (int64 under its proven bounds, Python
 ints otherwise), whose weights are summed by value, and the chunk results
-are concatenated and summed by value once more at the end.  Each of these
-sums is taken exactly by the one helper groups._run_sums.  The
-support and numerators are handed to SieveSequence as the arrays a_q reads,
-under the same rules as a sequence built from lists: the support as
-modular._limbs (plain int64 when it fits, else 32-bit limbs of |n|), the
-numerators in int64 when their total fits.  a_q sums the numerators at the
-hits of the same kernel factor_array reads, modular._divisor_hits.  Every
-form value in this module comes from gl2.form_values.
+are merged as they come (_merged_sums); groups._run_sums takes each of these
+sums exactly.  The support and numerators are handed to SieveSequence as the
+arrays a_q reads, under the same rules as a sequence built from lists: the
+support as modular._limbs (plain int64 when it fits, else 32-bit limbs of
+|n|), the numerators in int64 when each fits.  a_q sums them at the hits of
+modular._divisor_hits by _exact_total.  Every form value in this module
+comes from gl2.form_values.
 
 The grid (the ball, the row weights, the fold below, the omega classes, the
 int64 choice and the chunks) is built by one helper, _sequence_grid, and has
@@ -67,8 +66,8 @@ any number of moduli off the built sequence.  adq_terms reads one modulus
 straight off the grid, for the CLI's adq, with no sum by value: each chunk
 adds the weights of the pairs whose value q divides (modular._divisor_hits
 on the chunk's _limbs) and the total of its pair weights, which must come to
-chi times the denominator, and the support is counted from the run heads of
-one np.sort of each chunk's values (groups._distinct), merged with those before.
+chi times the denominator, and the support is the length of the merge
+(_merged_sums) of each chunk's distinct values (groups._distinct).
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -146,7 +145,7 @@ class CensusReport:
     ends: np.ndarray = field(repr=False, compare=False)
     primes: np.ndarray = field(repr=False, compare=False)
 
-    def _runs(self) -> Iterator[Tuple[int, int, int, str]]:
+    def _value_runs(self) -> Iterator[Tuple[int, int, int, str]]:
         """(n, start, end, grade) of each distinct |value| n: its sorted primes
         are primes[start:end] and Omega is end - start; 0 and 1 are the
         ungraded "zero" and "unit", the rest "P<Omega>"."""
@@ -158,7 +157,7 @@ class CensusReport:
     def rows(self) -> Tuple[CensusRow, ...]:
         """One CensusRow per distinct row, in the columns' order."""
         plist = self.primes.tolist()
-        table = [(n, tuple(plist[a:b]), b - a, grade) for n, a, b, grade in self._runs()]
+        table = [(n, tuple(plist[a:b]), b - a, grade) for n, a, b, grade in self._value_runs()]
         imprimitive = (self.c & self.d & 1).astype(bool).tolist()
         return tuple(CensusRow(c, d, self.form, v, *table[k], imp) for c, d, v, k, imp in zip(
             self.c.tolist(), self.d.tolist(), self.values.tolist(), self.value_index.tolist(), imprimitive))
@@ -316,11 +315,10 @@ def census_csv(report: CensusReport) -> str:
     """One line per row, read from the columns; the form,n,factors,omega,grade
     tail is formatted once per distinct |value|, its factors joined from the
     value's own slice of the flat primes, each distinct prime spelled once."""
-    form, ends, primes = report.form.value, report.ends.tolist(), report.primes
+    form, primes = report.form.value, report.primes
     distinct = _distinct(primes)[0]
     names = np.array(list(map(str, distinct.tolist())), dtype=object)[np.searchsorted(distinct, primes)].tolist()
-    tails = [f"{form},{n},{'·'.join(names[a:b])},{b - a},{'zero' if n == 0 else 'unit' if n == 1 else f'P{b - a}'}"
-             for n, a, b in zip(report.ns, [0] + ends, ends)]
+    tails = [f"{form},{n},{'·'.join(names[a:b])},{b - a},{grade}" for n, a, b, grade in report._value_runs()]
     lines = ["c,d,form,n,factors,omega,grade,imprimitive_flag"]
     lines += [f"{c},{d},{tails[k]},{imp}" for c, d, k, imp in zip(
         report.c.tolist(), report.d.tolist(), report.value_index.tolist(),
@@ -373,18 +371,16 @@ class SieveSequence:
         return Fraction(sum(self.numerators), self.den)
 
     @staticmethod
-    def _numerator_dtype(abs_total: int) -> type:
-        """int64 for numerators of absolute total abs_total when it fits, so
-        no partial sum can overflow, and Python ints otherwise."""
-        return object if abs_total >= 1 << 63 else np.int64
+    def _numerator_array(nums: np.ndarray) -> np.ndarray:
+        """An int64 or object array of numerators in int64 when each fits, else as Python ints."""
+        fits = nums.dtype != object or int(nums.max(initial=0)) < 1 << 63 and int(nums.min(initial=0)) >= -(1 << 63)
+        return nums.astype(np.int64 if fits else object, copy=False)
 
     @cached_property
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(the support ns as modular._limbs, numerators under _numerator_dtype),
-        built once per sequence; build_sequence primes them with the arrays it
-        already holds."""
-        num_type = self._numerator_dtype(sum(map(abs, self.numerators)))
-        return _limbs(self.ns), np.array(self.numerators, dtype=num_type)
+        """(the support ns as modular._limbs, the numerators as _numerator_array), built once
+        per sequence; build_sequence primes them with the arrays it already holds."""
+        return _limbs(self.ns), self._numerator_array(np.array(self.numerators, dtype=object))
 
 
 def _row_weights(gamma_ball: OrbitBall, X: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -498,6 +494,19 @@ class _Grid:
             yield _chunk_values(self.c[part], self.d[part], self.reps, self.form), self.wnums[part]
 
 
+def _merged_sums(parts: Iterator[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, ascending, and their exact totals) of one part or more,
+    each a chunk's ascending distinct keys and totals.  Parts after the first
+    held one wait till their entries reach max(its length, _CHUNK_PAIRS), and
+    then _run_sums merges all held: the merge work is linear in the entries."""
+    held = []
+    for part in parts:
+        held.append(part)
+        if sum(len(keys) for keys, _ in held[1:]) >= max(len(held[0][0]), _CHUNK_PAIRS):
+            held = [_run_sums(*map(np.concatenate, zip(*held)))]
+    return held[0] if len(held) == 1 else _run_sums(*map(np.concatenate, zip(*held)))
+
+
 def _sequence_grid(gens: GeneratorSet, X: float, Y: float, f: Form, element_cap: int) -> _Grid:
     """The grid of build_sequence(gens, X, Y, f): one ball enumerated at the
     larger of the weight's support radius and Y, the row weights, the
@@ -543,16 +552,12 @@ def build_sequence(
     chi = Fraction(grid.total, grid.den)
     if not grid.pair_count:
         return SieveSequence(X, Y, grid.form, gens.label, 1, [], [], chi, 0, grid.m)
-    # _run_sums bounds its own sums, the merge of the chunk totals included
-    parts = [_run_sums(values, np.outer(w, grid.mult).ravel()) for values, w in grid.chunks()]
-    ns, numerators = parts[0] if len(parts) == 1 else _run_sums(*map(np.concatenate, zip(*parts)))
+    ns, numerators = _merged_sums(_run_sums(values, np.outer(w, grid.mult).ravel()) for values, w in grid.chunks())
     seq = SieveSequence(X, Y, grid.form, gens.label, grid.den, ns.tolist(), numerators.tolist(), chi,
                         grid.pair_count, grid.m)
     if seq.total_mass() != chi:
         raise ArithmeticError("mass accounting identity failed")
-    # the numerators are sums of positive pair weights, so their absolute
-    # total is that of the mass, chi * den
-    seq._arrays = _limbs(ns), numerators.astype(seq._numerator_dtype(grid.total), copy=False)
+    seq._arrays = _limbs(ns), seq._numerator_array(numerators)
     return seq
 
 
@@ -572,8 +577,7 @@ def adq_terms(
     the weights of its pairs whose value q divides (modular._divisor_hits on
     the chunk's _limbs, as a_q reads the support) and its pair weights, whose
     total must be chi * den (else ArithmeticError); the support is counted
-    by the run heads of each chunk's sorted values, merged into those of the
-    chunks before it."""
+    on the merge of the chunks' distinct values (_merged_sums)."""
     grid = _sequence_grid(gens, X, Y, f, element_cap)
     chi = Fraction(grid.total, grid.den)
     if q != 1:
@@ -581,25 +585,22 @@ def adq_terms(
         moduli = np.array([q], dtype=np.int64)
     k, mult_total = len(grid.reps), int(grid.mult.sum())
     hit_total = pair_total = 0
-    support, pending = np.zeros(0, dtype=np.int64), []
-    for values, w in grid.chunks():
-        pair_total += _exact_total(w) * mult_total
-        if q != 1:
-            i, j = np.divmod(_divisor_hits(_limbs(values), moduli)[0], k)
-            hit_total += _exact_total(w[i] * grid.mult[j])
-        pending.append(_distinct(values)[0])
-        # a merge of sorted runs costs at most twice what is pending, so the
-        # merges of all chunks cost a bounded multiple of their run heads
-        if sum(map(len, pending)) >= len(support):
-            support, pending = _distinct(np.concatenate((support, *pending)), "stable")[0], []
-    if pending:
-        support = _distinct(np.concatenate((support, *pending)), "stable")[0]
+
+    def parts() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        nonlocal hit_total, pair_total
+        for values, w in grid.chunks():
+            pair_total += _exact_total(w) * mult_total
+            if q != 1:
+                i, j = np.divmod(_divisor_hits(_limbs(values), moduli)[0], k)
+                hit_total += _exact_total(w[i] * grid.mult[j])
+            yield _distinct(values)
+    support = len(_merged_sums(parts())[0]) if grid.pair_count else 0
     if pair_total != grid.total:
         raise ArithmeticError("mass accounting identity failed")
     if q == 1:
-        return chi, (chi, chi, Fraction(0)), len(support)
+        return chi, (chi, chi, Fraction(0)), support
     mass = Fraction(hit_total, grid.den)
-    return chi, (mass, main, mass - main), len(support)
+    return chi, (mass, main, mass - main), support
 
 
 def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -614,8 +615,7 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
         return seq.chi, seq.chi, Fraction(0)
     b = modular_beta(seq.form, q)  # rejects even, non-squarefree, small p
     limbs, numerators = seq._arrays
-    tot = int(numerators[_divisor_hits(limbs, np.array([q], dtype=np.int64))[0]].sum())
-    mass = Fraction(tot, seq.den)
+    mass = Fraction(_exact_total(numerators[_divisor_hits(limbs, np.array([q], dtype=np.int64))[0]]), seq.den)
     main = b * seq.chi
     return mass, main, mass - main
 

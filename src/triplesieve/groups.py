@@ -390,9 +390,9 @@ def _runs(keys: np.ndarray, stable: bool = False) -> Tuple[np.ndarray, np.ndarra
     return order, head, inverse
 
 
-def _distinct(values: np.ndarray, kind=None) -> Tuple[np.ndarray, np.ndarray]:
-    """(distinct values, ascending, and their counts) from one np.sort ("stable" merges sorted runs)."""
-    values = np.sort(values, kind=kind)
+def _distinct(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct values, ascending, and their counts) from one np.sort."""
+    values = np.sort(values)
     starts = np.flatnonzero(_heads(values))
     return values[starts], np.diff(starts, append=len(values))
 

@@ -239,6 +239,61 @@ def test_build_sequence_matches_bruteforce(f, monkeypatch):
             assert (dict(chunked.items()), chunked.chi) == (brute, chi)
 
 
+@pytest.mark.parametrize("chunk", [1, 300])
+def test_chunk_merge_holds_bounded_pending_entries(chunk, monkeypatch):
+    """_merged_sums merges the parts after the first one held once their
+    entries reach max(its length, _CHUNK_PAIRS).  With _CHUNK_PAIRS forced
+    small, for the five forms on modular and Schottky, in build_sequence and
+    adq_terms: every due merge happens, none gets more pending entries than
+    max(merged, _CHUNK_PAIRS) plus one part, and the sums and support equal
+    the unchunked build's."""
+    cases = [(MOD, 12, 12), (schottky_generators(), 3000, 3000)]
+    want = {(gens, X, Y, f): build_sequence(gens, X, Y, f) for gens, X, Y in cases for f in Form}
+    log, run_sums, merged_sums = [], census_mod._run_sums, census_mod._merged_sums
+
+    def spy_run_sums(keys, weights):
+        sums = run_sums(keys, weights)
+        if sys._getframe(1).f_code.co_name == "_merged_sums":
+            log.append(("merge", len(keys), len(sums[0])))
+        return sums
+
+    def spy_parts(parts):
+        for part in parts:
+            log.append(("part", len(part[0])))
+            yield part
+
+    def replay():
+        """The number of due merges; every merge checked against the parts held."""
+        held, due_merges = [], 0
+        for k, (kind, size, *out) in enumerate(log):
+            if kind == "part":
+                held.append(size)
+                if sum(held[1:]) >= max(held[0], chunk):  # due: merged before the next part
+                    assert log[k + 1][0] == "merge"
+                    due_merges += 1
+                continue
+            assert size == sum(held) and len(held) >= 2
+            assert size - held[0] <= max(held[0], chunk) + held[-1]
+            held = out
+        assert len(held) == 1  # the last merge took every part left
+        return due_merges
+
+    monkeypatch.setattr(census_mod, "_CHUNK_PAIRS", chunk)
+    monkeypatch.setattr(census_mod, "_run_sums", spy_run_sums)
+    monkeypatch.setattr(census_mod, "_merged_sums", lambda parts: merged_sums(spy_parts(parts)))
+    due_merges = 0
+    for (gens, X, Y, f), seq in want.items():
+        log.clear()
+        chunked = build_sequence(gens, X, Y, f)
+        assert (chunked.ns, chunked.numerators, chunked.den, chunked.chi) == (
+            seq.ns, seq.numerators, seq.den, seq.chi)
+        due_merges += replay()
+        log.clear()
+        assert adq_terms(gens, X, Y, f, 1)[2] == len(seq.ns)
+        due_merges += replay()
+    assert due_merges > 0
+
+
 def test_run_sums_matches_python_sums():
     def python_sums(keys, weights):
         acc = {}
@@ -410,17 +465,22 @@ def test_a_q_matches_bruteforce_sum():
         for q in qs:
             mass, main, r = a_q(seq, q)
             assert mass == brute(seq, q) and r == mass - main
-    # a support past int64 is held as two 32-bit limbs of |n|, and numerators
-    # whose total passes 2^63 as Python ints
+    # a support past int64 is held as two 32-bit limbs of |n|; numerators
+    # that each fit stay int64 though their total passes 2^63, and a
+    # numerator past int64 makes them Python ints
     big = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 2 ** 62 + 5, 3 * 2 ** 62 + 15],
                         [1, 2, 3, 4], Fraction(10, 7), 4, 1)
     wide = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 21, 25],
                          [2 ** 62, 2 ** 62, 2 ** 62, 3], Fraction(3 * 2 ** 62 + 3, 7), 4, 1)
-    assert big._arrays[0].shape == (2, 4) and wide._arrays[1].dtype == object
-    for seq in (big, wide):
+    huge = SieveSequence(1, 1, Form.Z, "hand", 7, [5, 15, 21, 25],
+                         [2 ** 63, 1, 2 ** 62, 3], Fraction(6 * 2 ** 61 + 4, 7), 4, 1)
+    assert big._arrays[0].shape == (2, 4) and wide._arrays[1].dtype == np.int64
+    assert huge._arrays[1].dtype == object
+    for seq in (big, wide, huge):
         for q in (3, 5, 7, 15, 21):
             assert a_q(seq, q)[0] == brute(seq, q)
     assert a_q(wide, 5)[0] == Fraction(2 ** 63 + 3, 7)
+    assert a_q(huge, 5)[0] == Fraction(2 ** 63 + 4, 7)
     # the Schottky product at X = Y = 3000: 40,825 values of up to 131 bits,
     # five limbs each, on a seeded sample of its good moduli below N^0.0998
     seq = build_sequence(schottky_generators(), 3000, 3000, Form.PRODUCT)

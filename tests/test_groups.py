@@ -1,6 +1,7 @@
 """Ball enumeration, growth fits, smoothing, and coset equidistribution."""
 
 import hashlib
+import importlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,9 @@ from triplesieve.groups import (
     schottky_generators,
     word_ball,
 )
+
+# the package re-exports the function census under the module's name
+census_mod = importlib.import_module("triplesieve.census")
 
 
 def brute_ball_count(T):
@@ -649,10 +653,11 @@ KERNEL_KEYS = {
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_KEYS))
-def test_run_kernel_matches_np_unique(name):
+def test_run_kernel_matches_np_unique(name, monkeypatch):
     """Every reader of the run kernel against np.unique as the oracle:
     distinct keys, first occurrences (stable order), inverse and counts;
-    and _run_sums and _exact_total against Python sums."""
+    _run_sums and _exact_total against Python sums; and census's chunk
+    merge against one _run_sums over the concatenated parts."""
     keys = KERNEL_KEYS[name]
     uniq, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
     for stable in (True, False):
@@ -665,9 +670,6 @@ def test_run_kernel_matches_np_unique(name):
     values, value_counts = groups._distinct(keys)
     assert values.dtype == keys.dtype
     assert (values.tolist(), value_counts.tolist()) == (uniq.tolist(), counts.tolist())
-    # two sorted runs merged by a stable sort
-    merged = groups._distinct(np.concatenate((values, values[::2])), "stable")[0]
-    assert merged.tolist() == uniq.tolist()
 
     rng = np.random.default_rng(len(keys))
     for weights in (rng.integers(-(1 << 62), 1 << 62, len(keys)), rng.integers(-9, 9, len(keys)).astype(object) << 80):
@@ -677,6 +679,12 @@ def test_run_kernel_matches_np_unique(name):
         sum_keys, sums = groups._run_sums(keys, weights)
         assert (sum_keys.tolist(), sums.tolist()) == (sorted(totals), [totals[k] for k in sorted(totals)])
         assert groups._exact_total(weights) == sum(weights.tolist())
+        parts = [groups._run_sums(keys[cut], weights[cut]) for cut in np.array_split(np.arange(len(keys)), 4)]
+        whole = groups._run_sums(*map(np.concatenate, zip(*parts)))
+        for chunk in (census_mod._CHUNK_PAIRS, 5, 1):
+            monkeypatch.setattr(census_mod, "_CHUNK_PAIRS", chunk)
+            merged = census_mod._merged_sums(iter(parts))
+            assert [a.tolist() for a in merged] == [a.tolist() for a in whole]
 
 
 def test_run_kernel_on_key_words():
