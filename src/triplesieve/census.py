@@ -17,8 +17,8 @@ rows).
 
 The rows are the ball's distinct bottom rows from the one kernel
 OrbitBall.distinct_rows.  The factors, Omega and grade of a row depend on
-n = |value| alone, so the rows are grouped by n on groups._runs, stably, and
-each distinct n > 1 is graded once, on its first row.  The pieces of those rows
+n = |value| alone, so the rows are grouped by n on groups._runs, and
+each distinct n > 1 is graded once, on any of its rows.  The pieces of those rows
 are deduplicated and factored, kept as flat arrays, and each value's primes
 are merged by one sort on (value, prime), groups._order; the area and
 product drop {2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes,
@@ -96,7 +96,7 @@ import numpy as np
 
 from .gl2 import Form, form_values
 from .groups import (GeneratorSet, OrbitBall, SmoothedWeight, _distinct, _exact_total, _heads, _norm_keys,
-                     _order, _row_keys, _run_sums, _runs, enumerate_ball)
+                     _order, _run_sums, _runs, enumerate_ball)
 from .modular import beta as modular_beta
 from .modular import FORM_PRIME_FLOOR, TABLE_LIMIT, _divisor_hits, _limbs, factor_array, primes_upto, require_odd_prime
 
@@ -288,7 +288,7 @@ def census(ball: OrbitBall, f: Form, R: int) -> CensusReport:
         raise ArithmeticError("bottom rows of SL(2,Z) elements must be coprime")
     values = form_values(f, c, d)
     absolute = np.abs(values)
-    order, head, inv = _runs(absolute[None], stable=True)
+    order, head, inv = _runs(absolute[None])
     ns = absolute[order[head]].tolist()
     lo = sum(1 for n in ns[:2] if n <= 1)  # zero and unit come first
     reps = order[head][lo:]
@@ -417,14 +417,14 @@ def _omega_classes(omega_rows: np.ndarray, f: Form) -> Tuple[np.ndarray, np.ndar
     W share one value of z, area and product, and W, -W share every form.
     A class is represented by its rotation with a > 0, b >= 0 (by +-W with
     a > 0 or a = 0 < b for x and y) and counts its members in the ball, the
-    length of its run after one sort of packed keys (_row_keys, _runs)."""
+    length of its run on _norm_keys (_runs); every reader sums by value."""
     reps = _half_turn(omega_rows)
     if f in (Form.Z, Form.AREA, Form.PRODUCT):
         w_s = reps[:, [1, 0, 3, 2]] * np.array([1, -1, 1, -1])
         turned = _half_turn(w_s)
         off = (reps[:, 0] == 0) | (reps[:, 1] < 0)
         reps = np.where(off[:, None], turned, reps)
-    order, head, inverse = _runs(_row_keys(reps))
+    order, head, inverse = _runs(_norm_keys(reps))
     return reps[order[head]], np.bincount(inverse)
 
 
@@ -561,6 +561,13 @@ def build_sequence(
     return seq
 
 
+def _modulus(q: int) -> np.ndarray:
+    """q as the moduli of modular._divisor_hits; a q past int64 is a ValueError."""
+    if q >> 63:
+        raise ValueError(f"modulus {q} does not fit in int64")
+    return np.array([q], dtype=np.int64)
+
+
 def adq_terms(
     gens: GeneratorSet,
     X: float,
@@ -582,7 +589,7 @@ def adq_terms(
     chi = Fraction(grid.total, grid.den)
     if q != 1:
         main = modular_beta(grid.form, q) * chi  # rejects even, non-squarefree, small p
-        moduli = np.array([q], dtype=np.int64)
+        moduli = _modulus(q)
     k, mult_total = len(grid.reps), int(grid.mult.sum())
     hit_total = pair_total = 0
 
@@ -615,7 +622,7 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
         return seq.chi, seq.chi, Fraction(0)
     b = modular_beta(seq.form, q)  # rejects even, non-squarefree, small p
     limbs, numerators = seq._arrays
-    mass = Fraction(_exact_total(numerators[_divisor_hits(limbs, np.array([q], dtype=np.int64))[0]]), seq.den)
+    mass = Fraction(_exact_total(numerators[_divisor_hits(limbs, _modulus(q))[0]]), seq.den)
     main = b * seq.chi
     return mass, main, mass - main
 

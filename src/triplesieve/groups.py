@@ -53,8 +53,8 @@ from one np.sort of uint64 words when the rows' spans and the positions fit
 64 bits together and the keys are not too few, else numpy's own.  Every
 group-by runs on one kernel, _heads: a run head is the first sorted key or
 one unequal to its predecessor.  Its readers are _distinct (one np.sort of
-the values), _runs (on _order, stable only where first occurrences are
-read) and _run_sums (exact totals).
+the values), _runs (on _order), _run_sums (exact totals) and _fresh, the
+dedup of both closures: this search and modular.project_group.
 
 Both searches carry a layer as (4, n) entry columns.  Deduplication is
 layer-local.  The letters include their inverses, so the Cayley graph
@@ -66,17 +66,14 @@ key holds a + off, b + off, c + off, d + off (bits bits each; a region
 node has |e| < off) and a tag in the lowest bit of the last word: 0 on the
 old keys, 1 on the candidates, so an old key sorts just before a candidate
 equal to it up to the tag.  A layer is its sorted keys, decoded by one
-_field of all four.  A candidate is new iff its last word is odd and a
-higher word differs from its predecessor's in the sort or its last word
-exceeds the predecessor's by at least 2: a predecessor equal to it up to
-the tag is an old key (one less) or the same candidate made twice (equal),
-and the first key has no predecessor.  Key words are linear in the entries and g.h = (ap + br, aq +
-bs, cp + dr, cq + ds) for h = (p, q, r, s), so each child key word is one
-matmul of per-letter weights by the parent columns, plus a constant added
-only to the children that pass the norm filter; each child sq_norm is one
-matmul of the coefficients (p^2 + q^2, 2(pr + qs), r^2 + s^2) by the
-parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2), compared with E.
-No (4, m n) child array is built.  _key_layout picks:
+_field of all four.  A candidate is new iff it heads its run once the tag
+is shifted out (_fresh).  Key words are linear in the entries and g.h =
+(ap + br, aq + bs, cp + dr, cq + ds) for h = (p, q, r, s), so each child
+key word is one matmul of per-letter weights by the parent columns, plus a
+constant added only to the children that pass the norm filter; each child
+sq_norm is one matmul of the coefficients (p^2 + q^2, 2(pr + qs), r^2 +
+s^2) by the parent's Gram entries (a^2 + c^2, ab + cd, b^2 + d^2),
+compared with E.  No (4, m n) child array is built.  _key_layout picks:
 
   * uint64 words modulo 2^64 where _entry_dtype gives int64; one word
     while 4 bits + 1 <= 64, which on R and L holds up to the region
@@ -326,35 +323,25 @@ def _sort_keys(keys: np.ndarray, by: Optional[int] = None) -> np.ndarray:
     return keys.take(_order(keys[:by]), axis=1)
 
 
-def _row_keys(rows: np.ndarray, lead=()) -> np.ndarray:
-    """Order-preserving sort keys, most significant first, of the lead
-    (column, bits) fields and then the entries of the int64 rows plus
-    their _offset: the words of _pack."""
-    off = _offset(rows)
-    bits = (2 * off).bit_length()
-    return _pack([*lead, *((rows[:, i] + off, bits) for i in range(rows.shape[1]))])[0]
-
-
-# The fewest keys at which one packed np.sort beats numpy's stable argsort or
-# lexsort, and its plain argsort, measured with numpy 2.4 on AVX-512: the
-# packing costs about 20-30 us.
+# The fewest keys at which one packed np.sort beats numpy's lexsort, and its
+# argsort of one row (numpy 2.4, AVX-512): the packing costs about 20-30 us.
 _PACKED_FLOOR, _PACKED_FLOOR_PLAIN = 512, 4096
 
 
-def _order(keys: np.ndarray, stable: bool = False) -> np.ndarray:
+def _order(keys: np.ndarray) -> np.ndarray:
     """Positions sorted by the integer or object keys (rows, most
-    significant first), in position order within ties for several rows or
-    when stable: the order of a lexsort or stable argsort.
+    significant first), for several rows in position order within ties:
+    the order of a lexsort.
 
-    From _PACKED_FLOOR keys (_PACKED_FLOOR_PLAIN for one row not stable),
-    when the rows' spans max - min and the positions fit 64 bits together,
-    each row less its minimum, then the position, go into one uint64 word,
-    highest first, and one np.sort of the words gives the same order: the
-    fields are disjoint and the position breaks every tie.  The width test
-    comes before the subtraction, so no field wraps.  Otherwise, and on
-    object keys, it is numpy's argsort or lexsort."""
+    From _PACKED_FLOOR keys (_PACKED_FLOOR_PLAIN for one row), when the
+    rows' spans max - min and the positions fit 64 bits together, each row
+    less its minimum, then the position, go into one uint64 word, highest
+    first, and one np.sort of the words gives the lexsort order: the fields
+    are disjoint and the position breaks every tie.  The width test comes
+    before the subtraction, so no field wraps.  Otherwise it is numpy's
+    lexsort, or argsort of one row, stable (the faster) on object keys."""
     n = keys.shape[1]
-    if keys.dtype.kind in "iu" and n >= (_PACKED_FLOOR if stable or len(keys) > 1 else _PACKED_FLOOR_PLAIN):
+    if keys.dtype.kind in "iu" and n >= (_PACKED_FLOOR if len(keys) > 1 else _PACKED_FLOOR_PLAIN):
         lo = keys.min(axis=1)
         widths = [(h - l).bit_length() for l, h in zip(lo.tolist(), keys.max(axis=1).tolist())]
         shift = index_bits = (n - 1).bit_length()
@@ -368,22 +355,32 @@ def _order(keys: np.ndarray, stable: bool = False) -> np.ndarray:
             words.sort()
             words &= np.uint64((1 << index_bits) - 1)
             return words.view(np.intp)
-    return np.argsort(keys[0], kind="stable" if stable else None) if len(keys) == 1 else np.lexsort(keys[::-1])
+    kind = "stable" if keys.dtype == object else None
+    return np.argsort(keys[0], kind=kind) if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
 def _heads(keys: np.ndarray) -> np.ndarray:
-    """The run heads of sorted keys (one array, or rows of words): True at the
-    first key and at each key unequal to its predecessor."""
-    keys = np.atleast_2d(keys)
-    head = np.ones(keys.shape[1], dtype=bool)
-    head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    """The run heads of sorted keys (one array, or rows of words, 2-D or a
+    list): True at the first key and at each key unequal to its predecessor."""
+    rows = np.atleast_2d(keys) if isinstance(keys, np.ndarray) else keys
+    head = np.zeros(len(rows[0]), dtype=bool)
+    head[:1] = True
+    for k in rows:
+        head[1:] |= k[1:] != k[:-1]
     return head
 
 
-def _runs(keys: np.ndarray, stable: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fresh(keys: np.ndarray) -> np.ndarray:
+    """True at the new candidates among sorted keys (rows of words) whose
+    lowest bit is 1 on candidates and 0 on old keys: the tagged keys that
+    head their runs (_heads) once the tag is shifted out."""
+    return (keys[-1] & 1).astype(bool) & _heads([*keys[:-1], keys[-1] >> 1])
+
+
+def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, head, inverse): positions sorted by keys (_order), the run heads
-    along them (first occurrences when stable) and each position's run."""
-    order = _order(keys, stable)
+    along them (any position of each key) and each position's run."""
+    order = _order(keys)
     head = _heads(keys[:, order])
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(head) - 1
@@ -427,10 +424,12 @@ def _exact_total(weights: np.ndarray) -> int:
 
 
 def _norm_keys(rows: np.ndarray) -> np.ndarray:
-    """Packed keys by (sum of squares, entries) of the int64 rows (n, k), k >= 1, whose sums of
-    squares fit in int64: the order of a ball's rows and of its distinct bottom rows."""
+    """The _pack words of (sum of squares, entries + _offset) of the int64 rows (n, k), k >= 1,
+    whose sums of squares fit int64: the order of a ball's rows, bottom rows and omega classes."""
     sq = (rows * rows).sum(axis=1)
-    return _row_keys(rows, lead=[(sq, int(sq.max(initial=0)).bit_length())])
+    off = _offset(rows)
+    bits = (2 * off).bit_length()
+    return _pack([(sq, int(sq.max(initial=0)).bit_length()), *((col + off, bits) for col in rows.T)])[0]
 
 
 # Ping-pong certificate search: hull rounds before widening, and the widening
@@ -612,13 +611,7 @@ def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap
         inside = (sq < region).ravel()
         kids = (weights @ layer).reshape(n_words, -1).compress(inside, axis=1) + bases
         keys = _sort_keys(np.concatenate([prev, cur, kids], axis=1))
-        last = keys[-1]
-        apart = last[1:] - last[:-1] >= 2
-        for k in keys[:-1]:
-            apart |= k[1:] != k[:-1]
-        fresh = (last & 1).astype(bool)
-        fresh[1:] &= apart
-        prev, cur = cur, keys.compress(fresh, axis=1)
+        prev, cur = cur, keys.compress(_fresh(keys), axis=1)
         cur[-1] -= 1
         total += cur.shape[1]
         if total > element_cap:

@@ -3,12 +3,12 @@
 For a squarefree modulus q the projection pi_q : SL(2,Z) -> SL(2,Z/qZ) is
 computed by breadth-first closure of the images of the generators and their
 inverses, each element packed into one int64 code ((a q + b) q + c) q + d
-and deduplicated layer by layer.  A subgroup has full image at a prime p
-exactly when the closure reaches p(p^2-1) elements; primes where this fails
-(together with 2, which is always excluded) form the empirical bad-modulus
-set.  Before its size is read, each projection is checked without the
-closure loop (identity present, distinct rows of determinant 1, closed under
-every letter); a failure raises ArithmeticError.
+and deduplicated layer by layer by groups._fresh, as the norm balls are.
+A subgroup has full image at a prime p exactly when the closure reaches
+p(p^2-1) elements; primes where this fails, and 2, always excluded, form
+the empirical bad-modulus set.  Before its size is read, each projection
+is checked by its own searchsorted (identity present, distinct rows of
+determinant 1, closed under every letter); a failure raises ArithmeticError.
 
 Cosets of the row-stabilizer subgroup {g : (0,1).g = a.(0,1) mod q, a a unit}
 are labeled by the projectivized bottom row (c:d) in P^1(Z/pZ) per prime,
@@ -93,7 +93,7 @@ _CHUNK_CELLS = 1 << 16
 _MODULUS_LIMIT = 1 << 31
 # 2^64 - 1, the top of uint64, where _divisor_hits tests divisibility mod 2^64.
 _U64_MAX = (1 << 64) - 1
-# project_group packs four residues mod q into one int64 code, so q^4 < 2^63.
+# project_group packs four residues mod q, then a tag bit, into int64: q^4 < 2^60.
 _CODE_LIMIT = 1 << 15
 # Coset labels multiply residues mod q in int64, so q^2 < 2^63.
 _LABEL_LIMIT = 1 << 31
@@ -453,25 +453,24 @@ def project_group(gens, q: int) -> np.ndarray:
     sorted lexicographically, so len() is the order of the image.  The
     closure runs breadth-first over the images of the generators and their
     inverses, carried as codes ((a q + b) q + c) q + d, which are below
-    q^4 < 2^63 for q < 2^15.  The letters are symmetric, so a product of a
+    q^4 < 2^60 for q < 2^15.  The letters are symmetric, so a product of a
     layer-k element and a letter is in layer k - 1, in layer k, or new.
     """
+    from .groups import _fresh  # groups imports this module, so not at the top
     if q >= _CODE_LIMIT:
         raise ValueError(f"modulus {q} too large for packed residue codes (need q < {_CODE_LIMIT})")
     prime_factors(q)  # refuses a non-squarefree q
     letters = _letter_residues(gens, q)
     weights = np.array([q**3, q**2, q, 1], dtype=np.int64)
-    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64) % q
     prev = np.zeros(0, dtype=np.int64)
-    cur = frontier @ weights
+    cur = np.array([[1, 0, 0, 1]], dtype=np.int64) % q @ weights
     layers = [cur]
-    while len(frontier):
-        cand = np.sort((frontier.reshape(-1, 1, 2, 2) @ letters).reshape(-1, 4) % q @ weights)
-        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-        new = cand[~np.isin(cand, np.concatenate((prev, cur)), assume_unique=True, kind="sort")]
-        prev, cur = cur, new
-        layers.append(new)
-        frontier = (new[:, None] // weights) % q
+    while len(cur):
+        frontier = (cur[:, None] // weights % q).reshape(-1, 1, 2, 2)
+        cand = (frontier @ letters).reshape(-1, 4) % q @ weights
+        keys = np.sort(np.concatenate((prev << 1, cur << 1, cand << 1 | 1)))
+        prev, cur = cur, keys[_fresh(keys[None])] >> 1
+        layers.append(cur)
     codes = np.sort(np.concatenate(layers))
     return (codes[:, None] // weights) % q
 

@@ -438,6 +438,10 @@ def test_build_sequence_budget_error():
         build_sequence(MOD, 20, 20, Form.Z, element_cap=5)
 
 
+# 3 * 5 * 7 * ... * 53: odd, squarefree and past int64
+Q_PAST_INT64 = math.prod(p for p in range(3, 54) if sympy.isprime(p))
+
+
 def test_a_q_trivial_and_parity_vanishing():
     seq = build_sequence(MOD, 12, 12, Form.Z)
     mass, main, r = a_q(seq, 1)
@@ -452,6 +456,8 @@ def test_a_q_trivial_and_parity_vanishing():
     for bad in (6, 9, 45):
         with pytest.raises(ValueError):
             a_q(seq, bad)
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        a_q(seq, Q_PAST_INT64)
 
 
 def test_a_q_matches_bruteforce_sum():
@@ -538,7 +544,7 @@ def test_adq_terms_refuses_inputs_in_order(monkeypatch):
     with pytest.raises(BallBudgetError):
         adq_terms(MOD, 20, 20, Form.Z, 6, element_cap=5)
     monkeypatch.setattr(census_mod, "_chunk_values", lambda *a: pytest.fail("a value was formed"))
-    for f, q in ((Form.Z, 6), (Form.Z, 9), (Form.Z, 0), (Form.PRODUCT, 5), (Form.AREA, 3)):
+    for f, q in ((Form.Z, 6), (Form.Z, 9), (Form.Z, 0), (Form.PRODUCT, 5), (Form.AREA, 3), (Form.Z, Q_PAST_INT64)):
         with pytest.raises(ValueError):
             adq_terms(MOD, 8, 8, f, q)
     for X, Y in ((8, 1), (1, 8)):

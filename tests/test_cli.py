@@ -170,6 +170,8 @@ def test_exit_code_bad_input():
     assert run(["nope"])[0] == 4
     assert run(["orbit", "--format", "xml"])[0] == 4
     assert run(["adq", "--q", "6", "--X", "6", "--Y", "6"])[0] == 4
+    # 3 * 5 * 7 * ... * 53, odd and squarefree, is a modulus past int64
+    assert run(["adq", "--X", "4", "--Y", "4", "--q", "16294579238595022365"]) == (4, "")
     assert run(["census", "--config", "/nonexistent/path"])[0] == 4
 
 

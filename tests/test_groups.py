@@ -18,7 +18,7 @@ from triplesieve.groups import (
     GeneratorSet,
     GrowthEstimate,
     SmoothedWeight,
-    _row_keys,
+    _norm_keys,
     coset_counts,
     enumerate_ball,
     estimate_delta,
@@ -205,14 +205,14 @@ def test_enumerate_ball_matches_set_bfs(case):
     st.just(k),
     st.lists(st.tuples(*[st.integers(-math.isqrt(2**k - 1), math.isqrt(2**k - 1))] * 4), min_size=1, max_size=20),
 )))
-def test_row_keys_sort_like_tuples(case):
+def test_norm_keys_sort_like_norm_then_tuples(case):
     """Sort keys of int64 rows, from one packed word to several, order rows
-    as tuples do and tell distinct rows apart."""
+    by (sum of squares, tuple) and tell distinct rows apart."""
     k, rows = case
     arr = np.array(rows, dtype=np.int64)
-    keys = _row_keys(arr)
+    keys = _norm_keys(arr)
     order = np.lexsort(keys[::-1]).tolist()
-    assert [rows[i] for i in order] == sorted(rows)
+    assert [rows[i] for i in order] == sorted(rows, key=lambda r: (sum(e * e for e in r), r))
     packed = list(zip(*(key[order].tolist() for key in keys)))
     assert all((p == q) == (rows[i] == rows[j]) for p, q, i, j in zip(packed, packed[1:], order, order[1:]))
 
@@ -237,11 +237,11 @@ def test_distinct_rows_kernel(make, monkeypatch):
     words = []
 
     def spy(*args, **kwargs):
-        keys = _row_keys(*args, **kwargs)
+        keys = _norm_keys(*args, **kwargs)
         words.append(len(keys))
         return keys
 
-    monkeypatch.setattr(groups, "_row_keys", spy)
+    monkeypatch.setattr(groups, "_norm_keys", spy)
     ball = make()
     c, d, inverse = ball.distinct_rows()
     bottom = [tuple(r) for r in ball.rows[:, 2:4].tolist()]
@@ -655,18 +655,15 @@ KERNEL_KEYS = {
 @pytest.mark.parametrize("name", sorted(KERNEL_KEYS))
 def test_run_kernel_matches_np_unique(name, monkeypatch):
     """Every reader of the run kernel against np.unique as the oracle:
-    distinct keys, first occurrences (stable order), inverse and counts;
-    _run_sums and _exact_total against Python sums; and census's chunk
-    merge against one _run_sums over the concatenated parts."""
+    distinct keys, inverse and counts; _run_sums and _exact_total against
+    Python sums; and census's chunk merge against one _run_sums over the
+    concatenated parts."""
     keys = KERNEL_KEYS[name]
-    uniq, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
-    for stable in (True, False):
-        order, head, runs = groups._runs(keys[None], stable=stable)
-        assert keys[order[head]].tolist() == uniq.tolist()
-        assert runs.tolist() == inverse.ravel().tolist()
-        assert np.diff(np.flatnonzero(head), append=len(keys)).tolist() == counts.tolist()
-        if stable:
-            assert order[head].tolist() == first.tolist()
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    order, head, runs = groups._runs(keys[None])
+    assert keys[order[head]].tolist() == uniq.tolist()
+    assert runs.tolist() == inverse.ravel().tolist()
+    assert np.diff(np.flatnonzero(head), append=len(keys)).tolist() == counts.tolist()
     values, value_counts = groups._distinct(keys)
     assert values.dtype == keys.dtype
     assert (values.tolist(), value_counts.tolist()) == (uniq.tolist(), counts.tolist())
@@ -690,13 +687,42 @@ def test_run_kernel_matches_np_unique(name, monkeypatch):
 def test_run_kernel_on_key_words():
     """_runs over two words of packed keys groups like np.unique over rows."""
     rows = np.random.default_rng(5).integers(-3, 3, (400, 2))
-    keys = _row_keys(rows)
+    keys = _norm_keys(rows)
     words = np.stack([keys[0] >> np.uint64(2), keys[0] & np.uint64(3)])
     uniq, first, inverse = np.unique(words.T, axis=0, return_index=True, return_inverse=True)
     order, head, runs = groups._runs(words)
     assert words.T[order[head]].tolist() == uniq.tolist()
     assert order[head].tolist() == first.tolist()  # a lexsort is stable
     assert runs.tolist() == inverse.ravel().tolist()
+
+
+FRESH_FORMS = {
+    "one uint64 word": lambda k: np.array([k], dtype=np.uint64),
+    "two words": lambda k: np.array([[x >> 32 for x in k], [x & (1 << 32) - 1 for x in k]], dtype=np.uint64),
+    "python ints": lambda k: np.array([k], dtype=object),
+}
+# value maps: the two-word keys differ only in the high word up to the tag
+FRESH_SCALES = {"one uint64 word": lambda x: x, "two words": lambda x: x << 40, "python ints": lambda x: (x << 70) + x}
+
+
+@pytest.mark.parametrize("form", sorted(FRESH_FORMS))
+@pytest.mark.parametrize("old, cand", [
+    ([4, 7, 11], [7, 9, 11]),  # candidates equal to old keys
+    ([4], [6, 6, 2, 6, 2]),  # candidates that repeat
+    ([10, 20], [1, 15, 1]),  # a candidate at position 0
+    ([], [3]),
+    ([5], []),
+])
+def test_fresh_marks_each_new_candidate_once(form, old, cand):
+    """_fresh on hand-made sorted keys, old keys tagged 0 and candidates 1 in
+    the lowest bit, keeps each candidate outside the old keys once: the
+    Python-set oracle."""
+    scale = FRESH_SCALES[form]
+    tagged = sorted([scale(x) << 1 for x in old] + [scale(x) << 1 | 1 for x in cand])
+    keys = FRESH_FORMS[form](tagged)
+    fresh = groups._fresh(keys)
+    assert fresh.dtype == bool and fresh.shape == (len(tagged),)
+    assert [tagged[i] >> 1 for i in np.flatnonzero(fresh)] == sorted(map(scale, set(cand) - set(old)))
 
 
 def order_oracle_keys(rng, rows, n, dtype, span):
@@ -716,33 +742,32 @@ def order_oracle_keys(rng, rows, n, dtype, span):
 def test_order_matches_lexsort_oracle(rows, dtype):
     """_order against np.lexsort, which is the stable np.argsort on one row:
     n = 0, 1 and either side of both floors, on spread keys and on keys
-    with heavy ties.  Several rows, or stable, give the oracle's order,
-    tied keys in position order; one row not stable gives a sorting
-    permutation."""
+    with heavy ties.  Several rows give the oracle's order, tied keys in
+    position order; one row gives a sorting permutation."""
     rng = np.random.default_rng(rows)
     floors = (groups._PACKED_FLOOR, groups._PACKED_FLOOR_PLAIN)
     for n in (0, 1, *(f + e for f in floors for e in (-1, 0))):
         for span in (3, 1 << (40 // rows)):
             keys = order_oracle_keys(rng, rows, n, dtype, span)
             want = np.lexsort(keys[::-1]).tolist()
-            for stable in (False, True):
-                got = groups._order(keys, stable)
-                assert got.dtype == np.intp
-                if rows > 1 or stable:
-                    assert got.tolist() == want
-                else:
-                    assert sorted(got.tolist()) == list(range(n))
-                    assert (keys[0][got][1:] >= keys[0][got][:-1]).all()
+            got = groups._order(keys)
+            assert got.dtype == np.intp
+            if rows > 1:
+                assert got.tolist() == want
+            else:
+                assert sorted(got.tolist()) == list(range(n))
+                assert (keys[0][got][1:] >= keys[0][got][:-1]).all()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
 def test_order_packs_exactly_up_to_64_bits(rows, dtype, monkeypatch):
-    """At n = _PACKED_FLOOR one packed np.sort runs when the widths of the
-    rows' spans max - min and of the positions come to exactly 64 bits, and
-    numpy's lexsort or stable argsort when they come to 65; both give the
-    lexsort order, so no field of the packed word wraps."""
-    n = groups._PACKED_FLOOR
+    """At n = _PACKED_FLOOR (_PACKED_FLOOR_PLAIN for one row) one packed
+    np.sort runs when the widths of the rows' spans max - min and of the
+    positions come to exactly 64 bits, and numpy's lexsort or argsort when
+    they come to 65; both give the lexsort order (the keys hold no ties), so
+    no field of the packed word wraps."""
+    n = groups._PACKED_FLOOR if rows > 1 else groups._PACKED_FLOOR_PLAIN
     rng = np.random.default_rng(rows)
     calls = []
     for name in ("argsort", "lexsort"):
@@ -754,20 +779,19 @@ def test_order_packs_exactly_up_to_64_bits(rows, dtype, monkeypatch):
         keys = np.stack([order_oracle_keys(rng, 1, n, dtype, 1 << w)[0] for w in widths])
         want = np.lexsort(keys[::-1]).tolist()
         calls.clear()
-        assert groups._order(keys, stable=True).tolist() == want
+        assert groups._order(keys).tolist() == want
         assert bool(calls) == bool(over)
 
 
 def test_order_on_object_keys():
-    """Object keys past int64 take numpy's argsort or lexsort, in the
+    """Object keys past int64 take numpy's stable argsort or lexsort, in the
     oracle's order with ties in position order, on either side of the floor."""
     rng = np.random.default_rng(7)
     for n in (groups._PACKED_FLOOR - 1, groups._PACKED_FLOOR_PLAIN):
         keys = (rng.integers(-3, 3, (2, n)).astype(object) << 70) + rng.integers(0, 2, (2, n))
         for rows in (1, 2):
             want = [i for _, i in sorted(zip(keys[:rows].T.tolist(), range(n)))]
-            assert groups._order(keys[:rows], stable=True).tolist() == want
-        assert groups._order(keys).tolist() == want  # a lexsort is stable
+            assert groups._order(keys[:rows]).tolist() == want
 
 
 @pytest.mark.parametrize("gens, T", [
