@@ -35,12 +35,13 @@ evaluates the zero locus of f_w mod p for every w of the stack in one
 form_values call and keeps the read-only (omegas, p, p) mask in a bounded
 cache.  _twisted_counts collapses the histograms of m = ck + dl of each
 value of a stack of small integer patterns over the whole grid, once per
-class of twists up to unit scaling (p + 2 classes; a unit only relabels the
-nonzero m).  S4 and S5 are their integer cell weights dotted with those
-counts, of the zero grids and of the joint pattern 2 z + z'.  The scalar s4
-and s4_closed_form read a (p, p) table of every twist, built by the first
-call at (p, f, w) and kept in a bounded cache; later calls, and each prime
-factor of a composite q, index into it.
+class of twists up to unit scaling: the point (l : k) of P^1(F_p) from
+modular._projective_class (p + 2 classes with the zero twist; a unit only
+relabels the nonzero m).  S4 and S5 are their integer cell weights dotted
+with those counts, of the zero grids and of the joint pattern 2 z + z'.
+The scalar s4 and s4_closed_form read a (p, p) table of every twist, built
+by the first call at (p, f, w) and kept in a bounded cache; later calls,
+and each prime factor of a composite q, index into it.
 
 Degenerate modulus: S1, S2, Xi vanish at q = 1 (an empty modulus carries no
 oscillation), while S4 and S5 are 1 at q = 1 (empty products), which is what
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -67,7 +69,7 @@ import numpy as np
 
 from .gl2 import Form, UnimodularMatrix, form_values
 from .groups import _runs
-from .modular import _inverses, prime_factors, require_odd_prime
+from .modular import _integers, _projective_class, prime_factors, require_odd_prime
 
 
 class _Rational(Fraction):
@@ -217,36 +219,22 @@ def _collapse_histogram(qbar: int, hist: np.ndarray):
     return total
 
 
-def _twist_classes(p: int, k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """The class of each twist (k, l) mod p under unit scaling: k/l for
-    l != 0 (representative (k/l, 1)), p for (k, 0) with k != 0
-    (representative (1, 0)) and p + 1 for the zero twist.
-
-    Scaling the twist by a unit u relabels m = ck + dl as um: m = 0 stays,
-    the nonzero m are permuted.  A histogram constant on {0} and on the
-    nonzero m, which _collapse_histogram checks, is therefore the same at
-    every twist of a class, and so are S4 and S5."""
-    return np.where(l != 0, k * _inverses(p)[l] % p, np.where(k != 0, p, p + 1))
-
-
-def _reduced_twists(p: int, k, l) -> Tuple[np.ndarray, np.ndarray]:
-    """k and l reduced mod p (exactly, whatever their size) as int64 arrays
-    broadcast against each other."""
-    return np.broadcast_arrays((np.asarray(k) % p).astype(np.int64),
-                               (np.asarray(l) % p).astype(np.int64))
-
-
 def _twisted_counts(p: int, patterns: np.ndarray, k, l) -> Tuple[np.ndarray, np.ndarray]:
     """The sums of e_p(-(ck + dl)) over the cells (c, d) of each value v of
     a (stack, p, p) array of small integer patterns, at an odd prime p:
     (classes, stack, 1 + largest v) counts, one bincount over (class, layer, v, m)
-    collapsed by gcd classes, and the _twist_classes index of each twist of
-    the arrays k, l.  Classes go in blocks of about 2^18 cells, so a table at
-    a large prime stays in bounded memory."""
-    k, l = _reduced_twists(p, k, l)
-    twists = _twist_classes(p, k, l).ravel()
-    order, head, where = _runs(twists[None])
-    classes = twists[order[head]]
+    collapsed by gcd classes, and the index among them of the class of each
+    twist of the integer arrays k, l, its point (l : k) of P^1(F_p) from
+    _projective_class.  Classes go in blocks of about 2^18 cells, so a table
+    at a large prime stays in bounded memory.
+
+    Scaling a twist by a unit u relabels m = ck + dl as um: m = 0 stays, the
+    nonzero m are permuted.  A histogram constant on {0} and on the nonzero
+    m, which _collapse_histogram checks, is therefore the same at every
+    twist of a class, and so are S4 and S5."""
+    twists = _projective_class(p, _integers(l), _integers(k))
+    order, head, where = _runs(twists.reshape(1, -1))
+    classes = twists.ravel()[order[head]]
     stack, values = patterns.shape[0], int(patterns.max()) + 1
     c, d = (a.ravel() for a in np.indices((p, p)))
     cells = (np.arange(stack)[:, None] * values + patterns.reshape(stack, p * p)) * p
@@ -259,7 +247,7 @@ def _twisted_counts(p: int, patterns: np.ndarray, k, l) -> Tuple[np.ndarray, np.
         block = np.arange(tk.size)[:, None, None] * (stack * values * p) + cells + m[:, None, :]
         hist = np.bincount(block.ravel(), minlength=tk.size * stack * values * p)
         counts.append(_collapse_histogram(p, hist.reshape(tk.size, stack, values, p)))
-    return np.concatenate(counts), where.reshape(k.shape)
+    return np.concatenate(counts), where.reshape(twists.shape)
 
 
 def s4_numerators(p: int, f: Form, k, l, omegas) -> np.ndarray:
@@ -282,7 +270,7 @@ def s4_closed_form_numerators(p: int, f: Form, k, l, omegas) -> np.ndarray:
     """p^2 times the piecewise closed form of S4 at an odd prime, for twist
     arrays k, l broadcast against each other, one row per omega (see
     s4_closed_form)."""
-    k, l = _reduced_twists(p, k, l)
+    k, l = np.broadcast_arrays(*(np.asarray(_integers(t) % p, dtype=np.int64) for t in (k, l)))
     omegas = tuple(omegas)
     if f is Form.Z and p % 4 == 3:
         n = 1
@@ -315,8 +303,9 @@ def s4(q: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> SumValue:
         return SumValue(Fraction(1), 1, form=f, k=k, l=l, omega=omega)
     num, twisted = 1, False
     for p in primes:
-        num *= int(_twist_table(s4_numerators, p, f, omega)[k % p, l % p])
-        twisted = twisted or k % p != 0 or l % p != 0
+        at = operator.index(k) % p, operator.index(l) % p  # non-integers raise TypeError
+        num *= int(_twist_table(s4_numerators, p, f, omega)[at])
+        twisted = twisted or at != (0, 0)
     # an untwisted S4 is a product of S1 values, whose repr has always been Fraction's
     val = _Rational(num, q * q) if twisted else Fraction(num, q * q)
     return SumValue(val, q, form=f, k=k, l=l, omega=omega)
@@ -334,7 +323,8 @@ def s4_closed_form(
       * f = z with p = 3 mod 4 (zero locus = origin): 1/p^2.
     """
     require_odd_prime(p)
-    return Fraction(int(_twist_table(s4_closed_form_numerators, p, f, omega)[k % p, l % p]), p * p)
+    at = operator.index(k) % p, operator.index(l) % p  # non-integers raise TypeError
+    return Fraction(int(_twist_table(s4_closed_form_numerators, p, f, omega)[at]), p * p)
 
 
 def s4_bound(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fraction:
@@ -342,7 +332,7 @@ def s4_bound(p: int, f: Form, k: int, l: int, omega: UnimodularMatrix) -> Fracti
     odd prime p: the gcd is p where the dual row (l, -k) lies on the zero
     locus of f_omega mod p, read from the cached zero grid, and 1 elsewhere."""
     require_odd_prime(p)
-    return Fraction(p if _zero_grids(f, p, (omega,))[0, l % p, -k % p] else 1, p * p)
+    return Fraction(p if _zero_grids(f, p, (omega,))[0, operator.index(l) % p, -operator.index(k) % p] else 1, p * p)
 
 
 def _s5_numerator(
@@ -427,7 +417,7 @@ def s3_direct(
         v = form_values(f, cx * om.a + dx * om.c, cx * om.b + dx * om.d)
         weight = weight * _scaled_xi(qq, v, dtype)
     hist = np.zeros(qbar, dtype=dtype)
-    np.add.at(hist, (c * (k % qbar) + d * (l % qbar)) % qbar, weight)
+    np.add.at(hist, (c * (operator.index(k) % qbar) + d * (operator.index(l) % qbar)) % qbar, weight)
     return _Rational(int(_collapse_histogram(qbar, hist)), den)
 
 

@@ -828,18 +828,18 @@ def coset_counts(
         return {(0, 1): n}
     if q % 2 == 0:
         raise ValueError("modulus shares the factor 2 with the bad modulus")
-    table = modular.coset_table(q)
-    for p in modular.prime_factors(q):
+    table, primes = modular.coset_table(q), modular.prime_factors(q)
+    for p in primes:
         if not modular.strong_approx_check(gens, p):
             raise ValueError(f"projection not surjective mod {p}; bad modulus overlap")
-    # a row's label depends only on its residues mod q: label each occupied
-    # (c mod q, d mod q) cell once, then add up the cell counts per label
+    # each occupied cell mod q once; its place in table.reps is its classes x + 1 mod p + 1 in mixed radix
     cells, per_cell = _distinct(ball.rows[:, 2] % q * q + ball.rows[:, 3] % q)
-    lc, ld = modular.coset_labels(q, cells // q, cells % q)
-    labels, per_label = _run_sums(lc * q + ld, per_cell)
-    counts = {rep: 0 for rep in table.reps}
-    for k, v in zip(labels.tolist(), per_label.tolist()):
-        counts[(k // q, k % q)] += v
+    position = 0
+    for p, x in zip(primes, modular._row_classes(primes, cells // q, cells % q)):
+        position = position * (p + 1) + (x + 1) % (p + 1)
+    tally = np.zeros(table.index, dtype=np.int64)
+    np.add.at(tally, position, per_cell)
+    counts = dict(zip(table.reps, tally.tolist()))
     if sum(counts.values()) != n:
         raise ArithmeticError("coset counts do not partition the ball")
     return counts

@@ -11,11 +11,11 @@ is checked by its own searchsorted (identity present, distinct rows of
 determinant 1, closed under every letter); a failure raises ArithmeticError.
 
 Cosets of the row-stabilizer subgroup {g : (0,1).g = a.(0,1) mod q, a a unit}
-are labeled by the projectivized bottom row (c:d) in P^1(Z/pZ) per prime,
-glued by CRT; the index is eta(q) = prod_{p|q} (p+1).  One array kernel,
-coset_labels, computes the labels for CosetTable.label_of_row and
-groups.coset_counts, and its CRT step also builds coset_table's
-representatives.
+are the points of P^1(Z/pZ) per prime, glued by CRT; the index is
+eta(q) = prod_{p|q} (p+1).  One class kernel, _projective_class, numbers
+the points (d/c, p for (0:1), p + 1 for a vanishing row), and one CRT glue,
+_glue, turns classes into labels for coset_labels and coset_table's
+representatives; groups.coset_counts and charsums' twists read the classes.
 
 Local densities count, among the p+1 coset representatives, those whose row
 makes a chosen coordinate form vanish mod p.  Exact rationals throughout.
@@ -404,7 +404,7 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"need an odd prime, got {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def prime_factors(q: int) -> Tuple[int, ...]:
     """Sorted prime factors of a squarefree q >= 1; raises ValueError otherwise."""
     if q < 1:
@@ -530,44 +530,58 @@ def _label_primes(q: int) -> Tuple[int, ...]:
     return prime_factors(q)
 
 
-def _crt_step(x, mod: int, r, p: int):
-    """The residues mod mod * p that are x mod mod and r mod p, for a prime
-    p coprime to mod; every product stays below (mod * p)^2."""
-    return x + mod * ((r - x) * pow(mod, -1, p) % p)
+def _integers(values) -> np.ndarray:
+    """values, integers or arrays or lists of them, as an integer array (of
+    Python ints past numpy's dtypes); non-integers raise TypeError."""
+    a = np.asarray(values)
+    return a if a.dtype.kind in "iu" else np.vectorize(operator.index, otypes=[object])(a)
 
 
-@lru_cache(maxsize=None)
-def _inverses(p: int) -> np.ndarray:
-    """Table of inverses mod prime p (entry 0 is 0), built once per prime."""
-    return np.array([0] + [pow(i, -1, p) for i in range(1, p)], dtype=np.int64)
+def _projective_class(p: int, c, d) -> np.ndarray:
+    """The point of P^1(F_p) of each integer row (c, d) as int64: d c^-1 mod p
+    where p does not divide c, p at (0 : 1) and p + 1 where the row vanishes.
+    c^-1 is c^(p-2) by square-and-multiply on residues, each product below p^2."""
+    c, d = (np.asarray(x % p, dtype=np.int64) for x in (c, d))
+    inverse = np.ones_like(c)
+    for bit in bin(p - 2)[2:]:
+        inverse = inverse * inverse % p * (c if bit == "1" else 1) % p
+    return np.where(c != 0, d * inverse % p, np.where(d != 0, p, p + 1))
+
+
+def _row_classes(primes, c, d) -> List[np.ndarray]:
+    """The _projective_class of the integer rows at each of primes; ValueError
+    names the first row that vanishes, at the first prime where one does."""
+    classes = []
+    for p in primes:
+        classes.append(_projective_class(p, c, d))
+        vanish = np.flatnonzero(classes[-1] > p)
+        if len(vanish):
+            raise ValueError(f"row {(int(c[vanish[0]]), int(d[vanish[0]]))} vanishes mod {p}")
+    return classes
+
+
+def _glue(primes, classes) -> Tuple[np.ndarray, np.ndarray]:
+    """CRT glue: the labels (lc, ld) mod q = prod(primes) from a class x <= p
+    at each prime, (0, 1) mod p at x = p, else (1, x); products stay below q^2."""
+    lc, ld, mod = 0, 0, 1
+    for p, x in zip(primes, classes):
+        inverse = pow(mod, -1, p)
+        lc = lc + mod * ((np.where(x == p, 0, 1) - lc) * inverse % p)
+        ld = ld + mod * ((np.where(x == p, 1, x) - ld) * inverse % p)
+        mod *= p
+    return lc, ld
 
 
 def coset_labels(q: int, c, d) -> Tuple[np.ndarray, np.ndarray]:
-    """Coset labels (lc, ld) of the bottom rows (c, d), as int64 arrays.
-
-    Per prime p | q the label is the projective class of the row mod p:
-    (0, 1) when p | c, else (1, d c^-1 mod p); the per-prime labels are
-    glued by CRT, and q = 1 labels every row (0, 1).  Rows vanishing mod
-    some p | q are not rows of SL(2,Z/qZ) elements and are rejected.
+    """Coset labels (lc, ld) of the bottom rows (c, d), read as integers
+    (TypeError otherwise), as int64 arrays: the _glue of their classes, and
+    (0, 1) at q = 1.  A row vanishing mod some p | q raises ValueError.
     """
     primes = _label_primes(q)
-    c = np.asarray(c, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
+    c, d = _integers(c), _integers(d)
     if q == 1:
-        return np.zeros_like(c), np.ones_like(d)
-    lc = ld = 0
-    mod = 1
-    for p in primes:
-        cp, dp = c % p, d % p
-        zero = cp == 0
-        vanish = np.flatnonzero(zero & (dp == 0))
-        if len(vanish):
-            i = vanish[0]
-            raise ValueError(f"row {(int(c[i]), int(d[i]))} vanishes mod {p}")
-        lc = _crt_step(lc, mod, np.where(zero, 0, 1), p)
-        ld = _crt_step(ld, mod, np.where(zero, 1, _inverses(p)[cp] * dp % p), p)
-        mod *= p
-    return lc, ld
+        return np.zeros(c.shape, dtype=np.int64), np.ones(d.shape, dtype=np.int64)
+    return _glue(primes, _row_classes(primes, c, d))
 
 
 @dataclass(frozen=True)
@@ -597,14 +611,9 @@ def coset_table(q: int) -> CosetTable:
     primes = _label_primes(q)
     if q == 1:
         return CosetTable(1, ((0, 1),), 1)
-    # per prime, representative j is (0, 1) for j = 0, else (1, j - 1)
+    # per prime, representative j is the class (j - 1) mod (p + 1): p, 0, 1, ..., p - 1
     js = np.indices([p + 1 for p in primes]).reshape(len(primes), -1)
-    c = d = 0
-    mod = 1
-    for p, j in zip(primes, js):
-        c = _crt_step(c, mod, np.where(j == 0, 0, 1), p)
-        d = _crt_step(d, mod, np.where(j == 0, 1, j - 1), p)
-        mod *= p
+    c, d = _glue(primes, [(j - 1) % (p + 1) for p, j in zip(primes, js)])
     rows = tuple(zip(c.tolist(), d.tolist()))
     index = math.prod(p + 1 for p in primes)
     if len(rows) != index or len(set(rows)) != index:

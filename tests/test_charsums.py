@@ -248,6 +248,42 @@ def test_s4_and_s5_raise_on_a_zero_grid_not_invariant_under_scaling(monkeypatch)
         s5(7, Form.X, 1, 0, OMEGAS[0], OMEGAS[1])  # the flipped cell has m = 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_twists_share_a_class_exactly_when_unit_multiples(p):
+    """Brute force over every pair of twists mod p: two twists get one class
+    index from _twisted_counts exactly when one is a unit multiple of the
+    other, the zero twist alone in its class; p + 2 classes in all."""
+    k, l = (a.ravel() for a in np.indices((p, p)))
+    counts, where = charsums._twisted_counts(p, np.zeros((1, p, p), dtype=np.int64), k, l)
+    orbit = {t: frozenset((u * t[0] % p, u * t[1] % p) for u in range(1, p)) for t in zip(k.tolist(), l.tolist())}
+    twists = list(orbit)
+    for i, s in enumerate(twists):
+        for j, t in enumerate(twists):
+            assert (where[i] == where[j]) == (orbit[s] == orbit[t])
+    assert len(counts) == len(set(orbit.values())) == p + 2
+
+
+def test_twists_refuse_non_integers():
+    """Twists are read as integers: a float twist raises TypeError, where s5
+    and s4_numerators once answered for the truncated twist (1, 2) and s4
+    and s4_closed_form raised IndexError; ints of any size and numpy
+    integers still give the values of their residues."""
+    w, w2 = OMEGAS[1], OMEGAS[2]
+    for call in (lambda: s5(5, Form.X, 1.5, 2, w, w2), lambda: s4_numerators(5, Form.X, 1.5, 2, [w]),
+                 lambda: s4(5, Form.X, 1.5, 2, w), lambda: s4_closed_form(5, Form.X, 1.5, 2, w),
+                 lambda: s4_closed_form_numerators(5, Form.X, np.array([1.5]), 2, [w]),
+                 lambda: s4_bound(5, Form.X, 1, 2.0, w), lambda: s3_direct(5, 5, Form.X, 1.5, 2, w, w2),
+                 lambda: s4(15, Form.X, 1, "2", w)):
+        with pytest.raises(TypeError):
+            call()
+    big = 1 + 15 * 10 ** 30
+    assert s5(5, Form.X, big, np.int64(2), w, w2).value == s5(5, Form.X, 1, 2, w, w2).value
+    assert s4(15, Form.X, np.int32(big % 15), -13, w).value == s4(15, Form.X, big, 2, w).value
+    assert s4_closed_form(5, Form.X, big, 2, w) == s4_closed_form(5, Form.X, 1, 2, w)
+    assert (s4_numerators(5, Form.X, np.array([big, 1], dtype=object), np.uint8(2), [w])
+            == s4_numerators(5, Form.X, 1, 2, [w])).all()
+
+
 def test_s4_degenerate_and_conventions():
     assert s4(5, Form.Y, 0, 0, I2).value == 0  # reduces to S1
     assert s4(1, Form.Y, 1, 1, I2).value == 1  # empty product

@@ -1078,6 +1078,19 @@ def test_coset_counts_match_per_row_labels(gens, T):
             assert coset_counts(gens, T, q, ball=ball) == {rep: tally[rep] for rep in table.reps}
 
 
+def test_coset_counts_keys_and_values_are_python_ints():
+    """The counts are hashed as repr(sorted(items)), where an np.int64 would
+    print differently though dict == accepts it: every entry of every key
+    and every value is a Python int."""
+    mg = modular_generators()
+    ball = enumerate_ball(mg, 60)
+    for q in (5, 7, 105):
+        counts = coset_counts(mg, 60, q, ball=ball)
+        assert all(type(e) is int for rep in counts for e in rep)
+        assert all(type(v) is int for v in counts.values())
+        assert sum(counts.values()) == len(ball) and len(counts) == modular.eta(q)
+
+
 def test_coset_counts_rejects_bad_moduli():
     mg = modular_generators()
     with pytest.raises(ValueError):

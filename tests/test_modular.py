@@ -186,6 +186,75 @@ def test_coset_table_matches_crt_oracle():
             assert all(type(e) is int for rep in reps for e in rep)
 
 
+def class_oracle(p, c, d):
+    """The point of P^1(F_p) of the row (c, d), by Python's modular inverse:
+    d/c, p for (0 : 1) and p + 1 for a row that vanishes mod p."""
+    if c % p:
+        return d * pow(c, -1, p) % p
+    return p if d % p else p + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_projective_class_matches_pow_oracle(p):
+    """Every row mod p, c = 0 and the zero row included, and their shifts by
+    -p and p: the class kernel agrees with the oracle on each."""
+    c, d = (a.ravel() for a in np.indices((3 * p, 3 * p)) - p)
+    got = modular._projective_class(p, c, d)
+    assert got.dtype == np.int64
+    assert got.tolist() == [class_oracle(p, x, y) for x, y in zip(c.tolist(), d.tolist())]
+
+
+def test_projective_class_at_the_largest_label_prime():
+    """10^4 seeded rows at p = 2^31 - 1, the largest prime below
+    _LABEL_LIMIT, with entries anywhere in int64 and a tenth of the c
+    multiples of p: square-and-multiply stays exact there."""
+    p = (1 << 31) - 1
+    assert is_prime(p) and p < modular._LABEL_LIMIT
+    rng = np.random.default_rng(20261020)
+    c, d = rng.integers(-(1 << 62), 1 << 62, size=(2, 10_000))
+    c[::10] = rng.integers(-(1 << 30), 1 << 30, size=1000) * p
+    d[::100] = 0
+    got = modular._projective_class(p, c, d)
+    assert got.tolist() == [class_oracle(p, x, y) for x, y in zip(c.tolist(), d.tolist())]
+
+
+def test_coset_table_reps_are_the_classes_in_table_order():
+    """A prime's reps are the classes p, 0, 1, ..., p - 1 in that order, and
+    a composite q's reps are their glue, the first prime most significant."""
+    for q in (3, 5, 7, 15, 105, 1155):
+        primes = prime_factors(q)
+        reps = coset_table(q).reps
+        c, d = np.array(reps).T
+        classes = [modular._projective_class(p, c, d) for p in primes]
+        position = 0
+        for p, x in zip(primes, classes):
+            position = position * (p + 1) + (x + 1) % (p + 1)
+        assert position.tolist() == list(range(len(reps)))
+
+
+def test_rows_and_labels_refuse_non_integers():
+    """Rows are read as integers: a float raises TypeError, where it was
+    once truncated to the label of (1, 2); Python ints of any size and numpy
+    integers still label as their residues do."""
+    for call in (lambda: coset_labels(5, [1.7], [2]), lambda: coset_table(5).label_of_row(1.5, 2),
+                 lambda: coset_labels(5, np.array([1.0]), [2]), lambda: coset_labels(1, [1.5], [2]),
+                 lambda: coset_labels(15, ["1"], [2])):
+        with pytest.raises(TypeError):
+            call()
+    want = [x.tolist() for x in coset_labels(35, [1, 3], [2, 34])]
+    for c, d in (([1 + 35 * 2 ** 70, 3], [2, -1]), (np.array([1, 3], dtype=np.int32), np.array([2, 34], np.uint64))):
+        assert [x.tolist() for x in coset_labels(35, c, d)] == want
+    assert coset_table(35).label_of_row(np.int64(3), 34 + 35 * 10 ** 30) == (want[0][1], want[1][1])
+    with pytest.raises(ValueError, match=r"row \(35, 70\) vanishes mod 5"):
+        coset_labels(35, [1, 35, 7], [2, 70, 0])
+
+
+def test_prime_factors_cache_is_bounded():
+    """The cache holds the few dozen moduli a verify run or a benchmark pass
+    asks for, but a sweep over many moduli cannot grow it without bound."""
+    assert prime_factors.cache_info().maxsize is not None
+
+
 def test_projection_size_multiplicative_over_good_primes():
     s3 = len(project_group(MOD_GENS, 3))
     s5 = len(project_group(MOD_GENS, 5))
