@@ -507,7 +507,7 @@ def _merged_sums(parts: Iterator[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.nda
     return held[0] if len(held) == 1 else _run_sums(*map(np.concatenate, zip(*held)))
 
 
-def _sequence_grid(gens: GeneratorSet, X: float, Y: float, f: Form, element_cap: int) -> _Grid:
+def _sequence_grid(gens: GeneratorSet, X: float, Y: float, f: Form) -> _Grid:
     """The grid of build_sequence(gens, X, Y, f): one ball enumerated at the
     larger of the weight's support radius and Y, the row weights, the
     S-fold and the omega classes.  An empty gamma or omega ball gives an
@@ -516,7 +516,7 @@ def _sequence_grid(gens: GeneratorSet, X: float, Y: float, f: Form, element_cap:
         raise ValueError(f"need finite X >= 1 and Y >= 1, got X={X}, Y={Y}")
     f = Form(f)
     radius = SmoothedWeight(X).support_radius()
-    ball = enumerate_ball(gens, max(radius, Y), element_cap=element_cap)
+    ball = enumerate_ball(gens, max(radius, Y))
     gamma_ball, omega_ball = ball.sub_ball(radius), ball.sub_ball(Y)
     m = len(omega_ball)
     c, d, wnums, den = _row_weights(gamma_ball, X)
@@ -533,22 +533,17 @@ def _sequence_grid(gens: GeneratorSet, X: float, Y: float, f: Form, element_cap:
     return _Grid(f, den, total, pair_count, m, c, d, wnums, reps, mult)
 
 
-def build_sequence(
-    gens: GeneratorSet,
-    X: float,
-    Y: float,
-    f: Form,
-    element_cap: int = 10_000_000,
-) -> SieveSequence:
+def build_sequence(gens: GeneratorSet, X: float, Y: float, f: Form) -> SieveSequence:
     """Exact smoothed sieve sequence a(n) for the form f on the orbit of gens.
 
     The g-weight is the cubic smoothstep at scale X (support inside norm
     1.1X); the inner sum ranges over the hard ball of radius Y.  Both balls
-    are prefixes of one enumeration.  Weights sit on the g-ball's rows from
-    OrbitBall.distinct_rows, the rows census grades.  Generator order does
-    not affect the result.
+    are prefixes of one enumeration, under enumerate_ball's one budget
+    groups._ELEMENT_CAP (BallBudgetError past it).  Weights sit on the
+    g-ball's rows from OrbitBall.distinct_rows, the rows census grades.
+    Generator order does not affect the result.
     """
-    grid = _sequence_grid(gens, X, Y, f, element_cap)
+    grid = _sequence_grid(gens, X, Y, f)
     chi = Fraction(grid.total, grid.den)
     if not grid.pair_count:
         return SieveSequence(X, Y, grid.form, gens.label, 1, [], [], chi, 0, grid.m)
@@ -562,34 +557,33 @@ def build_sequence(
 
 
 def _modulus(q: int) -> np.ndarray:
-    """q as the moduli of modular._divisor_hits; a q past int64 is a ValueError."""
+    """q as the moduli of modular._divisor_hits; a q below 1 or past int64
+    is a ValueError, raised before q is factored."""
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
     if q >> 63:
         raise ValueError(f"modulus {q} does not fit in int64")
     return np.array([q], dtype=np.int64)
 
 
 def adq_terms(
-    gens: GeneratorSet,
-    X: float,
-    Y: float,
-    f: Form,
-    q: int,
-    element_cap: int = 10_000_000,
+    gens: GeneratorSet, X: float, Y: float, f: Form, q: int
 ) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction], int]:
-    """(chi, a_q(seq, q), len(seq.ns)) of seq = build_sequence(gens, X, Y, f,
-    element_cap), read off the grid without building seq.
+    """(chi, a_q(seq, q), len(seq.ns)) of seq = build_sequence(gens, X, Y, f),
+    read off the grid without building seq.
 
     Inputs are refused as build_sequence and then a_q refuse them: X and Y,
-    the ball's budget, then q, before any value is formed.  Each chunk adds
-    the weights of its pairs whose value q divides (modular._divisor_hits on
-    the chunk's _limbs, as a_q reads the support) and its pair weights, whose
-    total must be chi * den (else ArithmeticError); the support is counted
-    on the merge of the chunks' distinct values (_merged_sums)."""
-    grid = _sequence_grid(gens, X, Y, f, element_cap)
+    the ball's budget groups._ELEMENT_CAP, then q (one past int64 before it
+    is factored), before any value is formed.  Each chunk adds the weights
+    of its pairs whose value q divides (modular._divisor_hits on the chunk's
+    _limbs, as a_q reads the support) and its pair weights, whose total must
+    be chi * den (else ArithmeticError); the support is counted on the merge
+    of the chunks' distinct values (_merged_sums)."""
+    grid = _sequence_grid(gens, X, Y, f)
     chi = Fraction(grid.total, grid.den)
     if q != 1:
-        main = modular_beta(grid.form, q) * chi  # rejects even, non-squarefree, small p
         moduli = _modulus(q)
+        main = modular_beta(grid.form, q) * chi  # rejects even, non-squarefree, small p
     k, mult_total = len(grid.reps), int(grid.mult.sum())
     hit_total = pair_total = 0
 
@@ -620,9 +614,10 @@ def a_q(seq: SieveSequence, q: int) -> Tuple[Fraction, Fraction, Fraction]:
     """
     if q == 1:
         return seq.chi, seq.chi, Fraction(0)
+    moduli = _modulus(q)
     b = modular_beta(seq.form, q)  # rejects even, non-squarefree, small p
     limbs, numerators = seq._arrays
-    mass = Fraction(_exact_total(numerators[_divisor_hits(limbs, _modulus(q))[0]]), seq.den)
+    mass = Fraction(_exact_total(numerators[_divisor_hits(limbs, moduli)[0]]), seq.den)
     main = b * seq.chi
     return mass, main, mass - main
 

@@ -231,16 +231,14 @@ def saturation_table() -> Tuple[SaturationRow, SaturationRow, SaturationRow]:
     )
 
 
-def table_text(rows=None) -> str:
-    rows = saturation_table() if rows is None else rows
+def table_text(rows) -> str:
     lines = [f"{'form':<8} {'R':>3} {'alpha':>11} {'delta0':>12}"]
     for r in rows:
         lines.append(f"{r.form.value:<8} {r.R:>3} {r.alpha:>11.7f} {r.delta0:>12.9f}")
     return "\n".join(lines) + "\n"
 
 
-def table_csv(rows=None) -> str:
-    rows = saturation_table() if rows is None else rows
+def table_csv(rows) -> str:
     lines = ["form,R,alpha,delta0"]
     for r in rows:
         lines.append(f"{r.form.value},{r.R},{r.alpha:.7f},{r.delta0:.9f}")

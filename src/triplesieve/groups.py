@@ -102,10 +102,13 @@ sorts by sq_norm first, the ball of any radius 0 <= t <= T is a prefix of
 the ball at T (OrbitBall.sub_ball), which count_below, coset_counts and the
 sieve sequence read.
 
-Element budget violations raise BallBudgetError rather than returning a
-truncated ball.  On top of the balls: the smoothing weight (cubic smoothstep
-on the annulus 0.9T..1.1T, in one integer form), growth-exponent fits
-(count ~ C T^(2 delta)), and per-coset counts mod q.
+Every enumeration runs under one element budget, the constant _ELEMENT_CAP:
+the tree counts ball elements, the search every node of its region, each
+total is checked after each layer, and a total past the cap raises
+BallBudgetError rather than returning a truncated ball.  On top of the
+balls: the smoothing weight (cubic smoothstep on the annulus 0.9T..1.1T, in
+one integer form), growth-exponent fits (count ~ C T^(2 delta)), and
+per-coset counts mod q.
 """
 
 from __future__ import annotations
@@ -121,6 +124,10 @@ import numpy as np
 
 from . import modular
 from .gl2 import GEN_L, GEN_R, UnimodularMatrix, sq_norm
+
+
+# The element budget of every enumeration: _bfs_layers and _tree_layers count against it.
+_ELEMENT_CAP = 10_000_000
 
 
 class BallBudgetError(RuntimeError):
@@ -578,10 +585,12 @@ def _key_layout(letters: Sequence[Entries], region: int) -> Tuple[type, List[Tup
     return np.uint64, _word_places(widths)
 
 
-def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap: int) -> List[np.ndarray]:
+def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int) -> List[np.ndarray]:
     """Layers, as (4, n) entry columns (int64, or Python ints where
     _entry_dtype says so), of the breadth-first search over sq_norm < region,
-    each carried as its sorted keys (_key_layout, module docstring)."""
+    each carried as its sorted keys (_key_layout, module docstring).  Every
+    node of the region found counts, so a total past _ELEMENT_CAP after a
+    layer raises BallBudgetError."""
     dtype, places = _key_layout(letters, region)
     off = math.isqrt(region) + 1
     bits = (2 * off).bit_length()
@@ -614,8 +623,8 @@ def _bfs_layers(letters: Tuple[Entries, ...], T: float, region: int, element_cap
         prev, cur = cur, keys.compress(_fresh(keys), axis=1)
         cur[-1] -= 1
         total += cur.shape[1]
-        if total > element_cap:
-            raise BallBudgetError(T, total, element_cap)
+        if total > _ELEMENT_CAP:
+            raise BallBudgetError(T, total, _ELEMENT_CAP)
         layer = _field(cur, entries, bits) - off
         collected.append(layer)
     # uint64 entries are residues mod 2^64 of int64 ones: their int64 views
@@ -636,16 +645,15 @@ def _tree_dtype(letters: Sequence[Entries], bound: int):
     return np.int64 if bound < 1 << 61 and 2 * e_max * letter_max < 1 << 63 else object
 
 
-def _tree_layers(
-    letters: Tuple[Entries, ...], T: float, bound: int, element_cap: int
-) -> List[np.ndarray]:
+def _tree_layers(letters: Tuple[Entries, ...], T: float, bound: int) -> List[np.ndarray]:
     """Layers, as (4, n) entry columns, of the reduced-word tree pruned at
     sq_norm < bound.
 
     Sound only for letters with a _ping_pong_certificate: reduced words are
     then distinct elements (no dedup) and norms never decrease along them,
     so every prefix of a ball element is in the ball.  Only ball elements
-    are counted, so a total past element_cap raises BallBudgetError.
+    are counted, so a total past _ELEMENT_CAP after a layer raises
+    BallBudgetError.
 
     A child with an entry |e| >= e_max = isqrt(bound - 1) + 1 has sq_norm
     >= e_max^2 >= bound, so it is dropped before any square is taken; the
@@ -670,8 +678,8 @@ def _tree_layers(
         inside = np.einsum("ij,ij->j", kids, kids) < bound
         frontier, last = kids.compress(inside, axis=1), index.compress(inside) // len(last)
         total += frontier.shape[1]
-        if total > element_cap:
-            raise BallBudgetError(T, total, element_cap)
+        if total > _ELEMENT_CAP:
+            raise BallBudgetError(T, total, _ELEMENT_CAP)
         collected.append(frontier)
     return collected
 
@@ -683,23 +691,21 @@ def _radius_bound(T: float) -> int:
     return math.ceil(Fraction(T) ** 2)
 
 
-def enumerate_ball(
-    gens: GeneratorSet, T: float, element_cap: int = 10_000_000
-) -> OrbitBall:
+def enumerate_ball(gens: GeneratorSet, T: float) -> OrbitBall:
     """Complete, deduplicated enumeration of B_T: on the reduced-word tree
     when the letters carry a ping-pong certificate, else breadth-first.
 
-    Raises BallBudgetError when more than element_cap nodes are discovered;
+    Raises BallBudgetError when more than _ELEMENT_CAP nodes are discovered;
     a returned ball is always complete.  The tree counts ball elements, the
     search every node of its region, which holds the ball.
     """
     bound = _radius_bound(T)
     letters = tuple(h.entries() for h in gens.letters())
     if _ping_pong_certificate(letters) is not None:
-        collected = _tree_layers(letters, T, bound, element_cap)
+        collected = _tree_layers(letters, T, bound)
     else:
         region = max(bound, 4) if gens.monotone_cap else math.ceil(Fraction(T) ** 2 * gens.max_letter_sq_norm())
-        collected = _bfs_layers(letters, T, region, element_cap)
+        collected = _bfs_layers(letters, T, region)
 
     cols = np.concatenate(collected, axis=1)
     # the word length of an element is the index of its layer
@@ -786,13 +792,12 @@ class GrowthEstimate:
             raise ValueError("samples must be strictly increasing in T")
 
 
-def estimate_delta(
-    gens: GeneratorSet, T_grid: Sequence[float], element_cap: int = 10_000_000
-) -> GrowthEstimate:
+def estimate_delta(gens: GeneratorSet, T_grid: Sequence[float]) -> GrowthEstimate:
     """Least-squares slope of log(count) on log(T); slope = 2 delta_hat.
 
     A single enumeration at max(T_grid) supplies every grid count (balls are
-    nested), keeping the fit consistent with hard counts.
+    nested), keeping the fit consistent with hard counts; it runs under
+    enumerate_ball's one budget, _ELEMENT_CAP.
     """
     grid = sorted(float(t) for t in T_grid)
     if len(grid) < 4:
@@ -800,7 +805,7 @@ def estimate_delta(
     # written so that a NaN, which compares false, fails it
     if not (grid[0] >= 1 and all(t2 > t1 for t1, t2 in zip(grid, grid[1:]))):
         raise ValueError("grid must be strictly increasing with min >= 1")
-    ball = enumerate_ball(gens, grid[-1], element_cap=element_cap)
+    ball = enumerate_ball(gens, grid[-1])
     counts = [ball.count_below(t) for t in grid]
     if any(c == 0 for c in counts):
         raise ValueError("grid reaches below the first group element; shrink it")
@@ -828,17 +833,14 @@ def coset_counts(
         return {(0, 1): n}
     if q % 2 == 0:
         raise ValueError("modulus shares the factor 2 with the bad modulus")
-    table, primes = modular.coset_table(q), modular.prime_factors(q)
-    for p in primes:
+    table = modular.coset_table(q)
+    for p in modular.prime_factors(q):
         if not modular.strong_approx_check(gens, p):
             raise ValueError(f"projection not surjective mod {p}; bad modulus overlap")
-    # each occupied cell mod q once; its place in table.reps is its classes x + 1 mod p + 1 in mixed radix
+    # each occupied cell mod q once, tallied at its coset's place in table.reps
     cells, per_cell = _distinct(ball.rows[:, 2] % q * q + ball.rows[:, 3] % q)
-    position = 0
-    for p, x in zip(primes, modular._row_classes(primes, cells // q, cells % q)):
-        position = position * (p + 1) + (x + 1) % (p + 1)
     tally = np.zeros(table.index, dtype=np.int64)
-    np.add.at(tally, position, per_cell)
+    np.add.at(tally, modular.coset_positions(q, cells // q, cells % q), per_cell)
     counts = dict(zip(table.reps, tally.tolist()))
     if sum(counts.values()) != n:
         raise ArithmeticError("coset counts do not partition the ball")
@@ -867,15 +869,13 @@ def word_ball(gens: GeneratorSet, max_length: int) -> Dict[UnimodularMatrix, int
     return dist
 
 
-def sample_words(
-    gens: GeneratorSet, count: int, seed: int, max_length: int = 4
-) -> List[UnimodularMatrix]:
-    """Reproducible sample of group elements from the short-word ball.
+def sample_words(gens: GeneratorSet, count: int, seed: int) -> List[UnimodularMatrix]:
+    """Reproducible sample of group elements from the ball of words of length <= 4.
 
     The pool is canonically ordered before seeding, so the draw depends only
-    on (gens, count, seed, max_length).
+    on (gens, count, seed).
     """
-    pool = sorted(word_ball(gens, max_length), key=lambda g: (sq_norm(g),) + g.entries())
+    pool = sorted(word_ball(gens, 4), key=lambda g: (sq_norm(g),) + g.entries())
     if count >= len(pool):
         return pool
     return random.Random(seed).sample(pool, count)

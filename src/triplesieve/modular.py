@@ -592,12 +592,6 @@ class CosetTable:
     reps: Tuple[Tuple[int, int], ...]
     index: int
 
-    def label_of_row(self, c: int, d: int) -> Tuple[int, int]:
-        """Canonical representative of the projective class of (c, d) mod q
-        (see coset_labels); any integers, reduced mod q first."""
-        lc, ld = coset_labels(self.q, [c % self.q], [d % self.q])
-        return int(lc[0]), int(ld[0])
-
 
 @lru_cache(maxsize=None)
 def coset_table(q: int) -> CosetTable:
@@ -619,6 +613,18 @@ def coset_table(q: int) -> CosetTable:
     if len(rows) != index or len(set(rows)) != index:
         raise ArithmeticError(f"coset representatives mod {q} are not {index} distinct rows")
     return CosetTable(q, rows, index)
+
+
+def coset_positions(q: int, c, d) -> np.ndarray:
+    """The place in coset_table(q).reps of the coset of each integer row
+    (c, d), the inverse of the order coset_table fixes: the mixed-radix
+    number of its classes x + 1 mod p + 1, the first prime most significant.
+    A row vanishing mod some p | q raises ValueError."""
+    primes = _label_primes(q)
+    position = np.zeros(np.shape(c), dtype=np.int64)
+    for p, x in zip(primes, _row_classes(primes, c, d)):
+        position = position * (p + 1) + (x + 1) % (p + 1)
+    return position
 
 
 def eta(q: int) -> int:

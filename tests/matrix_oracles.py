@@ -1,10 +1,12 @@
-"""Matrix-object views and the scalar form evaluation that only the tests
-read: the slow oracles the array kernels are checked against."""
+"""Matrix-object views, the scalar form evaluation and the scalar coset
+labels that only the tests read: the slow oracles the array kernels are
+checked against."""
 
 from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
+import sympy
 
 from triplesieve.gl2 import Form, RationalMatrix3, UnimodularMatrix, form_values
 
@@ -76,3 +78,23 @@ def coordinate_after(f: Form, c: int, d: int, omega: UnimodularMatrix) -> int:
     cc = np.array([c * omega.a + d * omega.c], dtype=object)
     dd = np.array([c * omega.b + d * omega.d], dtype=object)
     return form_values(f, cc, dd)[0]
+
+
+def crt_oracle(residues, primes) -> int:
+    """Scalar CRT: the x mod prod(primes) with x = residues[i] mod primes[i]."""
+    x, mod = 0, 1
+    for p, r in zip(primes, residues):
+        x += mod * ((r - x) * pow(mod, -1, p) % p)
+        mod *= p
+    return x
+
+
+def label_oracle(q: int, c: int, d: int) -> Tuple[int, int]:
+    """Scalar coset label of the row (c, d) mod squarefree q: per prime (0, 1)
+    when p | c, else (1, d/c), glued by CRT; (0, 1) at q = 1.  A row that
+    vanishes mod some p | q is the caller's to exclude."""
+    if q == 1:
+        return (0, 1)
+    primes = sympy.primefactors(q)
+    per_prime = [(0, 1) if c % p == 0 else (1, d * pow(c, -1, p) % p) for p in primes]
+    return tuple(crt_oracle(part, primes) for part in zip(*per_prime))

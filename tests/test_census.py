@@ -16,6 +16,7 @@ import pytest
 import sympy
 
 import triplesieve.cli as cli
+from triplesieve import groups
 from triplesieve.census import (
     SieveSequence,
     a_q,
@@ -433,13 +434,17 @@ def test_build_sequence_enumerates_one_ball(monkeypatch):
         assert seq.omega_ball_size == len(enumerate_once(MOD, Y))
 
 
-def test_build_sequence_budget_error():
+def test_build_sequence_budget_error(monkeypatch):
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 5)
     with pytest.raises(BallBudgetError):
-        build_sequence(MOD, 20, 20, Form.Z, element_cap=5)
+        build_sequence(MOD, 20, 20, Form.Z)
 
 
 # 3 * 5 * 7 * ... * 53: odd, squarefree and past int64
 Q_PAST_INT64 = math.prod(p for p in range(3, 54) if sympy.isprime(p))
+# an 80-bit probable prime past the range where Miller-Rabin is proven, so
+# factoring it raises ArithmeticError
+Q_PROBABLE_PRIME = 604462909807314587353111
 
 
 def test_a_q_trivial_and_parity_vanishing():
@@ -458,6 +463,25 @@ def test_a_q_trivial_and_parity_vanishing():
             a_q(seq, bad)
     with pytest.raises(ValueError, match="does not fit in int64"):
         a_q(seq, Q_PAST_INT64)
+
+
+def test_moduli_past_int64_are_refused_before_they_are_factored():
+    """A q past int64 is a ValueError in a_q and adq_terms, also a probable
+    prime that factoring could not certify; zero and negative q are refused
+    as not positive."""
+    with pytest.raises(ArithmeticError, match="cannot certify"):
+        prime_factors(Q_PROBABLE_PRIME)
+    seq = build_sequence(MOD, 8, 8, Form.Z)
+    for q in (Q_PROBABLE_PRIME, Q_PAST_INT64, 1 << 63):
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            a_q(seq, q)
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            adq_terms(MOD, 8, 8, Form.Z, q)
+    for q in (0, -5, -Q_PROBABLE_PRIME):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            a_q(seq, q)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            adq_terms(MOD, 8, 8, Form.Z, q)
 
 
 def test_a_q_matches_bruteforce_sum():
@@ -541,8 +565,10 @@ def test_adq_terms_refuses_inputs_in_order(monkeypatch):
     formed; empty balls still refuse a bad q, as a_q does."""
     with pytest.raises(ValueError, match="finite"):
         adq_terms(MOD, math.inf, 3, Form.Z, 6)
-    with pytest.raises(BallBudgetError):
-        adq_terms(MOD, 20, 20, Form.Z, 6, element_cap=5)
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_ELEMENT_CAP", 5)
+        with pytest.raises(BallBudgetError):
+            adq_terms(MOD, 20, 20, Form.Z, 6)
     monkeypatch.setattr(census_mod, "_chunk_values", lambda *a: pytest.fail("a value was formed"))
     for f, q in ((Form.Z, 6), (Form.Z, 9), (Form.Z, 0), (Form.PRODUCT, 5), (Form.AREA, 3), (Form.Z, Q_PAST_INT64)):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 import sympy
 
 import triplesieve.cli as cli
-from triplesieve import charsums, modular
+from triplesieve import charsums, groups, modular
 from triplesieve.gl2 import Form
 from triplesieve.groups import BallBudgetError, coset_counts, enumerate_ball, modular_generators, sample_words
 
@@ -175,6 +175,15 @@ def test_exit_code_bad_input():
     assert run(["census", "--config", "/nonexistent/path"])[0] == 4
 
 
+def test_probable_prime_modulus_past_int64_is_bad_input(capsys):
+    """An 80-bit probable prime past the proven Miller-Rabin range is refused
+    as past int64 (exit 4) before factoring could fail to certify it (2)."""
+    capsys.readouterr()
+    assert run(["adq", "--X", "4", "--Y", "4", "--q", "604462909807314587353111"]) == (4, "")
+    err = capsys.readouterr().err
+    assert "does not fit in int64" in err and "certify" not in err
+
+
 @pytest.mark.parametrize("argv", ["census --T inf", "census --T 1e400", "orbit --T inf", "delta --T inf",
                                   "adq --X inf --Y 3"])
 def test_non_finite_radius_exits_bad_input(argv):
@@ -226,6 +235,17 @@ def test_exit_code_budget(monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_ball", boom)
     assert run(["orbit", "--T", "10"])[0] == 3
+
+
+@pytest.mark.parametrize("argv", [["orbit", "--T", "10"], ["adq", "--X", "8", "--Y", "8"]])
+def test_exit_code_budget_through_the_ball(argv, monkeypatch, capsys):
+    """A small element budget makes the real enumeration raise: exit 3, no
+    stdout, and the budget line on stderr."""
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 10)
+    capsys.readouterr()
+    assert run(argv) == (3, "")
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exceeded: ")
 
 
 def test_byte_identical_determinism():

@@ -28,6 +28,8 @@ from triplesieve.groups import (
     word_ball,
 )
 
+from matrix_oracles import label_oracle
+
 # the package re-exports the function census under the module's name
 census_mod = importlib.import_module("triplesieve.census")
 
@@ -101,21 +103,23 @@ def test_word_lengths_on_small_balls():
             assert exact[m] >= 1
 
 
-def test_budget_error_is_distinct():
+def test_budget_error_is_distinct(monkeypatch):
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 1000)
     with pytest.raises(BallBudgetError) as ei:
-        enumerate_ball(modular_generators(), 100, element_cap=1000)
+        enumerate_ball(modular_generators(), 100)
     assert ei.value.cap == 1000
     assert ei.value.discovered > 1000
 
 
-def test_large_letters_do_not_wrap_int64():
+def test_large_letters_do_not_wrap_int64(monkeypatch):
     """Candidate products beyond int64 are computed with Python ints: with
     letters of size N = 30000 the expansion region has about 40 nodes and the
     ball at T = 10 is {I}; int64 products would wrap into false small norms
     and flood the search past the budget."""
     N = 30000
     gens = GeneratorSet("h", (UnimodularMatrix(1, N, 0, 1), UnimodularMatrix(1, 0, N, 1)))
-    ball = enumerate_ball(gens, 10, element_cap=1000)
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 1000)
+    ball = enumerate_ball(gens, 10)
     assert ball.rows.tolist() == [[1, 0, 0, 1]]
     assert ball.rows.dtype == np.int64 and ball.sq_norms().tolist() == [2]
 
@@ -284,11 +288,12 @@ def test_distinct_rows_match_lexsort_oracle(make):
     "gens, T, cap, discovered",
     [(modular_generators(), 100, 1000, 1132), (schottky_generators(), 1e6, 5000, 10793)],
 )
-def test_budget_error_discovered_count(gens, T, cap, discovered):
+def test_budget_error_discovered_count(gens, T, cap, discovered, monkeypatch):
     """The count a capped enumeration reports: every distinct element found
     up to and including the layer that crossed the cap."""
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", cap)
     with pytest.raises(BallBudgetError) as ei:
-        enumerate_ball(gens, T, element_cap=cap)
+        enumerate_ball(gens, T)
     assert ei.value.discovered == discovered
 
 
@@ -388,14 +393,16 @@ def test_norm_gain_check_reaches_the_vertex():
     assert groups._norm_gain_nonnegative((2, 1, 1, 1), (Fraction(0), Fraction(1)))
 
 
-def test_tree_counts_only_ball_elements():
+def test_tree_counts_only_ball_elements(monkeypatch):
     """Without dedup the tree finds each element once: a cap equal to the
     ball size succeeds, while the breadth-first search, whose region is 3.8
     times the ball, would pass it."""
     sg = schottky_generators()
-    assert len(enumerate_ball(sg, 1e6, element_cap=14269)) == 14269
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 14269)
+    assert len(enumerate_ball(sg, 1e6)) == 14269
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 14268)
     with pytest.raises(BallBudgetError) as ei:
-        enumerate_ball(sg, 1e6, element_cap=14268)
+        enumerate_ball(sg, 1e6)
     assert ei.value.discovered > 14268
 
 
@@ -488,7 +495,7 @@ def test_tree_dtype_on_both_sides_of_its_edges():
     assert groups._tree_dtype(sch, groups._radius_bound(2e8)) is np.int64
 
 
-def test_tree_drops_large_entries_before_squaring():
+def test_tree_drops_large_entries_before_squaring(monkeypatch):
     """A child entry of 2^32 squares to 0 mod 2^64: on int64 the tree must
     drop it, as |e| >= e_max, before its sq_norm is formed, so the ball of
     these letters at T = 10 is {I}."""
@@ -496,7 +503,8 @@ def test_tree_drops_large_entries_before_squaring():
     letters = ((1, k, 0, 1), (1, -k, 0, 1), (1, 0, k, 1), (1, 0, -k, 1))
     bound = groups._radius_bound(10)
     assert groups._tree_dtype(letters, bound) is np.int64
-    layers = groups._tree_layers(letters, 10, bound, element_cap=100)
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 100)
+    layers = groups._tree_layers(letters, 10, bound)
     assert [layer.tolist() for layer in layers] == [[[1], [0], [0], [1]], [[], [], [], []]]
 
 
@@ -623,7 +631,7 @@ def test_key_layouts(N, T, dtype, words):
     the ball of the set-based search."""
     gens = big_letters(N, True)
     assert key_layout(gens, T) == (dtype, words)
-    layers = groups._bfs_layers(letter_entries(gens), T, region_bound(gens, T), 10**6)
+    layers = groups._bfs_layers(letter_entries(gens), T, region_bound(gens, T))
     assert {c.dtype for c in layers} == {np.dtype(np.int64 if dtype is np.uint64 else dtype)}
     ball = enumerate_ball(gens, T)
     rows, word_lengths = reference_ball(gens, T)
@@ -1040,8 +1048,8 @@ def test_coset_counts_partition_and_equidistribution():
     assert coset_counts(mg, 50, 1) == {(0, 1): enumerate_ball(mg, 50).count_below(50)}
 
 
-def test_coset_counts_labels_match_label_of_row():
-    """coset_counts' array labels agree with the scalar label_of_row on every
+def test_coset_counts_labels_match_label_oracle():
+    """coset_counts' array labels agree with the scalar label_oracle on every
     row of the ball, and the counts are their tally in table order."""
     mg = modular_generators()
     ball = enumerate_ball(mg, 200)
@@ -1049,7 +1057,7 @@ def test_coset_counts_labels_match_label_of_row():
     for q in (3, 105):
         table = modular.coset_table(q)
         residues = list(zip((c % q).tolist(), (d % q).tolist()))
-        by_residue = {r: table.label_of_row(*r) for r in set(residues)}
+        by_residue = {r: label_oracle(q, *r) for r in set(residues)}
         labels = [by_residue[r] for r in residues]
         lc, ld = modular.coset_labels(q, c, d)
         assert list(zip(lc.tolist(), ld.tolist())) == labels
@@ -1072,7 +1080,7 @@ def test_coset_counts_match_per_row_labels(gens, T):
                     coset_counts(gens, T, q, ball=ball)
                 continue
             table = modular.coset_table(q)
-            label = {r: table.label_of_row(*r) for r in {(c % q, d % q) for c, d in inside}}
+            label = {r: label_oracle(q, *r) for r in {(c % q, d % q) for c, d in inside}}
             tally = Counter(label[c % q, d % q] for c, d in inside)
             assert len(tally) > 1 or q == 1
             assert coset_counts(gens, T, q, ball=ball) == {rep: tally[rep] for rep in table.reps}

@@ -36,20 +36,11 @@ from triplesieve.modular import (
     strong_approx_check,
 )
 
-from matrix_oracles import form_value
+from matrix_oracles import crt_oracle, form_value, label_oracle
 
 MOD_GENS = [GEN_R, GEN_L]
 # both congruent to the identity mod 3 (and mod 2 for the second)
 I_MOD3_GENS = [UnimodularMatrix(1, 3, 0, 1), UnimodularMatrix(1, 0, 3, 1)]
-
-
-def crt_oracle(residues, primes):
-    """Scalar CRT: the x mod prod(primes) with x = residues[i] mod primes[i]."""
-    x, mod = 0, 1
-    for p, r in zip(primes, residues):
-        x += mod * ((r - x) * pow(mod, -1, p) % p)
-        mod *= p
-    return x
 
 
 def coset_reps_oracle(q):
@@ -63,15 +54,6 @@ def coset_reps_oracle(q):
         per_prime = [(0, 1)] + [(1, d) for d in range(p)]
         reps = [(rc + (c,), rd + (d,)) for rc, rd in reps for c, d in per_prime]
     return tuple((crt_oracle(rc, primes), crt_oracle(rd, primes)) for rc, rd in reps)
-
-
-def label_oracle(q, c, d):
-    """Scalar coset label: per prime (0,1) when p | c, else (1, d/c), by CRT."""
-    if q == 1:
-        return (0, 1)
-    primes = prime_factors(q)
-    per_prime = [(0, 1) if c % p == 0 else (1, d * pow(c, -1, p) % p) for p in primes]
-    return tuple(crt_oracle(part, primes) for part in zip(*per_prime))
 
 
 def closure_oracle(gens, q):
@@ -220,23 +202,26 @@ def test_projective_class_at_the_largest_label_prime():
 
 def test_coset_table_reps_are_the_classes_in_table_order():
     """A prime's reps are the classes p, 0, 1, ..., p - 1 in that order, and
-    a composite q's reps are their glue, the first prime most significant."""
-    for q in (3, 5, 7, 15, 105, 1155):
-        primes = prime_factors(q)
+    a composite q's reps are their glue, the first prime most significant:
+    coset_positions reads each rep back at its own place, and every row at
+    the place of its label_oracle."""
+    rows = np.indices((40, 40)).reshape(2, -1)
+    for q in (1, 3, 5, 7, 15, 105, 1155):
         reps = coset_table(q).reps
         c, d = np.array(reps).T
-        classes = [modular._projective_class(p, c, d) for p in primes]
-        position = 0
-        for p, x in zip(primes, classes):
-            position = position * (p + 1) + (x + 1) % (p + 1)
-        assert position.tolist() == list(range(len(reps)))
+        assert modular.coset_positions(q, c, d).tolist() == list(range(len(reps)))
+        c, d = rows[:, [all((x % p, y % p) != (0, 0) for p in prime_factors(q)) for x, y in rows.T]]
+        want = [reps.index(label_oracle(q, x, y)) for x, y in zip(c.tolist(), d.tolist())]
+        assert modular.coset_positions(q, c, d).tolist() == want
+    with pytest.raises(ValueError, match=r"row \(3, 3\) vanishes mod 3"):
+        modular.coset_positions(15, np.array([1, 3]), np.array([2, 3]))
 
 
 def test_rows_and_labels_refuse_non_integers():
     """Rows are read as integers: a float raises TypeError, where it was
     once truncated to the label of (1, 2); Python ints of any size and numpy
     integers still label as their residues do."""
-    for call in (lambda: coset_labels(5, [1.7], [2]), lambda: coset_table(5).label_of_row(1.5, 2),
+    for call in (lambda: coset_labels(5, [1.7], [2]), lambda: coset_labels(5, [1.5], [np.int64(2)]),
                  lambda: coset_labels(5, np.array([1.0]), [2]), lambda: coset_labels(1, [1.5], [2]),
                  lambda: coset_labels(15, ["1"], [2])):
         with pytest.raises(TypeError):
@@ -244,7 +229,7 @@ def test_rows_and_labels_refuse_non_integers():
     want = [x.tolist() for x in coset_labels(35, [1, 3], [2, 34])]
     for c, d in (([1 + 35 * 2 ** 70, 3], [2, -1]), (np.array([1, 3], dtype=np.int32), np.array([2, 34], np.uint64))):
         assert [x.tolist() for x in coset_labels(35, c, d)] == want
-    assert coset_table(35).label_of_row(np.int64(3), 34 + 35 * 10 ** 30) == (want[0][1], want[1][1])
+    assert [x.tolist() for x in coset_labels(35, [np.int64(3)], [34 + 35 * 10 ** 30])] == [[want[0][1]], [want[1][1]]]
     with pytest.raises(ValueError, match=r"row \(35, 70\) vanishes mod 5"):
         coset_labels(35, [1, 35, 7], [2, 70, 0])
 
@@ -301,14 +286,13 @@ def test_representatives_pairwise_inequivalent(p):
 
 
 def test_label_is_crt_compatible():
-    t15, t3, t5 = coset_table(15), coset_table(3), coset_table(5)
-    for c in range(15):
-        for d in range(15):
-            if c % 3 == 0 and d % 3 == 0 or c % 5 == 0 and d % 5 == 0:
-                continue
-            lc, ld = t15.label_of_row(c, d)
-            assert (lc % 3, ld % 3) == t3.label_of_row(c % 3, d % 3)
-            assert (lc % 5, ld % 5) == t5.label_of_row(c % 5, d % 5)
+    """The labels mod 15 reduce to the oracle's labels mod 3 and mod 5."""
+    rows = [(c, d) for c in range(15) for d in range(15)
+            if not (c % 3 == 0 and d % 3 == 0 or c % 5 == 0 and d % 5 == 0)]
+    lc, ld = coset_labels(15, *np.array(rows).T)
+    for (c, d), label in zip(rows, zip(lc.tolist(), ld.tolist())):
+        assert (label[0] % 3, label[1] % 3) == label_oracle(3, c % 3, d % 3)
+        assert (label[0] % 5, label[1] % 5) == label_oracle(5, c % 5, d % 5)
 
 
 squarefree_q = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35, 105])
@@ -316,15 +300,17 @@ squarefree_q = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 35, 10
 
 @given(squarefree_q, st.integers(0, 200), st.integers(0, 200))
 def test_label_idempotent(q, c, d):
-    table = coset_table(q)
+    def label(c, d):
+        return tuple(int(x[0]) for x in coset_labels(q, [c], [d]))
+
     try:
-        lab = table.label_of_row(c, d)
+        lab = label(c, d)
     except ValueError:
         return  # row vanishes mod some p | q
-    assert table.label_of_row(*lab) == lab
-    assert lab in table.reps
+    assert label(*lab) == lab
+    assert lab in coset_table(q).reps
     assert lab == label_oracle(q, c, d)
-    assert table.label_of_row(c + 10**30 * q, d - 10**30 * q) == lab
+    assert label(c + 10**30 * q, d - 10**30 * q) == lab
 
 
 def test_densities_match_predictions_small():
