@@ -17,10 +17,10 @@ rows).
 
 The rows are the ball's distinct bottom rows from the one kernel
 OrbitBall.distinct_rows.  The factors, Omega and grade of a row depend on
-n = |value| alone, so the rows are grouped by n on groups._runs, and
+n = |value| alone, so the rows are grouped by n on runs._runs, and
 each distinct n > 1 is graded once, on any of its rows.  The pieces of those rows
 are deduplicated and factored, kept as flat arrays, and each value's primes
-are merged by one sort on (value, prime), groups._order; the area and
+are merged by one sort on (value, prime), runs._order; the area and
 product drop {2, 2, 3} or {2, 2, 3, 5} by rank within runs of equal primes,
 and a value that lacks them raises ArithmeticError.  What remains is two
 flat int64 arrays, the primes sorted by (value, prime) and each value's run
@@ -51,7 +51,7 @@ is first collapsed to weights on the same kernel's rows, summed over its
 inverse index; the (row, w) product grid is then processed in chunks:
 gl2.form_values evaluates each chunk (int64 under its proven bounds, Python
 ints otherwise), whose weights are summed by value, and the chunk results
-are merged as they come (_merged_sums); groups._run_sums takes each of these
+are merged as they come (_merged_sums); runs._run_sums takes each of these
 sums exactly.  The support and numerators are handed to SieveSequence as the
 arrays a_q reads, under the same rules as a sequence built from lists: the
 support as modular._limbs (plain int64 when it fits, else 32-bit limbs of
@@ -67,7 +67,7 @@ straight off the grid, for the CLI's adq, with no sum by value: each chunk
 adds the weights of the pairs whose value q divides (modular._divisor_hits
 on the chunk's _limbs) and the total of its pair weights, which must come to
 chi times the denominator, and the support is the length of the merge
-(_merged_sums) of each chunk's distinct values (groups._distinct).
+(_merged_sums) of each chunk's distinct values (runs._distinct).
 
 Before that the grid is folded by the rotation S = [[0, -1], [1, 0]].  Right
 multiplication by S maps every row (c1, d1) to (d1, -c1), which leaves z, xy
@@ -94,11 +94,11 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .gl2 import Form, form_values
-from .groups import (GeneratorSet, OrbitBall, SmoothedWeight, _distinct, _exact_total, _heads, _norm_keys,
-                     _order, _run_sums, _runs, enumerate_ball)
+from .gl2 import Form, GeneratorSet, form_values
+from .groups import OrbitBall, SmoothedWeight, _norm_keys, enumerate_ball
 from .modular import beta as modular_beta
 from .modular import FORM_PRIME_FLOOR, TABLE_LIMIT, _divisor_hits, _limbs, factor_array, primes_upto, require_odd_prime
+from .runs import _distinct, _exact_total, _heads, _order, _run_sums, _runs
 
 # Kept only for perfbench's census.uncertified counter; it goes with ROADMAP
 # item 7's single benchmark change.
@@ -215,7 +215,7 @@ def _grade_values(f: Form, rc: np.ndarray, rd: np.ndarray, ns: np.ndarray) -> Tu
     object.
 
     The primes of all values are merged by one sort on (value, prime),
-    groups._order; the area and product then drop {2, 2, 3} or
+    runs._order; the area and product then drop {2, 2, 3} or
     {2, 2, 3, 5} by rank within each run of equal primes.  A value whose
     primes lack them raises ArithmeticError, and so does the first value
     whose primes do not multiply back to it (_multiply_back)."""

@@ -68,8 +68,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gl2 import Form, UnimodularMatrix, form_values
-from .groups import _runs
 from .modular import _integers, _projective_class, prime_factors, require_odd_prime
+from .runs import _runs
 
 
 class _Rational(Fraction):

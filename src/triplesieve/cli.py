@@ -30,11 +30,10 @@ from .charsums import (
     s4_numerators,
 )
 from .constants import saturation_table, table_csv, table_text
-from .gl2 import Form, form_values
+from .gl2 import Form, GeneratorSet, form_values
 from .groups import (
     _radius_bound,
     BallBudgetError,
-    GeneratorSet,
     enumerate_ball,
     estimate_delta,
     load_generator_file,

@@ -19,6 +19,10 @@ Three integer-valued forms are evaluated on rows:
 The divisions are exact for all integer (c, d); this is checked by an
 exhaustive residue computation in the test suite.
 
+GeneratorSet holds the generators of a subgroup, and its letters() (the
+generators and their inverses) are the one letter rule that groups and
+modular read.
+
 form_values is the one evaluation of x, y, z, area and product; every other
 module calls it.  It computes in int64 only when a bound proves every
 intermediate fits: max(|c|, |d|) < 2^31, so that c^2 + d^2 < 2^63, and
@@ -33,8 +37,9 @@ proven bound); no floats.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -96,6 +101,43 @@ def sq_norm(g: UnimodularMatrix) -> int:
 # L adds column 2 to column 1.
 GEN_R = UnimodularMatrix(1, 1, 0, 1)
 GEN_L = UnimodularMatrix(1, 0, 1, 1)
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Generators of a subgroup; inverses are adjoined automatically.
+
+    letters() is the one letter rule of the package: the ball enumeration
+    of groups and the projections of modular both read it.  monotone_cap,
+    derived from the letters, selects the column-reduction search region of
+    groups.enumerate_ball (see the groups module docstring).
+    """
+
+    label: str
+    gens: Tuple[UnimodularMatrix, ...]
+
+    def __post_init__(self):
+        if not self.gens:
+            raise ValueError("need at least one generator")
+        object.__setattr__(self, "gens", tuple(self.gens))
+
+    @property
+    def monotone_cap(self) -> bool:
+        """True exactly when the letters are R, R^-1, L and L^-1."""
+        letters = {h.entries() for h in self.letters()}
+        return letters == {(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1)}
+
+    def letters(self) -> List[UnimodularMatrix]:
+        """Generators plus inverses, deduplicated, in a stable order."""
+        out: List[UnimodularMatrix] = []
+        for g in self.gens:
+            for h in (g, g.inverse()):
+                if h not in out:
+                    out.append(h)
+        return out
+
+    def max_letter_sq_norm(self) -> int:
+        return max(sq_norm(h) for h in self.letters())
 
 
 class PythagoreanTriple:

@@ -40,21 +40,14 @@ above are ceil(T^2 max_h sq_norm(h)) and max(ceil(T^2), 4).
 Keys.  One rule lays out every packed key (_word_places): nonnegative
 fields of given widths go whole, in order, into as few words as hold them,
 the last field of each word lowest.  The words of n keys are the rows of
-one array, sorted in place when one, else by the sort kernel _order taken
-on every word (_sort_keys); one shift and mask reads a field back (_field).
-Keys are uint64 words, or in the search one Python int per element where
-_entry_dtype gives Python-int entries.  An entry e is packed as e + off,
-off the largest |entry| + 1 of the rows packed (_offset), in bit_length(2
-off) bits; only the search, which fixes its layout before it sees a node,
-takes off from its region.  Every ordering of positions by key rows, here
-and in census, charsums and modular.factor_array, comes from one sort
-kernel, _order: the order of a lexsort, or of an argsort of one row, read
-from one np.sort of uint64 words when the rows' spans and the positions fit
-64 bits together and the keys are not too few, else numpy's own.  Every
-group-by runs on one kernel, _heads: a run head is the first sorted key or
-one unequal to its predecessor.  Its readers are _distinct (one np.sort of
-the values), _runs (on _order), _run_sums (exact totals) and _fresh, the
-dedup of both closures: this search and modular.project_group.
+one array, sorted in place when one, else by the sort kernel runs._order
+taken on every word (_sort_keys); one shift and mask reads a field back
+(_field).  Keys are uint64 words, or in the search one Python int per
+element where _entry_dtype gives Python-int entries.  An entry e is packed
+as e + off, off the largest |entry| + 1 of the rows packed (_offset), in
+bit_length(2 off) bits; only the search, which fixes its layout before it
+sees a node, takes off from its region.  The sort and run kernels live in
+the leaf module runs, which this module, modular, census and charsums read.
 
 Both searches carry a layer as (4, n) entry columns.  Deduplication is
 layer-local.  The letters include their inverses, so the Cayley graph
@@ -103,9 +96,12 @@ the ball at T (OrbitBall.sub_ball), which count_below, coset_counts and the
 sieve sequence read.
 
 Every enumeration runs under one element budget, the constant _ELEMENT_CAP:
-the tree counts ball elements, the search every node of its region, each
-total is checked after each layer, and a total past the cap raises
-BallBudgetError rather than returning a truncated ball.  On top of the
+the tree counts ball elements, the search every node of its region, and a
+total past the cap raises BallBudgetError rather than returning a
+truncated ball.  The search checks its total after each layer, since its
+dedup needs the whole layer; the tree grows each layer from blocks of at
+most _TREE_BLOCK parents and checks after each block, so a capped tree
+holds at most the cap plus one block's children.  On top of the
 balls: the smoothing weight (cubic smoothstep on the annulus 0.9T..1.1T, in
 one integer form), growth-exponent fits (count ~ C T^(2 delta)), and
 per-coset counts mod q.
@@ -123,11 +119,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import modular
-from .gl2 import GEN_L, GEN_R, UnimodularMatrix, sq_norm
+from .gl2 import GEN_L, GEN_R, GeneratorSet, UnimodularMatrix, sq_norm
+from .runs import _distinct, _fresh, _order, _runs
 
 
 # The element budget of every enumeration: _bfs_layers and _tree_layers count against it.
 _ELEMENT_CAP = 10_000_000
+# The most parents whose children _tree_layers builds before it checks the budget.
+_TREE_BLOCK = 1 << 16
 
 
 class BallBudgetError(RuntimeError):
@@ -140,41 +139,6 @@ class BallBudgetError(RuntimeError):
         self.T = T
         self.discovered = discovered
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Generators of a subgroup; inverses are adjoined automatically.
-
-    monotone_cap, derived from the letters, selects the column-reduction
-    search region of enumerate_ball (see the module docstring).
-    """
-
-    label: str
-    gens: Tuple[UnimodularMatrix, ...]
-
-    def __post_init__(self):
-        if not self.gens:
-            raise ValueError("need at least one generator")
-        object.__setattr__(self, "gens", tuple(self.gens))
-
-    @property
-    def monotone_cap(self) -> bool:
-        """True exactly when the letters are R, R^-1, L and L^-1."""
-        letters = {h.entries() for h in self.letters()}
-        return letters == {(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1)}
-
-    def letters(self) -> List[UnimodularMatrix]:
-        """Generators plus inverses, deduplicated, in a stable order."""
-        out: List[UnimodularMatrix] = []
-        for g in self.gens:
-            for h in (g, g.inverse()):
-                if h not in out:
-                    out.append(h)
-        return out
-
-    def max_letter_sq_norm(self) -> int:
-        return max(sq_norm(h) for h in self.letters())
 
 
 def modular_generators() -> GeneratorSet:
@@ -328,106 +292,6 @@ def _sort_keys(keys: np.ndarray, by: Optional[int] = None) -> np.ndarray:
         keys[0].sort()
         return keys
     return keys.take(_order(keys[:by]), axis=1)
-
-
-# The fewest keys at which one packed np.sort beats numpy's lexsort, and its
-# argsort of one row (numpy 2.4, AVX-512): the packing costs about 20-30 us.
-_PACKED_FLOOR, _PACKED_FLOOR_PLAIN = 512, 4096
-
-
-def _order(keys: np.ndarray) -> np.ndarray:
-    """Positions sorted by the integer or object keys (rows, most
-    significant first), for several rows in position order within ties:
-    the order of a lexsort.
-
-    From _PACKED_FLOOR keys (_PACKED_FLOOR_PLAIN for one row), when the
-    rows' spans max - min and the positions fit 64 bits together, each row
-    less its minimum, then the position, go into one uint64 word, highest
-    first, and one np.sort of the words gives the lexsort order: the fields
-    are disjoint and the position breaks every tie.  The width test comes
-    before the subtraction, so no field wraps.  Otherwise it is numpy's
-    lexsort, or argsort of one row, stable (the faster) on object keys."""
-    n = keys.shape[1]
-    if keys.dtype.kind in "iu" and n >= (_PACKED_FLOOR if len(keys) > 1 else _PACKED_FLOOR_PLAIN):
-        lo = keys.min(axis=1)
-        widths = [(h - l).bit_length() for l, h in zip(lo.tolist(), keys.max(axis=1).tolist())]
-        shift = index_bits = (n - 1).bit_length()
-        if sum(widths) + index_bits <= 64:
-            words = np.arange(n, dtype=np.uint64)
-            for row, low, width in zip(keys[::-1], lo[::-1], widths[::-1]):
-                field = np.subtract(row, low, dtype=np.uint64, casting="unsafe")
-                field <<= np.uint64(shift)
-                words |= field
-                shift += width
-            words.sort()
-            words &= np.uint64((1 << index_bits) - 1)
-            return words.view(np.intp)
-    kind = "stable" if keys.dtype == object else None
-    return np.argsort(keys[0], kind=kind) if len(keys) == 1 else np.lexsort(keys[::-1])
-
-
-def _heads(keys: np.ndarray) -> np.ndarray:
-    """The run heads of sorted keys (one array, or rows of words, 2-D or a
-    list): True at the first key and at each key unequal to its predecessor."""
-    rows = np.atleast_2d(keys) if isinstance(keys, np.ndarray) else keys
-    head = np.zeros(len(rows[0]), dtype=bool)
-    head[:1] = True
-    for k in rows:
-        head[1:] |= k[1:] != k[:-1]
-    return head
-
-
-def _fresh(keys: np.ndarray) -> np.ndarray:
-    """True at the new candidates among sorted keys (rows of words) whose
-    lowest bit is 1 on candidates and 0 on old keys: the tagged keys that
-    head their runs (_heads) once the tag is shifted out."""
-    return (keys[-1] & 1).astype(bool) & _heads([*keys[:-1], keys[-1] >> 1])
-
-
-def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, head, inverse): positions sorted by keys (_order), the run heads
-    along them (any position of each key) and each position's run."""
-    order = _order(keys)
-    head = _heads(keys[:, order])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(head) - 1
-    return order, head, inverse
-
-
-def _distinct(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(distinct values, ascending, and their counts) from one np.sort."""
-    values = np.sort(values)
-    starts = np.flatnonzero(_heads(values))
-    return values[starts], np.diff(starts, append=len(values))
-
-
-def _segment_sums(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Exact totals of the segments of weights that begin at starts, by
-    np.add.reduceat: object weights as Python ints, int64 weights as
-    their 31-bit halves w >> 31, in [-2^32, 2^32), and w & (2^31 - 1), in
-    [0, 2^31): for fewer than 2^31 weights no partial sum of either half can
-    wrap (longer arrays are summed as Python ints).  The totals hi 2^31 + lo
-    are joined in int64 when every high sum lies in (-2^31, 2^31), since then
-    |hi 2^31| < 2^62 and 0 <= lo < 2^62, and as Python ints otherwise."""
-    if weights.dtype == object or len(weights) >= 1 << 31:
-        return np.add.reduceat(weights.astype(object, copy=False), starts)
-    hi = np.add.reduceat(weights >> 31, starts)
-    if len(hi) and max(-int(hi.min()), int(hi.max())) >= 1 << 31:
-        hi = hi.astype(object)
-    return (hi << 31) + np.add.reduceat(weights & ((1 << 31) - 1), starts)
-
-
-def _run_sums(keys: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(distinct keys, ascending, and each key's exact total weight) over the runs of one _order."""
-    order = _order(keys[None])
-    keys, weights = keys[order], weights[order]
-    starts = np.flatnonzero(_heads(keys))
-    return keys[starts], _segment_sums(weights, starts)
-
-
-def _exact_total(weights: np.ndarray) -> int:
-    """The exact total of an int64 or object array: _segment_sums as one segment."""
-    return int(_segment_sums(weights, np.zeros(1, dtype=np.intp))[0]) if len(weights) else 0
 
 
 def _norm_keys(rows: np.ndarray) -> np.ndarray:
@@ -652,8 +516,10 @@ def _tree_layers(letters: Tuple[Entries, ...], T: float, bound: int) -> List[np.
     Sound only for letters with a _ping_pong_certificate: reduced words are
     then distinct elements (no dedup) and norms never decrease along them,
     so every prefix of a ball element is in the ball.  Only ball elements
-    are counted, so a total past _ELEMENT_CAP after a layer raises
-    BallBudgetError.
+    are counted.  Each layer grows from blocks of at most _TREE_BLOCK
+    parents, in order, and a total past _ELEMENT_CAP after a block raises
+    BallBudgetError; a layer of one block keeps the letter-major order of
+    _children.
 
     A child with an entry |e| >= e_max = isqrt(bound - 1) + 1 has sq_norm
     >= e_max^2 >= bound, so it is dropped before any square is taken; the
@@ -670,16 +536,21 @@ def _tree_layers(letters: Tuple[Entries, ...], T: float, bound: int) -> List[np.
     collected = [frontier]
     total = 1
     while frontier.shape[1]:
-        kids = _children(frontier, mats)
-        reduced = follows[:, last].ravel()
-        for entry in kids:
-            reduced &= np.abs(entry) < e_max
-        kids, index = kids.compress(reduced, axis=1), np.flatnonzero(reduced)
-        inside = np.einsum("ij,ij->j", kids, kids) < bound
-        frontier, last = kids.compress(inside, axis=1), index.compress(inside) // len(last)
-        total += frontier.shape[1]
-        if total > _ELEMENT_CAP:
-            raise BallBudgetError(T, total, _ELEMENT_CAP)
+        grown, ends = [], []
+        for start in range(0, frontier.shape[1], _TREE_BLOCK):
+            parents = frontier[:, start : start + _TREE_BLOCK]
+            kids = _children(parents, mats)
+            reduced = follows[:, last[start : start + _TREE_BLOCK]].ravel()
+            for entry in kids:
+                reduced &= np.abs(entry) < e_max
+            kids, index = kids.compress(reduced, axis=1), np.flatnonzero(reduced)
+            inside = np.einsum("ij,ij->j", kids, kids) < bound
+            grown.append(kids.compress(inside, axis=1))
+            ends.append(index.compress(inside) // parents.shape[1])
+            total += grown[-1].shape[1]
+            if total > _ELEMENT_CAP:
+                raise BallBudgetError(T, total, _ELEMENT_CAP)
+        frontier, last = np.concatenate(grown, axis=1), np.concatenate(ends)
         collected.append(frontier)
     return collected
 

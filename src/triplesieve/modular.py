@@ -2,8 +2,10 @@
 
 For a squarefree modulus q the projection pi_q : SL(2,Z) -> SL(2,Z/qZ) is
 computed by breadth-first closure of the images of the generators and their
-inverses, each element packed into one int64 code ((a q + b) q + c) q + d
-and deduplicated layer by layer by groups._fresh, as the norm balls are.
+inverses, the letters of GeneratorSet.letters(), each element packed into
+one int64 code ((a q + b) q + c) q + d and deduplicated layer by layer by
+runs._fresh, as the norm balls are.  A plain list of matrices is read as
+the GeneratorSet of its entries.
 A subgroup has full image at a prime p exactly when the closure reaches
 p(p^2-1) elements; primes where this fails, and 2, always excluded, form
 the empirical bad-modulus set.  Before its size is read, each projection
@@ -49,7 +51,7 @@ arrays.  A value leaves once its cofactor r is below p0^2, p0 the first
 prime of the next block: no prime below p0 divides r, so r is 1 or prime.
 A cofactor still live after the last block is prime below _TABLE_REACH, and
 a larger one goes to _factor_beyond_table.  The (index, prime) pairs are
-put in order by the one sort kernel, groups._order.
+put in order by the one sort kernel, runs._order.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .gl2 import Form, UnimodularMatrix, form_values
+from .gl2 import Form, GeneratorSet, UnimodularMatrix, form_values
+from .runs import _fresh, _order
 
 # Trial division by the primes up to TABLE_LIMIT proves every factorization
 # of n < (TABLE_LIMIT + 1)^2 (about 1.1e12); only a cofactor beyond that
@@ -317,7 +320,7 @@ def factor_array(values, sums_of_coprime_squares: bool = False) -> Tuple[np.ndar
     """The prime factors, with multiplicity, of the positive values below
     2^63 (integers, each read through operator.index) as two int64 arrays
     (index, prime), ordered by index and then by prime in one call to the
-    sort kernel groups._order, which packs both into one uint64 word when
+    sort kernel runs._order, which packs both into one uint64 word when
     they fit.
 
     The table primes p with p^2 <= the largest value are tried in rounds
@@ -365,8 +368,6 @@ def factor_array(values, sums_of_coprime_squares: bool = False) -> Tuple[np.ndar
     for k in np.flatnonzero(rest >= _TABLE_REACH).tolist():
         ps = _factor_beyond_table(int(rest[k]))
         hits.append((np.full(len(ps), k), np.array(ps, dtype=np.int64)))
-    from .groups import _order  # groups imports this module, so not at the top
-
     keys = np.stack([np.concatenate(column) for column in zip(*hits)])  # (index, prime)
     index, prime = keys[:, _order(keys)]
     return index, prime
@@ -431,18 +432,15 @@ def sl2_order(q: int) -> int:
     return out
 
 
-def _generator_matrices(gens) -> List[UnimodularMatrix]:
-    """Accepts a GeneratorSet-like object (has .gens) or a plain iterable."""
-    mats = list(gens.gens) if hasattr(gens, "gens") else list(gens)
-    if not mats:
-        raise ValueError("need at least one generator")
-    return mats
+def _generator_set(gens) -> GeneratorSet:
+    """gens itself when a GeneratorSet, else the GeneratorSet of the matrices
+    it lists; no generators raise ValueError."""
+    return gens if isinstance(gens, GeneratorSet) else GeneratorSet("unnamed", tuple(gens))
 
 
 def _letter_residues(gens, q: int) -> np.ndarray:
-    """The generators and their inverses mod q, as (m, 2, 2) int64 residues."""
-    entries = [g.entries() for g in _generator_matrices(gens)]
-    entries += [(d, -b, -c, a) for a, b, c, d in entries]
+    """The letters of gens (GeneratorSet.letters()) mod q, as (m, 2, 2) int64 residues."""
+    entries = [h.entries() for h in _generator_set(gens).letters()]
     return np.array([[e % q for e in h] for h in entries], dtype=np.int64).reshape(-1, 2, 2)
 
 
@@ -450,13 +448,14 @@ def project_group(gens, q: int) -> np.ndarray:
     """The image of the generated subgroup in SL(2,Z/qZ) for squarefree q.
 
     Returns its elements as (a, b, c, d) rows of int64 residues in [0, q),
-    sorted lexicographically, so len() is the order of the image.  The
-    closure runs breadth-first over the images of the generators and their
-    inverses, carried as codes ((a q + b) q + c) q + d, which are below
-    q^4 < 2^60 for q < 2^15.  The letters are symmetric, so a product of a
-    layer-k element and a letter is in layer k - 1, in layer k, or new.
+    sorted lexicographically, so len() is the order of the image.  gens is
+    a GeneratorSet or a plain list of matrices (_generator_set).  The
+    closure runs breadth-first over the images of its letters
+    (GeneratorSet.letters()), carried as codes ((a q + b) q + c) q + d,
+    which are below q^4 < 2^60 for q < 2^15.  The letters are symmetric, so
+    a product of a layer-k element and a letter is in layer k - 1, in layer
+    k, or new.
     """
-    from .groups import _fresh  # groups imports this module, so not at the top
     if q >= _CODE_LIMIT:
         raise ValueError(f"modulus {q} too large for packed residue codes (need q < {_CODE_LIMIT})")
     prime_factors(q)  # refuses a non-squarefree q
@@ -480,13 +479,13 @@ def strong_approx_check(gens, p: int) -> bool:
     ArithmeticError when the projection fails its closure check."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _surjective(tuple(g.entries() for g in _generator_matrices(gens)), p)
+    return _surjective(_generator_set(gens).gens, p)
 
 
 @lru_cache(maxsize=None)
-def _surjective(entries: Tuple[Tuple[int, int, int, int], ...], p: int) -> bool:
-    """strong_approx_check for a prime p, cached per (generator entries, p)."""
-    gens = [UnimodularMatrix(*e) for e in entries]
+def _surjective(gens: Tuple[UnimodularMatrix, ...], p: int) -> bool:
+    """strong_approx_check for a prime p, cached per (generators, p): a
+    matrix hashes and compares by its entries, so the label plays no part."""
     rows = project_group(gens, p)
     if not _image_is_closed(rows, gens, p):
         raise ArithmeticError(f"projection mod {p} is not a closed set of SL(2) residues")
@@ -496,7 +495,7 @@ def _surjective(entries: Tuple[Tuple[int, int, int, int], ...], p: int) -> bool:
 def _image_is_closed(rows: np.ndarray, gens, q: int) -> bool:
     """Check a projection without its closure loop: rows holds I, is sorted
     and distinct, has entries in [0, q) and determinant 1 mod q, and is
-    closed under right multiplication by every generator and inverse."""
+    closed under right multiplication by every letter of gens."""
     weights = np.array([q**3, q**2, q, 1], dtype=np.int64)
     codes = rows @ weights
     a, b, c, d = rows.T

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triplesieve import groups, modular
+from triplesieve import groups, modular, runs
 from triplesieve.gl2 import GEN_L, GEN_R, UnimodularMatrix, sq_norm
 from triplesieve.groups import (
     BallBudgetError,
@@ -393,6 +393,23 @@ def test_norm_gain_check_reaches_the_vertex():
     assert groups._norm_gain_nonnegative((2, 1, 1, 1), (Fraction(0), Fraction(1)))
 
 
+def test_tree_checks_the_budget_after_each_block(monkeypatch):
+    """The tree checks its total after each block of _TREE_BLOCK parents, so
+    a capped run holds at most one block's children past the cap: each
+    parent has three reduced children.  Blocks change only the order of a
+    layer, which the canonical sort undoes."""
+    sg = schottky_generators()
+    whole = enumerate_ball(sg, 1e6)
+    monkeypatch.setattr(groups, "_TREE_BLOCK", 16)
+    blocked = enumerate_ball(sg, 1e6)
+    assert blocked.rows.tolist() == whole.rows.tolist()
+    assert blocked.word_lengths.tolist() == whole.word_lengths.tolist()
+    monkeypatch.setattr(groups, "_ELEMENT_CAP", 1000)
+    with pytest.raises(BallBudgetError) as ei:
+        enumerate_ball(sg, 1e6)
+    assert 1000 < ei.value.discovered <= 1000 + 3 * 16
+
+
 def test_tree_counts_only_ball_elements(monkeypatch):
     """Without dedup the tree finds each element once: a cap equal to the
     ball size succeeds, while the breadth-first search, whose region is 3.8
@@ -668,11 +685,11 @@ def test_run_kernel_matches_np_unique(name, monkeypatch):
     concatenated parts."""
     keys = KERNEL_KEYS[name]
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    order, head, runs = groups._runs(keys[None])
+    order, head, at = runs._runs(keys[None])
     assert keys[order[head]].tolist() == uniq.tolist()
-    assert runs.tolist() == inverse.ravel().tolist()
+    assert at.tolist() == inverse.ravel().tolist()
     assert np.diff(np.flatnonzero(head), append=len(keys)).tolist() == counts.tolist()
-    values, value_counts = groups._distinct(keys)
+    values, value_counts = runs._distinct(keys)
     assert values.dtype == keys.dtype
     assert (values.tolist(), value_counts.tolist()) == (uniq.tolist(), counts.tolist())
 
@@ -681,11 +698,11 @@ def test_run_kernel_matches_np_unique(name, monkeypatch):
         totals = {}
         for k, w in zip(keys.tolist(), weights.tolist()):
             totals[k] = totals.get(k, 0) + w
-        sum_keys, sums = groups._run_sums(keys, weights)
+        sum_keys, sums = runs._run_sums(keys, weights)
         assert (sum_keys.tolist(), sums.tolist()) == (sorted(totals), [totals[k] for k in sorted(totals)])
-        assert groups._exact_total(weights) == sum(weights.tolist())
-        parts = [groups._run_sums(keys[cut], weights[cut]) for cut in np.array_split(np.arange(len(keys)), 4)]
-        whole = groups._run_sums(*map(np.concatenate, zip(*parts)))
+        assert runs._exact_total(weights) == sum(weights.tolist())
+        parts = [runs._run_sums(keys[cut], weights[cut]) for cut in np.array_split(np.arange(len(keys)), 4)]
+        whole = runs._run_sums(*map(np.concatenate, zip(*parts)))
         for chunk in (census_mod._CHUNK_PAIRS, 5, 1):
             monkeypatch.setattr(census_mod, "_CHUNK_PAIRS", chunk)
             merged = census_mod._merged_sums(iter(parts))
@@ -698,10 +715,10 @@ def test_run_kernel_on_key_words():
     keys = _norm_keys(rows)
     words = np.stack([keys[0] >> np.uint64(2), keys[0] & np.uint64(3)])
     uniq, first, inverse = np.unique(words.T, axis=0, return_index=True, return_inverse=True)
-    order, head, runs = groups._runs(words)
+    order, head, at = runs._runs(words)
     assert words.T[order[head]].tolist() == uniq.tolist()
     assert order[head].tolist() == first.tolist()  # a lexsort is stable
-    assert runs.tolist() == inverse.ravel().tolist()
+    assert at.tolist() == inverse.ravel().tolist()
 
 
 FRESH_FORMS = {
@@ -728,7 +745,7 @@ def test_fresh_marks_each_new_candidate_once(form, old, cand):
     scale = FRESH_SCALES[form]
     tagged = sorted([scale(x) << 1 for x in old] + [scale(x) << 1 | 1 for x in cand])
     keys = FRESH_FORMS[form](tagged)
-    fresh = groups._fresh(keys)
+    fresh = runs._fresh(keys)
     assert fresh.dtype == bool and fresh.shape == (len(tagged),)
     assert [tagged[i] >> 1 for i in np.flatnonzero(fresh)] == sorted(map(scale, set(cand) - set(old)))
 
@@ -753,12 +770,12 @@ def test_order_matches_lexsort_oracle(rows, dtype):
     with heavy ties.  Several rows give the oracle's order, tied keys in
     position order; one row gives a sorting permutation."""
     rng = np.random.default_rng(rows)
-    floors = (groups._PACKED_FLOOR, groups._PACKED_FLOOR_PLAIN)
+    floors = (runs._PACKED_FLOOR, runs._PACKED_FLOOR_PLAIN)
     for n in (0, 1, *(f + e for f in floors for e in (-1, 0))):
         for span in (3, 1 << (40 // rows)):
             keys = order_oracle_keys(rng, rows, n, dtype, span)
             want = np.lexsort(keys[::-1]).tolist()
-            got = groups._order(keys)
+            got = runs._order(keys)
             assert got.dtype == np.intp
             if rows > 1:
                 assert got.tolist() == want
@@ -775,7 +792,7 @@ def test_order_packs_exactly_up_to_64_bits(rows, dtype, monkeypatch):
     positions come to exactly 64 bits, and numpy's lexsort or argsort when
     they come to 65; both give the lexsort order (the keys hold no ties), so
     no field of the packed word wraps."""
-    n = groups._PACKED_FLOOR if rows > 1 else groups._PACKED_FLOOR_PLAIN
+    n = runs._PACKED_FLOOR if rows > 1 else runs._PACKED_FLOOR_PLAIN
     rng = np.random.default_rng(rows)
     calls = []
     for name in ("argsort", "lexsort"):
@@ -787,7 +804,7 @@ def test_order_packs_exactly_up_to_64_bits(rows, dtype, monkeypatch):
         keys = np.stack([order_oracle_keys(rng, 1, n, dtype, 1 << w)[0] for w in widths])
         want = np.lexsort(keys[::-1]).tolist()
         calls.clear()
-        assert groups._order(keys).tolist() == want
+        assert runs._order(keys).tolist() == want
         assert bool(calls) == bool(over)
 
 
@@ -795,11 +812,11 @@ def test_order_on_object_keys():
     """Object keys past int64 take numpy's stable argsort or lexsort, in the
     oracle's order with ties in position order, on either side of the floor."""
     rng = np.random.default_rng(7)
-    for n in (groups._PACKED_FLOOR - 1, groups._PACKED_FLOOR_PLAIN):
+    for n in (runs._PACKED_FLOOR - 1, runs._PACKED_FLOOR_PLAIN):
         keys = (rng.integers(-3, 3, (2, n)).astype(object) << 70) + rng.integers(0, 2, (2, n))
         for rows in (1, 2):
             want = [i for _, i in sorted(zip(keys[:rows].T.tolist(), range(n)))]
-            assert groups._order(keys[:rows]).tolist() == want
+            assert runs._order(keys[:rows]).tolist() == want
 
 
 @pytest.mark.parametrize("gens, T", [

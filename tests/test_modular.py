@@ -12,7 +12,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from triplesieve import modular
-from triplesieve.gl2 import GEN_L, GEN_R, Form, UnimodularMatrix
+from triplesieve.gl2 import GEN_L, GEN_R, Form, GeneratorSet, UnimodularMatrix
 from triplesieve.census import two_path_counts
 from triplesieve.charsums import count_zero_locus, disjointness_check, s4_closed_form
 from triplesieve.groups import enumerate_ball, modular_generators, schottky_generators
@@ -108,6 +108,17 @@ def test_projection_matches_closure_oracle(gens, q):
     rows = project_group(gens, q)
     assert rows.dtype == np.int64 and rows.shape[1] == 4
     assert rows.tolist() == sorted(map(list, closure_oracle(gens, q)))
+
+
+@pytest.mark.parametrize("gens", [MOD_GENS, list(schottky_generators().gens), I_MOD3_GENS])
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 15, 105])
+def test_projection_of_a_list_equals_its_generator_set(gens, q):
+    """A plain list of matrices is read as the GeneratorSet of its entries:
+    the same letters, so the same rows, and the same closure check."""
+    as_set = GeneratorSet("listed", tuple(gens))
+    rows = project_group(gens, q)
+    assert rows.dtype == np.int64 and rows.tolist() == project_group(as_set, q).tolist()
+    assert modular._image_is_closed(rows, gens, q) and modular._image_is_closed(rows, as_set, q)
 
 
 @pytest.mark.parametrize("gens", [MOD_GENS, list(schottky_generators().gens), I_MOD3_GENS])

@@ -1,4 +1,7 @@
-"""The package namespace: every exported name resolves."""
+"""The package namespace: every exported name resolves, and the imports run one way."""
+
+import ast
+import pathlib
 
 import triplesieve
 
@@ -10,3 +13,23 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from triplesieve import *", namespace)
     assert set(triplesieve.__all__) <= set(namespace)
+
+
+def test_imports_run_one_way():
+    """modular imports nothing from groups, and no function body in the
+    package holds an import: every module reads its kernels at the top."""
+    src = pathlib.Path(triplesieve.__file__).parent
+    modular_tree = ast.parse((src / "modular.py").read_text())
+    imported = [node.module for node in ast.walk(modular_tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(modular_tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+    assert not [name for name in imported if name and name.split(".")[-1] == "groups"]
+    nested = []
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [(path.name, node.lineno) for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+    assert triplesieve.GeneratorSet.__module__ == "triplesieve.gl2"
+    assert triplesieve.GeneratorSet is triplesieve.groups.GeneratorSet
